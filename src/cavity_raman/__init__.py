@@ -3,7 +3,7 @@
 Truncated single-excitation master equation, dressed-state phonon coupling,
 emission spectra via the quantum regression theorem, Raman rate formulas,
 least-squares fitting of the resulting lines, and independent oracles
-(full photon ladder, direct ODE integration) to check it all against.
+(full photon ladder, exact time propagation) to check it all against.
 """
 
 from .errors import (
@@ -20,7 +20,6 @@ from .errors import (
     NonDecaying,
     NonUniqueSteadyState,
     ParseError,
-    StiffnessFailure,
     UnstableLiouvillian,
     VanishingSpontaneous,
 )

@@ -25,10 +25,6 @@ class FrameError(CavityRamanError):
     """Spectrum frame does not match the requested operation."""
 
 
-class StiffnessFailure(CavityRamanError):
-    """Adaptive ODE integration failed before reaching the final time."""
-
-
 class FitError(CavityRamanError):
     """Base class for least-squares fitting failures."""
 

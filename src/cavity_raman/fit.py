@@ -197,17 +197,10 @@ def fit_lorentzian(
     DegeneratePeaks when two fitted centers collapse within a tenth of the
     narrower width.
     """
-    freqs = np.asarray(freqs, dtype=float)
-    intensity = np.asarray(intensity, dtype=float)
-    if freqs.ndim != 1 or freqs.shape != intensity.shape:
-        raise DomainError("freqs and intensity must be matching 1-d arrays")
+    freqs, intensity = _check_samples(
+        freqs, intensity, "freqs and intensity", 4 * n_peaks + 1, f"for {n_peaks} peaks"
+    )
     n_params = 3 * n_peaks + 1
-    if freqs.size < 4 * n_peaks + 1:
-        raise DomainError(
-            f"need at least {4 * n_peaks + 1} samples for {n_peaks} peaks, got {freqs.size}"
-        )
-    if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(intensity))):
-        raise DomainError("data must be finite")
     sqrt_w = _weights(errors, freqs.size)
 
     if init is None:
@@ -279,14 +272,29 @@ def fit_lorentzian(
     )
 
 
+def _check_samples(
+    x: np.ndarray, y: np.ndarray, names: str, min_size: int, purpose: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matching finite 1-d float arrays holding at least ``min_size`` samples."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise DomainError(f"{names} must be matching 1-d arrays")
+    if x.size < min_size:
+        raise DomainError(f"need at least {min_size} samples {purpose}, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("data must be finite")
+    return x, y
+
+
 def _weights(errors: np.ndarray | None, size: int) -> np.ndarray:
     if errors is None:
         return np.ones(size)
     errors = np.asarray(errors, dtype=float)
     if errors.shape != (size,):
         raise DomainError("errors must match the data length")
-    if np.any(errors <= 0.0):
-        raise DomainError("error bars must be positive")
+    if not np.all(np.isfinite(errors) & (errors > 0.0)):
+        raise DomainError("error bars must be positive and finite")
     return 1.0 / errors
 
 
@@ -316,13 +324,10 @@ def fit_exponential(
     raises NonDecaying; growing saturation traces are handled by a
     negative amplitude, not a negative tau.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.shape != values.shape:
-        raise DomainError("times and values must be matching 1-d arrays")
-    if times.size < 4:
-        raise DomainError("need at least four samples for a three-parameter fit")
-    if times.size >= 2 and np.min(np.diff(times)) <= 0.0:
+    times, values = _check_samples(
+        times, values, "times and values", 4, "for a three-parameter fit"
+    )
+    if np.min(np.diff(times)) <= 0.0:
         raise DomainError("times must be strictly ascending")
     sqrt_w = _weights(errors, times.size)
 

@@ -1,8 +1,10 @@
-"""Shared test utilities: random operating points and a time-domain
-spectrum oracle that avoids the eigendecomposition machinery.
+"""Shared test utilities: random operating points, a time-domain
+spectrum oracle that avoids the eigendecomposition machinery, and
+short-horizon RK45 references for the exactly propagated oracles.
 """
 import numpy as np
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from cavity_raman import ModelParams, steady_state
 from cavity_raman.liouvillian import cavity_annihilation, vec
@@ -81,3 +83,66 @@ def windowed_mode_sum(lambdas, residues, nu, kappa, horizon):
     window = 1.0 - np.exp((lambdas[None, :] - 1j * TWO_PI * nu[:, None]) * horizon)
     values = np.sum((residues[None, :] * window / denom).real, axis=1) / np.pi
     return TWO_PI**2 * kappa * values
+
+
+def _rk45(rhs, y0, t_grid):
+    """Adaptive RK45 from t = 0 at rtol 1e-10, sampled on ``t_grid``."""
+    solution = solve_ivp(
+        rhs,
+        (0.0, float(t_grid[-1])),
+        np.asarray(y0, dtype=complex),
+        method="RK45",
+        t_eval=t_grid,
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    assert solution.success, solution.message
+    return solution.y
+
+
+def rk45_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
+    """(initial ground, target ground, excited) populations of the driven
+    emitter by stepping its 3x3 Lindblad equation, with no shared
+    generator: jumps e -> g2 at ``gamma`` and e -> g1 at the remainder of
+    ``gamma_tot``, so the dipole dephases at gamma_tot / 2.
+    """
+    ham = TWO_PI * np.array(
+        [[0.0, 0.0, omega / 2.0], [0.0, 0.0, 0.0], [omega / 2.0, 0.0, delta]]
+    )
+    jumps = []
+    for target, rate in ((1, gamma), (0, gamma_tot - gamma)):
+        jump = np.zeros((3, 3))
+        jump[target, 2] = np.sqrt(TWO_PI * rate)
+        jumps.append(jump)
+    # -i H_eff rho + h.c. carries the Hamiltonian and the anticommutator.
+    h_eff = ham - 0.5j * sum(jump.T @ jump for jump in jumps)
+
+    def rhs(_t, y):
+        rho = y.reshape(3, 3)
+        drho = -1j * (h_eff @ rho)
+        drho += drho.conj().T
+        for jump in jumps:
+            drho += jump @ rho @ jump.T
+        return drho.ravel()
+
+    rho0 = np.zeros((3, 3), dtype=complex)
+    rho0[0, 0] = 1.0
+    rho = _rk45(rhs, rho0.ravel(), t_grid).reshape(3, 3, -1)
+    return np.stack([rho[0, 0].real, rho[1, 1].real, rho[2, 2].real], axis=1)
+
+
+def rk45_adiabatic_populations(omega, g, delta, t_grid):
+    """(exact target, effective target, exact excited) populations by
+    stepping the three-amplitude Schroedinger equation and its eliminated
+    two-state model, light shifts -omega^2/(4 delta), -g^2/delta and
+    coupling -omega g / (2 delta).
+    """
+    ham = TWO_PI * np.array(
+        [[0.0, 0.0, omega / 2.0], [0.0, 0.0, g], [omega / 2.0, g, delta]]
+    )
+    ham_eff = -TWO_PI / delta * np.array(
+        [[omega**2 / 4.0, omega * g / 2.0], [omega * g / 2.0, g**2]]
+    )
+    exact = _rk45(lambda _t, c: -1j * (ham @ c), [1.0, 0.0, 0.0], t_grid)
+    effective = _rk45(lambda _t, b: -1j * (ham_eff @ b), [1.0, 0.0], t_grid)
+    return np.abs(exact[1]) ** 2, np.abs(effective[1]) ** 2, np.abs(exact[2]) ** 2

@@ -1,10 +1,16 @@
-"""End-to-end command line checks, run in process through cli.main."""
+"""End-to-end command line checks, run in process through cli.main, plus
+subprocess smoke tests of the module entry points."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
+import cavity_raman
 from cavity_raman import ModelParams, cli
 from cavity_raman import fit as fit_mod
 from cavity_raman import rates as rates_mod
@@ -213,6 +219,14 @@ def test_fit_failure_exits_4(capsys, tmp_path):
     assert "convergence" in err
 
 
+def test_non_finite_fit_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("0,1.0\n1,0.5\n2,nan\n3,0.12\n4,0.06\n")
+    code, _, err = run_cli(capsys, ["fit", "exponential", str(path)])
+    assert code == 2
+    assert "finite" in err
+
+
 def test_ragged_csv_exits_2(capsys, tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("0.0,1.0\n1.0,0.5,0.1\n")
@@ -302,3 +316,19 @@ def test_validate_flags_broken_adiabaticity(capsys):
     ]
     assert "adiabatic_regime" in failed
     assert "adiabatic_elimination" in failed
+
+
+@pytest.mark.parametrize("module", ["cavity_raman", "cavity_raman.cli"])
+def test_module_entry_points_run(module):
+    src = str(Path(cavity_raman.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "rates"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "omega_eff_GHz" in done.stdout

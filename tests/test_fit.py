@@ -144,6 +144,17 @@ def test_exponential_input_validation():
         fit_exponential(times, decay, errors=np.full(times.size, -1.0))
 
 
+def test_exponential_rejects_non_finite_data():
+    times = np.linspace(0.0, 5.0, 21)
+    decay = np.exp(-times / 2.0)
+    with pytest.raises(DomainError, match="finite"):
+        fit_exponential(times, np.where(times == 2.0, np.nan, decay))
+    with pytest.raises(DomainError, match="finite"):
+        fit_exponential(np.where(times == 5.0, np.inf, times), decay)
+    with pytest.raises(DomainError, match="finite"):
+        fit_exponential(times, decay, errors=np.where(times == 1.0, np.nan, 0.1))
+
+
 def test_rs_ratio_twin_peaks():
     twin = _peak(-27.5, 0.8, err=0.01)
     point = rs_ratio((twin, twin), delta=55.0)

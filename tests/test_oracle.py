@@ -5,6 +5,7 @@ from dataclasses import replace
 
 from cavity_raman import DomainError, ModelParams
 from cavity_raman import liouvillian as lv
+from helpers import rk45_adiabatic_populations, rk45_bare_populations
 from cavity_raman.oracle import (
     LadderBasis,
     adiabatic_error,
@@ -158,3 +159,48 @@ def test_adiabatic_static_without_drive():
 def test_adiabatic_rejects_zero_detuning():
     with pytest.raises(DomainError):
         adiabatic_error(0.4, 0.2, 0.0, np.linspace(0.0, 1.0, 11))
+
+
+def test_exact_oracles_match_rk45_reference():
+    # Short horizons keep the time-stepped references cheap: a nanosecond
+    # of the 55 GHz phase winding, five of the bare emitter's transfer.
+    grid = np.linspace(0.0, 1.0, 101)
+    exact = adiabatic_populations(2.58, 0.8, 55.0, grid)
+    stepped = rk45_adiabatic_populations(2.58, 0.8, 55.0, grid)
+    for ours, reference in zip(exact, stepped):
+        np.testing.assert_allclose(ours, reference, rtol=0.0, atol=1e-8)
+    assert exact[0].max() > 1e-2
+
+    grid = np.linspace(0.0, 5.0, 101)
+    pops = bare_lambda_evolve(0.4, 4.0, 0.1, 0.2, grid)
+    reference = rk45_bare_populations(0.4, 4.0, 0.1, 0.2, grid)
+    np.testing.assert_allclose(pops, reference, rtol=0.0, atol=1e-8)
+    assert pops[:, 1].max() > 1e-3
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [np.array([0.5]), np.linspace(-1.0, 1.0, 11), np.array([0.0, 1.0, 1.0, 2.0])],
+    ids=["one_point", "negative_start", "not_increasing"],
+)
+def test_oracles_reject_bad_grids(grid):
+    with pytest.raises(DomainError):
+        bare_lambda_evolve(0.4, 4.0, 0.1, 0.2, grid)
+    with pytest.raises(DomainError):
+        adiabatic_populations(0.4, 0.2, 40.0, grid)
+
+
+def test_offset_grid_matches_slice_from_zero():
+    full = np.linspace(0.0, 8.0, 81)
+    late = full[30:]
+    np.testing.assert_allclose(
+        bare_lambda_evolve(0.4, 4.0, 0.1, 0.2, late),
+        bare_lambda_evolve(0.4, 4.0, 0.1, 0.2, full)[30:],
+        rtol=0.0,
+        atol=1e-12,
+    )
+    for sliced, offset in zip(
+        adiabatic_populations(0.4, 0.2, 40.0, full),
+        adiabatic_populations(0.4, 0.2, 40.0, late),
+    ):
+        np.testing.assert_allclose(offset, sliced[30:], rtol=0.0, atol=1e-12)
