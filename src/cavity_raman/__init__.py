@@ -43,7 +43,6 @@ from .liouvillian import (
     cavity_annihilation,
     lindblad_dissipator,
     phonon_channels,
-    phonon_dissipator,
     propagate,
     steady_state,
     trace_distance,

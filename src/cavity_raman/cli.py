@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -49,7 +48,7 @@ _RUN_FLOAT_KEYS = (
     "filter_center",
     "filter_width",
 )
-_RUN_INT_KEYS = ("grid_points", "sweep_count", "seed")
+_RUN_INT_KEYS = ("grid_points", "sweep_count")
 _RUN_STR_KEYS = ("rs_mode", "sweep_variable")
 
 
@@ -70,7 +69,6 @@ class RunConfig:
     filter_center: float | None = None
     filter_width: float = 120.0
     rs_mode: str = "area"
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_points < 16:
@@ -264,13 +262,9 @@ def _sweep_grid(config: RunConfig) -> np.ndarray:
 
 
 def _detuning_rows(config: RunConfig) -> list[tuple]:
-    """Ratio pipeline over a laser-detuning grid, assembled in grid order."""
-    grid = _sweep_grid(config)
+    """Ratio pipeline over a laser-detuning grid, in grid order."""
 
-    def at_point(index: int):
-        value = float(grid[index])
-        # Reserved: per-point seed for future stochastic extensions.
-        _ = config.seed + index
+    def at_point(value: float) -> tuple:
         trial = replace(config.params, delta_laser=value, delta_cavity=value)
         try:
             point, (raman_fit, spont_fit) = fit_mod.predict_rs(trial, mode=config.rs_mode)
@@ -287,25 +281,18 @@ def _detuning_rows(config: RunConfig) -> list[tuple]:
                 return (value, exc.point.ratio, exc.point.ratio_err, math.nan, math.nan, 1)
             return (value, math.nan, math.nan, math.nan, math.nan, 1)
 
-    workers = min(8, config.sweep_count)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(at_point, range(config.sweep_count)))
+    return [at_point(float(value)) for value in _sweep_grid(config)]
 
 
 def _cavity_rows(config: RunConfig) -> list[tuple]:
     """Line intensities over a cavity-detuning grid at fixed laser detuning."""
-    grid = _sweep_grid(config)
 
-    def at_point(index: int):
-        value = float(grid[index])
-        _ = config.seed + index
+    def at_point(value: float) -> tuple:
         trial = replace(config.params, delta_cavity=value)
         raman_fit, spont_fit = fit_mod.fit_emission_lines(trial)
         return (value, raman_fit.peaks[0].area, spont_fit.peaks[0].area)
 
-    workers = min(8, config.sweep_count)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(at_point, range(config.sweep_count)))
+    return [at_point(float(value)) for value in _sweep_grid(config)]
 
 
 def _cmd_sweep(config: RunConfig, out: str | None, as_json: bool, variable: str) -> int:
@@ -331,7 +318,6 @@ def _cmd_sweep(config: RunConfig, out: str | None, as_json: bool, variable: str)
         "sweep_stop": config.sweep_stop,
         "sweep_count": config.sweep_count,
         "rs_mode": config.rs_mode,
-        "seed": config.seed,
     }
     lines = _header(command, config, extra)
     lines.append("# columns: " + ",".join(names))

@@ -31,6 +31,11 @@ _DAMPING_STEP = 10.0
 _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-8
 
+# Local fit windows of fit_emission_lines: half-width in line widths, and
+# the number of spectrum samples in each.
+_LINE_WINDOW = 4.0
+_LINE_POINTS = 97
+
 
 def _lm_minimize(
     residual: Callable[[np.ndarray], np.ndarray],
@@ -157,12 +162,12 @@ def _lorentzian_jacobian(freqs: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _initial_peaks(
     freqs: np.ndarray, values: np.ndarray, n_peaks: int
 ) -> tuple[list[tuple[float, float, float]], float]:
-    """Greedy tallest-first peak seeds with half-maximum width estimates."""
+    """Greedy tallest-first initial peaks with half-maximum width estimates."""
     baseline = float(np.min(values))
     work = values - baseline
     spacing = float(np.median(np.diff(freqs)))
     available = np.ones(values.size, dtype=bool)
-    seeds = []
+    guesses = []
     for _ in range(n_peaks):
         masked = np.where(available, work, -np.inf)
         index = int(np.argmax(masked))
@@ -174,11 +179,11 @@ def _initial_peaks(
         while hi < values.size - 1 and work[hi + 1] > height / 2.0 and available[hi + 1]:
             hi += 1
         width = max(freqs[hi] - freqs[lo], 2.0 * spacing)
-        seeds.append((height, float(freqs[index]), width))
+        guesses.append((height, float(freqs[index]), width))
         available &= ~(
             (freqs >= freqs[index] - 3.0 * width) & (freqs <= freqs[index] + 3.0 * width)
         )
-    return seeds, baseline
+    return guesses, baseline
 
 
 def fit_lorentzian(
@@ -191,8 +196,8 @@ def fit_lorentzian(
 ) -> LorentzianFit:
     """Fit a sum of Lorentzians plus a constant baseline.
 
-    ``init`` seeds each peak as (amplitude, center, fwhm); without it the
-    tallest remaining sample seeds each peak in turn.  ``errors`` are
+    ``init`` starts each peak at (amplitude, center, fwhm); without it the
+    tallest remaining sample starts each peak in turn.  ``errors`` are
     per-point standard deviations used as inverse-variance weights.  Raises
     DegeneratePeaks when two fitted centers collapse within a tenth of the
     narrower width.
@@ -204,18 +209,18 @@ def fit_lorentzian(
     sqrt_w = _weights(errors, freqs.size)
 
     if init is None:
-        seeds, base0 = _initial_peaks(freqs, intensity, n_peaks)
+        guesses, base0 = _initial_peaks(freqs, intensity, n_peaks)
     else:
         if len(init) != n_peaks:
-            raise DomainError(f"expected {n_peaks} seed triples, got {len(init)}")
-        seeds = [tuple(map(float, triple)) for triple in init]
+            raise DomainError(f"expected {n_peaks} initial triples, got {len(init)}")
+        guesses = [tuple(map(float, triple)) for triple in init]
         base0 = float(np.min(intensity))
     if baseline is not None:
         base0 = float(baseline)
     x0 = np.empty(n_params)
-    for k, (amplitude, center, fwhm) in enumerate(seeds):
+    for k, (amplitude, center, fwhm) in enumerate(guesses):
         if fwhm == 0.0:
-            raise DomainError("seed fwhm must be nonzero")
+            raise DomainError("initial fwhm must be nonzero")
         x0[3 * k : 3 * k + 3] = (amplitude, center, abs(fwhm))
     x0[-1] = base0
 
@@ -463,28 +468,19 @@ def rs_ratio(
     return point
 
 
-def fit_emission_lines(
-    params: ModelParams,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-    window: float = 4.0,
-    points: int = 97,
-) -> tuple[LorentzianFit, LorentzianFit]:
+def fit_emission_lines(params: ModelParams) -> tuple[LorentzianFit, LorentzianFit]:
     """Fit the two narrow emission lines, each in its own local window.
 
     The spectrum carries a cavity-wide background pedestal whose level
     differs between the line positions, so a joint fit with one shared
     constant offset misattributes pedestal light to the weaker line.  Each
-    line instead gets a single-Lorentzian fit over +/- ``window`` widths
+    line instead gets a single-Lorentzian fit over +/- four widths
     around it, with a free constant absorbing the locally flat pedestal.
     Windows are clipped at the midpoint between the lines so they never
     cover each other's peak.  Centers land on an axis shifted so the Raman
     line sits near -delta_laser and the spontaneous line near zero.
     """
-    lambdas, residues, _ = spectrum_mod.correlation_modes(
-        params, dressed_mode, lambda_mode
-    )
-    lines = spectrum_mod.classify_lines(params, dressed_mode, lambda_mode)
+    lines = spectrum_mod.classify_lines(params)
 
     shifts = [line[0] - params.delta_laser for line in (lines.raman, lines.spontaneous)]
     midpoint = 0.5 * (shifts[0] + shifts[1])
@@ -492,26 +488,23 @@ def fit_emission_lines(
     for (center, width, area), shifted in zip(
         (lines.raman, lines.spontaneous), shifts
     ):
-        lo = shifted - window * width
-        hi = shifted + window * width
+        lo = shifted - _LINE_WINDOW * width
+        hi = shifted + _LINE_WINDOW * width
         if shifted < midpoint:
             hi = min(hi, midpoint)
         else:
             lo = max(lo, midpoint)
-        axis = np.linspace(lo, hi, points)
+        axis = np.linspace(lo, hi, _LINE_POINTS)
         values = spectrum_mod.mixture_intensity(
-            axis + params.delta_laser, lambdas, residues, params.kappa
+            axis + params.delta_laser, lines.lambdas, lines.residues, params.kappa
         )
-        seed = ((2.0 * abs(area) / (math.pi * width), shifted, width),)
-        fits.append(fit_lorentzian(axis, values, n_peaks=1, init=seed))
+        guess = ((2.0 * abs(area) / (math.pi * width), shifted, width),)
+        fits.append(fit_lorentzian(axis, values, n_peaks=1, init=guess))
     return fits[0], fits[1]
 
 
 def predict_rs(
-    params: ModelParams,
-    mode: str = "area",
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
+    params: ModelParams, mode: str = "area"
 ) -> tuple[RsPoint, tuple[LorentzianFit, LorentzianFit]]:
     """Full ratio pipeline at one operating point.
 
@@ -519,7 +512,7 @@ def predict_rs(
     pair, and forms the intensity ratio.  Returns the labelled point
     together with the two underlying fits, Raman first.
     """
-    raman_fit, spont_fit = fit_emission_lines(params, dressed_mode, lambda_mode)
+    raman_fit, spont_fit = fit_emission_lines(params)
     point = rs_ratio(
         (raman_fit.peaks[0], spont_fit.peaks[0]), delta=params.delta_laser, mode=mode
     )
@@ -544,8 +537,6 @@ def fit_phonon_exponent(
     points: Sequence[RsPoint],
     params: ModelParams,
     mode: str = "area",
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
 ) -> PhononFit:
     """Recover the phonon spectral-density power law from ratio data.
 
@@ -579,7 +570,7 @@ def fit_phonon_exponent(
             phonon_alpha2=alpha,
             phonon_n=exponent,
         )
-        point, _ = predict_rs(trial, mode, dressed_mode, lambda_mode)
+        point, _ = predict_rs(trial, mode)
         return point.ratio
 
     # The ratio scales as 1/(alpha delta^n) to leading order, so a single

@@ -93,11 +93,7 @@ def collapse_channels(params: ModelParams) -> list[CollapseChannel]:
     ]
 
 
-def phonon_channels(
-    params: ModelParams,
-    dressed: model.DressedStates | None = None,
-    lambda_mode: str = "laser",
-) -> list[CollapseChannel]:
+def phonon_channels(params: ModelParams, lambda_mode: str = "laser") -> list[CollapseChannel]:
     """Thermal jump operators between the dressed branches.
 
     The two channels connect plus <-> minus and plus <-> dark; downward
@@ -112,8 +108,7 @@ def phonon_channels(
             "phonon channels need a positive laser detuning, "
             f"got {params.delta_laser}"
         )
-    if dressed is None:
-        dressed = model.dressed_states(params)
+    dressed = model.dressed_states(params)
     if lambda_mode == "laser":
         split1 = split2 = params.delta_laser
     elif lambda_mode == "dressed":
@@ -142,30 +137,15 @@ def phonon_channels(
     return channels
 
 
-def phonon_dissipator(
-    params: ModelParams,
-    dressed: model.DressedStates | None = None,
-    lambda_mode: str = "laser",
-) -> np.ndarray:
-    """Sum of the four thermal dissipators as a superoperator."""
-    total = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    for channel in phonon_channels(params, dressed, lambda_mode):
-        total += lindblad_dissipator(channel)
-    return total
-
-
-def build_liouvillian(
-    params: ModelParams,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> np.ndarray:
+def build_liouvillian(params: ModelParams) -> np.ndarray:
     """Full generator of the master equation on the truncated basis, 1/ns."""
     gen = hamiltonian_superoperator(model.build_hamiltonian(params))
     for channel in collapse_channels(params):
         gen += lindblad_dissipator(channel)
     if params.phonon_alpha1 > 0.0 or params.phonon_alpha2 > 0.0:
-        dressed = model.dressed_states(params, mode=dressed_mode)
-        gen += phonon_dissipator(params, dressed, lambda_mode)
+        # The phonon terms are summed on their own, then added: the last
+        # bits of every output depend on this order.
+        gen += sum(lindblad_dissipator(channel) for channel in phonon_channels(params))
     return gen
 
 

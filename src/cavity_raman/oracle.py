@@ -13,7 +13,6 @@ import numpy as np
 import scipy.linalg
 
 from . import liouvillian as lv
-from . import model
 from .errors import DomainError
 from .model import ModelParams
 
@@ -102,12 +101,7 @@ def _embed_truncated(op4: np.ndarray, basis: LadderBasis) -> np.ndarray:
     return full
 
 
-def ladder_liouvillian(
-    params: ModelParams,
-    n_max: int = 3,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> tuple[np.ndarray, LadderBasis]:
+def ladder_liouvillian(params: ModelParams, n_max: int = 3) -> tuple[np.ndarray, LadderBasis]:
     """Master-equation generator on the untruncated photon ladder, 1/ns.
 
     The thermal jump operators live between dressed states defined inside
@@ -119,8 +113,7 @@ def ladder_liouvillian(
     for channel in _ladder_collapse(params, basis):
         gen += lv.lindblad_dissipator(channel)
     if params.phonon_alpha1 > 0.0 or params.phonon_alpha2 > 0.0:
-        dressed = model.dressed_states(params, mode=dressed_mode)
-        for channel in lv.phonon_channels(params, dressed, lambda_mode):
+        for channel in lv.phonon_channels(params):
             gen += lv.lindblad_dissipator(
                 lv.CollapseChannel(_embed_truncated(channel.operator, basis), channel.rate)
             )
@@ -128,10 +121,7 @@ def ladder_liouvillian(
 
 
 def full_ladder_steady_state(
-    params: ModelParams,
-    n_max: int = 3,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
+    params: ModelParams, n_max: int = 3
 ) -> tuple[np.ndarray, LadderBasis, float]:
     """Steady state on the full ladder plus the weight outside the truncation.
 
@@ -139,7 +129,7 @@ def full_ladder_steady_state(
     four-state model discards: every n >= 2 state together with |g1,1> and
     |e,1>.
     """
-    gen, basis = ladder_liouvillian(params, n_max, dressed_mode, lambda_mode)
+    gen, basis = ladder_liouvillian(params, n_max)
     rho = lv.steady_state(gen)
     kept = {
         basis.index("g1", 0),
@@ -153,12 +143,7 @@ def full_ladder_steady_state(
     return rho, basis, excess
 
 
-def truncation_error(
-    params: ModelParams,
-    n_max: int = 3,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> float:
+def truncation_error(params: ModelParams, n_max: int = 3) -> float:
     """Trace distance between truncated and full-ladder steady states.
 
     The ladder state is restricted to the four kept basis states and
@@ -171,7 +156,7 @@ def truncation_error(
     with omega_eff = omega_drive * g / delta_laser, so it never exceeds
     omega_eff / kappa.
     """
-    rho_full, basis, _ = full_ladder_steady_state(params, n_max, dressed_mode, lambda_mode)
+    rho_full, basis, _ = full_ladder_steady_state(params, n_max)
     positions = [
         basis.index("g1", 0),
         basis.index("g2", 0),
@@ -181,21 +166,16 @@ def truncation_error(
     restricted = rho_full[np.ix_(positions, positions)]
     restricted = restricted / np.trace(restricted).real
 
-    gen4 = lv.build_liouvillian(params, dressed_mode=dressed_mode, lambda_mode=lambda_mode)
+    gen4 = lv.build_liouvillian(params)
     rho4 = lv.steady_state(gen4)
     return lv.trace_distance(rho4, restricted)
 
 
-def ladder_convergence(
-    params: ModelParams,
-    n_max: int = 3,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> float:
+def ladder_convergence(params: ModelParams, n_max: int = 3) -> float:
     """Trace distance between ladder steady states at n_max and n_max + 1,
     both restricted to the smaller ladder."""
-    rho_a, basis_a, _ = full_ladder_steady_state(params, n_max, dressed_mode, lambda_mode)
-    rho_b, basis_b, _ = full_ladder_steady_state(params, n_max + 1, dressed_mode, lambda_mode)
+    rho_a, basis_a, _ = full_ladder_steady_state(params, n_max)
+    rho_b, basis_b, _ = full_ladder_steady_state(params, n_max + 1)
     positions = [basis_b.index(level, n) for level in LEVELS for n in range(n_max + 1)]
     restricted = rho_b[np.ix_(positions, positions)]
     restricted = restricted / np.trace(restricted).real

@@ -71,11 +71,7 @@ class Spectrum:
         object.__setattr__(self, "intensity", intensity)
 
 
-def correlation_modes(
-    params: ModelParams,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> tuple[np.ndarray, np.ndarray, float]:
+def correlation_modes(params: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues and spectral residues of the field correlation function.
 
     Returns ``(lambdas, residues, photon_number)`` where
@@ -86,7 +82,7 @@ def correlation_modes(
     genuinely nondecaying correlation component raises UnstableLiouvillian,
     as does any relaxing eigenvalue with a nonnegative real part.
     """
-    gen = lv.build_liouvillian(params, dressed_mode=dressed_mode, lambda_mode=lambda_mode)
+    gen = lv.build_liouvillian(params)
     rho_ss = lv.steady_state(gen)
     a_op = lv.cavity_annihilation()
 
@@ -134,29 +130,17 @@ def mixture_intensity(
     return TWO_PI**2 * kappa * values
 
 
-def rotating_spectrum(
-    params: ModelParams,
-    nu_rot: np.ndarray,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> Spectrum:
+def rotating_spectrum(params: ModelParams, nu_rot: np.ndarray) -> Spectrum:
     """Emission spectrum on a rotating-frame frequency axis (GHz)."""
-    lambdas, residues, _ = correlation_modes(params, dressed_mode, lambda_mode)
+    lambdas, residues, _ = correlation_modes(params)
     intensity = mixture_intensity(nu_rot, lambdas, residues, params.kappa)
     return Spectrum(freqs=np.asarray(nu_rot, dtype=float), intensity=intensity, frame="rotating")
 
 
-def emission_spectrum(
-    params: ModelParams,
-    freqs_lab: np.ndarray,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> Spectrum:
+def emission_spectrum(params: ModelParams, freqs_lab: np.ndarray) -> Spectrum:
     """Emission spectrum on a lab-frame axis relative to the bare cavity."""
     freqs_lab = np.asarray(freqs_lab, dtype=float)
-    spectrum = rotating_spectrum(
-        params, freqs_lab + params.delta_cavity, dressed_mode, lambda_mode
-    )
+    spectrum = rotating_spectrum(params, freqs_lab + params.delta_cavity)
     return frame_shift(spectrum, params)
 
 
@@ -188,24 +172,31 @@ def apply_filter(spectrum: Spectrum, window: FilterWindow) -> Spectrum:
     )
 
 
-def line_parameters(
-    params: ModelParams,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def line_parameters(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centers, widths and areas of the resolvable emission lines.
 
     All in the rotating frame: centers and full widths at half maximum in
     GHz, areas in 1/ns (they sum to the total output flux up to the lines
     dropped as negligible).  Sorted by center.
     """
-    lambdas, residues, _ = correlation_modes(params, dressed_mode, lambda_mode)
+    lambdas, residues, _ = correlation_modes(params)
+    return _lines(lambdas, residues, params.kappa)
+
+
+def _lines(
+    lambdas: np.ndarray, residues: np.ndarray, kappa: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     centers = lambdas.imag / TWO_PI
     fwhms = -lambdas.real / math.pi
-    areas = TWO_PI * params.kappa * residues.real
+    areas = TWO_PI * kappa * residues.real
     keep = np.abs(areas) > 1e-13 * max(np.max(np.abs(areas)), 1e-300)
     order = np.argsort(centers[keep])
     return centers[keep][order], fwhms[keep][order], areas[keep][order]
+
+
+#: Smallest steady photon number that counts as emission; below it the
+#: residues are rounding noise and no line has a physical area.
+EMISSION_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -214,28 +205,36 @@ class LineClassification:
 
     ``raman`` and ``spontaneous`` are (center GHz, fwhm GHz, area 1/ns)
     triples for the two emitter-dynamics lines; ``background`` holds the
-    remaining (cavity-broad or negligible) lines.
+    remaining (cavity-broad or negligible) lines.  ``lambdas``,
+    ``residues`` and ``photon_number`` are the correlation modes the lines
+    were read from, as returned by :func:`correlation_modes`.
     """
 
     raman: tuple[float, float, float]
     spontaneous: tuple[float, float, float]
     background: tuple[tuple[float, float, float], ...]
+    lambdas: np.ndarray
+    residues: np.ndarray
+    photon_number: float
 
 
-def classify_lines(
-    params: ModelParams,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> LineClassification:
+def classify_lines(params: ModelParams) -> LineClassification:
     """Label the emission lines by physical role.
 
     Lines wider than half the cavity linewidth are cavity-like background
     (the broad pedestal of strongly filtered emission); among the narrow
     remainder, the Raman line sits nearest the rotating-frame zero and the
     spontaneous line nearest the laser detuning.  Raises DegenerateSpectrum
-    when the two roles land on one line.
+    when the cavity emits nothing (steady photon number below
+    ``EMISSION_FLOOR``) or when the two roles land on one line.
     """
-    centers, fwhms, areas = line_parameters(params, dressed_mode, lambda_mode)
+    lambdas, residues, photon_number = correlation_modes(params)
+    if photon_number < EMISSION_FLOOR:
+        raise DegenerateSpectrum(
+            f"steady photon number {photon_number:.3e} is below {EMISSION_FLOOR:.0e}; "
+            "the cavity emits no lines"
+        )
+    centers, fwhms, areas = _lines(lambdas, residues, params.kappa)
     narrow = fwhms < params.kappa / 2.0
     if np.count_nonzero(narrow) < 2:
         raise DegenerateSpectrum(
@@ -262,16 +261,15 @@ def classify_lines(
             float(areas[spont_idx]),
         ),
         background=rest,
+        lambdas=lambdas,
+        residues=residues,
+        photon_number=photon_number,
     )
 
 
-def rs_area_ratio(
-    params: ModelParams,
-    dressed_mode: str = "exact",
-    lambda_mode: str = "laser",
-) -> float:
+def rs_area_ratio(params: ModelParams) -> float:
     """Raman to spontaneous area ratio straight from the mode decomposition."""
-    lines = classify_lines(params, dressed_mode, lambda_mode)
+    lines = classify_lines(params)
     return lines.raman[2] / lines.spontaneous[2]
 
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 import cavity_raman
 from cavity_raman import ModelParams, cli
 from cavity_raman import fit as fit_mod
+from cavity_raman import liouvillian as lv
 from cavity_raman import rates as rates_mod
 
 # Same frozen pipeline value the fit suite pins for predict_rs at the
@@ -200,12 +201,65 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert "grid_points" in err
 
 
+def test_removed_seed_knob_exits_2(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep-detuning", "--seed", "0"])
+    assert exc.value.code == 2
+    config = tmp_path / "seeded.cfg"
+    config.write_text("seed = 0\n")
+    code, _, err = run_cli(capsys, ["sweep-detuning", "--config", str(config)])
+    assert code == 2
+    assert "'seed'" in err
+
+
 def test_unusable_operating_point_exits_3(capsys):
     code, _, err = run_cli(
         capsys, ["sweep-detuning", "--omega", "0", "--sweep-count", "1"]
     )
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_zero_emission_sweep_exits_3(capsys):
+    # gamma_flip = 0 traps the emitter in |g2,0>; the photon number left is
+    # rounding noise, so there are no lines to take a ratio of.
+    code, out, err = run_cli(
+        capsys,
+        [
+            "sweep-detuning",
+            "--gamma-flip",
+            "0",
+            "--phonon-alpha1",
+            "0",
+            "--phonon-alpha2",
+            "0",
+            "--sweep-count",
+            "3",
+        ],
+    )
+    assert code == 3
+    assert out == ""
+    assert "photon number" in err
+
+
+def test_each_operating_point_is_solved_once(capsys, monkeypatch, paper_params):
+    built = []
+    build = lv.build_liouvillian
+
+    def counting_build(params):
+        built.append(params)
+        return build(params)
+
+    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
+    fit_mod.predict_rs(paper_params)
+    assert built == [paper_params]
+    built.clear()
+    fit_mod.fit_emission_lines(paper_params)
+    assert built == [paper_params]
+    built.clear()
+    code, _, _ = run_cli(capsys, ["sweep-detuning", "--sweep-count", "3"])
+    assert code == 0
+    assert [params.delta_laser for params in built] == [15.0, 55.0, 95.0]
 
 
 def test_fit_failure_exits_4(capsys, tmp_path):

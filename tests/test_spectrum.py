@@ -51,6 +51,31 @@ def test_dark_cavity_emits_nothing(paper_params):
     assert np.sum(np.abs(residues)) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"gamma_flip": 0.0},
+        {"gamma_flip": 0.0, "phonon_alpha1": 0.0, "phonon_alpha2": 0.0},
+        {"g": 0.0, "phonon_alpha1": 0.0, "phonon_alpha2": 0.0},
+    ],
+    ids=["no_flip", "no_flip_no_phonons", "dark_cavity"],
+)
+def test_classify_rejects_zero_emission(paper_params, changes):
+    # The photon number here is rounding noise of either sign (|n| < 1e-16),
+    # and so are the areas of any lines read from it.
+    silent = replace(paper_params, **changes)
+    with pytest.raises(DegenerateSpectrum, match="photon number"):
+        classify_lines(silent)
+
+
+def test_classified_modes_are_the_correlation_modes(paper_params):
+    lines = classify_lines(paper_params)
+    lambdas, residues, nbar = correlation_modes(paper_params)
+    assert np.array_equal(lines.lambdas, lambdas)
+    assert np.array_equal(lines.residues, residues)
+    assert lines.photon_number == nbar
+
+
 def test_correlation_routes_agree(paper_params):
     gen = build_liouvillian(paper_params)
     rho_ss = steady_state(gen)
