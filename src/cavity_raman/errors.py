@@ -61,21 +61,19 @@ class VanishingSpontaneous(FitError):
         self.point = point
 
 
-class ConfigError(CavityRamanError):
+class _LineError(CavityRamanError):
+    """An input error that may name the line it was found on."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class ConfigError(_LineError):
     """Bad or missing configuration value."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class ParseError(CavityRamanError):
+class ParseError(_LineError):
     """Malformed input data file."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line

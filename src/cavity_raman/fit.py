@@ -47,15 +47,16 @@ def _lm_minimize(
 
     Returns (solution, jacobian, residual, iterations).  Convergence is a
     relative gradient test plus a step-size floor; exceeding the iteration
-    cap raises NoConvergence.
+    cap raises NoConvergence.  As in MINPACK lmder, the Jacobian is taken
+    once per accepted point: a rejected step leaves x unchanged.
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(residual(x), dtype=float)
     cost = float(r @ r)
+    jac = np.asarray(jacobian(x), dtype=float)
     damping = _DAMPING_START
 
     for iteration in range(1, max_iterations + 1):
-        jac = np.asarray(jacobian(x), dtype=float)
         grad = jac.T @ r
         if cost <= 1e-300:
             return x, jac, r, iteration
@@ -80,13 +81,12 @@ def _lm_minimize(
             r = r_trial
             cost = cost_trial
             damping = max(damping / _DAMPING_STEP, 1e-14)
-            if small_step:
-                return x, np.asarray(jacobian(x), dtype=float), r, iteration
+            jac = np.asarray(jacobian(x), dtype=float)
         else:
             damping = min(damping * _DAMPING_STEP, 1e12)
-            if small_step:
-                # No downhill direction left at the smallest trust region.
-                return x, jac, r, iteration
+        if small_step:
+            # At the step floor: converged if accepted, stalled if rejected.
+            return x, jac, r, iteration
     raise NoConvergence(f"no convergence within {max_iterations} iterations")
 
 

@@ -1,8 +1,8 @@
 """Lindblad dissipators and the vectorized Liouvillian.
 
 Density matrices are vectorized by stacking columns, vec = rho.reshape(-1,
-order="F"), so a sandwich A rho B maps to (B.T kron A) vec(rho).  All
-superoperators generated here are in 1/ns: rates and Hamiltonians enter in
+order="F"), so a sandwich A rho B is the Kronecker product B.T (x) A acting
+on vec(rho).  Superoperators are in 1/ns: rates and Hamiltonians enter in
 GHz and are scaled by 2pi on the way in.
 """
 from __future__ import annotations
@@ -50,15 +50,21 @@ class CollapseChannel:
         object.__setattr__(self, "operator", op)
 
 
+def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> left rho right; C order makes the reshape free."""
+    outer = np.multiply(right.T[:, None, :, None], left[None, :, None, :], order="C")
+    return outer.reshape(left.size, left.size)
+
+
 def lindblad_dissipator(channel: CollapseChannel) -> np.ndarray:
     """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2)."""
     op = channel.operator
     eye = np.eye(op.shape[0], dtype=complex)
     opdop = op.conj().T @ op
     return channel.rate * (
-        np.kron(op.conj(), op)
-        - 0.5 * np.kron(eye, opdop)
-        - 0.5 * np.kron(opdop.T, eye)
+        _sandwich(op, op.conj().T)
+        - 0.5 * _sandwich(opdop, eye)
+        - 0.5 * _sandwich(eye, opdop)
     )
 
 
@@ -66,7 +72,7 @@ def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
     """Coherent generator -i 2pi [H, .] for a Hamiltonian given in GHz."""
     h = np.asarray(h, dtype=complex)
     eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * TWO_PI * (np.kron(eye, h) - np.kron(h.T, eye))
+    return -1j * TWO_PI * (_sandwich(h, eye) - _sandwich(eye, h))
 
 
 def cavity_annihilation() -> np.ndarray:

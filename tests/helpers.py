@@ -1,6 +1,7 @@
-"""Shared test utilities: random operating points, a time-domain
-spectrum oracle that avoids the eigendecomposition machinery, and
-short-horizon RK45 references for the exactly propagated oracles.
+"""Shared test utilities: random operating points, plain ``np.kron``
+superoperators, a time-domain spectrum oracle that avoids the
+eigendecomposition machinery, and short-horizon RK45 references for the
+exactly propagated oracles.
 """
 import numpy as np
 import scipy.linalg
@@ -35,6 +36,26 @@ def random_valid_params(rng: np.random.Generator) -> ModelParams:
         phonon_alpha2=rng.uniform(0.1, 2.0),
         phonon_n=rng.uniform(0.0, 1.0),
     )
+
+
+def kron_lindblad_dissipator(channel) -> np.ndarray:
+    """``liouvillian.lindblad_dissipator`` written with ``np.kron``, in the
+    same products and the same order of sums, so the two agree bitwise."""
+    op = channel.operator
+    eye = np.eye(op.shape[0], dtype=complex)
+    opdop = op.conj().T @ op
+    return channel.rate * (
+        np.kron(op.conj(), op)
+        - 0.5 * np.kron(eye, opdop)
+        - 0.5 * np.kron(opdop.T, eye)
+    )
+
+
+def kron_hamiltonian_superoperator(h) -> np.ndarray:
+    """``liouvillian.hamiltonian_superoperator`` written with ``np.kron``."""
+    h = np.asarray(h, dtype=complex)
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * TWO_PI * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
 def correlation_series(gen: np.ndarray, dt: float, n_steps: int):

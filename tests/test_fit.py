@@ -21,6 +21,7 @@ from cavity_raman import (
     predict_rs,
     rs_ratio,
 )
+from cavity_raman import fit as fit_mod
 
 # Frozen pipeline outputs at the default operating point.
 PREDICT_RS_AREA_REF = 0.11419118598996021
@@ -39,6 +40,51 @@ def _peak(center, value, err=0.0):
         amplitude_err=err,
         area_err=err,
     )
+
+
+def _curved_valley(x):
+    # Rosenbrock's valley plus a third residual that moves the optimum off
+    # (1, 1), so the solution carries rounding from the whole path.
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0], 0.5 * (x[0] * x[1] - 0.3)])
+
+
+def _curved_valley_jacobian(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0], [0.5 * x[1], 0.5 * x[0]]])
+
+
+@pytest.mark.parametrize(
+    "start, solution, iterations",
+    [
+        ((-1.2, 1.0), ("0x1.af313b867f213p-1", "0x1.6ad180e022acep-1"), 54),
+        ((-3.0, -4.0), ("0x1.af313b894bd46p-1", "0x1.6ad180e4d9a89p-1"), 21),
+    ],
+    ids=["stalls_at_step_floor", "gradient_converges"],
+)
+def test_lm_takes_one_jacobian_per_accepted_point(start, solution, iterations):
+    """A rejected step leaves x unchanged, so its Jacobian is reused.
+
+    The solutions and iteration counts were recorded while the Jacobian was
+    still recomputed after every rejected step (54 and 21 Jacobians at 25
+    and 16 distinct points); keeping it must not move the path by a bit.
+    """
+    costs, jacobian_points = [], []
+
+    def residual(x):
+        r = _curved_valley(x)
+        costs.append(float(r @ r))
+        return r
+
+    def jacobian(x):
+        jacobian_points.append(tuple(x))
+        return _curved_valley_jacobian(x)
+
+    x, _, _, taken = fit_mod._lm_minimize(residual, jacobian, np.array(start))
+    # A trial step is accepted exactly when it lowers the lowest cost so far.
+    accepted = sum(1 for i in range(1, len(costs)) if costs[i] < min(costs[:i]))
+    assert accepted < len(costs) - 1, "the path must contain rejected steps"
+    assert len(set(jacobian_points)) == len(jacobian_points) == 1 + accepted
+    assert (float(x[0]).hex(), float(x[1]).hex()) == solution
+    assert taken == iterations
 
 
 def test_single_lorentzian_exact_round_trip():
@@ -300,3 +346,62 @@ def test_phonon_fit_degenerate_weights_ill_conditioned(paper_params):
     ]
     with pytest.raises(IllConditioned):
         fit_phonon_exponent(points, paper_params)
+
+
+def test_refit_repeats_no_jacobian(monkeypatch, paper_params):
+    """Every operating point a refit solves twice is a trial step that
+    lands on an earlier point, never a recomputed Jacobian.
+
+    On this five-detuning table the refit once took 635 pipeline calls on
+    370 distinct operating points: 265 repeats, from Jacobians recomputed
+    at an unchanged x after rejected steps.  It now takes 375 calls; the 5
+    repeats are one trial whose log alpha is one ulp from an earlier
+    trial's, which exp() maps to the same alpha.
+    """
+    deltas = (15.0, 35.0, 55.0, 75.0, 95.0)
+    points = [
+        predict_rs(
+            replace(
+                paper_params,
+                delta_laser=d,
+                delta_cavity=d,
+                phonon_alpha1=0.8,
+                phonon_alpha2=0.8,
+                phonon_n=0.4,
+            )
+        )[0]
+        for d in deltas
+    ]
+    solved, in_jacobian = [], [False]
+    predict = fit_mod.predict_rs
+    lm_minimize = fit_mod._lm_minimize
+
+    def recording_predict(params, mode="area"):
+        solved.append((params, in_jacobian[0]))
+        return predict(params, mode)
+
+    def marking_lm(residual, jacobian, x0, *args):
+        def marked_jacobian(x):
+            in_jacobian[0] = True
+            try:
+                return jacobian(x)
+            finally:
+                in_jacobian[0] = False
+
+        # Only the outer refit has two parameters; the line fits have more.
+        outer = np.size(x0) == 2
+        return lm_minimize(residual, marked_jacobian if outer else jacobian, x0, *args)
+
+    monkeypatch.setattr(fit_mod, "predict_rs", recording_predict)
+    monkeypatch.setattr(fit_mod, "_lm_minimize", marking_lm)
+    result = fit_phonon_exponent(points, paper_params)
+    assert result.exponent == pytest.approx(0.4, abs=1e-6)
+    assert result.prefactor == pytest.approx(0.8, rel=1e-6)
+
+    seen, repeats = set(), []
+    for params, from_jacobian in solved:
+        if params in seen:
+            repeats.append(from_jacobian)
+        seen.add(params)
+    assert not any(repeats), "a Jacobian repeated earlier solves"
+    assert len(repeats) <= len(deltas)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import helpers
+from cavity_raman import liouvillian as lv
+from cavity_raman import oracle
 from cavity_raman import (
     CollapseChannel,
     DomainError,
@@ -48,6 +50,41 @@ def test_dissipator_trace_preserving_on_random_channels():
         dis = lindblad_dissipator(CollapseChannel(op, rng.uniform(0.1, 10.0)))
         worst = np.max(np.abs(probe @ dis))
         assert worst <= 1e-12 * np.max(np.abs(dis))
+
+
+@pytest.mark.parametrize("dim", [4, 12])
+def test_superoperators_match_kron_reference_bitwise(dim):
+    rng = np.random.default_rng(17 + dim)
+    for _ in range(20):
+        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        channel = CollapseChannel(op, rng.uniform(0.1, 10.0))
+        assert np.array_equal(
+            lindblad_dissipator(channel), helpers.kron_lindblad_dissipator(channel)
+        )
+        assert np.array_equal(
+            lv.hamiltonian_superoperator(op), helpers.kron_hamiltonian_superoperator(op)
+        )
+
+
+def test_generators_match_kron_reference_bitwise(monkeypatch, paper_params):
+    rng = np.random.default_rng(23)
+    drawn = [helpers.random_valid_params(rng) for _ in range(50)]
+    cases = drawn + [replace(p, phonon_alpha1=0.0, phonon_alpha2=0.0) for p in drawn]
+
+    def generators():
+        return [build_liouvillian(p) for p in cases] + [
+            oracle.ladder_liouvillian(paper_params, 3)[0]
+        ]
+
+    fast = generators()
+    monkeypatch.setattr(lv, "lindblad_dissipator", helpers.kron_lindblad_dissipator)
+    monkeypatch.setattr(
+        lv, "hamiltonian_superoperator", helpers.kron_hamiltonian_superoperator
+    )
+    reference = generators()
+    assert len(fast) == len(reference) == 101
+    for gen, ref in zip(fast, reference):
+        assert np.array_equal(gen, ref)
 
 
 def test_generator_trace_preserving_on_random_params():
