@@ -542,17 +542,25 @@ def fit_phonon_exponent(
 
     Refits (prefactor, exponent) by running the full ratio pipeline at each
     detuning, driving both phonon channels with the same trial power law.
-    The generator depends on the pair only through alpha * delta**n, so the
-    fit runs in (log alpha, n); initial values come from a reference sweep
-    at alpha = 1, n = 0 followed by a log-log regression, after which the
-    damped least-squares refinement uses central finite differences.
-    Reported errors transform back to (exponent, prefactor) and carry the
-    full covariance; a covariance condition number above 1e8 raises
-    IllConditioned.
+    ``build_liouvillian`` always evaluates the spectral density at the laser
+    detuning, so at detuning d the generator sees the pair only through
+    s = alpha * d**n.  Every trial solves at phonon_alpha1 = phonon_alpha2 = s
+    and phonon_n = 0, the same generator bit for bit, and no (d, s) is solved
+    twice in one call.  The fit runs in (log alpha, n).  Its start: from a
+    reference sweep at s = 1, a secant finds the ln s that meets each ratio,
+    and a regression of those roots on ln d, weighted by |d ratio / d ln s|
+    over the ratio error; if a secant trial extinguishes the spontaneous
+    line, the unweighted log-log regression of the reference sweep instead.
+    Damped least squares refines it with one central difference in ln s per
+    detuning, times ln d for the exponent column.  Reported errors transform
+    back to (exponent, prefactor) with the full covariance; a covariance
+    condition number above 1e8 raises IllConditioned.
     """
     deltas = np.array([point.delta for point in points], dtype=float)
     if deltas.size < 3 or np.unique(deltas).size < 3:
         raise DomainError("need at least three distinct detunings")
+    if np.min(deltas) <= 0.0:
+        raise DomainError(f"detunings must be positive, got {float(np.min(deltas))!r}")
     if np.max(deltas) < 3.0 * np.min(deltas):
         raise DomainError(
             "detunings must span at least a factor of three to constrain the exponent"
@@ -560,45 +568,77 @@ def fit_phonon_exponent(
     ratios = np.array([point.ratio for point in points], dtype=float)
     errs = np.array([point.ratio_err for point in points], dtype=float)
     sqrt_w = 1.0 / errs if np.all(errs > 0.0) else np.ones_like(ratios)
+    detunings, log_deltas = deltas.tolist(), np.log(deltas)
+    solved: dict[tuple[float, float], float | VanishingSpontaneous] = {}
 
-    def pipeline(delta: float, alpha: float, exponent: float) -> float:
-        trial = replace(
-            params,
-            delta_laser=delta,
-            delta_cavity=delta,
-            phonon_alpha1=alpha,
-            phonon_alpha2=alpha,
-            phonon_n=exponent,
-        )
-        point, _ = predict_rs(trial, mode)
-        return point.ratio
+    def ratio_at(i: int, s: float) -> float | VanishingSpontaneous:
+        """Pipeline ratio at detuning i and spectral density s, solved once."""
+        key = (detunings[i], s)
+        if key not in solved:
+            trial = replace(params, delta_laser=key[0], delta_cavity=key[0],
+                            phonon_alpha1=s, phonon_alpha2=s, phonon_n=0.0)
+            try:
+                solved[key] = predict_rs(trial, mode)[0].ratio
+            except VanishingSpontaneous as vanished:
+                solved[key] = vanished
+        return solved[key]
 
-    # The ratio scales as 1/(alpha delta^n) to leading order, so a single
-    # reference sweep linearizes the start: ln(ref/data) = ln a + n ln d.
-    reference = np.array([pipeline(d, 1.0, 0.0) for d in deltas])
-    design = np.column_stack([np.ones_like(deltas), np.log(deltas)])
-    start, *_ = np.linalg.lstsq(design, np.log(reference / ratios), rcond=None)
+    reference = [ratio_at(i, 1.0) for i in range(deltas.size)]
+    for ratio in reference:
+        if isinstance(ratio, VanishingSpontaneous):
+            raise ratio
+
+    def secant(i: int) -> tuple[float, float]:
+        """ln s where the pipeline meets ratio i, and d ln ratio / d ln s."""
+        target = math.log(ratios[i])
+        # To leading order ratio ~ 1/s: the first step is u = ln(ref/data).
+        u_prev, g_prev = 0.0, math.log(reference[i]) - target
+        u, slope = g_prev, -1.0
+        for _ in range(20):
+            # Stop above the ~1e-10 noise; the cap ends a search with no root.
+            if abs(u - u_prev) <= 1e-8:
+                break
+            ratio = ratio_at(i, math.exp(u))
+            if isinstance(ratio, VanishingSpontaneous):
+                raise ratio
+            g = math.log(ratio) - target
+            if g == g_prev:
+                break
+            slope = (g - g_prev) / (u - u_prev)
+            u_prev, g_prev, u = u, g, u - g / slope
+        return u, slope
+
+    try:
+        logs, slopes = np.array([secant(i) for i in range(deltas.size)]).T
+    except VanishingSpontaneous:
+        weights, logs = np.ones_like(deltas), np.log(np.array(reference) / ratios)
+    else:
+        # Delta method: ln s_i carries the error ratio_err / |d ratio / d ln s|.
+        weights = np.abs(slopes * ratios) * sqrt_w
+    design = np.column_stack([np.ones_like(deltas), log_deltas]) * weights[:, None]
+    start, *_ = np.linalg.lstsq(design, logs * weights, rcond=None)
+
+    def row(i: int, s: float) -> float:
+        ratio = ratio_at(i, s)
+        if isinstance(ratio, VanishingSpontaneous):
+            # Penalize trial parameters that extinguish the line.
+            return 1e6 * (1.0 + abs(ratios[i])) * sqrt_w[i]
+        return (ratio - ratios[i]) * sqrt_w[i]
+
+    def densities(x: np.ndarray) -> list[float]:
+        alpha, exponent = math.exp(x[0]), float(x[1])
+        return [alpha * d**exponent for d in detunings]
 
     def residual(x: np.ndarray) -> np.ndarray:
-        out = np.empty(deltas.size)
-        for i, d in enumerate(deltas):
-            try:
-                out[i] = pipeline(d, math.exp(x[0]), x[1]) - ratios[i]
-            except VanishingSpontaneous:
-                # Penalize trial parameters that extinguish the line.
-                out[i] = 1e6 * (1.0 + abs(ratios[i]))
-        return out * sqrt_w
+        return np.array([row(i, s) for i, s in enumerate(densities(x))])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        jac = np.empty((deltas.size, 2))
-        for j in range(2):
-            step = 1e-6 * max(abs(x[j]), 1.0)
-            forward = x.copy()
-            backward = x.copy()
-            forward[j] += step
-            backward[j] -= step
-            jac[:, j] = (residual(forward) - residual(backward)) / (2.0 * step)
-        return jac
+        # Step 1e-4 in ln s: the ~1e-10 pipeline noise moves the slope ~1e-6.
+        up = math.exp(1e-4)
+        column = np.array(
+            [row(i, s * up) - row(i, s / up) for i, s in enumerate(densities(x))]
+        ) / 2e-4
+        return np.column_stack([column, column * log_deltas])
 
     x, jac, r, _ = _lm_minimize(residual, jacobian, np.asarray(start, dtype=float))
     log_alpha, exponent = float(x[0]), float(x[1])

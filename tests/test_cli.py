@@ -342,6 +342,17 @@ def test_fit_phonon_cli_recovers_exponent(capsys, tmp_path):
     assert len(payload["covariance"]) == 2
 
 
+@pytest.mark.parametrize("bad_delta", ["0", "-10"])
+def test_fit_phonon_rejects_nonpositive_detuning(capsys, tmp_path, bad_delta):
+    """A detuning that is not positive is refused before any solve."""
+    path = tmp_path / "ratios.csv"
+    path.write_text(f"{bad_delta},0.1\n35,0.05\n55,0.1\n95,0.4\n")
+    code, _, err = run_cli(capsys, ["fit", "phonon-n", str(path)])
+    assert code == 2
+    assert "positive" in err
+    assert "RuntimeWarning" not in err
+
+
 def test_validate_default_point_passes(capsys):
     code, out, _ = run_cli(capsys, ["validate"])
     assert code == 0

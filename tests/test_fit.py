@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helpers
 from cavity_raman import (
     AmbiguousAssignment,
+    CavityRamanError,
     DegeneratePeaks,
     DomainError,
     IllConditioned,
@@ -405,3 +407,158 @@ def test_refit_repeats_no_jacobian(monkeypatch, paper_params):
         seen.add(params)
     assert not any(repeats), "a Jacobian repeated earlier solves"
     assert len(repeats) <= len(deltas)
+
+
+def test_predict_rs_sees_phonon_law_only_through_density():
+    """At detuning d the pipeline sees (alpha, n) only through alpha * d**n.
+
+    build_liouvillian evaluates the spectral density at the laser detuning,
+    so (alpha, n) and (alpha * d**n, 0) build the same generator bit for
+    bit; the phonon refit solves every trial in that one variable.
+    """
+    rng = np.random.default_rng(606)
+    checked = 0
+    for _ in range(200):
+        params = helpers.random_valid_params(rng)
+        d = params.delta_laser
+        params = replace(params, delta_cavity=d)
+        density = replace(
+            params,
+            phonon_alpha1=params.phonon_alpha1 * d**params.phonon_n,
+            phonon_alpha2=params.phonon_alpha2 * d**params.phonon_n,
+            phonon_n=0.0,
+        )
+        try:
+            expected = predict_rs(params)
+        except CavityRamanError:
+            continue
+        assert predict_rs(density) == expected
+        checked += 1
+        if checked == 20:
+            break
+    assert checked == 20
+
+
+def _five_detuning_table(params, alpha=0.8, exponent=0.4):
+    """Exact ratio table of the power law (alpha, n) at five detunings."""
+    return [
+        predict_rs(
+            replace(
+                params,
+                delta_laser=d,
+                delta_cavity=d,
+                phonon_alpha1=alpha,
+                phonon_alpha2=alpha,
+                phonon_n=exponent,
+            )
+        )[0]
+        for d in (15.0, 35.0, 55.0, 75.0, 95.0)
+    ]
+
+
+@pytest.mark.parametrize("alpha, exponent", [(0.8, 0.4), (1.0, 0.0)])
+def test_refit_solves_no_operating_point_twice(
+    monkeypatch, paper_params, alpha, exponent
+):
+    """Trials that map to an earlier (detuning, density) reuse its solve.
+
+    A trial whose log alpha is one ulp from an earlier one maps to the same
+    density; at (1, 0) the start is exact, so the first residual of the
+    refinement lands on the reference sweep at density 1.
+    """
+    points = _five_detuning_table(paper_params, alpha, exponent)
+    solved = []
+    predict = fit_mod.predict_rs
+
+    def recording_predict(params, mode="area"):
+        solved.append(params)
+        return predict(params, mode)
+
+    monkeypatch.setattr(fit_mod, "predict_rs", recording_predict)
+    fit_phonon_exponent(points, paper_params)
+    assert solved
+    assert len(set(solved)) == len(solved)
+
+
+def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
+    """The secant start lands on the exact table's (ln alpha, n), each
+    Jacobian costs two solves per detuning, and its exponent column is the
+    density column times ln d.
+
+    On this five-detuning table the refit took 375 pipeline calls with the
+    log-log start and a two-column Jacobian; it now takes 99.
+    """
+    points = _five_detuning_table(paper_params)
+    log_deltas = np.log([point.delta for point in points])
+    calls, starts, jacobians = [0], [], []
+    predict = fit_mod.predict_rs
+    lm_minimize = fit_mod._lm_minimize
+
+    def counting_predict(params, mode="area"):
+        calls[0] += 1
+        return predict(params, mode)
+
+    def recording_lm(residual, jacobian, x0, *args):
+        if np.size(x0) != 2:
+            return lm_minimize(residual, jacobian, x0, *args)
+
+        def recorded_jacobian(x):
+            before = calls[0]
+            jac = jacobian(x)
+            jacobians.append((calls[0] - before, jac))
+            return jac
+
+        starts.append(np.array(x0))
+        return lm_minimize(residual, recorded_jacobian, x0, *args)
+
+    monkeypatch.setattr(fit_mod, "predict_rs", counting_predict)
+    monkeypatch.setattr(fit_mod, "_lm_minimize", recording_lm)
+    result = fit_phonon_exponent(points, paper_params)
+    assert result.exponent == pytest.approx(0.4, abs=1e-6)
+    assert result.prefactor == pytest.approx(0.8, rel=1e-6)
+
+    (start,) = starts
+    assert abs(start[0] - math.log(0.8)) <= 1e-8
+    assert abs(start[1] - 0.4) <= 1e-8
+    assert jacobians
+    for cost, jac in jacobians:
+        assert cost == 2 * len(points)
+        assert np.array_equal(jac[:, 1], jac[:, 0] * log_deltas)
+    assert calls[0] < 250
+
+
+def test_refit_falls_back_when_a_secant_trial_vanishes(monkeypatch, paper_params):
+    """A secant trial that extinguishes the spontaneous line hands the start
+    to the log-log regression of the reference sweep, and the refit still
+    recovers the table's power law."""
+    points = _five_detuning_table(paper_params)
+    ratios = np.array([point.ratio for point in points])
+    log_deltas = np.log([point.delta for point in points])
+    reference, starts, raised = [], [], []
+    predict = fit_mod.predict_rs
+    lm_minimize = fit_mod._lm_minimize
+
+    def failing_predict(params, mode="area"):
+        if params.phonon_alpha1 == 1.0:
+            point, fits = predict(params, mode)
+            reference.append(point.ratio)
+            return point, fits
+        if not starts and not raised:
+            raised.append(params)
+            raise VanishingSpontaneous("spontaneous line extinguished")
+        return predict(params, mode)
+
+    def recording_lm(residual, jacobian, x0, *args):
+        if np.size(x0) == 2:
+            starts.append(np.array(x0))
+        return lm_minimize(residual, jacobian, x0, *args)
+
+    monkeypatch.setattr(fit_mod, "predict_rs", failing_predict)
+    monkeypatch.setattr(fit_mod, "_lm_minimize", recording_lm)
+    result = fit_phonon_exponent(points, paper_params)
+    assert len(raised) == 1 and len(reference) == len(points)
+    design = np.column_stack([np.ones_like(log_deltas), log_deltas])
+    leading, *_ = np.linalg.lstsq(design, np.log(np.array(reference) / ratios), rcond=None)
+    np.testing.assert_allclose(starts[0], leading, rtol=1e-12)
+    assert result.exponent == pytest.approx(0.4, abs=1e-6)
+    assert result.prefactor == pytest.approx(0.8, rel=1e-6)
