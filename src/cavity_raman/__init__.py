@@ -43,7 +43,6 @@ from .liouvillian import (
     cavity_annihilation,
     lindblad_dissipator,
     phonon_channels,
-    propagate,
     steady_state,
     trace_distance,
 )
@@ -54,7 +53,6 @@ from .model import (
     G1_0,
     G2_0,
     G2_1,
-    K_B_GHZ_PER_K,
     DressedStates,
     ModelParams,
     build_hamiltonian,
@@ -93,11 +91,8 @@ from .spectrum import (
     classify_lines,
     correlation_modes,
     emission_spectrum,
-    first_order_correlation,
     frame_shift,
-    line_parameters,
     rotating_spectrum,
-    rs_area_ratio,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import fit as fit_mod
 from . import liouvillian as lv
@@ -35,7 +34,7 @@ from .errors import (
     UnstableLiouvillian,
     VanishingSpontaneous,
 )
-from .model import ModelParams
+from .model import G2_0, ModelParams
 
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _RUN_FLOAT_KEYS = (
@@ -49,7 +48,7 @@ _RUN_FLOAT_KEYS = (
     "filter_width",
 )
 _RUN_INT_KEYS = ("grid_points", "sweep_count")
-_RUN_STR_KEYS = ("rs_mode", "sweep_variable")
+_RUN_STR_KEYS = ("rs_mode",)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class RunConfig:
     grid_min: float = -120.0
     grid_max: float = 40.0
     grid_points: int = 1601
-    sweep_variable: str = "delta"
     sweep_start: float = 15.0
     sweep_stop: float = 95.0
     sweep_count: int = 9
@@ -71,6 +69,10 @@ class RunConfig:
     rs_mode: str = "area"
 
     def __post_init__(self):
+        for key in _RUN_FLOAT_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.grid_points < 16:
             raise ConfigError(f"grid_points must be at least 16, got {self.grid_points}")
         if not self.grid_min < self.grid_max:
@@ -83,8 +85,6 @@ class RunConfig:
             raise ConfigError(
                 f"sweep_start {self.sweep_start} must not exceed sweep_stop {self.sweep_stop}"
             )
-        if self.sweep_variable not in ("delta", "delta_cavity"):
-            raise ConfigError(f"unknown sweep variable {self.sweep_variable!r}")
         if self.rs_mode not in ("area", "amplitude"):
             raise ConfigError(f"rs_mode must be 'area' or 'amplitude', got {self.rs_mode!r}")
         if self.filter_width <= 0.0:
@@ -501,7 +501,9 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0
         grid = np.linspace(0.0, 0.5 / target, 120)
-        trapped = _trap_population(gen, rho0, grid)
+        dt = float(grid[1] - grid[0])
+        states = oracle.propagate_steps(gen, lv.vec(rho0), dt, grid.size - 1)
+        trapped = states.reshape(-1, 4, 4)[:, G2_0, G2_0].real
         decay = fit_mod.fit_exponential(grid, trapped)
         fitted = 1.0 / decay.tau
         gap = abs(fitted / target - 1.0)
@@ -518,18 +520,6 @@ def _validation_checks(config: RunConfig) -> list[dict]:
     run("bare_rate_consistency", bare_rate_consistency)
     run("cavity_rate_consistency", cavity_rate_consistency)
     return checks
-
-
-def _trap_population(gen: np.ndarray, rho0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """|g2,0> population on a uniform grid by repeated propagator steps."""
-    step = scipy.linalg.expm(gen * float(grid[1] - grid[0]))
-    state = lv.vec(rho0)
-    values = np.empty(grid.size)
-    for i in range(grid.size):
-        if i:
-            state = step @ state
-        values[i] = lv.unvec(state)[1, 1].real
-    return values
 
 
 def cmd_validate(config: RunConfig, out: str | None, as_json: bool) -> int:

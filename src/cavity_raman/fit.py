@@ -191,7 +191,6 @@ def fit_lorentzian(
     intensity: np.ndarray,
     n_peaks: int = 1,
     init: Sequence[tuple[float, float, float]] | None = None,
-    baseline: float | None = None,
     errors: np.ndarray | None = None,
 ) -> LorentzianFit:
     """Fit a sum of Lorentzians plus a constant baseline.
@@ -215,8 +214,6 @@ def fit_lorentzian(
             raise DomainError(f"expected {n_peaks} initial triples, got {len(init)}")
         guesses = [tuple(map(float, triple)) for triple in init]
         base0 = float(np.min(intensity))
-    if baseline is not None:
-        base0 = float(baseline)
     x0 = np.empty(n_params)
     for k, (amplitude, center, fwhm) in enumerate(guesses):
         if fwhm == 0.0:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import model
 from .errors import DomainError, NonUniqueSteadyState
@@ -99,15 +98,14 @@ def collapse_channels(params: ModelParams) -> list[CollapseChannel]:
     ]
 
 
-def phonon_channels(params: ModelParams, lambda_mode: str = "laser") -> list[CollapseChannel]:
+def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
     """Thermal jump operators between the dressed branches.
 
     The two channels connect plus <-> minus and plus <-> dark; downward
     rates carry (1 + n) and upward rates n, with n the Bose occupation at
-    the branch splitting.  ``lambda_mode="laser"`` evaluates the spectral
-    density and occupation at the laser detuning, the leading-order choice;
-    ``"dressed"`` uses the exact splittings omega_plus - omega_minus and
-    omega_plus - omega_dark instead.  Splittings must be positive.
+    the branch splitting.  The spectral density and the occupation are
+    evaluated with both splittings set to the laser detuning, the
+    leading-order choice.
     """
     if params.delta_laser <= 0.0:
         raise DomainError(
@@ -115,27 +113,19 @@ def phonon_channels(params: ModelParams, lambda_mode: str = "laser") -> list[Col
             f"got {params.delta_laser}"
         )
     dressed = model.dressed_states(params)
-    if lambda_mode == "laser":
-        split1 = split2 = params.delta_laser
-    elif lambda_mode == "dressed":
-        split1 = dressed.omega_plus - dressed.omega_minus
-        split2 = dressed.omega_plus - dressed.omega_dark
-        if split1 <= 0.0 or split2 <= 0.0:
-            raise DomainError("dressed splittings must be positive")
-    else:
-        raise DomainError(f"unknown lambda mode {lambda_mode!r}")
+    split = params.delta_laser
+    occupation = 0.0 if params.kT == 0.0 else model.n_thermal(split, params.kT)
 
     # Perturbative weight of the phonon coupling on the dressed branches.
     prefactor = (params.g**2 + (params.omega_drive / 2.0) ** 2) / params.delta_laser**2
 
     channels = []
-    for split, alpha, lower in (
-        (split1, params.phonon_alpha1, dressed.minus),
-        (split2, params.phonon_alpha2, dressed.dark),
+    for alpha, lower in (
+        (params.phonon_alpha1, dressed.minus),
+        (params.phonon_alpha2, dressed.dark),
     ):
         density = alpha * split**params.phonon_n
         rate = TWO_PI * prefactor * density
-        occupation = 0.0 if params.kT == 0.0 else model.n_thermal(split, params.kT)
         upward = np.outer(dressed.plus, lower.conj())
         downward = np.outer(lower, dressed.plus.conj())
         channels.append(CollapseChannel(upward, rate * occupation))
@@ -153,29 +143,6 @@ def build_liouvillian(params: ModelParams) -> np.ndarray:
         # bits of every output depend on this order.
         gen += sum(lindblad_dissipator(channel) for channel in phonon_channels(params))
     return gen
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    """Validate hermiticity, unit trace and positivity; returns rho as complex."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DomainError(f"density matrix must be square, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        raise DomainError("density matrix is not hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
-        raise DomainError(f"density matrix trace is {np.trace(rho)}, expected 1")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -atol:
-        raise DomainError("density matrix has a negative eigenvalue")
-    return rho
-
-
-def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve rho0 for a time t (ns) under the generator via expm."""
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"propagation time must be nonnegative, got {t}")
-    rho0 = check_density_matrix(rho0)
-    rho_t = unvec(scipy.linalg.expm(gen * t) @ vec(rho0))
-    return 0.5 * (rho_t + rho_t.conj().T)
 
 
 def steady_state(gen: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

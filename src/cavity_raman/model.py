@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError
 
-# Boltzmann constant over Planck constant, GHz per kelvin.
-K_B_GHZ_PER_K = 20.8366
-
 # Fixed ordering of the truncated basis, shared by every module.
 BASIS_LABELS = ("|g1,0>", "|g2,0>", "|g2,1>", "|e,0>")
 G1_0, G2_0, G2_1, E_0 = range(4)
@@ -162,39 +159,14 @@ def _embed(block_vec: np.ndarray) -> np.ndarray:
     return full
 
 
-def dressed_states(params: ModelParams, mode: str = "exact") -> DressedStates:
-    """Diagonalize the driven three-state block.
+def dressed_states(params: ModelParams) -> DressedStates:
+    """Diagonalize the driven three-state block numerically.
 
-    ``mode="exact"`` diagonalizes the coherent 3x3 block numerically and is
-    valid at any coupling.  ``mode="perturbative"`` returns the leading-order
-    large-detuning expressions instead; the plus state is then intentionally
-    unnormalized (norm 1 + O((g/delta)^2)) to match that expansion.
+    Valid at any coupling; raises DegenerateSpectrum when two dressed
+    frequencies coincide.
     """
-    delta = params.delta_laser
-    if delta == 0.0:
+    if params.delta_laser == 0.0:
         raise DomainError("dressed states are undefined at zero laser detuning")
-    half_drive = params.omega_drive / 2.0
-    g = params.g
-
-    if mode == "perturbative":
-        rabi = math.hypot(g, half_drive)
-        if rabi == 0.0:
-            raise DegenerateSpectrum("dressed labelling undefined with no couplings")
-        plus = _embed(np.array([half_drive / delta, g / delta, 1.0]))
-        minus = _embed(np.array([half_drive / rabi, g / rabi, -rabi / delta]))
-        dark = _embed(np.array([g / rabi, -half_drive / rabi, 0.0]))
-        shift = rabi**2 / delta
-        return DressedStates(
-            plus=plus,
-            minus=minus,
-            dark=dark,
-            omega_plus=delta + shift,
-            omega_minus=-shift,
-            omega_dark=0.0,
-        )
-    if mode != "exact":
-        raise DomainError(f"unknown dressed-state mode {mode!r}")
-
     h = build_hamiltonian(params)
     block = h[np.ix_(COHERENT_BLOCK, COHERENT_BLOCK)].real
     vals, vecs = np.linalg.eigh(block)

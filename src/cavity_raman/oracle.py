@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import liouvillian as lv
 from .errors import DomainError
@@ -41,9 +40,6 @@ class LadderBasis:
         if not 0 <= n <= self.n_max:
             raise DomainError(f"photon number {n} outside 0..{self.n_max}")
         return LEVELS.index(level) * (self.n_max + 1) + n
-
-    def labels(self) -> list[str]:
-        return [f"|{level},{n}>" for level in LEVELS for n in range(self.n_max + 1)]
 
 
 def _ladder_hamiltonian(params: ModelParams, basis: LadderBasis) -> np.ndarray:
@@ -198,36 +194,30 @@ def bare_lambda_evolve(
     gamma: float,
     gamma_tot: float,
     t_grid: np.ndarray,
-    gamma_dephase: float | None = None,
 ) -> np.ndarray:
     """Populations of the bare driven three-level emitter on ``t_grid``.
 
     Propagates the coupled equations for the drive coherence, the excited
     population and both ground populations exactly, one matrix exponential
     per grid time, with ``gamma`` the decay into the target state,
-    ``gamma_tot`` the total excited-state decay and ``gamma_dephase`` the
-    dipole decoherence rate (defaults to gamma_tot / 2).  All rates and
-    frequencies in GHz, times in ns.  Returns an array of shape
-    (len(t_grid), 3) with columns (initial ground, target ground,
-    excited).  The initial ground population is propagated explicitly
-    rather than inferred from the trace, so probability conservation stays
-    a meaningful check on the result.
+    ``gamma_tot`` the total excited-state decay and gamma_tot / 2 the
+    dipole decoherence rate.  All rates and frequencies in GHz, times in
+    ns.  Returns an array of shape (len(t_grid), 3) with columns (initial
+    ground, target ground, excited).  The initial ground population is
+    propagated explicitly rather than inferred from the trace, so
+    probability conservation stays a meaningful check on the result.
     """
     if gamma < 0.0 or gamma_tot <= 0.0:
         raise DomainError("gamma must be nonnegative and gamma_tot positive")
     if gamma > gamma_tot:
         raise DomainError(f"gamma={gamma} cannot exceed gamma_tot={gamma_tot}")
-    if gamma_dephase is None:
-        gamma_dephase = gamma_tot / 2.0
-    if gamma_dephase <= 0.0:
-        raise DomainError("dephasing rate must be positive")
     t_grid = _check_grid(t_grid)
 
     w_drive = TWO_PI * omega
     w_delta = TWO_PI * delta
     w_gamma = TWO_PI * gamma
     w_tot = TWO_PI * gamma_tot
-    w_deph = TWO_PI * gamma_dephase
+    w_deph = 0.5 * w_tot
 
     # d/dt (p1, p2, p3, re13, im13) = gen @ (...); constant coefficients,
     # so the state at time t is expm(gen * t) applied to e0.
@@ -240,8 +230,27 @@ def bare_lambda_evolve(
             [-0.5 * w_drive, 0.0, 0.5 * w_drive, -w_delta, -w_deph],
         ]
     )
-    propagators = scipy.linalg.expm(gen * t_grid[:, None, None])
+    from scipy.linalg import expm
+
+    propagators = expm(gen * t_grid[:, None, None])
     return propagators[:, :3, 0]
+
+
+def propagate_steps(gen: np.ndarray, start: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """States expm(gen * k * dt) @ start for k = 0..n_steps, one row each.
+
+    One matrix exponential, then one matrix-vector product per step: the
+    exact evolution on a uniform grid of spacing ``dt``, with no
+    eigendecomposition anywhere.
+    """
+    from scipy.linalg import expm
+
+    step = expm(gen * dt)
+    states = np.empty((n_steps + 1, start.size), dtype=np.result_type(step, start))
+    states[0] = start
+    for k in range(n_steps):
+        states[k + 1] = step @ states[k]
+    return states
 
 
 def _evolve_from_first(h: np.ndarray, sign: float, t_grid: np.ndarray) -> np.ndarray:

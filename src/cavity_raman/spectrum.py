@@ -3,8 +3,7 @@
 The field correlation <a^dag(tau) a(0)> evolves under the same generator as
 the density matrix, so its Laplace transform is a finite sum of complex
 Lorentzians, one per Liouvillian eigenvalue.  Everything here works with
-that exact mode decomposition; no time grid is involved except in
-:func:`first_order_correlation`, which exists as an independent check.
+that exact mode decomposition; no time grid is involved.
 """
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import liouvillian as lv
 from .errors import DegenerateSpectrum, DomainError, FrameError, UnstableLiouvillian
@@ -86,7 +84,7 @@ def correlation_modes(params: ModelParams) -> tuple[np.ndarray, np.ndarray, floa
     rho_ss = lv.steady_state(gen)
     a_op = lv.cavity_annihilation()
 
-    lambdas, rvecs = scipy.linalg.eig(gen)
+    lambdas, rvecs = np.linalg.eig(gen)
     stationary = int(np.argmin(np.abs(lambdas)))
     relaxing = np.delete(np.arange(lambdas.size), stationary)
     worst = np.max(lambdas[relaxing].real)
@@ -172,17 +170,6 @@ def apply_filter(spectrum: Spectrum, window: FilterWindow) -> Spectrum:
     )
 
 
-def line_parameters(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers, widths and areas of the resolvable emission lines.
-
-    All in the rotating frame: centers and full widths at half maximum in
-    GHz, areas in 1/ns (they sum to the total output flux up to the lines
-    dropped as negligible).  Sorted by center.
-    """
-    lambdas, residues, _ = correlation_modes(params)
-    return _lines(lambdas, residues, params.kappa)
-
-
 def _lines(
     lambdas: np.ndarray, residues: np.ndarray, kappa: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,45 +252,3 @@ def classify_lines(params: ModelParams) -> LineClassification:
         residues=residues,
         photon_number=photon_number,
     )
-
-
-def rs_area_ratio(params: ModelParams) -> float:
-    """Raman to spontaneous area ratio straight from the mode decomposition."""
-    lines = classify_lines(params)
-    return lines.raman[2] / lines.spontaneous[2]
-
-
-def first_order_correlation(
-    gen: np.ndarray,
-    rho_ss: np.ndarray,
-    taus: np.ndarray,
-) -> np.ndarray:
-    """Field correlation <a^dag(tau) a(0)> by stepping the propagator.
-
-    Deliberately avoids the eigendecomposition used by the spectrum
-    functions so the two routes can be checked against each other.  ``taus``
-    must be nonnegative and ascending, in ns.
-    """
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise DomainError("taus must be a nonempty 1-d array")
-    if taus[0] < 0.0 or (taus.size >= 2 and np.min(np.diff(taus)) < 0.0):
-        raise DomainError("taus must be nonnegative and ascending")
-
-    a_op = lv.cavity_annihilation()
-    state = lv.vec(a_op @ rho_ss)
-    probe = lv.vec(a_op).conj()
-    propagators: dict[float, np.ndarray] = {}
-    values = np.empty(taus.size, dtype=complex)
-    previous = 0.0
-    for i, tau in enumerate(taus):
-        dt = tau - previous
-        if dt > 0.0:
-            step = propagators.get(dt)
-            if step is None:
-                step = scipy.linalg.expm(gen * dt)
-                propagators[dt] = step
-            state = step @ state
-        values[i] = probe @ state
-        previous = tau
-    return values

@@ -1,14 +1,12 @@
 """Shared test utilities: random operating points, plain ``np.kron``
-superoperators, a time-domain spectrum oracle that avoids the
-eigendecomposition machinery, and short-horizon RK45 references for the
-exactly propagated oracles.
+superoperators, finite-horizon transforms for the time-domain spectrum
+check, and short-horizon RK45 references for the exactly propagated
+oracles.
 """
 import numpy as np
-import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from cavity_raman import ModelParams, steady_state
-from cavity_raman.liouvillian import cavity_annihilation, vec
+from cavity_raman import ModelParams
 
 TWO_PI = 2.0 * np.pi
 
@@ -56,27 +54,6 @@ def kron_hamiltonian_superoperator(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     eye = np.eye(h.shape[0], dtype=complex)
     return -1j * TWO_PI * (np.kron(eye, h) - np.kron(h.T, eye))
-
-
-def correlation_series(gen: np.ndarray, dt: float, n_steps: int):
-    """<a^dag(tau) a> on a uniform grid by repeated propagator steps.
-
-    One expm call, then matrix-vector products; no eigendecomposition
-    anywhere, so this is an independent route to the same correlation the
-    spectrum module diagonalizes.
-    """
-    a_op = cavity_annihilation()
-    rho_ss = steady_state(gen)
-    step = scipy.linalg.expm(gen * dt)
-    state = vec(a_op @ rho_ss)
-    probe = vec(a_op).conj()
-    taus = np.arange(n_steps + 1) * dt
-    series = np.empty(n_steps + 1, dtype=complex)
-    for k in range(n_steps + 1):
-        if k:
-            state = step @ state
-        series[k] = probe @ state
-    return taus, series
 
 
 def windowed_transform(taus, series, nu, kappa):

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from dataclasses import replace
 
 from cavity_raman import ModelParams
@@ -19,7 +18,6 @@ from cavity_raman import rates as rates_mod
 from cavity_raman import spectrum as spectrum_mod
 from cavity_raman.spectrum import mixture_intensity
 from helpers import (
-    correlation_series,
     random_valid_params,
     windowed_mode_sum,
     windowed_transform,
@@ -81,13 +79,8 @@ def test_criterion_04_closed_form_rates_match_dynamics():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     grid = np.linspace(0.0, 0.5 / target, 120)
-    step = scipy.linalg.expm(gen * (grid[1] - grid[0]))
-    state = lv.vec(rho0)
-    trapped = np.empty(grid.size)
-    for i in range(grid.size):
-        if i:
-            state = step @ state
-        trapped[i] = lv.unvec(state)[1, 1].real
+    states = oracle.propagate_steps(gen, lv.vec(rho0), grid[1] - grid[0], grid.size - 1)
+    trapped = states.reshape(-1, 4, 4)[:, 1, 1].real
     growth = fit_mod.fit_exponential(grid, trapped)
     assert 1.0 / growth.tau == pytest.approx(target, rel=0.05)
 
@@ -262,7 +255,11 @@ def test_criterion_11_structural_invariants_random_sweep():
         reference = mixture_intensity(nu, lambdas, residues, params.kappa)
         assert float(np.min(reference)) >= -1e-12
 
-        taus, series = correlation_series(gen, dt, n_steps)
+        # Time-domain route: no eigendecomposition, one expm then steps.
+        a_op = lv.cavity_annihilation()
+        taus = np.arange(n_steps + 1) * dt
+        states = oracle.propagate_steps(gen, lv.vec(a_op @ rho_ss), dt, n_steps)
+        series = states @ lv.vec(a_op).conj()
         numeric = windowed_transform(taus, series, nu, params.kappa)
         analytic = windowed_mode_sum(lambdas, residues, nu, params.kappa, taus[-1])
         gap = float(np.max(np.abs(numeric - analytic)))

@@ -201,15 +201,36 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert "grid_points" in err
 
 
-def test_removed_seed_knob_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "key, value", [("seed", "0"), ("sweep_variable", "delta")], ids=["seed", "sweep_variable"]
+)
+def test_removed_seed_knob_exits_2(capsys, tmp_path, key, value):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep-detuning", "--seed", "0"])
+        cli.main(["sweep-detuning", "--" + key.replace("_", "-"), value])
     assert exc.value.code == 2
-    config = tmp_path / "seeded.cfg"
-    config.write_text("seed = 0\n")
+    config = tmp_path / "removed.cfg"
+    config.write_text(f"{key} = {value}\n")
     code, _, err = run_cli(capsys, ["sweep-detuning", "--config", str(config)])
     assert code == 2
-    assert "'seed'" in err
+    assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--grid-max", "inf"],
+        ["rates", "--gamma-bare", "inf"],
+        ["rates", "--gamma-bare", "nan"],
+        ["rates", "--json", "--nu0-thz", "inf"],
+        ["sweep-detuning", "--sweep-stop", "inf", "--sweep-count", "2"],
+    ],
+    ids=["grid_max", "gamma_bare_inf", "gamma_bare_nan", "nu0_thz", "sweep_stop"],
+)
+def test_non_finite_run_value_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
 
 
 def test_unusable_operating_point_exits_3(capsys):
@@ -397,3 +418,21 @@ def test_module_entry_points_run(module):
     )
     assert done.returncode == 0, done.stderr
     assert "omega_eff_GHz" in done.stdout
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # expm is imported where it is called, so starting the CLI skips
+    # scipy.linalg; oracle and liouvillian still load with it.
+    src = str(Path(cavity_raman.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, cavity_raman.cli; "
+        "print(*(m in sys.modules for m in "
+        "('scipy.linalg', 'cavity_raman.oracle', 'cavity_raman.liouvillian')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "True"]

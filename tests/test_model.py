@@ -93,16 +93,12 @@ def test_dressed_perturbative_matches_exact_at_large_detuning():
         params = ModelParams(
             omega_drive=omega, g=g, delta_laser=delta, delta_cavity=delta
         )
-        exact = dressed_states(params, mode="exact")
-        approx = dressed_states(params, mode="perturbative")
+        exact = dressed_states(params)
+        # Leading-order light shift of the large-detuning expansion.
+        shift = ((omega / 2.0) ** 2 + g**2) / delta
         bound = 5.0 * ((omega / 2.0) ** 2 + g**2) / delta**2
-        assert abs(approx.omega_plus / exact.omega_plus - 1.0) < bound
-        assert abs(approx.omega_minus / exact.omega_minus - 1.0) < bound
-
-
-def test_dressed_unknown_mode_rejected(paper_params):
-    with pytest.raises(DomainError):
-        dressed_states(paper_params, mode="diabatic")
+        assert abs((delta + shift) / exact.omega_plus - 1.0) < bound
+        assert abs(-shift / exact.omega_minus - 1.0) < bound
 
 
 def test_n_thermal_reference_value():
