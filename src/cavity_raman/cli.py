@@ -11,6 +11,7 @@ errors, 3 numerically unusable operating points, 4 fit failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -262,37 +263,45 @@ def _sweep_grid(config: RunConfig) -> np.ndarray:
 
 
 def _detuning_rows(config: RunConfig) -> list[tuple]:
-    """Ratio pipeline over a laser-detuning grid, in grid order."""
-
-    def at_point(value: float) -> tuple:
-        trial = replace(config.params, delta_laser=value, delta_cavity=value)
-        try:
-            point, (raman_fit, spont_fit) = fit_mod.predict_rs(trial, mode=config.rs_mode)
-            return (
-                value,
-                point.ratio,
-                point.ratio_err,
-                raman_fit.peaks[0].center,
-                spont_fit.peaks[0].center,
-                0,
+    """Ratio pipeline over a laser-detuning grid, in grid order; the whole
+    grid is fitted in one call, and the first failing point raises."""
+    grid = [float(value) for value in _sweep_grid(config)]
+    trials = [replace(config.params, delta_laser=value, delta_cavity=value) for value in grid]
+    rows = []
+    for value, outcome in zip(grid, fit_mod.predict_rs(trials, mode=config.rs_mode)):
+        if isinstance(outcome, VanishingSpontaneous):
+            point = outcome.point
+            ratio, err = (math.nan, math.nan) if point is None else (point.ratio, point.ratio_err)
+            rows.append((value, ratio, err, math.nan, math.nan, 1))
+        elif isinstance(outcome, Exception):
+            raise outcome
+        else:
+            point, (raman_fit, spont_fit) = outcome
+            rows.append(
+                (
+                    value,
+                    point.ratio,
+                    point.ratio_err,
+                    raman_fit.peaks[0].center,
+                    spont_fit.peaks[0].center,
+                    0,
+                )
             )
-        except VanishingSpontaneous as exc:
-            if exc.point is not None:
-                return (value, exc.point.ratio, exc.point.ratio_err, math.nan, math.nan, 1)
-            return (value, math.nan, math.nan, math.nan, math.nan, 1)
-
-    return [at_point(float(value)) for value in _sweep_grid(config)]
+    return rows
 
 
 def _cavity_rows(config: RunConfig) -> list[tuple]:
-    """Line intensities over a cavity-detuning grid at fixed laser detuning."""
-
-    def at_point(value: float) -> tuple:
-        trial = replace(config.params, delta_cavity=value)
-        raman_fit, spont_fit = fit_mod.fit_emission_lines(trial)
-        return (value, raman_fit.peaks[0].area, spont_fit.peaks[0].area)
-
-    return [at_point(float(value)) for value in _sweep_grid(config)]
+    """Line intensities over a cavity-detuning grid at fixed laser detuning;
+    the whole grid is fitted in one call, and the first failing point raises."""
+    grid = [float(value) for value in _sweep_grid(config)]
+    trials = [replace(config.params, delta_cavity=value) for value in grid]
+    rows = []
+    for value, outcome in zip(grid, fit_mod.fit_emission_lines(trials)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        raman_fit, spont_fit = outcome
+        rows.append((value, raman_fit.peaks[0].area, spont_fit.peaks[0].area))
+    return rows
 
 
 def _cmd_sweep(config: RunConfig, out: str | None, as_json: bool, variable: str) -> int:
@@ -420,32 +429,38 @@ def _validation_checks(config: RunConfig) -> list[dict]:
             f"{params.kappa / 10.0:.4g} GHz",
         )
 
+    # Each solve is made once and read by every check that needs it; a
+    # solve that raises is retried by the next check, which fails the same.
+    generator = functools.cache(lambda: lv.build_liouvillian(params))
+    steady = functools.cache(lambda: lv.steady_state(generator()))
+    ladder = functools.cache(lambda n_max: oracle.full_ladder_steady_state(params, n_max))
+
     def trace_preservation():
-        gen = lv.build_liouvillian(params)
+        gen = generator()
         probe = lv.vec(np.eye(4)).conj() @ gen
         worst = float(np.max(np.abs(probe)))
         scale = float(np.max(np.abs(gen)))
         return worst <= 1e-10 * scale, f"|Tr L rho| <= {worst:.3e} (scale {scale:.3e})"
 
     def steady_physical():
-        gen = lv.build_liouvillian(params)
-        rho = lv.steady_state(gen)
+        rho = steady()
         lowest = float(np.min(np.linalg.eigvalsh(rho)))
         trace = float(np.trace(rho).real)
         ok = lowest >= -1e-9 and abs(trace - 1.0) <= 1e-9
         return ok, f"min eigenvalue {lowest:.3e}, trace {trace:.12f}"
 
     def sum_rule():
-        lambdas, residues, photons = spectrum_mod.correlation_modes(params)
+        lambdas, residues, photons = spectrum_mod._modes_of(generator(), steady())
         gap = abs(complex(np.sum(residues)) - photons)
         return gap <= 1e-10, f"|sum residues - <n>| = {gap:.3e}"
 
     def truncation_distance():
-        distance = oracle.truncation_error(params)
+        solved = ladder(3)
+        distance = oracle.truncation_distance(steady(), solved)
         return distance < 1e-3, f"trace distance {distance:.3e} (tolerance 1e-3)"
 
     def ladder_convergence():
-        distance = oracle.ladder_convergence(params)
+        distance = oracle.ladder_distance(ladder(3), ladder(4))
         return distance < 1e-9, f"n_max 3 vs 4 trace distance {distance:.3e}"
 
     def adiabatic_numeric():

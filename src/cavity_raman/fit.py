@@ -1,105 +1,41 @@
 """Least-squares fitting of spectra and time traces, and the ratio pipeline.
 
-A small Levenberg-Marquardt core drives every fit in the package so that
-convergence behaviour and error reporting are uniform: analytic Jacobians
-for the Lorentzian and exponential models, finite differences for the
-phonon-exponent refit where each model evaluation is itself a full
-steady-state calculation.
+Every fit runs through the stacked Levenberg-Marquardt core of
+:mod:`leastsq`: analytic Jacobians for the Lorentzian and exponential
+models, finite differences for the phonon-exponent refit where each model
+evaluation is itself a full steady-state calculation.  The line windows of
+a sweep, or of one refit trial, are fitted as one stack.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import leastsq
 from . import spectrum as spectrum_mod
 from .errors import (
     AmbiguousAssignment,
+    CavityRamanError,
     DegeneratePeaks,
     DomainError,
+    FitError,
     IllConditioned,
-    NoConvergence,
     NonDecaying,
     VanishingSpontaneous,
 )
 from .model import ModelParams
 
-_DAMPING_START = 1e-3
-_DAMPING_STEP = 10.0
-_MAX_ITERATIONS = 500
-_GRADIENT_TOL = 1e-8
-
 # Local fit windows of fit_emission_lines: half-width in line widths, and
 # the number of spectrum samples in each.
 _LINE_WINDOW = 4.0
 _LINE_POINTS = 97
-
-
-def _lm_minimize(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    max_iterations: int = _MAX_ITERATIONS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Damped least squares with multiplicative damping control.
-
-    Returns (solution, jacobian, residual, iterations).  Convergence is a
-    relative gradient test plus a step-size floor; exceeding the iteration
-    cap raises NoConvergence.  As in MINPACK lmder, the Jacobian is taken
-    once per accepted point: a rejected step leaves x unchanged.
-    """
-    x = np.array(x0, dtype=float)
-    r = np.asarray(residual(x), dtype=float)
-    cost = float(r @ r)
-    jac = np.asarray(jacobian(x), dtype=float)
-    damping = _DAMPING_START
-
-    for iteration in range(1, max_iterations + 1):
-        grad = jac.T @ r
-        if cost <= 1e-300:
-            return x, jac, r, iteration
-        if np.max(np.abs(grad) * np.maximum(np.abs(x), 1.0)) <= _GRADIENT_TOL * cost:
-            return x, jac, r, iteration
-
-        gram = jac.T @ jac
-        scale = np.diag(gram).copy()
-        scale[scale <= 0.0] = 1.0
-        try:
-            step = np.linalg.solve(gram + damping * np.diag(scale), -grad)
-        except np.linalg.LinAlgError:
-            damping = min(damping * _DAMPING_STEP, 1e12)
-            continue
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_trial = np.asarray(residual(x + step), dtype=float)
-            cost_trial = float(r_trial @ r_trial)
-        small_step = np.max(np.abs(step) / np.maximum(np.abs(x), 1.0)) < 1e-13
-        if math.isfinite(cost_trial) and cost_trial < cost:
-            x = x + step
-            r = r_trial
-            cost = cost_trial
-            damping = max(damping / _DAMPING_STEP, 1e-14)
-            jac = np.asarray(jacobian(x), dtype=float)
-        else:
-            damping = min(damping * _DAMPING_STEP, 1e12)
-        if small_step:
-            # At the step floor: converged if accepted, stalled if rejected.
-            return x, jac, r, iteration
-    raise NoConvergence(f"no convergence within {max_iterations} iterations")
-
-
-def _covariance(jac: np.ndarray, r: np.ndarray, n_params: int) -> np.ndarray:
-    """Parameter covariance scaled by the reduced chi square."""
-    dof = max(r.size - n_params, 1)
-    variance = float(r @ r) / dof
-    gram = jac.T @ jac
-    try:
-        inverse = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        inverse = np.linalg.pinv(gram)
-    return inverse * variance
+# Operating points whose line windows share one LM stack: enough to spread
+# the loop's fixed cost, few enough that the stack's arrays (about 16 kB a
+# point) stay small beside the rest of a run, however long the sweep.
+_STACK_POINTS = 48
 
 
 def lorentzian_profile(
@@ -140,22 +76,32 @@ class LorentzianFit:
 
 
 def _lorentzian_model(freqs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    total = np.full(freqs.size, x[-1], dtype=float)
-    for k in range(0, x.size - 1, 3):
-        total += lorentzian_profile(freqs, x[k], x[k + 1], x[k + 2])
+    """Lorentzian sum plus baseline on each row of ``freqs``, with the
+    parameters in the same row of ``x``."""
+    total = np.repeat(x[:, -1:], freqs.shape[1], axis=1)
+    for k in range(0, x.shape[1] - 1, 3):
+        total += lorentzian_profile(freqs, x[:, k, None], x[:, k + 1, None], x[:, k + 2, None])
     return total
 
 
 def _lorentzian_jacobian(freqs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    jac = np.empty((freqs.size, x.size), dtype=float)
-    jac[:, -1] = 1.0
-    for k in range(0, x.size - 1, 3):
-        amplitude, center, fwhm = x[k], x[k + 1], x[k + 2]
-        u = (freqs - center) / (fwhm / 2.0)
-        d = 1.0 + u * u
-        jac[:, k] = 1.0 / d
-        jac[:, k + 1] = 4.0 * amplitude * u / (fwhm * d * d)
-        jac[:, k + 2] = 2.0 * amplitude * u * u / (fwhm * d * d)
+    jac = np.empty(freqs.shape + (x.shape[1],), dtype=float)
+    jac[:, :, -1] = 1.0
+    for k in range(0, x.shape[1] - 1, 3):
+        amplitude, center, fwhm = x[:, k, None], x[:, k + 1, None], x[:, k + 2, None]
+        # In place, term for term: u = (f - center) / (fwhm / 2), d = 1 + u^2.
+        u = freqs - center
+        u /= fwhm / 2.0
+        d = u * u
+        d += 1.0
+        np.divide(1.0, d, out=jac[:, :, k])
+        denominator = fwhm * d
+        denominator *= d
+        numerator = 4.0 * amplitude * u
+        np.divide(numerator, denominator, out=jac[:, :, k + 1])
+        np.multiply(2.0 * amplitude, u, out=numerator)
+        numerator *= u
+        np.divide(numerator, denominator, out=jac[:, :, k + 2])
     return jac
 
 
@@ -186,6 +132,19 @@ def _initial_peaks(
     return guesses, baseline
 
 
+def _start(
+    guesses: Sequence[tuple[float, float, float]], baseline: float
+) -> np.ndarray:
+    """Parameter vector (amplitude, center, |fwhm|, ..., baseline)."""
+    x0 = np.empty(3 * len(guesses) + 1)
+    for k, (amplitude, center, fwhm) in enumerate(guesses):
+        if fwhm == 0.0:
+            raise DomainError("initial fwhm must be nonzero")
+        x0[3 * k : 3 * k + 3] = (amplitude, center, abs(fwhm))
+    x0[-1] = baseline
+    return x0
+
+
 def fit_lorentzian(
     freqs: np.ndarray,
     intensity: np.ndarray,
@@ -204,7 +163,6 @@ def fit_lorentzian(
     freqs, intensity = _check_samples(
         freqs, intensity, "freqs and intensity", 4 * n_peaks + 1, f"for {n_peaks} peaks"
     )
-    n_params = 3 * n_peaks + 1
     sqrt_w = _weights(errors, freqs.size)
 
     if init is None:
@@ -214,34 +172,84 @@ def fit_lorentzian(
             raise DomainError(f"expected {n_peaks} initial triples, got {len(init)}")
         guesses = [tuple(map(float, triple)) for triple in init]
         base0 = float(np.min(intensity))
-    x0 = np.empty(n_params)
-    for k, (amplitude, center, fwhm) in enumerate(guesses):
-        if fwhm == 0.0:
-            raise DomainError("initial fwhm must be nonzero")
-        x0[3 * k : 3 * k + 3] = (amplitude, center, abs(fwhm))
-    x0[-1] = base0
+    x0 = _start(guesses, base0)
+    (fit,) = _fit_lorentzians(freqs[None], intensity[None], sqrt_w[None], x0[None])
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        return (_lorentzian_model(freqs, x) - intensity) * sqrt_w
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        return _lorentzian_jacobian(freqs, x) * sqrt_w[:, None]
+def _fit_lorentzians(
+    freqs: np.ndarray, intensity: np.ndarray, sqrt_w: np.ndarray | None, x0: np.ndarray
+) -> list[LorentzianFit | FitError]:
+    """Fit row k of ``intensity`` on row k of ``freqs`` from start ``x0[k]``,
+    weighted by ``sqrt_w[k]`` (unit weights if None), for every k in one LM
+    stack.
 
-    x, jac, r, iterations = _lm_minimize(residual, jacobian, x0)
-    cov = _covariance(jac, r, n_params)
-    sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    Returns each row's fit, or the FitError that row raised; a failing row
+    leaves the others as they would be alone.
+    """
+    n_peaks = (x0.shape[1] - 1) // 3
 
+    def residual(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        rows = slice(None) if rows.size == len(x0) else rows  # views, not copies
+        r = _lorentzian_model(freqs[rows], x)
+        r -= intensity[rows]
+        if sqrt_w is not None:
+            r *= sqrt_w[rows]
+        return r
+
+    def jacobian(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        rows = slice(None) if rows.size == len(x0) else rows
+        jac = _lorentzian_jacobian(freqs[rows], x)
+        if sqrt_w is not None:
+            jac *= sqrt_w[rows][:, :, None]
+        return jac
+
+    solution = leastsq.minimize(residual, jacobian, x0)
+    fits: list[LorentzianFit | FitError] = [solution.error(k) for k in range(len(x0))]
+    converged = [k for k, error in enumerate(fits) if error is None]
+    done = slice(None) if len(converged) == len(fits) else converged
+    x = solution.x[done]
+    cov = leastsq.covariance(
+        solution.gram[done], solution.cost[done], freqs.shape[1], x0.shape[1]
+    )
+    sigmas = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
+    unweighted = _lorentzian_model(freqs[done], x) - intensity[done]
+    rms = np.sqrt(np.mean(unweighted**2, axis=1))
+    for j, k in enumerate(converged):
+        try:
+            peaks = _peaks(x[j], sigmas[j], cov[j], n_peaks)
+        except DegeneratePeaks as degenerate:
+            fits[k] = degenerate
+            continue
+        fits[k] = LorentzianFit(
+            peaks=peaks,
+            baseline=float(x[j, -1]),
+            baseline_err=float(sigmas[j, -1]),
+            residual_rms=float(rms[j]),
+            iterations=int(solution.iterations[k]),
+        )
+    return fits
+
+
+def _peaks(
+    x: np.ndarray, sigma: np.ndarray, cov: np.ndarray, n_peaks: int
+) -> tuple[PeakFit, ...]:
+    """Fitted peaks sorted by center, with area errors from the covariance;
+    raises DegeneratePeaks when two centers coincide."""
     peaks = []
     for k in range(n_peaks):
         amplitude, center, fwhm = x[3 * k], x[3 * k + 1], abs(x[3 * k + 2])
         amp_err, cen_err, width_err = sigma[3 * k : 3 * k + 3]
         cross = cov[3 * k, 3 * k + 2]
         area = amplitude * fwhm * math.pi / 2.0
-        area_var = (math.pi / 2.0) ** 2 * max(
-            fwhm**2 * amp_err**2 + amplitude**2 * width_err**2
-            + 2.0 * amplitude * fwhm * cross,
-            0.0,
-        )
+        with np.errstate(over="ignore"):  # a huge error bar is inf, not a warning
+            area_var = (math.pi / 2.0) ** 2 * max(
+                fwhm**2 * amp_err**2 + amplitude**2 * width_err**2
+                + 2.0 * amplitude * fwhm * cross,
+                0.0,
+            )
         peaks.append(
             PeakFit(
                 center=float(center),
@@ -263,15 +271,7 @@ def fit_lorentzian(
                 raise DegeneratePeaks(
                     f"fitted centers {peaks[i].center} and {peaks[j].center} coincide"
                 )
-
-    unweighted = _lorentzian_model(freqs, x) - intensity
-    return LorentzianFit(
-        peaks=tuple(peaks),
-        baseline=float(x[-1]),
-        baseline_err=float(sigma[-1]),
-        residual_rms=float(np.sqrt(np.mean(unweighted**2))),
-        iterations=iterations,
-    )
+    return tuple(peaks)
 
 
 def _check_samples(
@@ -368,10 +368,13 @@ def fit_exponential(
         jac[:, 2] = 1.0
         return jac * sqrt_w[:, None]
 
-    x, jac, r, iterations = _lm_minimize(residual, jacobian, x0)
+    solution = leastsq.minimize(leastsq.single(residual), leastsq.single(jacobian), x0[None])
+    if solution.error(0) is not None:
+        raise solution.error(0)
+    x = solution.x[0]
     if x[1] <= 0.0:
         raise NonDecaying(f"fitted time constant {x[1]:.6g} ns is not a decay")
-    cov = _covariance(jac, r, 3)
+    cov = leastsq.covariance(solution.gram, solution.cost, times.size, 3)[0]
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
     unweighted = model(x) - values
     return ExponentialFit(
@@ -382,7 +385,7 @@ def fit_exponential(
         amplitude_err=float(sigma[0]),
         baseline_err=float(sigma[2]),
         residual_rms=float(np.sqrt(np.mean(unweighted**2))),
-        iterations=iterations,
+        iterations=int(solution.iterations[0]),
     )
 
 
@@ -465,7 +468,12 @@ def rs_ratio(
     return point
 
 
-def fit_emission_lines(params: ModelParams) -> tuple[LorentzianFit, LorentzianFit]:
+LinePair = tuple[LorentzianFit, LorentzianFit]
+
+
+def fit_emission_lines(
+    params: ModelParams | Sequence[ModelParams],
+) -> LinePair | list[LinePair | Exception]:
     """Fit the two narrow emission lines, each in its own local window.
 
     The spectrum carries a cavity-wide background pedestal whose level
@@ -476,44 +484,128 @@ def fit_emission_lines(params: ModelParams) -> tuple[LorentzianFit, LorentzianFi
     Windows are clipped at the midpoint between the lines so they never
     cover each other's peak.  Centers land on an axis shifted so the Raman
     line sits near -delta_laser and the spontaneous line near zero.
-    """
-    lines = spectrum_mod.classify_lines(params)
 
+    Given one operating point, returns its (Raman, spontaneous) fits or
+    raises.  Given a sequence, classifies each point, samples all 2N
+    windows and fits them in one stacked LM call per _STACK_POINTS points,
+    each fit bit for bit the one it gets alone; returns one outcome per
+    point in order, its pair of fits or the exception it raised.
+    """
+    if isinstance(params, ModelParams):
+        return _unwrap(_line_fits([params])[0])
+    return _line_fits(params)
+
+
+def _unwrap(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _line_fits(points: Sequence[ModelParams]) -> list[LinePair | Exception]:
+    outcomes: list[LinePair | Exception] = []
+    for start in range(0, len(points), _STACK_POINTS):
+        plans, axes, samples, starts = _line_plans(points[start : start + _STACK_POINTS])
+        fits = _fit_lorentzians(axes, samples, None, starts) if len(starts) else []
+        for plan in plans:
+            if isinstance(plan, Exception):
+                outcomes.append(plan)
+                continue
+            pair = [fits[row] if isinstance(row, int) else row for row in plan]
+            failed = [fit for fit in pair if isinstance(fit, Exception)]
+            outcomes.append(failed[0] if failed else (pair[0], pair[1]))
+    return outcomes
+
+
+def _line_plans(
+    points: Sequence[ModelParams],
+) -> tuple[list[Exception | list[int | DomainError]], np.ndarray, np.ndarray, np.ndarray]:
+    """Every point's line windows, stacked for one LM call.
+
+    Per point, the plan is the error the point raised before its fits, or
+    for each window its row in the stack or the error fit_lorentzian would
+    raise before fitting.  Errors wait in the plans, so a caller meets
+    them in its own order.  Returns (plans, axes, samples, starts).
+    """
+    plans: list[Exception | list[int | DomainError]] = []
+    axes, samples, starts = [], [], []
+    for params in points:
+        try:
+            windows, values, guesses = _line_windows(params)
+        except Exception as exc:  # any error: the caller raises it in grid order
+            plans.append(exc)
+            continue
+        plan: list[int | DomainError] = []
+        for axis, value, guess in zip(windows, values, guesses):
+            try:
+                _check_samples(axis, value, "freqs and intensity", 5, "for 1 peaks")
+                x0 = _start([guess], float(np.min(value)))
+            except DomainError as exc:
+                plan.append(exc)
+                continue
+            plan.append(len(starts))
+            axes.append(axis)
+            samples.append(value)
+            starts.append(x0)
+        plans.append(plan)
+    return plans, np.array(axes), np.array(samples), np.array(starts)
+
+
+def _line_windows(
+    params: ModelParams,
+) -> tuple[list[np.ndarray], np.ndarray, list[tuple[float, float, float]]]:
+    """Axes, spectrum samples and start peak of the Raman and spontaneous
+    line windows at one operating point."""
+    lines = spectrum_mod.classify_lines(params)
     shifts = [line[0] - params.delta_laser for line in (lines.raman, lines.spontaneous)]
     midpoint = 0.5 * (shifts[0] + shifts[1])
-    fits = []
-    for (center, width, area), shifted in zip(
-        (lines.raman, lines.spontaneous), shifts
-    ):
+    windows, guesses = [], []
+    for (center, width, area), shifted in zip((lines.raman, lines.spontaneous), shifts):
         lo = shifted - _LINE_WINDOW * width
         hi = shifted + _LINE_WINDOW * width
         if shifted < midpoint:
             hi = min(hi, midpoint)
         else:
             lo = max(lo, midpoint)
-        axis = np.linspace(lo, hi, _LINE_POINTS)
-        values = spectrum_mod.mixture_intensity(
-            axis + params.delta_laser, lines.lambdas, lines.residues, params.kappa
-        )
-        guess = ((2.0 * abs(area) / (math.pi * width), shifted, width),)
-        fits.append(fit_lorentzian(axis, values, n_peaks=1, init=guess))
-    return fits[0], fits[1]
+        windows.append(np.linspace(lo, hi, _LINE_POINTS))
+        guesses.append((2.0 * abs(area) / (math.pi * width), shifted, width))
+    values = spectrum_mod.mixture_intensity(
+        np.array(windows) + params.delta_laser, lines.lambdas, lines.residues, params.kappa
+    )
+    return windows, values, guesses
 
 
 def predict_rs(
-    params: ModelParams, mode: str = "area"
-) -> tuple[RsPoint, tuple[LorentzianFit, LorentzianFit]]:
-    """Full ratio pipeline at one operating point.
+    params: ModelParams | Sequence[ModelParams], mode: str = "area"
+) -> tuple[RsPoint, LinePair] | list[tuple[RsPoint, LinePair] | Exception]:
+    """Full ratio pipeline at one operating point, or at each of a sequence.
 
     Fits the Raman and spontaneous lines via fit_emission_lines, labels the
     pair, and forms the intensity ratio.  Returns the labelled point
-    together with the two underlying fits, Raman first.
+    together with the two underlying fits, Raman first.  Given a sequence,
+    fits every point's lines as a stack (see fit_emission_lines) and
+    returns one outcome per point in order: that pair, or the exception
+    the point raised (VanishingSpontaneous included), so a caller can
+    raise the first failure in its own order.
     """
-    raman_fit, spont_fit = fit_emission_lines(params)
-    point = rs_ratio(
-        (raman_fit.peaks[0], spont_fit.peaks[0]), delta=params.delta_laser, mode=mode
-    )
-    return point, (raman_fit, spont_fit)
+    single = isinstance(params, ModelParams)
+    points = [params] if single else list(params)
+    outcomes = []
+    for trial, fits in zip(points, fit_emission_lines(points)):
+        if not isinstance(fits, Exception):
+            raman_fit, spont_fit = fits
+            try:
+                point = rs_ratio(
+                    (raman_fit.peaks[0], spont_fit.peaks[0]),
+                    delta=trial.delta_laser,
+                    mode=mode,
+                )
+            except CavityRamanError as exc:
+                fits = exc
+            else:
+                fits = (point, fits)
+        outcomes.append(fits)
+    return _unwrap(outcomes[0]) if single else outcomes
 
 
 @dataclass(frozen=True)
@@ -543,7 +635,9 @@ def fit_phonon_exponent(
     detuning, so at detuning d the generator sees the pair only through
     s = alpha * d**n.  Every trial solves at phonon_alpha1 = phonon_alpha2 = s
     and phonon_n = 0, the same generator bit for bit, and no (d, s) is solved
-    twice in one call.  The fit runs in (log alpha, n).  Its start: from a
+    twice in one call.  The reference sweep, each residual and each Jacobian
+    send their unsolved (d, s) points to predict_rs as one batch, fitted as
+    one stack.  The fit runs in (log alpha, n).  Its start: from a
     reference sweep at s = 1, a secant finds the ln s that meets each ratio,
     and a regression of those roots on ln d, weighted by |d ratio / d ln s|
     over the ratio error; if a secant trial extinguishes the spontaneous
@@ -568,19 +662,35 @@ def fit_phonon_exponent(
     detunings, log_deltas = deltas.tolist(), np.log(deltas)
     solved: dict[tuple[float, float], float | VanishingSpontaneous] = {}
 
+    def solve(keys: list[tuple[float, float]]) -> None:
+        """Run the pipeline over the (detuning, density) keys not yet solved,
+        as one batch; raise the first failure in key order."""
+        fresh = [key for key in dict.fromkeys(keys) if key not in solved]
+        trials, refused = [], None
+        for d, s in fresh:
+            try:
+                trials.append(replace(params, delta_laser=d, delta_cavity=d,
+                                      phonon_alpha1=s, phonon_alpha2=s, phonon_n=0.0))
+            except DomainError as exc:
+                # An overflowing trial density; the keys before it go first.
+                refused = exc
+                break
+        for key, outcome in zip(fresh, predict_rs(trials, mode) if trials else []):
+            if isinstance(outcome, VanishingSpontaneous):
+                solved[key] = outcome
+            else:
+                solved[key] = _unwrap(outcome)[0].ratio
+        if refused is not None:
+            raise refused
+
     def ratio_at(i: int, s: float) -> float | VanishingSpontaneous:
         """Pipeline ratio at detuning i and spectral density s, solved once."""
         key = (detunings[i], s)
-        if key not in solved:
-            trial = replace(params, delta_laser=key[0], delta_cavity=key[0],
-                            phonon_alpha1=s, phonon_alpha2=s, phonon_n=0.0)
-            try:
-                solved[key] = predict_rs(trial, mode)[0].ratio
-            except VanishingSpontaneous as vanished:
-                solved[key] = vanished
+        solve([key])
         return solved[key]
 
-    reference = [ratio_at(i, 1.0) for i in range(deltas.size)]
+    solve([(d, 1.0) for d in detunings])
+    reference = [solved[(d, 1.0)] for d in detunings]
     for ratio in reference:
         if isinstance(ratio, VanishingSpontaneous):
             raise ratio
@@ -627,21 +737,29 @@ def fit_phonon_exponent(
         return [alpha * d**exponent for d in detunings]
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return np.array([row(i, s) for i, s in enumerate(densities(x))])
+        trials = densities(x)
+        solve(list(zip(detunings, trials)))
+        return np.array([row(i, s) for i, s in enumerate(trials)])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         # Step 1e-4 in ln s: the ~1e-10 pipeline noise moves the slope ~1e-6.
         up = math.exp(1e-4)
+        trials = densities(x)
+        solve([(d, t) for d, s in zip(detunings, trials) for t in (s * up, s / up)])
         column = np.array(
-            [row(i, s * up) - row(i, s / up) for i, s in enumerate(densities(x))]
+            [row(i, s * up) - row(i, s / up) for i, s in enumerate(trials)]
         ) / 2e-4
         return np.column_stack([column, column * log_deltas])
 
-    x, jac, r, _ = _lm_minimize(residual, jacobian, np.asarray(start, dtype=float))
+    x0 = np.asarray(start, dtype=float)[None]
+    solution = leastsq.minimize(leastsq.single(residual), leastsq.single(jacobian), x0)
+    if solution.error(0) is not None:
+        raise solution.error(0)
+    x = solution.x[0]
     log_alpha, exponent = float(x[0]), float(x[1])
     alpha = math.exp(log_alpha)
 
-    cov_internal = _covariance(jac, r, 2)
+    cov_internal = leastsq.covariance(solution.gram, solution.cost, deltas.size, 2)[0]
     # Delta method from (log alpha, n) onto (n, alpha).
     covariance = np.array(
         [
@@ -652,7 +770,7 @@ def fit_phonon_exponent(
     # Residual scaling cancels out of the condition number, except on exact
     # data where it zeros the covariance outright; the curvature keeps the
     # degeneracy test meaningful there.
-    condition = float(np.linalg.cond(jac.T @ jac))
+    condition = float(np.linalg.cond(solution.gram[0]))
     if condition > 1e8:
         raise IllConditioned(
             f"covariance condition number {condition:.3e} exceeds 1e8"

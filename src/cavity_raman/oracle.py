@@ -82,14 +82,19 @@ def _ladder_collapse(params: ModelParams, basis: LadderBasis) -> list[lv.Collaps
     ]
 
 
-def _embed_truncated(op4: np.ndarray, basis: LadderBasis) -> np.ndarray:
-    """Place a truncated-basis operator at its four ladder positions."""
-    positions = [
+def _kept_positions(basis: LadderBasis) -> list[int]:
+    """Ladder indices of the four truncated-basis states, in model order."""
+    return [
         basis.index("g1", 0),
         basis.index("g2", 0),
         basis.index("g2", 1),
         basis.index("e", 0),
     ]
+
+
+def _embed_truncated(op4: np.ndarray, basis: LadderBasis) -> np.ndarray:
+    """Place a truncated-basis operator at its four ladder positions."""
+    positions = _kept_positions(basis)
     full = np.zeros((basis.dim, basis.dim), dtype=complex)
     for row4, row in enumerate(positions):
         for col4, col in enumerate(positions):
@@ -127,16 +132,17 @@ def full_ladder_steady_state(
     """
     gen, basis = ladder_liouvillian(params, n_max)
     rho = lv.steady_state(gen)
-    kept = {
-        basis.index("g1", 0),
-        basis.index("g2", 0),
-        basis.index("g2", 1),
-        basis.index("e", 0),
-    }
+    kept = set(_kept_positions(basis))
     excess = float(
         sum(rho[j, j].real for j in range(basis.dim) if j not in kept)
     )
     return rho, basis, excess
+
+
+def _restricted(rho: np.ndarray, positions: list[int]) -> np.ndarray:
+    """The block of ``rho`` on ``positions``, renormalized to unit trace."""
+    block = rho[np.ix_(positions, positions)]
+    return block / np.trace(block).real
 
 
 def truncation_error(params: ModelParams, n_max: int = 3) -> float:
@@ -152,30 +158,38 @@ def truncation_error(params: ModelParams, n_max: int = 3) -> float:
     with omega_eff = omega_drive * g / delta_laser, so it never exceeds
     omega_eff / kappa.
     """
-    rho_full, basis, _ = full_ladder_steady_state(params, n_max)
-    positions = [
-        basis.index("g1", 0),
-        basis.index("g2", 0),
-        basis.index("g2", 1),
-        basis.index("e", 0),
-    ]
-    restricted = rho_full[np.ix_(positions, positions)]
-    restricted = restricted / np.trace(restricted).real
+    ladder = full_ladder_steady_state(params, n_max)
+    return truncation_distance(lv.steady_state(lv.build_liouvillian(params)), ladder)
 
-    gen4 = lv.build_liouvillian(params)
-    rho4 = lv.steady_state(gen4)
-    return lv.trace_distance(rho4, restricted)
+
+def truncation_distance(
+    rho4: np.ndarray, ladder: tuple[np.ndarray, LadderBasis, float]
+) -> float:
+    """:func:`truncation_error` of a four-state steady state and a solved
+    ladder, as :func:`full_ladder_steady_state` returns it."""
+    rho_full, basis, _ = ladder
+    return lv.trace_distance(rho4, _restricted(rho_full, _kept_positions(basis)))
 
 
 def ladder_convergence(params: ModelParams, n_max: int = 3) -> float:
     """Trace distance between ladder steady states at n_max and n_max + 1,
     both restricted to the smaller ladder."""
-    rho_a, basis_a, _ = full_ladder_steady_state(params, n_max)
-    rho_b, basis_b, _ = full_ladder_steady_state(params, n_max + 1)
-    positions = [basis_b.index(level, n) for level in LEVELS for n in range(n_max + 1)]
-    restricted = rho_b[np.ix_(positions, positions)]
-    restricted = restricted / np.trace(restricted).real
-    return lv.trace_distance(rho_a, restricted)
+    small = full_ladder_steady_state(params, n_max)
+    return ladder_distance(small, full_ladder_steady_state(params, n_max + 1))
+
+
+def ladder_distance(
+    small: tuple[np.ndarray, LadderBasis, float],
+    large: tuple[np.ndarray, LadderBasis, float],
+) -> float:
+    """:func:`ladder_convergence` of two solved ladders, as
+    :func:`full_ladder_steady_state` returns them."""
+    rho_a, basis_a, _ = small
+    rho_b, basis_b, _ = large
+    positions = [
+        basis_b.index(level, n) for level in LEVELS for n in range(basis_a.n_max + 1)
+    ]
+    return lv.trace_distance(rho_a, _restricted(rho_b, positions))
 
 
 def _check_grid(t_grid) -> np.ndarray:

@@ -21,6 +21,10 @@ TWO_PI = 2.0 * math.pi
 #: Largest acceptable real part of a nonstationary Liouvillian eigenvalue.
 STABILITY_TOL = 1e-10
 
+#: Grid points per block in mixture_intensity: its complex temporaries hold
+#: 65,536 x 16 modes, about 17 MB each, whatever the grid size.
+MIXTURE_BLOCK = 65536
+
 
 @dataclass(frozen=True)
 class FilterWindow:
@@ -81,7 +85,11 @@ def correlation_modes(params: ModelParams) -> tuple[np.ndarray, np.ndarray, floa
     as does any relaxing eigenvalue with a nonnegative real part.
     """
     gen = lv.build_liouvillian(params)
-    rho_ss = lv.steady_state(gen)
+    return _modes_of(gen, lv.steady_state(gen))
+
+
+def _modes_of(gen: np.ndarray, rho_ss: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`correlation_modes` of a built generator and its steady state."""
     a_op = lv.cavity_annihilation()
 
     lambdas, rvecs = np.linalg.eig(gen)
@@ -120,12 +128,19 @@ def mixture_intensity(
     """Evaluate the Lorentzian mode mixture on a rotating-frame axis.
 
     Normalized so the integral over frequency equals the steady cavity
-    output flux 2pi * kappa * <a^dag a> in 1/ns.
+    output flux 2pi * kappa * <a^dag a> in 1/ns.  ``nu_rot`` may have any
+    shape; the result has the same one (at least 1-d).  The (points x
+    modes) terms are summed ``MIXTURE_BLOCK`` points at a time, so memory
+    stays bounded on any grid; each point's sum is the same in any block.
     """
     nu_rot = np.atleast_1d(np.asarray(nu_rot, dtype=float))
-    denom = 1j * TWO_PI * nu_rot[:, None] - lambdas[None, :]
-    values = np.sum((residues[None, :] / denom).real, axis=1) / math.pi
-    return TWO_PI**2 * kappa * values
+    flat = nu_rot.reshape(-1)
+    values = np.empty(flat.size)
+    for start in range(0, flat.size, MIXTURE_BLOCK):
+        block = slice(start, start + MIXTURE_BLOCK)
+        denom = 1j * TWO_PI * flat[block, None] - lambdas[None, :]
+        values[block] = np.sum((residues[None, :] / denom).real, axis=1) / math.pi
+    return (TWO_PI**2 * kappa * values).reshape(nu_rot.shape)
 
 
 def rotating_spectrum(params: ModelParams, nu_rot: np.ndarray) -> Spectrum:

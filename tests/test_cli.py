@@ -11,9 +11,10 @@ import pytest
 from dataclasses import replace
 
 import cavity_raman
-from cavity_raman import ModelParams, cli
+from cavity_raman import AmbiguousAssignment, ModelParams, cli
 from cavity_raman import fit as fit_mod
 from cavity_raman import liouvillian as lv
+from cavity_raman import oracle
 from cavity_raman import rates as rates_mod
 
 # Same frozen pipeline value the fit suite pins for predict_rs at the
@@ -281,6 +282,61 @@ def test_each_operating_point_is_solved_once(capsys, monkeypatch, paper_params):
     code, _, _ = run_cli(capsys, ["sweep-detuning", "--sweep-count", "3"])
     assert code == 0
     assert [params.delta_laser for params in built] == [15.0, 55.0, 95.0]
+
+
+def test_sweep_raises_first_failure_after_vanishing_point(capsys):
+    """The whole grid is fitted in one call, yet a vanishing point is still
+    a flagged row, and the first failing point after it ends the sweep
+    with that point's own exit code and message."""
+    flags = ["--phonon-alpha2", "3", "--sweep-start", "5"]
+    code, out, _ = run_cli(
+        capsys, ["sweep-detuning", *flags, "--sweep-stop", "5", "--sweep-count", "1"]
+    )
+    assert code == 0
+    (row,) = data_rows(out)
+    assert row.startswith("5,") and row.endswith(",nan,nan,1")
+
+    code, out, err = run_cli(
+        capsys, ["sweep-detuning", *flags, "--sweep-stop", "15", "--sweep-count", "11"]
+    )
+    assert code == 4
+    assert out == ""
+    first = replace(ModelParams(), phonon_alpha2=3.0, delta_laser=6.0, delta_cavity=6.0)
+    with pytest.raises(AmbiguousAssignment) as raised:
+        fit_mod.predict_rs(first)
+    assert err == f"error: {raised.value}\n"
+
+
+def test_validate_solves_each_generator_once(capsys, monkeypatch):
+    """validate builds the four-state generator and solves its steady state
+    once, and each photon ladder once: n_max = 3 serves both the
+    truncation and the convergence check."""
+    built, steady, ladders = [], [0], []
+    build, solve = lv.build_liouvillian, lv.steady_state
+    ladder = oracle.full_ladder_steady_state
+
+    def counting_build(params):
+        built.append(params)
+        return build(params)
+
+    def counting_steady(gen):
+        steady[0] += 1
+        return solve(gen)
+
+    def counting_ladder(params, n_max=3):
+        ladders.append(n_max)
+        return ladder(params, n_max)
+
+    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
+    monkeypatch.setattr(lv, "steady_state", counting_steady)
+    monkeypatch.setattr(oracle, "full_ladder_steady_state", counting_ladder)
+    code, _, _ = run_cli(capsys, ["validate"])
+    assert code == 0
+    # The second build is the cavity-only generator of the rate check.
+    assert built[0] == ModelParams() and len(built) == 2
+    assert ladders == [3, 4]
+    # One four-state steady state plus one per ladder.
+    assert steady[0] == 3
 
 
 def test_fit_failure_exits_4(capsys, tmp_path):

@@ -24,6 +24,7 @@ from cavity_raman import (
     rs_ratio,
 )
 from cavity_raman import fit as fit_mod
+from cavity_raman import leastsq
 
 # Frozen pipeline outputs at the default operating point.
 PREDICT_RS_AREA_REF = 0.11419118598996021
@@ -55,38 +56,149 @@ def _curved_valley_jacobian(x):
 
 
 @pytest.mark.parametrize(
-    "start, solution, iterations",
+    "start, solution, iterations, stop",
     [
-        ((-1.2, 1.0), ("0x1.af313b867f213p-1", "0x1.6ad180e022acep-1"), 54),
-        ((-3.0, -4.0), ("0x1.af313b894bd46p-1", "0x1.6ad180e4d9a89p-1"), 21),
+        (
+            (-1.2, 1.0),
+            ("0x1.af313b867f213p-1", "0x1.6ad180e022acep-1"),
+            54,
+            leastsq.STOP_STALLED,
+        ),
+        (
+            (-3.0, -4.0),
+            ("0x1.af313b894bd46p-1", "0x1.6ad180e4d9a89p-1"),
+            21,
+            leastsq.STOP_GRADIENT,
+        ),
     ],
     ids=["stalls_at_step_floor", "gradient_converges"],
 )
-def test_lm_takes_one_jacobian_per_accepted_point(start, solution, iterations):
+def test_lm_takes_one_jacobian_per_accepted_point(start, solution, iterations, stop):
     """A rejected step leaves x unchanged, so its Jacobian is reused.
 
     The solutions and iteration counts were recorded while the Jacobian was
     still recomputed after every rejected step (54 and 21 Jacobians at 25
     and 16 distinct points); keeping it must not move the path by a bit.
+    The first start ends on a rejected step under the step floor, the
+    second on the gradient test.
     """
     costs, jacobian_points = [], []
 
-    def residual(x):
-        r = _curved_valley(x)
+    def residual(rows, x):
+        r = _curved_valley(x[0])
         costs.append(float(r @ r))
-        return r
+        return r[None]
 
-    def jacobian(x):
-        jacobian_points.append(tuple(x))
-        return _curved_valley_jacobian(x)
+    def jacobian(rows, x):
+        jacobian_points.append(tuple(x[0]))
+        return _curved_valley_jacobian(x[0])[None]
 
-    x, _, _, taken = fit_mod._lm_minimize(residual, jacobian, np.array(start))
+    result = leastsq.minimize(residual, jacobian, np.array([start]))
+    (x,) = result.x
     # A trial step is accepted exactly when it lowers the lowest cost so far.
     accepted = sum(1 for i in range(1, len(costs)) if costs[i] < min(costs[:i]))
     assert accepted < len(costs) - 1, "the path must contain rejected steps"
     assert len(set(jacobian_points)) == len(jacobian_points) == 1 + accepted
     assert (float(x[0]).hex(), float(x[1]).hex()) == solution
-    assert taken == iterations
+    assert result.iterations.tolist() == [iterations]
+    assert result.stops == (stop,)
+
+
+def test_lm_stack_keeps_failing_problems_apart(monkeypatch):
+    """In one stack, a problem whose damped system is singular and one that
+    never converges leave the other problems exactly where they end alone,
+    and each failing problem fails as it does alone.
+
+    A finite problem's damped system is positive definite, so the singular
+    solve is forced: LAPACK's report of an exactly singular matrix is
+    raised for any system holding the marked entry.
+    """
+    mark = 12345.0
+    solve = np.linalg.solve
+
+    def marked_singular(a, b):
+        if np.any(np.asarray(a) == mark):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", marked_singular)
+    # Start 0 and 1: the curved valley; 2: singular; 3: non-finite residual
+    # from the start, so no step is ever accepted.
+    starts = [(-1.2, 1.0), (-3.0, -4.0), (0.5, 0.5), (np.nan, 1.0)]
+
+    def residual(rows, x):
+        return np.array([_curved_valley(xk) for xk in x])
+
+    def jacobian(rows, x):
+        jac = np.array([_curved_valley_jacobian(xk) for xk in x])
+        jac[rows == 2] = [[1.0, mark], [1.0, 0.0], [0.0, 0.0]]
+        return jac
+
+    stacked = leastsq.minimize(residual, jacobian, np.array(starts))
+    for k, start in enumerate(starts):
+        alone = leastsq.minimize(
+            lambda rows, x: residual(rows + k, x),
+            lambda rows, x: jacobian(rows + k, x),
+            np.array([start]),
+        )
+        np.testing.assert_array_equal(stacked.x[k], alone.x[0])
+        np.testing.assert_array_equal(stacked.gram[k], alone.gram[0])
+        np.testing.assert_array_equal(stacked.cost[k], alone.cost[0])
+        assert stacked.iterations[k] == alone.iterations[0]
+        assert stacked.stops[k] == alone.stops[0]
+    assert stacked.stops == (
+        leastsq.STOP_STALLED,
+        leastsq.STOP_GRADIENT,
+        leastsq.STOP_MAX_ITERATIONS,
+        leastsq.STOP_MAX_ITERATIONS,
+    )
+    assert stacked.error(0) is None and stacked.error(1) is None
+    for k in (2, 3):
+        assert isinstance(stacked.error(k), NoConvergence)
+        assert str(stacked.error(k)) == "no convergence within 500 iterations"
+    assert stacked.iterations.tolist() == [54, 21, 500, 500]
+
+
+@pytest.mark.parametrize("stack_points", [None, 5])
+def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
+    """One stacked pipeline call over random valid operating points gives
+    each point the window fits of a fit_lorentzian call per window (a stack
+    of one) and the ratio rs_ratio forms from them, bit for bit; so does a
+    call split into stacks of five points."""
+    if stack_points is not None:
+        monkeypatch.setattr(fit_mod, "_STACK_POINTS", stack_points)
+    rng = np.random.default_rng(2024)
+    points = [helpers.random_valid_params(rng) for _ in range(24)]
+    fields = ("center", "fwhm", "amplitude", "area",
+              "center_err", "fwhm_err", "amplitude_err", "area_err")
+    compared = 0
+    for params, outcome in zip(points, predict_rs(points)):
+        try:
+            windows, values, guesses = fit_mod._line_windows(params)
+            alone = [
+                fit_lorentzian(axis, value, n_peaks=1, init=(guess,))
+                for axis, value, guess in zip(windows, values, guesses)
+            ]
+            point_alone = rs_ratio(
+                (alone[0].peaks[0], alone[1].peaks[0]), delta=params.delta_laser
+            )
+        except CavityRamanError as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            continue
+        point, fits = outcome
+        assert np.array_equal(
+            [point.ratio, point.ratio_err], [point_alone.ratio, point_alone.ratio_err]
+        )
+        for fit, fit_alone in zip(fits, alone):
+            assert fit.iterations == fit_alone.iterations
+            assert np.array_equal(
+                [getattr(fit.peaks[0], name) for name in fields]
+                + [fit.baseline, fit.baseline_err, fit.residual_rms],
+                [getattr(fit_alone.peaks[0], name) for name in fields]
+                + [fit_alone.baseline, fit_alone.baseline_err, fit_alone.residual_rms],
+            )
+        compared += 1
+    assert compared >= 20
 
 
 def test_single_lorentzian_exact_round_trip():
@@ -376,26 +488,26 @@ def test_refit_repeats_no_jacobian(monkeypatch, paper_params):
     ]
     solved, in_jacobian = [], [False]
     predict = fit_mod.predict_rs
-    lm_minimize = fit_mod._lm_minimize
+    lm_minimize = leastsq.minimize
 
-    def recording_predict(params, mode="area"):
-        solved.append((params, in_jacobian[0]))
-        return predict(params, mode)
+    def recording_predict(trials, mode="area"):
+        solved.extend((params, in_jacobian[0]) for params in trials)
+        return predict(trials, mode)
 
     def marking_lm(residual, jacobian, x0, *args):
-        def marked_jacobian(x):
+        def marked_jacobian(rows, x):
             in_jacobian[0] = True
             try:
-                return jacobian(x)
+                return jacobian(rows, x)
             finally:
                 in_jacobian[0] = False
 
-        # Only the outer refit has two parameters; the line fits have more.
-        outer = np.size(x0) == 2
+        # Only the outer refit has two parameters; the line fits have four.
+        outer = np.shape(x0)[1] == 2
         return lm_minimize(residual, marked_jacobian if outer else jacobian, x0, *args)
 
     monkeypatch.setattr(fit_mod, "predict_rs", recording_predict)
-    monkeypatch.setattr(fit_mod, "_lm_minimize", marking_lm)
+    monkeypatch.setattr(leastsq, "minimize", marking_lm)
     result = fit_phonon_exponent(points, paper_params)
     assert result.exponent == pytest.approx(0.4, abs=1e-6)
     assert result.prefactor == pytest.approx(0.8, rel=1e-6)
@@ -470,9 +582,9 @@ def test_refit_solves_no_operating_point_twice(
     solved = []
     predict = fit_mod.predict_rs
 
-    def recording_predict(params, mode="area"):
-        solved.append(params)
-        return predict(params, mode)
+    def recording_predict(trials, mode="area"):
+        solved.extend(trials)
+        return predict(trials, mode)
 
     monkeypatch.setattr(fit_mod, "predict_rs", recording_predict)
     fit_phonon_exponent(points, paper_params)
@@ -482,37 +594,44 @@ def test_refit_solves_no_operating_point_twice(
 
 def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
     """The secant start lands on the exact table's (ln alpha, n), each
-    Jacobian costs two solves per detuning, and its exponent column is the
-    density column times ln d.
+    Jacobian solves two points per detuning in one pipeline call, each
+    residual at most one call, and the exponent column is the density
+    column times ln d.
 
-    On this five-detuning table the refit took 375 pipeline calls with the
+    On this five-detuning table the refit took 375 pipeline solves with the
     log-log start and a two-column Jacobian; it now takes 99.
     """
     points = _five_detuning_table(paper_params)
     log_deltas = np.log([point.delta for point in points])
-    calls, starts, jacobians = [0], [], []
+    batches, starts, jacobians, residuals = [], [], [], []
     predict = fit_mod.predict_rs
-    lm_minimize = fit_mod._lm_minimize
+    lm_minimize = leastsq.minimize
 
-    def counting_predict(params, mode="area"):
-        calls[0] += 1
-        return predict(params, mode)
+    def counting_predict(trials, mode="area"):
+        batches.append(len(trials))
+        return predict(trials, mode)
 
     def recording_lm(residual, jacobian, x0, *args):
-        if np.size(x0) != 2:
+        if np.shape(x0)[1] != 2:
             return lm_minimize(residual, jacobian, x0, *args)
 
-        def recorded_jacobian(x):
-            before = calls[0]
-            jac = jacobian(x)
-            jacobians.append((calls[0] - before, jac))
+        def recorded_residual(rows, x):
+            before = len(batches)
+            r = residual(rows, x)
+            residuals.append(batches[before:])
+            return r
+
+        def recorded_jacobian(rows, x):
+            before = len(batches)
+            jac = jacobian(rows, x)
+            jacobians.append((batches[before:], jac[0]))
             return jac
 
-        starts.append(np.array(x0))
-        return lm_minimize(residual, recorded_jacobian, x0, *args)
+        starts.append(np.array(x0[0]))
+        return lm_minimize(recorded_residual, recorded_jacobian, x0, *args)
 
     monkeypatch.setattr(fit_mod, "predict_rs", counting_predict)
-    monkeypatch.setattr(fit_mod, "_lm_minimize", recording_lm)
+    monkeypatch.setattr(leastsq, "minimize", recording_lm)
     result = fit_phonon_exponent(points, paper_params)
     assert result.exponent == pytest.approx(0.4, abs=1e-6)
     assert result.prefactor == pytest.approx(0.8, rel=1e-6)
@@ -521,10 +640,12 @@ def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
     assert abs(start[0] - math.log(0.8)) <= 1e-8
     assert abs(start[1] - 0.4) <= 1e-8
     assert jacobians
-    for cost, jac in jacobians:
-        assert cost == 2 * len(points)
+    for sizes, jac in jacobians:
+        assert sizes == [2 * len(points)]
         assert np.array_equal(jac[:, 1], jac[:, 0] * log_deltas)
-    assert calls[0] < 250
+    assert residuals
+    assert all(len(sizes) <= 1 and sum(sizes) <= len(points) for sizes in residuals)
+    assert sum(batches) < 250
 
 
 def test_refit_falls_back_when_a_secant_trial_vanishes(monkeypatch, paper_params):
@@ -536,25 +657,25 @@ def test_refit_falls_back_when_a_secant_trial_vanishes(monkeypatch, paper_params
     log_deltas = np.log([point.delta for point in points])
     reference, starts, raised = [], [], []
     predict = fit_mod.predict_rs
-    lm_minimize = fit_mod._lm_minimize
+    lm_minimize = leastsq.minimize
 
-    def failing_predict(params, mode="area"):
-        if params.phonon_alpha1 == 1.0:
-            point, fits = predict(params, mode)
-            reference.append(point.ratio)
-            return point, fits
-        if not starts and not raised:
-            raised.append(params)
-            raise VanishingSpontaneous("spontaneous line extinguished")
-        return predict(params, mode)
+    def failing_predict(trials, mode="area"):
+        outcomes = predict(trials, mode)
+        for k, params in enumerate(trials):
+            if params.phonon_alpha1 == 1.0:
+                reference.append(outcomes[k][0].ratio)
+            elif not starts and not raised:
+                raised.append(params)
+                outcomes[k] = VanishingSpontaneous("spontaneous line extinguished")
+        return outcomes
 
     def recording_lm(residual, jacobian, x0, *args):
-        if np.size(x0) == 2:
-            starts.append(np.array(x0))
+        if np.shape(x0)[1] == 2:
+            starts.append(np.array(x0[0]))
         return lm_minimize(residual, jacobian, x0, *args)
 
     monkeypatch.setattr(fit_mod, "predict_rs", failing_predict)
-    monkeypatch.setattr(fit_mod, "_lm_minimize", recording_lm)
+    monkeypatch.setattr(leastsq, "minimize", recording_lm)
     result = fit_phonon_exponent(points, paper_params)
     assert len(raised) == 1 and len(reference) == len(points)
     design = np.column_stack([np.ones_like(log_deltas), log_deltas])

@@ -23,6 +23,7 @@ from cavity_raman import (
 )
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
+from cavity_raman import spectrum as spectrum_mod
 from cavity_raman.spectrum import mixture_intensity
 from reference_values import PHOTON_NUMBER_REF
 
@@ -228,6 +229,21 @@ def test_mixture_intensity_zero_modes():
         53.7,
     )
     np.testing.assert_array_equal(values, np.zeros(7))
+
+
+def test_mixture_intensity_blocks_are_bitwise_one_call(monkeypatch, paper_params):
+    """Evaluating in blocks bounds memory and changes no bit: a 2-d axis in
+    blocks of 7 points equals the same axis in one block, in its shape."""
+    lambdas, residues, _ = correlation_modes(paper_params)
+    nu = np.linspace(-120.0, 40.0, 150).reshape(3, 50)
+    whole = mixture_intensity(nu, lambdas, residues, paper_params.kappa)
+    monkeypatch.setattr(spectrum_mod, "MIXTURE_BLOCK", 7)
+    blocked = mixture_intensity(nu, lambdas, residues, paper_params.kappa)
+    assert blocked.shape == nu.shape
+    np.testing.assert_array_equal(blocked, whole)
+    np.testing.assert_array_equal(
+        blocked[1], mixture_intensity(nu[1], lambdas, residues, paper_params.kappa)
+    )
 
 
 def test_spectrum_validation():
