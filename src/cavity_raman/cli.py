@@ -450,7 +450,7 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         return ok, f"min eigenvalue {lowest:.3e}, trace {trace:.12f}"
 
     def sum_rule():
-        lambdas, residues, photons = spectrum_mod._modes_of(generator(), steady())
+        lambdas, residues, photons = spectrum_mod.generator_modes(generator(), steady())
         gap = abs(complex(np.sum(residues)) - photons)
         return gap <= 1e-10, f"|sum residues - <n>| = {gap:.3e}"
 

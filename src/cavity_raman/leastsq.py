@@ -20,8 +20,6 @@ _DAMPING_START = 1e-3
 _DAMPING_STEP = 10.0
 _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-8
-# Problems whose Jacobians minimize holds at once.
-_JACOBIAN_BLOCK = 32
 
 # Why one problem of minimize stopped, after the info codes of MINPACK
 # lmder: the scaled gradient fell below _GRADIENT_TOL times the cost, the
@@ -66,18 +64,10 @@ def _normal_equations(
     x: np.ndarray,
     r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient J^T r and Gram matrix J^T J of the problems ``rows`` at
-    ``x``.  Their Jacobians are taken _JACOBIAN_BLOCK problems at a time,
-    which bounds memory on a long stack and changes no bit."""
-    grad = np.empty_like(x)
-    gram = np.empty(x.shape + x.shape[1:])
-    for start in range(0, rows.size, _JACOBIAN_BLOCK):
-        block = slice(start, start + _JACOBIAN_BLOCK)
-        jac = np.asarray(jacobian(rows[block], x[block]), dtype=float)
-        jts = jac.transpose(0, 2, 1)
-        grad[block] = (jts @ r[block][:, :, None])[:, :, 0]
-        gram[block] = jts @ jac
-    return grad, gram
+    """Gradient J^T r and Gram matrix J^T J of the problems ``rows`` at ``x``."""
+    jac = np.asarray(jacobian(rows, x), dtype=float)
+    jts = jac.transpose(0, 2, 1)
+    return (jts @ r[:, :, None])[:, :, 0], jts @ jac
 
 
 def minimize(

@@ -85,11 +85,14 @@ def correlation_modes(params: ModelParams) -> tuple[np.ndarray, np.ndarray, floa
     as does any relaxing eigenvalue with a nonnegative real part.
     """
     gen = lv.build_liouvillian(params)
-    return _modes_of(gen, lv.steady_state(gen))
+    return generator_modes(gen, lv.steady_state(gen))
 
 
-def _modes_of(gen: np.ndarray, rho_ss: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`correlation_modes` of a built generator and its steady state."""
+def generator_modes(
+    gen: np.ndarray, rho_ss: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`correlation_modes` of a built generator ``gen`` and its steady
+    state ``rho_ss``, for a caller that already holds both."""
     a_op = lv.cavity_annihilation()
 
     lambdas, rvecs = np.linalg.eig(gen)

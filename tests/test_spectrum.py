@@ -44,6 +44,13 @@ def test_residues_sum_to_photon_number(paper_params):
     assert np.max(lambdas[np.abs(residues) > 0].real) < 0.0
 
 
+def test_generator_modes_match_correlation_modes(paper_params):
+    gen = build_liouvillian(paper_params)
+    modes = spectrum_mod.generator_modes(gen, steady_state(gen))
+    for got, expected in zip(modes, correlation_modes(paper_params)):
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_dark_cavity_emits_nothing(paper_params):
     dark = replace(paper_params, g=0.0, phonon_alpha1=0.0, phonon_alpha2=0.0)
     _, residues, nbar = correlation_modes(dark)
