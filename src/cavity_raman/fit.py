@@ -36,6 +36,12 @@ _LINE_POINTS = 97
 # the loop's fixed cost, few enough that the stack's arrays (about 16 kB a
 # point) stay small beside the rest of a run, however long the sweep.
 _STACK_POINTS = 48
+# Step floor of the phonon refit's LM in (log alpha, n).  Its ratios carry
+# about 1e-10 relative noise from the two line fits, and steps of that size
+# only chase it.  A step of 1e-9 moves each ln s = log alpha + n ln d by at
+# most 1e-9 * (1 + ln d), under 6e-9 up to d = 150 GHz: below the 1e-8 at
+# which the secant start stops, and ten times the noise.
+_REFIT_STEP_FLOOR = 1e-9
 
 
 def lorentzian_profile(
@@ -622,6 +628,15 @@ class PhononFit:
     covariance: np.ndarray
 
 
+def _exp_or_inf(u: float) -> float:
+    """exp(u), or inf where it overflows: a trial density that ModelParams
+    refuses with a DomainError."""
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
 def fit_phonon_exponent(
     points: Sequence[RsPoint],
     params: ModelParams,
@@ -635,15 +650,20 @@ def fit_phonon_exponent(
     detuning, so at detuning d the generator sees the pair only through
     s = alpha * d**n.  Every trial solves at phonon_alpha1 = phonon_alpha2 = s
     and phonon_n = 0, the same generator bit for bit, and no (d, s) is solved
-    twice in one call.  The reference sweep, each residual and each Jacobian
-    send their unsolved (d, s) points to predict_rs as one batch, fitted as
-    one stack.  The fit runs in (log alpha, n).  Its start: from a
-    reference sweep at s = 1, a secant finds the ln s that meets each ratio,
-    and a regression of those roots on ln d, weighted by |d ratio / d ln s|
-    over the ratio error; if a secant trial extinguishes the spontaneous
-    line, the unweighted log-log regression of the reference sweep instead.
-    Damped least squares refines it with one central difference in ln s per
-    detuning, times ln d for the exponent column.  Reported errors transform
+    twice in one call.  The reference sweep, each secant round, each
+    residual and each Jacobian send their unsolved (d, s) points to
+    predict_rs as one batch, fitted as one stack.  The fit runs in
+    (log alpha, n).  Its start: from a reference sweep at s = 1, a secant
+    per detuning finds the ln s that meets each ratio, all secants stepped
+    together, and a regression of those roots on ln d, weighted by
+    |d ratio / d ln s| over the ratio error.  If a secant trial fails, the
+    first failure in detuning order decides, as if the secants ran one at a
+    time: a VanishingSpontaneous gives the unweighted log-log regression of
+    the reference sweep instead, any other is raised.  Damped least squares
+    refines the start with one central difference in ln s per detuning,
+    times ln d for the exponent column, and stops at steps below 1e-9 in
+    (log alpha, n), where the ratios' ~1e-10 noise sets in.  A trial density
+    that overflows a float raises DomainError.  Reported errors transform
     back to (exponent, prefactor) with the full covariance; a covariance
     condition number above 1e8 raises IllConditioned.
     """
@@ -660,81 +680,94 @@ def fit_phonon_exponent(
     errs = np.array([point.ratio_err for point in points], dtype=float)
     sqrt_w = 1.0 / errs if np.all(errs > 0.0) else np.ones_like(ratios)
     detunings, log_deltas = deltas.tolist(), np.log(deltas)
-    solved: dict[tuple[float, float], float | VanishingSpontaneous] = {}
+    solved: dict[tuple[float, float], float | Exception] = {}
 
-    def solve(keys: list[tuple[float, float]]) -> None:
-        """Run the pipeline over the (detuning, density) keys not yet solved,
-        as one batch; raise the first failure in key order."""
-        fresh = [key for key in dict.fromkeys(keys) if key not in solved]
-        trials, refused = [], None
-        for d, s in fresh:
+    def solve(keys: list[tuple[float, float]]) -> list[float | Exception]:
+        """Pipeline ratio or failure at each (detuning, density) key, solving
+        the keys not yet solved as one batch.  A failure is returned, not
+        raised, so each caller meets the first one in its own order."""
+        fresh, trials = [], []
+        for d, s in dict.fromkeys(keys):
+            if (d, s) in solved:
+                continue
             try:
                 trials.append(replace(params, delta_laser=d, delta_cavity=d,
                                       phonon_alpha1=s, phonon_alpha2=s, phonon_n=0.0))
             except DomainError as exc:
-                # An overflowing trial density; the keys before it go first.
-                refused = exc
-                break
-        for key, outcome in zip(fresh, predict_rs(trials, mode) if trials else []):
-            if isinstance(outcome, VanishingSpontaneous):
-                solved[key] = outcome
+                # An overflowing trial density: refused, not solved.
+                solved[(d, s)] = DomainError(
+                    f"trial phonon density {s!r} at detuning {d!r} GHz: {exc}"
+                )
             else:
-                solved[key] = _unwrap(outcome)[0].ratio
-        if refused is not None:
-            raise refused
+                fresh.append((d, s))
+        for key, outcome in zip(fresh, predict_rs(trials, mode) if trials else []):
+            solved[key] = outcome if isinstance(outcome, Exception) else outcome[0].ratio
+        return [solved[key] for key in keys]
 
-    def ratio_at(i: int, s: float) -> float | VanishingSpontaneous:
-        """Pipeline ratio at detuning i and spectral density s, solved once."""
-        key = (detunings[i], s)
-        solve([key])
-        return solved[key]
-
-    solve([(d, 1.0) for d in detunings])
-    reference = [solved[(d, 1.0)] for d in detunings]
+    reference = solve([(d, 1.0) for d in detunings])
     for ratio in reference:
-        if isinstance(ratio, VanishingSpontaneous):
+        if isinstance(ratio, Exception):
             raise ratio
 
-    def secant(i: int) -> tuple[float, float]:
-        """ln s where the pipeline meets ratio i, and d ln ratio / d ln s."""
-        target = math.log(ratios[i])
-        # To leading order ratio ~ 1/s: the first step is u = ln(ref/data).
-        u_prev, g_prev = 0.0, math.log(reference[i]) - target
-        u, slope = g_prev, -1.0
-        for _ in range(20):
-            # Stop above the ~1e-10 noise; the cap ends a search with no root.
-            if abs(u - u_prev) <= 1e-8:
-                break
-            ratio = ratio_at(i, math.exp(u))
-            if isinstance(ratio, VanishingSpontaneous):
-                raise ratio
-            g = math.log(ratio) - target
-            if g == g_prev:
-                break
-            slope = (g - g_prev) / (u - u_prev)
-            u_prev, g_prev, u = u, g, u - g / slope
-        return u, slope
+    # A secant in ln s per detuning, all stepped together: each round solves
+    # the next trial of every secant still running as one batch.  Each ends
+    # by its own tests, as it would alone, and the first failure in detuning
+    # order counts only once all have ended.  To leading order ratio ~ 1/s,
+    # so the first step is u = ln(ref/data).
+    targets = [math.log(ratio) for ratio in ratios]
+    u_prev = [0.0] * deltas.size
+    g_prev = [math.log(ref) - target for ref, target in zip(reference, targets)]
+    logs, slopes = list(g_prev), [-1.0] * deltas.size
+    failures: dict[int, Exception] = {}
+    running = list(range(deltas.size))
+    for _ in range(20):
+        # Stop above the ~1e-10 noise; the cap ends a search with no root.
+        running = [i for i in running if abs(logs[i] - u_prev[i]) > 1e-8]
+        if not running:
+            break
+        outcomes = solve([(detunings[i], _exp_or_inf(logs[i])) for i in running])
+        stepped = []
+        for i, ratio in zip(running, outcomes):
+            if isinstance(ratio, Exception):
+                failures[i] = ratio
+                continue
+            g = math.log(ratio) - targets[i]
+            if g == g_prev[i]:
+                continue
+            slopes[i] = (g - g_prev[i]) / (logs[i] - u_prev[i])
+            u_prev[i], g_prev[i], logs[i] = logs[i], g, logs[i] - g / slopes[i]
+            stepped.append(i)
+        running = stepped
 
-    try:
-        logs, slopes = np.array([secant(i) for i in range(deltas.size)]).T
-    except VanishingSpontaneous:
+    first_failure = failures[min(failures)] if failures else None
+    if isinstance(first_failure, VanishingSpontaneous):
         weights, logs = np.ones_like(deltas), np.log(np.array(reference) / ratios)
+    elif first_failure is not None:
+        raise first_failure
     else:
         # Delta method: ln s_i carries the error ratio_err / |d ratio / d ln s|.
-        weights = np.abs(slopes * ratios) * sqrt_w
+        weights = np.abs(np.array(slopes) * ratios) * sqrt_w
+        logs = np.array(logs)
     design = np.column_stack([np.ones_like(deltas), log_deltas]) * weights[:, None]
     start, *_ = np.linalg.lstsq(design, logs * weights, rcond=None)
 
     def row(i: int, s: float) -> float:
-        ratio = ratio_at(i, s)
+        """Weighted residual of the solved key (detuning i, density s)."""
+        ratio = solved[(detunings[i], s)]
         if isinstance(ratio, VanishingSpontaneous):
             # Penalize trial parameters that extinguish the line.
             return 1e6 * (1.0 + abs(ratios[i])) * sqrt_w[i]
+        if isinstance(ratio, Exception):
+            raise ratio
         return (ratio - ratios[i]) * sqrt_w[i]
 
     def densities(x: np.ndarray) -> list[float]:
-        alpha, exponent = math.exp(x[0]), float(x[1])
-        return [alpha * d**exponent for d in detunings]
+        # A density that overflows is inf, which solve refuses.
+        alpha, exponent = _exp_or_inf(x[0]), float(x[1])
+        try:
+            return [alpha * d**exponent for d in detunings]
+        except OverflowError:
+            return [math.inf] * len(detunings)
 
     def residual(x: np.ndarray) -> np.ndarray:
         trials = densities(x)
@@ -752,7 +785,9 @@ def fit_phonon_exponent(
         return np.column_stack([column, column * log_deltas])
 
     x0 = np.asarray(start, dtype=float)[None]
-    solution = leastsq.minimize(leastsq.single(residual), leastsq.single(jacobian), x0)
+    solution = leastsq.minimize(
+        leastsq.single(residual), leastsq.single(jacobian), x0, step_floor=_REFIT_STEP_FLOOR
+    )
     if solution.error(0) is not None:
         raise solution.error(0)
     x = solution.x[0]

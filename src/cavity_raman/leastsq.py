@@ -20,10 +20,11 @@ _DAMPING_START = 1e-3
 _DAMPING_STEP = 10.0
 _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-8
+_STEP_FLOOR = 1e-13
 
 # Why one problem of minimize stopped, after the info codes of MINPACK
 # lmder: the scaled gradient fell below _GRADIENT_TOL times the cost, the
-# cost reached zero, a step under the 1e-13 relative floor was accepted or
+# cost reached zero, a step under the relative step floor was accepted or
 # rejected (the fit stalled there), or the iteration cap was reached.
 STOP_GRADIENT = "gradient-converged"
 STOP_ZERO_COST = "zero-cost"
@@ -75,6 +76,7 @@ def minimize(
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
     max_iterations: int = _MAX_ITERATIONS,
+    step_floor: float = _STEP_FLOOR,
 ) -> Solution:
     """Damped least squares with multiplicative damping control, solving a
     stack of K independent problems at once.
@@ -85,7 +87,9 @@ def minimize(
     Each problem keeps its own damping, accept/reject decision and stop
     test, and the stacked products and solves are bitwise equal to their
     2-D calls, so a problem takes the same path in any stack as alone.
-    Convergence is a relative gradient test plus a step-size floor; the
+    Convergence is a relative gradient test plus a floor on the step
+    relative to max(|x|, 1), 1e-13 unless ``step_floor`` says otherwise; a
+    caller whose residuals carry noise passes a floor at that noise.  The
     returned ``stops`` name the test that ended each problem.  A problem
     still running at the iteration cap stops with STOP_MAX_ITERATIONS,
     which ``Solution.error`` turns into NoConvergence.  As in MINPACK
@@ -158,7 +162,7 @@ def minimize(
                 if solved.any():
                     r_trial[solved] = residual(ids[solved], trial[solved])
                     cost_trial[solved] = _squares(r_trial[solved])
-        small_step = (np.abs(step) / np.maximum(np.abs(x), 1.0)).max(axis=1) < 1e-13
+        small_step = (np.abs(step) / np.maximum(np.abs(x), 1.0)).max(axis=1) < step_floor
         if solved is not None:
             small_step &= solved
         better = np.isfinite(cost_trial) & (cost_trial < cost)

@@ -114,13 +114,18 @@ class ModelParams:
 def n_thermal(delta: float, kT: float) -> float:
     """Bose occupation 1 / (exp(delta/kT) - 1) at splitting ``delta``.
 
-    Both arguments in GHz; requires delta > 0 and kT > 0.
+    Both arguments in GHz; requires delta > 0 and kT > 0.  Zero where
+    delta/kT is past the largest argument expm1 can take (about 709.78):
+    the occupation there is below 1e-308.
     """
     if delta <= 0.0:
         raise DomainError(f"n_thermal needs delta > 0, got {delta}")
     if kT <= 0.0:
         raise DomainError(f"n_thermal needs kT > 0, got {kT}")
-    return 1.0 / math.expm1(delta / kT)
+    try:
+        return 1.0 / math.expm1(delta / kT)
+    except OverflowError:
+        return 0.0
 
 
 def build_hamiltonian(params: ModelParams) -> np.ndarray:

@@ -430,6 +430,33 @@ def test_fit_phonon_rejects_nonpositive_detuning(capsys, tmp_path, bad_delta):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("ratio", ["1e300", "5e-320"])
+def test_fit_phonon_overflowing_density_exits_2(capsys, tmp_path, ratio):
+    """A ratio so far from the pipeline's that a trial density overflows a
+    float is refused at exit 2, not raised as an OverflowError."""
+    path = tmp_path / "ratios.csv"
+    path.write_text("".join(f"{d},{ratio},1e299\n" for d in (15, 55, 95)))
+    code, _, err = run_cli(capsys, ["fit", "phonon-n", str(path)])
+    assert code == 2
+    assert "trial phonon density inf" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-detuning", "--kT", "1", "--sweep-start", "100", "--sweep-stop", "800",
+         "--sweep-count", "3"],
+        ["spectrum", "--kT", "1", "--delta-laser", "800", "--delta-cavity", "800"],
+    ],
+)
+def test_splitting_past_thermal_range_runs(capsys, argv):
+    """A splitting of more than about 709 kT has no thermal occupation; the
+    run completes instead of overflowing in n_thermal."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert data_rows(out)
+
+
 def test_validate_default_point_passes(capsys):
     code, out, _ = run_cli(capsys, ["validate"])
     assert code == 0

@@ -122,6 +122,15 @@ def test_n_thermal_classical_limit_and_monotonicity():
     assert np.all(np.diff(values) < 0.0)
 
 
+def test_n_thermal_vanishes_past_expm1_range():
+    """Past the largest argument expm1 takes (about 709.78), the occupation
+    is zero instead of an OverflowError; below it, 1 / expm1 unchanged."""
+    assert n_thermal(800.0, 1.0) == 0.0
+    assert n_thermal(1e6, 1e-3) == 0.0
+    assert n_thermal(709.0, 1.0) == 1.0 / math.expm1(709.0)
+    assert 0.0 < n_thermal(709.0, 1.0) < 1e-307
+
+
 def test_n_thermal_domain():
     with pytest.raises(DomainError):
         n_thermal(0.0, 83.0)
