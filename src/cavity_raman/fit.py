@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import leastsq
+from . import leastsq, stack
 from . import spectrum as spectrum_mod
 from .errors import (
     AmbiguousAssignment,
@@ -32,10 +32,8 @@ from .model import ModelParams
 # the number of spectrum samples in each.
 _LINE_WINDOW = 4.0
 _LINE_POINTS = 97
-# Operating points whose line windows share one LM stack: enough to spread
-# the loop's fixed cost, few enough that the stack's arrays (about 16 kB a
-# point) stay small beside the rest of a run, however long the sweep.
-_STACK_POINTS = 48
+# Operating points solved, and line windows fitted, as one stack.
+_STACK_POINTS = stack.POINTS
 # Step floor of the phonon refit's LM in (log alpha, n).  Its ratios carry
 # about 1e-10 relative noise from the two line fits, and steps of that size
 # only chase it.  A step of 1e-9 moves each ln s = log alpha + n ln d by at
@@ -498,14 +496,8 @@ def fit_emission_lines(
     point in order, its pair of fits or the exception it raised.
     """
     if isinstance(params, ModelParams):
-        return _unwrap(_line_fits([params])[0])
+        return stack.unwrap(_line_fits([params])[0])
     return _line_fits(params)
-
-
-def _unwrap(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def _line_fits(points: Sequence[ModelParams]) -> list[LinePair | Exception]:
@@ -528,16 +520,17 @@ def _line_plans(
 ) -> tuple[list[Exception | list[int | DomainError]], np.ndarray, np.ndarray, np.ndarray]:
     """Every point's line windows, stacked for one LM call.
 
-    Per point, the plan is the error the point raised before its fits, or
-    for each window its row in the stack or the error fit_lorentzian would
-    raise before fitting.  Errors wait in the plans, so a caller meets
-    them in its own order.  Returns (plans, axes, samples, starts).
+    The points are classified in one stacked call.  Per point, the plan is
+    the error the point raised before its fits, or for each window its row
+    in the stack or the error fit_lorentzian would raise before fitting.
+    Errors wait in the plans, so a caller meets them in its own order.
+    Returns (plans, axes, samples, starts).
     """
     plans: list[Exception | list[int | DomainError]] = []
     axes, samples, starts = [], [], []
-    for params in points:
+    for params, lines in zip(points, spectrum_mod.classify_lines(points)):
         try:
-            windows, values, guesses = _line_windows(params)
+            windows, values, guesses = _line_windows(params, stack.unwrap(lines))
         except Exception as exc:  # any error: the caller raises it in grid order
             plans.append(exc)
             continue
@@ -558,11 +551,10 @@ def _line_plans(
 
 
 def _line_windows(
-    params: ModelParams,
+    params: ModelParams, lines: spectrum_mod.LineClassification
 ) -> tuple[list[np.ndarray], np.ndarray, list[tuple[float, float, float]]]:
     """Axes, spectrum samples and start peak of the Raman and spontaneous
-    line windows at one operating point."""
-    lines = spectrum_mod.classify_lines(params)
+    line windows at one operating point, classified as ``lines``."""
     shifts = [line[0] - params.delta_laser for line in (lines.raman, lines.spontaneous)]
     midpoint = 0.5 * (shifts[0] + shifts[1])
     windows, guesses = [], []
@@ -611,7 +603,7 @@ def predict_rs(
             else:
                 fits = (point, fits)
         outcomes.append(fits)
-    return _unwrap(outcomes[0]) if single else outcomes
+    return stack.unwrap(outcomes[0]) if single else outcomes
 
 
 @dataclass(frozen=True)
@@ -678,7 +670,12 @@ def fit_phonon_exponent(
         )
     ratios = np.array([point.ratio for point in points], dtype=float)
     errs = np.array([point.ratio_err for point in points], dtype=float)
-    sqrt_w = 1.0 / errs if np.all(errs > 0.0) else np.ones_like(ratios)
+    with np.errstate(over="ignore"):  # checked below
+        sqrt_w = 1.0 / errs if np.all(errs > 0.0) else np.ones_like(ratios)
+    if not np.all(np.isfinite(sqrt_w)):
+        raise DomainError(
+            f"ratio error {float(np.min(errs))!r} is too small to weight: its inverse overflows"
+        )
     detunings, log_deltas = deltas.tolist(), np.log(deltas)
     solved: dict[tuple[float, float], float | Exception] = {}
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from . import model
+from . import model, stack
 from .errors import DomainError, NonUniqueSteadyState
 from .model import DIM, E_0, G1_0, G2_0, G2_1, ModelParams
 
@@ -35,43 +36,75 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CollapseChannel:
-    """One Lindblad jump operator with its angular rate in 1/ns."""
+    """One Lindblad jump operator with its angular rate in 1/ns.
+
+    A stack of channels holds operators of shape (..., n, n) and one rate
+    per leading index, an array of the leading shape.
+    """
 
     operator: np.ndarray
-    rate: float
+    rate: float | np.ndarray
 
     def __post_init__(self):
         op = np.asarray(self.operator, dtype=complex)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
             raise DomainError(f"collapse operator must be square, got shape {op.shape}")
-        if not math.isfinite(self.rate) or self.rate < 0.0:
-            raise DomainError(f"collapse rate must be nonnegative, got {self.rate}")
+        rates = np.ravel(self.rate)
+        refused = ~(np.isfinite(rates) & (rates >= 0.0))
+        if refused.any():
+            stack.unwrap(_rate_error(float(rates[np.argmax(refused)])))
         object.__setattr__(self, "operator", op)
 
 
+def _rate_error(rate: float) -> DomainError | None:
+    if not math.isfinite(rate) or rate < 0.0:
+        return DomainError(f"collapse rate must be nonnegative, got {rate}")
+    return None
+
+
 def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> left rho right; C order makes the reshape free."""
-    outer = np.multiply(right.T[:, None, :, None], left[None, :, None, :], order="C")
-    return outer.reshape(left.size, left.size)
+    """Superoperator of rho -> left rho right, over any leading axes; C
+    order makes the reshape free."""
+    outer = np.multiply(
+        np.swapaxes(right, -1, -2)[..., :, None, :, None],
+        left[..., None, :, None, :],
+        order="C",
+    )
+    n = left.shape[-1]
+    return outer.reshape(outer.shape[:-4] + (n * n, n * n))
 
 
 def lindblad_dissipator(channel: CollapseChannel) -> np.ndarray:
-    """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2)."""
+    """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2), over the
+    leading axes of a stacked channel."""
     op = channel.operator
-    eye = np.eye(op.shape[0], dtype=complex)
-    opdop = op.conj().T @ op
-    return channel.rate * (
-        _sandwich(op, op.conj().T)
-        - 0.5 * _sandwich(opdop, eye)
-        - 0.5 * _sandwich(eye, opdop)
-    )
+    eye = np.eye(op.shape[-1], dtype=complex)
+    op_dag = np.swapaxes(op.conj(), -1, -2)
+    opdop = op_dag @ op
+    # In place where the products allow it: a 48-point stack's terms are
+    # 200 kB each.
+    dissipator = _sandwich(op, op_dag)
+    dissipator -= _halved(_sandwich(opdop, eye))
+    dissipator -= _halved(_sandwich(eye, opdop))
+    rate = np.asarray(channel.rate, dtype=complex)[..., None, None]
+    fits = np.broadcast_shapes(rate.shape, dissipator.shape) == dissipator.shape
+    return np.multiply(rate, dissipator, out=dissipator if fits else None)
+
+
+def _halved(term: np.ndarray) -> np.ndarray:
+    term *= 0.5
+    return term
 
 
 def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
-    """Coherent generator -i 2pi [H, .] for a Hamiltonian given in GHz."""
+    """Coherent generator -i 2pi [H, .] for a Hamiltonian given in GHz, over
+    any leading axes."""
     h = np.asarray(h, dtype=complex)
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * TWO_PI * (_sandwich(h, eye) - _sandwich(eye, h))
+    eye = np.eye(h.shape[-1], dtype=complex)
+    generator = _sandwich(h, eye)
+    generator -= _sandwich(eye, h)
+    generator *= -1j * TWO_PI
+    return generator
 
 
 def cavity_annihilation() -> np.ndarray:
@@ -88,16 +121,6 @@ def transition(upper: int, lower: int) -> np.ndarray:
     return op
 
 
-def collapse_channels(params: ModelParams) -> list[CollapseChannel]:
-    """Cavity decay, spontaneous emission, and ground-state reshuffling."""
-    return [
-        CollapseChannel(cavity_annihilation(), TWO_PI * params.kappa),
-        CollapseChannel(transition(E_0, G1_0), TWO_PI * params.gamma1),
-        CollapseChannel(transition(E_0, G2_0), TWO_PI * params.gamma2),
-        CollapseChannel(transition(G2_0, G1_0), TWO_PI * params.gamma_flip),
-    ]
-
-
 def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
     """Thermal jump operators between the dressed branches.
 
@@ -105,66 +128,185 @@ def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
     rates carry (1 + n) and upward rates n, with n the Bose occupation at
     the branch splitting.  The spectral density and the occupation are
     evaluated with both splittings set to the laser detuning, the
-    leading-order choice.
+    leading-order choice.  Returned in the order up, down (minus branch),
+    up, down (dark branch).
     """
-    if params.delta_laser <= 0.0:
-        raise DomainError(
-            "phonon channels need a positive laser detuning, "
-            f"got {params.delta_laser}"
+    ops, rates, errors = _phonon_terms([params])
+    stack.unwrap(errors[0])
+    return [CollapseChannel(op, float(rate)) for op, rate in zip(ops[0], rates[0])]
+
+
+def _phonon_terms(
+    points: Sequence[ModelParams],
+) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
+    """Operators (K, 4, 4, 4) and rates (K, 4) of every point's phonon
+    channels, in :func:`phonon_channels` order, and each point's error."""
+    errors: list[Exception | None] = [
+        DomainError(
+            f"phonon channels need a positive laser detuning, got {point.delta_laser}"
         )
-    dressed = model.dressed_states(params)
+        if point.delta_laser <= 0.0
+        else None
+        for point in points
+    ]
+    live = [k for k, error in enumerate(errors) if error is None]
+    ops = np.zeros((len(points), 4, DIM, DIM), dtype=complex)
+    rates = np.zeros((len(points), 4))
+    dressed = model.dressed_states([points[k] for k in live]) if live else []
+    solved = []
+    for k, states in zip(live, dressed):
+        if isinstance(states, Exception):
+            errors[k] = states
+            continue
+        try:
+            rates[k] = _phonon_rates(points[k])
+        except (ArithmeticError, DomainError) as exc:
+            errors[k] = exc
+            continue
+        solved.append(states)
+    if solved:
+        rows = [k for k in live if errors[k] is None]
+        plus, minus, dark = (
+            np.array([getattr(states, name) for states in solved])
+            for name in ("plus", "minus", "dark")
+        )
+        for j, (left, right) in enumerate(
+            ((plus, minus), (minus, plus), (plus, dark), (dark, plus))
+        ):
+            # np.outer(left, right.conj()) of each point.
+            ops[rows, j] = left[:, :, None] * right.conj()[:, None, :]
+    return ops, rates, errors
+
+
+def _phonon_rates(params: ModelParams) -> list[float]:
+    """Rates of the four phonon channels of one point, each checked as
+    CollapseChannel checks it, in order.  A power that overflows raises
+    OverflowError, as it does in the channels of the point alone."""
     split = params.delta_laser
     occupation = 0.0 if params.kT == 0.0 else model.n_thermal(split, params.kT)
 
     # Perturbative weight of the phonon coupling on the dressed branches.
     prefactor = (params.g**2 + (params.omega_drive / 2.0) ** 2) / params.delta_laser**2
 
-    channels = []
-    for alpha, lower in (
-        (params.phonon_alpha1, dressed.minus),
-        (params.phonon_alpha2, dressed.dark),
-    ):
+    rates = []
+    for alpha in (params.phonon_alpha1, params.phonon_alpha2):
         density = alpha * split**params.phonon_n
         rate = TWO_PI * prefactor * density
-        upward = np.outer(dressed.plus, lower.conj())
-        downward = np.outer(lower, dressed.plus.conj())
-        channels.append(CollapseChannel(upward, rate * occupation))
-        channels.append(CollapseChannel(downward, rate * (1.0 + occupation)))
-    return channels
+        for value in (rate * occupation, rate * (1.0 + occupation)):
+            stack.unwrap(_rate_error(value))
+            rates.append(value)
+    return rates
 
 
-def build_liouvillian(params: ModelParams) -> np.ndarray:
-    """Full generator of the master equation on the truncated basis, 1/ns."""
-    gen = hamiltonian_superoperator(model.build_hamiltonian(params))
-    for channel in collapse_channels(params):
-        gen += lindblad_dissipator(channel)
-    if params.phonon_alpha1 > 0.0 or params.phonon_alpha2 > 0.0:
-        # The phonon terms are summed on their own, then added: the last
-        # bits of every output depend on this order.
-        gen += sum(lindblad_dissipator(channel) for channel in phonon_channels(params))
-    return gen
+# Cavity decay, spontaneous emission, and ground-state reshuffling.
+_FIXED_CHANNELS = (
+    (cavity_annihilation(), "kappa"),
+    (transition(E_0, G1_0), "gamma1"),
+    (transition(E_0, G2_0), "gamma2"),
+    (transition(G2_0, G1_0), "gamma_flip"),
+)
 
 
-def steady_state(gen: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def build_liouvillian(
+    params: ModelParams | Sequence[ModelParams],
+) -> np.ndarray | tuple[np.ndarray, list[Exception | None]]:
+    """Full generator of the master equation on the truncated basis, 1/ns.
+
+    Given one operating point, returns its (16, 16) generator or raises.
+    Given a sequence of K, builds all K in one pass and returns the
+    (K, 16, 16) stack with each point's error (None where it built); a
+    failed point's slice is not a generator.  Each generator is bitwise
+    the one its point gets alone.
+    """
+    if isinstance(params, ModelParams):
+        gens, errors = _build([params])
+        stack.unwrap(errors[0])
+        return gens[0]
+    return _build(params)
+
+
+def _build(points: Sequence[ModelParams]) -> tuple[np.ndarray, list[Exception | None]]:
+    rates = np.array(
+        [[TWO_PI * getattr(point, name) for _, name in _FIXED_CHANNELS] for point in points]
+    ).reshape(-1, len(_FIXED_CHANNELS))
+    errors = [next(filter(None, map(_rate_error, row)), None) for row in rates.tolist()]
+    rates[[error is not None for error in errors]] = 0.0
+
+    # The phonon terms are summed on their own, from 0, and added last: the
+    # last bits of every output depend on this order.  They are summed
+    # first, so that at most three stack-sized arrays are alive at a time.
+    # Points without phonons get no term, as alone, so they never meet the
+    # phonon channels' errors (a non-positive laser detuning, coinciding
+    # dressed frequencies).
+    phonon = [
+        k
+        for k, point in enumerate(points)
+        if errors[k] is None and (point.phonon_alpha1 > 0.0 or point.phonon_alpha2 > 0.0)
+    ]
+    total = 0
+    if phonon:
+        ops, phonon_rates, phonon_errors = _phonon_terms([points[k] for k in phonon])
+        for k, error in zip(phonon, phonon_errors):
+            errors[k] = error
+        ok = [j for j, error in enumerate(phonon_errors) if error is None]
+        phonon = [phonon[j] for j in ok]
+        for j in range(ops.shape[1] if ok else 0):
+            total += lindblad_dissipator(CollapseChannel(ops[ok, j], phonon_rates[ok, j]))
+
+    gens = hamiltonian_superoperator(model.build_hamiltonian(points))
+    for j, (op, _) in enumerate(_FIXED_CHANNELS):
+        gens += lindblad_dissipator(CollapseChannel(op, rates[:, j]))
+    if phonon:
+        gens[phonon] += total
+    return gens, errors
+
+
+#: Kernel test of steady_state: the second-smallest singular value must
+#: exceed this fraction of the largest.
+KERNEL_RTOL = 1e-10
+
+
+def steady_state(gen: np.ndarray) -> np.ndarray | tuple[np.ndarray, list[Exception | None]]:
     """Unique trace-one null vector of the generator.
 
     Raises NonUniqueSteadyState when the second-smallest singular value is
-    below rtol times the largest, i.e. when the kernel is degenerate at
-    working precision.
+    below KERNEL_RTOL times the largest, i.e. when the kernel is degenerate
+    at working precision.  Given a (K, n, n) stack of generators, makes one
+    stacked SVD and returns the (K, m, m) states with each generator's
+    error (None where it solved).
     """
     gen = np.asarray(gen, dtype=complex)
-    _, svals, vh = np.linalg.svd(gen)
-    if svals[-2] < rtol * svals[0]:
-        raise NonUniqueSteadyState(
-            f"singular values {svals[-2]:.3e}, {svals[-1]:.3e} both vanish "
-            f"against {svals[0]:.3e}"
-        )
-    rho = unvec(vh[-1].conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = np.trace(rho).real
-    if abs(trace) < 1e-14:
-        raise NonUniqueSteadyState("null vector is traceless, no physical state")
-    return rho / trace
+    if gen.ndim == 2:
+        rhos, errors = _steady_states(gen[None])
+        stack.unwrap(errors[0])
+        return rhos[0]
+    return _steady_states(gen)
+
+
+def _steady_states(gen: np.ndarray) -> tuple[np.ndarray, list[Exception | None]]:
+    count, size = gen.shape[0], gen.shape[-1]
+    dim = math.isqrt(size)
+    if dim * dim != size:
+        raise DomainError(f"vector of length {size} is not a stacked square matrix")
+    (_, svals, vh), errors = stack.linalg(np.linalg.svd, gen)
+    # unvec of each row, a column-stacked square matrix.
+    rho = np.swapaxes(vh[:, -1].conj().reshape(count, dim, dim), -1, -2)
+    rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+    traces = np.trace(rho, axis1=-2, axis2=-1).real
+    for k in range(count):
+        if errors[k] is not None:
+            continue
+        if svals[k, -2] < KERNEL_RTOL * svals[k, 0]:
+            errors[k] = NonUniqueSteadyState(
+                f"singular values {svals[k, -2]:.3e}, {svals[k, -1]:.3e} both vanish "
+                f"against {svals[k, 0]:.3e}"
+            )
+        elif abs(traces[k]) < 1e-14:
+            errors[k] = NonUniqueSteadyState("null vector is traceless, no physical state")
+    ok = [error is None for error in errors]
+    rhos = np.zeros((count, dim, dim), dtype=complex)
+    rhos[ok] = rho[ok] / traces[ok, None, None]
+    return rhos, errors
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

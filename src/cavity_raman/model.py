@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
+from . import stack
 from .errors import DegenerateSpectrum, DomainError
 
 # Fixed ordering of the truncated basis, shared by every module.
@@ -128,16 +130,19 @@ def n_thermal(delta: float, kT: float) -> float:
         return 0.0
 
 
-def build_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Rotating-frame Hamiltonian on the truncated basis, entries in GHz."""
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[E_0, E_0] = params.delta_laser
-    h[G2_1, G2_1] = params.delta_laser - params.delta_cavity
-    h[E_0, G1_0] = params.omega_drive / 2.0
-    h[G1_0, E_0] = params.omega_drive / 2.0
-    h[E_0, G2_1] = params.g
-    h[G2_1, E_0] = params.g
-    return h
+def build_hamiltonian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
+    """Rotating-frame Hamiltonian on the truncated basis, entries in GHz:
+    shape (4, 4) for one operating point, (K, 4, 4) for a sequence of K."""
+    points = [params] if isinstance(params, ModelParams) else params
+    entries = np.array(
+        [(p.delta_laser, p.delta_laser - p.delta_cavity, p.omega_drive / 2.0, p.g) for p in points]
+    ).reshape(-1, 4)
+    h = np.zeros((len(points), DIM, DIM), dtype=complex)
+    h[:, E_0, E_0] = entries[:, 0]
+    h[:, G2_1, G2_1] = entries[:, 1]
+    h[:, E_0, G1_0] = h[:, G1_0, E_0] = entries[:, 2]
+    h[:, E_0, G2_1] = h[:, G2_1, E_0] = entries[:, 3]
+    return h[0] if isinstance(params, ModelParams) else h
 
 
 @dataclass(frozen=True)
@@ -157,47 +162,63 @@ class DressedStates:
     omega_dark: float
 
 
-def _embed(block_vec: np.ndarray) -> np.ndarray:
-    full = np.zeros(DIM, dtype=complex)
-    for component, index in zip(block_vec, COHERENT_BLOCK):
-        full[index] = component
-    return full
-
-
-def dressed_states(params: ModelParams) -> DressedStates:
+def dressed_states(
+    params: ModelParams | Sequence[ModelParams],
+) -> DressedStates | list[DressedStates | Exception]:
     """Diagonalize the driven three-state block numerically.
 
     Valid at any coupling; raises DegenerateSpectrum when two dressed
-    frequencies coincide.
+    frequencies coincide.  Given a sequence, diagonalizes every block in
+    one stacked ``eigh`` and returns each point's states, or the exception
+    it raises alone.
     """
-    if params.delta_laser == 0.0:
-        raise DomainError("dressed states are undefined at zero laser detuning")
-    h = build_hamiltonian(params)
-    block = h[np.ix_(COHERENT_BLOCK, COHERENT_BLOCK)].real
-    vals, vecs = np.linalg.eigh(block)
-    gaps = np.diff(np.sort(vals))
-    if np.any(gaps < 1e-9):
-        raise DegenerateSpectrum(
-            f"dressed frequencies separated by less than 1e-9 GHz: {vals}"
-        )
+    if isinstance(params, ModelParams):
+        return stack.unwrap(_dressed([params])[0])
+    return _dressed(params)
+
+
+def _dressed(points: Sequence[ModelParams]) -> list[DressedStates | Exception]:
+    outcomes: list[DressedStates | Exception | None] = [
+        DomainError("dressed states are undefined at zero laser detuning")
+        if point.delta_laser == 0.0
+        else None
+        for point in points
+    ]
+    live = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    if not live:
+        return outcomes
+    block = np.array(COHERENT_BLOCK)
+    h = build_hamiltonian([points[k] for k in live])
+    (vals, vecs), errors = stack.linalg(np.linalg.eigh, h[:, block[:, None], block].real)
 
     # Branch labels follow excited-state weight; the block index of |e,0>
-    # within COHERENT_BLOCK is 2.
-    weight = np.abs(vecs[2, :]) ** 2
-    order = np.argsort(weight)
-    i_dark, i_minus, i_plus = order
+    # within COHERENT_BLOCK is 2.  Columns in label order dark, minus, plus.
+    order = np.argsort(np.abs(vecs[:, 2, :]) ** 2, axis=-1)
+    columns = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    # Canonical sign: the largest component of each column is positive.
+    anchor = np.argmax(np.abs(columns), axis=1)
+    flip = np.take_along_axis(columns, anchor[:, None, :], axis=1)[:, 0, :] < 0.0
+    columns = np.where(flip[:, None, :], -columns, columns)
+    full = np.zeros((len(live), 3, DIM), dtype=complex)
+    full[:, :, block] = columns.transpose(0, 2, 1)
+    omegas = np.take_along_axis(vals, order, axis=1)
+    degenerate = np.any(np.diff(np.sort(vals, axis=1), axis=1) < 1e-9, axis=1)
 
-    def canonical(column: np.ndarray) -> np.ndarray:
-        anchor = np.argmax(np.abs(column))
-        if column[anchor].real < 0.0:
-            column = -column
-        return _embed(column)
-
-    return DressedStates(
-        plus=canonical(vecs[:, i_plus]),
-        minus=canonical(vecs[:, i_minus]),
-        dark=canonical(vecs[:, i_dark]),
-        omega_plus=float(vals[i_plus]),
-        omega_minus=float(vals[i_minus]),
-        omega_dark=float(vals[i_dark]),
-    )
+    for j, k in enumerate(live):
+        if errors[j] is not None:
+            outcomes[k] = errors[j]
+            continue
+        if degenerate[j]:
+            outcomes[k] = DegenerateSpectrum(
+                f"dressed frequencies separated by less than 1e-9 GHz: {vals[j]}"
+            )
+            continue
+        outcomes[k] = DressedStates(
+            plus=full[j, 2],
+            minus=full[j, 1],
+            dark=full[j, 0],
+            omega_plus=float(omegas[j, 2]),
+            omega_minus=float(omegas[j, 1]),
+            omega_dark=float(omegas[j, 0]),
+        )
+    return outcomes

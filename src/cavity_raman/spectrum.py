@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import liouvillian as lv
+from . import stack
 from .errors import DegenerateSpectrum, DomainError, FrameError, UnstableLiouvillian
 from .model import ModelParams
 
@@ -73,7 +75,12 @@ class Spectrum:
         object.__setattr__(self, "intensity", intensity)
 
 
-def correlation_modes(params: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
+Modes = tuple[np.ndarray, np.ndarray, float]
+
+
+def correlation_modes(
+    params: ModelParams | Sequence[ModelParams],
+) -> Modes | list[Modes | Exception]:
     """Eigenvalues and spectral residues of the field correlation function.
 
     Returns ``(lambdas, residues, photon_number)`` where
@@ -83,43 +90,102 @@ def correlation_modes(params: ModelParams) -> tuple[np.ndarray, np.ndarray, floa
     below relies on.  The stationary mode is forced to a zero residue; a
     genuinely nondecaying correlation component raises UnstableLiouvillian,
     as does any relaxing eigenvalue with a nonnegative real part.
+
+    Given a sequence, solves it in stacks of up to ``stack.POINTS``
+    points, each one build, SVD, ``eig`` and ``solve``, and returns each
+    point's modes, or the exception it raises alone.
     """
-    gen = lv.build_liouvillian(params)
-    return generator_modes(gen, lv.steady_state(gen))
+    if isinstance(params, ModelParams):
+        return stack.unwrap(_modes([params])[0])
+    points = list(params)
+    return [
+        outcome
+        for start in range(0, len(points), stack.POINTS)
+        for outcome in _modes(points[start : start + stack.POINTS])
+    ]
+
+
+def _modes(points: Sequence[ModelParams]) -> list[Modes | Exception]:
+    """correlation_modes of one stack of points.  Each point meets its
+    errors in the order build, steady state, modes, as it does alone."""
+    outcomes: list = [None] * len(points)
+    alive = np.arange(len(points))
+
+    def survivors(errors: list[Exception | None]) -> np.ndarray:
+        for k, error in zip(alive, errors):
+            if error is not None:
+                outcomes[k] = error
+        return np.array([error is None for error in errors], dtype=bool)
+
+    gens, errors = lv.build_liouvillian(points)
+    ok = survivors(errors)
+    alive, gens = alive[ok], gens[ok]
+    if alive.size:
+        rhos, errors = lv.steady_state(gens)
+        ok = survivors(errors)
+        alive, gens, rhos = alive[ok], gens[ok], rhos[ok]
+    if alive.size:
+        lambdas, residues, photons, errors = generator_modes(gens, rhos)
+        for j, k in enumerate(alive):
+            outcomes[k] = errors[j] or (lambdas[j], residues[j], float(photons[j]))
+    return outcomes
 
 
 def generator_modes(
     gen: np.ndarray, rho_ss: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> Modes | tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
     """:func:`correlation_modes` of a built generator ``gen`` and its steady
-    state ``rho_ss``, for a caller that already holds both."""
-    a_op = lv.cavity_annihilation()
+    state ``rho_ss``, for a caller that already holds both.
 
-    lambdas, rvecs = np.linalg.eig(gen)
-    stationary = int(np.argmin(np.abs(lambdas)))
-    relaxing = np.delete(np.arange(lambdas.size), stationary)
-    worst = np.max(lambdas[relaxing].real)
-    if worst >= STABILITY_TOL:
-        raise UnstableLiouvillian(
-            f"relaxing eigenvalue with real part {worst:.3e} 1/ns >= {STABILITY_TOL:.0e}"
-        )
+    Given stacks, (K, 16, 16) generators and (K, 4, 4) states, makes one
+    stacked ``eig`` and ``solve`` and returns ``(lambdas, residues,
+    photon_numbers, errors)``, each point's error None where it solved.
+    """
+    if np.ndim(gen) == 2:
+        lambdas, residues, photons, errors = _stacked_modes(gen[None], rho_ss[None])
+        stack.unwrap(errors[0])
+        return lambdas[0], residues[0], float(photons[0])
+    return _stacked_modes(gen, rho_ss)
+
+
+def _stacked_modes(
+    gen: np.ndarray, rho_ss: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
+    a_op = lv.cavity_annihilation()
+    rows = np.arange(len(gen))
+    (lambdas, rvecs), errors = stack.linalg(np.linalg.eig, gen)
+    stationary = np.argmin(np.abs(lambdas), axis=1)
+    relaxing = lambdas.real.copy()
+    relaxing[rows, stationary] = -np.inf
+    worst = np.max(relaxing, axis=1)
 
     # residue_j = (vec(a)^H r_j) (l_j^H vec(a rho_ss)); solving against the
     # eigenvector matrix instead of inverting keeps sum(residues) equal to
     # Tr[a^dag a rho_ss] to machine precision.
-    weights = np.linalg.solve(rvecs, lv.vec(a_op @ rho_ss))
-    probe = lv.vec(a_op).conj() @ rvecs
-    residues = probe * weights
+    targets = np.swapaxes(a_op @ rho_ss, -1, -2).reshape(len(gen), -1, 1)
+    (weights,), solve_errors = stack.linalg(np.linalg.solve, rvecs, targets)
+    residues = (lv.vec(a_op).conj() @ rvecs) * weights[:, :, 0]
+    photons = np.real(np.trace(a_op.conj().T @ a_op @ rho_ss, axis1=-2, axis2=-1))
+    scale = np.maximum(np.sum(np.abs(residues), axis=1), 1e-300)
+    nondecaying = np.abs(residues[rows, stationary])
 
-    photon_number = float(np.real(np.trace(a_op.conj().T @ a_op @ rho_ss)))
-    scale = max(float(np.sum(np.abs(residues))), 1e-300)
-    if abs(residues[stationary]) > 1e-8 * scale:
-        raise UnstableLiouvillian(
-            "correlation function has a nondecaying component "
-            f"of relative weight {abs(residues[stationary]) / scale:.3e}"
-        )
-    residues[stationary] = 0.0
-    return lambdas, residues, photon_number
+    # Each point's first error, in the order eig, stability, solve, residues.
+    for k in rows:
+        if errors[k] is not None:
+            continue
+        if worst[k] >= STABILITY_TOL:
+            errors[k] = UnstableLiouvillian(
+                f"relaxing eigenvalue with real part {worst[k]:.3e} 1/ns >= {STABILITY_TOL:.0e}"
+            )
+        elif solve_errors[k] is not None:
+            errors[k] = solve_errors[k]
+        elif nondecaying[k] > 1e-8 * scale[k]:
+            errors[k] = UnstableLiouvillian(
+                "correlation function has a nondecaying component "
+                f"of relative weight {nondecaying[k] / scale[k]:.3e}"
+            )
+    residues[rows, stationary] = 0.0
+    return lambdas, residues, photons, errors
 
 
 def mixture_intensity(
@@ -223,7 +289,9 @@ class LineClassification:
     photon_number: float
 
 
-def classify_lines(params: ModelParams) -> LineClassification:
+def classify_lines(
+    params: ModelParams | Sequence[ModelParams],
+) -> LineClassification | list[LineClassification | Exception]:
     """Label the emission lines by physical role.
 
     Lines wider than half the cavity linewidth are cavity-like background
@@ -232,24 +300,38 @@ def classify_lines(params: ModelParams) -> LineClassification:
     spontaneous line nearest the laser detuning.  Raises DegenerateSpectrum
     when the cavity emits nothing (steady photon number below
     ``EMISSION_FLOOR``) or when the two roles land on one line.
+
+    Given a sequence, solves it as :func:`correlation_modes` does and
+    returns each point's classification, or the exception it raises alone.
     """
-    lambdas, residues, photon_number = correlation_modes(params)
+    if isinstance(params, ModelParams):
+        return stack.unwrap(_classified(params, correlation_modes(params)))
+    points = list(params)
+    return [
+        _classified(point, modes) if not isinstance(modes, Exception) else modes
+        for point, modes in zip(points, correlation_modes(points))
+    ]
+
+
+def _classified(params: ModelParams, modes: Modes) -> LineClassification | DegenerateSpectrum:
+    """The lines of one point's correlation modes, or why they have no roles."""
+    lambdas, residues, photon_number = modes
     if photon_number < EMISSION_FLOOR:
-        raise DegenerateSpectrum(
+        return DegenerateSpectrum(
             f"steady photon number {photon_number:.3e} is below {EMISSION_FLOOR:.0e}; "
             "the cavity emits no lines"
         )
     centers, fwhms, areas = _lines(lambdas, residues, params.kappa)
     narrow = fwhms < params.kappa / 2.0
     if np.count_nonzero(narrow) < 2:
-        raise DegenerateSpectrum(
+        return DegenerateSpectrum(
             f"expected two sub-cavity-width lines, found {np.count_nonzero(narrow)}"
         )
     candidates = np.flatnonzero(narrow)
     raman_idx = candidates[np.argmin(np.abs(centers[candidates]))]
     spont_idx = candidates[np.argmin(np.abs(centers[candidates] - params.delta_laser))]
     if raman_idx == spont_idx:
-        raise DegenerateSpectrum(
+        return DegenerateSpectrum(
             "Raman and spontaneous roles collapse onto one line at "
             f"center {centers[raman_idx]:.3f} GHz"
         )

@@ -3,10 +3,12 @@ superoperators, finite-horizon transforms for the time-domain spectrum
 check, and short-horizon RK45 references for the exactly propagated
 oracles.
 """
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from cavity_raman import ModelParams
+from cavity_raman import ModelParams, n_thermal
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,6 +56,68 @@ def kron_hamiltonian_superoperator(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     eye = np.eye(h.shape[0], dtype=complex)
     return -1j * TWO_PI * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def kron_liouvillian(params) -> np.ndarray:
+    """The four-state generator of one operating point, built as
+    ``liouvillian.build_liouvillian`` builds it, in the same products and
+    the same order of sums, but alone and with ``np.kron``: its own
+    Hamiltonian, a 2-D ``eigh`` for the dressed states and per-channel
+    dissipators.  Only ``model.n_thermal`` is shared."""
+    g1_0, g2_0, g2_1, e_0 = range(4)
+    h = np.zeros((4, 4), dtype=complex)
+    h[e_0, e_0] = params.delta_laser
+    h[g2_1, g2_1] = params.delta_laser - params.delta_cavity
+    h[e_0, g1_0] = h[g1_0, e_0] = params.omega_drive / 2.0
+    h[e_0, g2_1] = h[g2_1, e_0] = params.g
+    gen = kron_hamiltonian_superoperator(h)
+    for upper, lower, rate in (
+        (g2_1, g2_0, params.kappa),
+        (e_0, g1_0, params.gamma1),
+        (e_0, g2_0, params.gamma2),
+        (g2_0, g1_0, params.gamma_flip),
+    ):
+        op = np.zeros((4, 4), dtype=complex)
+        op[lower, upper] = 1.0
+        gen += kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=TWO_PI * rate))
+    if params.phonon_alpha1 == 0.0 and params.phonon_alpha2 == 0.0:
+        return gen
+
+    block = (g1_0, g2_1, e_0)
+    vals, vecs = np.linalg.eigh(h[np.ix_(block, block)].real)
+    assert np.min(np.diff(vals)) >= 1e-9
+
+    def embedded(column):
+        if column[np.argmax(np.abs(column))] < 0.0:
+            column = -column
+        full = np.zeros(4, dtype=complex)
+        full[list(block)] = column
+        return full
+
+    # Ordered by |e,0> weight: dark, minus, plus.
+    dark, minus, plus = (embedded(vecs[:, i]) for i in np.argsort(np.abs(vecs[2]) ** 2))
+    split = params.delta_laser
+    occupation = 0.0 if params.kT == 0.0 else n_thermal(split, params.kT)
+    prefactor = (params.g**2 + (params.omega_drive / 2.0) ** 2) / params.delta_laser**2
+    total = 0
+    for alpha, lower_state in ((params.phonon_alpha1, minus), (params.phonon_alpha2, dark)):
+        rate = TWO_PI * prefactor * (alpha * split**params.phonon_n)
+        for op, channel_rate in (
+            (np.outer(plus, lower_state.conj()), rate * occupation),
+            (np.outer(lower_state, plus.conj()), rate * (1.0 + occupation)),
+        ):
+            total = total + kron_lindblad_dissipator(
+                SimpleNamespace(operator=op, rate=channel_rate)
+            )
+    gen += total
+    return gen
+
+
+def same_bits(a, b) -> bool:
+    """True when two arrays hold the same dtype, shape and bytes: unlike
+    ``np.array_equal``, a -0.0 does not match a +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def windowed_transform(taus, series, nu, kappa):

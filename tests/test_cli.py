@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,11 +266,13 @@ def test_zero_emission_sweep_exits_3(capsys):
 
 
 def test_each_operating_point_is_solved_once(capsys, monkeypatch, paper_params):
+    """Every point is built once, in grid order, counting the points of
+    each stacked build."""
     built = []
     build = lv.build_liouvillian
 
     def counting_build(params):
-        built.append(params)
+        built.extend([params] if isinstance(params, ModelParams) else params)
         return build(params)
 
     monkeypatch.setattr(lv, "build_liouvillian", counting_build)
@@ -439,6 +442,19 @@ def test_fit_phonon_overflowing_density_exits_2(capsys, tmp_path, ratio):
     code, _, err = run_cli(capsys, ["fit", "phonon-n", str(path)])
     assert code == 2
     assert "trial phonon density inf" in err
+
+
+def test_fit_phonon_error_bars_without_finite_weight_exit_2(capsys, tmp_path):
+    """Ratio errors whose inverse overflows a float cannot weight the refit:
+    exit 2 before any solve, with no numeric warning."""
+    path = tmp_path / "ratios.csv"
+    path.write_text("15,0.04,1e-320\n55,0.1,1e-320\n95,0.2,1e-320\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["fit", "phonon-n", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: ratio error 1e-320 is too small to weight: its inverse overflows\n"
 
 
 @pytest.mark.parametrize(

@@ -175,7 +175,8 @@ def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
     compared = 0
     for params, outcome in zip(points, predict_rs(points)):
         try:
-            windows, values, guesses = fit_mod._line_windows(params)
+            lines = fit_mod.spectrum_mod.classify_lines(params)
+            windows, values, guesses = fit_mod._line_windows(params, lines)
             alone = [
                 fit_lorentzian(axis, value, n_peaks=1, init=(guess,))
                 for axis, value, guess in zip(windows, values, guesses)

@@ -10,6 +10,7 @@ from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
 from cavity_raman import (
     CollapseChannel,
+    DomainError,
     ModelParams,
     NonUniqueSteadyState,
     build_liouvillian,
@@ -58,37 +59,57 @@ def test_dissipator_trace_preserving_on_random_channels():
 
 @pytest.mark.parametrize("dim", [4, 12])
 def test_superoperators_match_kron_reference_bitwise(dim):
+    """Each superoperator equals its np.kron form bit for bit, alone and as
+    one slice of a stack of 20."""
     rng = np.random.default_rng(17 + dim)
+    channels = []
     for _ in range(20):
         op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         channel = CollapseChannel(op, rng.uniform(0.1, 10.0))
-        assert np.array_equal(
+        channels.append(channel)
+        assert helpers.same_bits(
             lindblad_dissipator(channel), helpers.kron_lindblad_dissipator(channel)
         )
-        assert np.array_equal(
+        assert helpers.same_bits(
             lv.hamiltonian_superoperator(op), helpers.kron_hamiltonian_superoperator(op)
         )
+    ops = np.array([channel.operator for channel in channels])
+    stacked = CollapseChannel(ops, np.array([channel.rate for channel in channels]))
+    for dis, ham, channel in zip(
+        lindblad_dissipator(stacked), lv.hamiltonian_superoperator(ops), channels
+    ):
+        assert helpers.same_bits(dis, helpers.kron_lindblad_dissipator(channel))
+        assert helpers.same_bits(ham, helpers.kron_hamiltonian_superoperator(channel.operator))
+
+
+def test_collapse_channel_refuses_bad_rates():
+    """A negative or non-finite rate is refused, in a stack by the first one."""
+    for rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"nonnegative, got {rate}$"):
+            CollapseChannel(np.eye(4), rate)
+    with pytest.raises(DomainError, match="got -2.5$"):
+        CollapseChannel(np.stack([np.eye(4)] * 3), np.array([1.0, -2.5, -3.0]))
 
 
 def test_generators_match_kron_reference_bitwise(monkeypatch, paper_params):
+    """One stacked build of 100 operating points, half of them without
+    phonons, gives each point bit for bit the generator of a per-point
+    np.kron build that shares none of its code; the ladder oracle's
+    generator matches its np.kron build."""
     rng = np.random.default_rng(23)
     drawn = [helpers.random_valid_params(rng) for _ in range(50)]
     cases = drawn + [replace(p, phonon_alpha1=0.0, phonon_alpha2=0.0) for p in drawn]
+    gens, errors = build_liouvillian(cases)
+    assert errors == [None] * 100
+    for gen, params in zip(gens, cases):
+        assert helpers.same_bits(gen, helpers.kron_liouvillian(params))
 
-    def generators():
-        return [build_liouvillian(p) for p in cases] + [
-            oracle.ladder_liouvillian(paper_params, 3)[0]
-        ]
-
-    fast = generators()
+    fast = oracle.ladder_liouvillian(paper_params, 3)[0]
     monkeypatch.setattr(lv, "lindblad_dissipator", helpers.kron_lindblad_dissipator)
     monkeypatch.setattr(
         lv, "hamiltonian_superoperator", helpers.kron_hamiltonian_superoperator
     )
-    reference = generators()
-    assert len(fast) == len(reference) == 101
-    for gen, ref in zip(fast, reference):
-        assert np.array_equal(gen, ref)
+    assert helpers.same_bits(fast, oracle.ladder_liouvillian(paper_params, 3)[0])
 
 
 def test_generator_trace_preserving_on_random_params():

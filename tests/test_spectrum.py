@@ -5,14 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helpers
 from cavity_raman import (
     DegenerateSpectrum,
     DomainError,
     FilterWindow,
     FrameError,
     ModelParams,
+    NonUniqueSteadyState,
     Spectrum,
     apply_filter,
+    build_hamiltonian,
     build_liouvillian,
     classify_lines,
     correlation_modes,
@@ -24,6 +27,7 @@ from cavity_raman import (
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
 from cavity_raman import spectrum as spectrum_mod
+from cavity_raman.model import COHERENT_BLOCK
 from cavity_raman.spectrum import mixture_intensity
 from reference_values import PHOTON_NUMBER_REF
 
@@ -267,3 +271,110 @@ def test_spectrum_validation():
     # Tiny negative rounding noise is tolerated.
     ok = Spectrum(freqs=freqs, intensity=np.array([0.0, -1e-13, 0.1]), frame="lab")
     assert ok.frame == "lab"
+
+
+def _same_classification(a, b):
+    """Bitwise equality of two LineClassification results."""
+    return (
+        helpers.same_bits(np.array([a.raman, a.spontaneous]), np.array([b.raman, b.spontaneous]))
+        and helpers.same_bits(
+            np.array(a.background).reshape(-1, 3), np.array(b.background).reshape(-1, 3)
+        )
+        and helpers.same_bits(a.lambdas, b.lambdas)
+        and helpers.same_bits(a.residues, b.residues)
+        and helpers.same_bits(np.float64(a.photon_number), np.float64(b.photon_number))
+    )
+
+
+def _assert_each_as_alone(points, outcomes):
+    """Each stacked outcome is the classification, or the exception type and
+    message, that its point gets from a call of its own."""
+    assert len(outcomes) == len(points)
+    for params, outcome in zip(points, outcomes):
+        try:
+            alone = classify_lines(params)
+        except Exception as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            continue
+        assert _same_classification(outcome, alone)
+
+
+def test_stacked_classification_matches_each_point_alone(paper_params):
+    """One classify_lines call over 60 points, two stacks, gives every point
+    its own call's lambdas, residues and lines bit for bit, with phonon-off
+    and kT = 0 points among them.  Points that fail at the build, the
+    steady state or the classification fail in the stack with the same
+    exception and message, and leave their neighbours as they are alone."""
+    rng = np.random.default_rng(31)
+    drawn = [helpers.random_valid_params(rng) for _ in range(60)]
+    points = (
+        drawn[:20]
+        + [replace(p, phonon_alpha1=0.0, phonon_alpha2=0.0) for p in drawn[20:30]]
+        + [replace(p, kT=0.0) for p in drawn[30:40]]
+        + drawn[40:]
+    )
+    no_phonons = {"phonon_alpha1": 0.0, "phonon_alpha2": 0.0}
+    closed = {"kappa": 0.0, "gamma1": 0.0, "gamma2": 0.0, "gamma_flip": 0.0}
+    failing = {
+        7: (replace(points[7], g=0.0, **no_phonons), DegenerateSpectrum, "photon number"),
+        23: (
+            replace(paper_params, delta_laser=0.0, delta_cavity=0.0, **no_phonons),
+            DegenerateSpectrum,
+            "collapse onto one line",
+        ),
+        35: (replace(points[35], delta_laser=-5.0), DomainError, "positive laser detuning"),
+        52: (
+            replace(paper_params, **closed, **no_phonons),
+            NonUniqueSteadyState,
+            "both vanish",
+        ),
+    }
+    for k, (params, _, _) in failing.items():
+        points[k] = params
+
+    outcomes = classify_lines(points)
+    for k, (_, error, message) in failing.items():
+        assert isinstance(outcomes[k], error) and message in str(outcomes[k])
+    assert sum(isinstance(o, Exception) for o in outcomes) == len(failing)
+    _assert_each_as_alone(points, outcomes)
+
+    modes = correlation_modes(points)
+    for outcome, mode in zip(outcomes, modes):
+        if not isinstance(outcome, Exception):
+            lambdas, residues, photons = mode
+            assert helpers.same_bits(lambdas, outcome.lambdas)
+            assert helpers.same_bits(residues, outcome.residues)
+            assert helpers.same_bits(np.float64(photons), np.float64(outcome.photon_number))
+
+
+@pytest.mark.parametrize("routine", ["eigh", "svd", "eig", "solve"])
+def test_stacked_lapack_failure_retries_each_point(monkeypatch, routine):
+    """When a stacked LAPACK call raises LinAlgError, its stack is solved one
+    point at a time: only the point that fails alone fails, with the same
+    error, and every other point gets its own call's result."""
+    rng = np.random.default_rng(37)
+    points = [helpers.random_valid_params(rng) for _ in range(12)]
+    bad = points[5]
+    gen = build_liouvillian(bad)
+    poison = {
+        "eigh": build_hamiltonian(bad)[np.ix_(COHERENT_BLOCK, COHERENT_BLOCK)].real,
+        "svd": gen,
+        "eig": gen,
+        "solve": np.linalg.eig(gen)[1],
+    }[routine]
+    lapack = getattr(np.linalg, routine)
+    calls = []
+
+    def failing(a, *args):
+        a = np.asarray(a)
+        calls.append(a.ndim)
+        if any(helpers.same_bits(m, poison) for m in a.reshape((-1,) + a.shape[-2:])):
+            raise np.linalg.LinAlgError(f"{routine} refused")
+        return lapack(a, *args)
+
+    monkeypatch.setattr(np.linalg, routine, failing)
+    outcomes = classify_lines(points)
+    assert calls.count(3) >= 1 and calls.count(2) >= len(points)
+    assert isinstance(outcomes[5], np.linalg.LinAlgError)
+    assert str(outcomes[5]) == f"{routine} refused"
+    _assert_each_as_alone(points, outcomes)
