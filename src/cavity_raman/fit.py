@@ -301,7 +301,13 @@ def _weights(errors: np.ndarray | None, size: int) -> np.ndarray:
         raise DomainError("errors must match the data length")
     if not np.all(np.isfinite(errors) & (errors > 0.0)):
         raise DomainError("error bars must be positive and finite")
-    return 1.0 / errors
+    with np.errstate(over="ignore"):  # checked below
+        weights = 1.0 / errors
+    if not np.all(np.isfinite(weights)):
+        raise DomainError(
+            f"error bar {float(np.min(errors))!r} is too small to weight: its inverse overflows"
+        )
+    return weights
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,18 @@ def _phonon_terms(
             continue
         try:
             rates[k] = _phonon_rates(points[k])
-        except (ArithmeticError, DomainError) as exc:
+        except DomainError as exc:
             errors[k] = exc
+            continue
+        except ArithmeticError:
+            point = points[k]
+            errors[k] = DomainError(
+                "phonon rates overflow a float at "
+                f"g = {point.g:.6g}, omega_drive = {point.omega_drive:.6g}, "
+                f"delta_laser = {point.delta_laser:.6g}, "
+                f"phonon_alpha1 = {point.phonon_alpha1:.6g}, "
+                f"phonon_alpha2 = {point.phonon_alpha2:.6g}, phonon_n = {point.phonon_n:.6g}"
+            )
             continue
         solved.append(states)
     if solved:
@@ -180,8 +190,9 @@ def _phonon_terms(
 
 def _phonon_rates(params: ModelParams) -> list[float]:
     """Rates of the four phonon channels of one point, each checked as
-    CollapseChannel checks it, in order.  A power that overflows raises
-    OverflowError, as it does in the channels of the point alone."""
+    CollapseChannel checks it, in order.  A power or quotient that
+    overflows raises OverflowError or ZeroDivisionError, which
+    :func:`_phonon_terms` turns into the point's DomainError."""
     split = params.delta_laser
     occupation = 0.0 if params.kT == 0.0 else model.n_thermal(split, params.kT)
 
@@ -225,6 +236,9 @@ def build_liouvillian(
     return _build(params)
 
 
+# Rates that are finite alone can overflow in their sum; such a generator
+# is refused at the end, before any LAPACK routine sees it.
+@np.errstate(over="ignore", invalid="ignore")
 def _build(points: Sequence[ModelParams]) -> tuple[np.ndarray, list[Exception | None]]:
     rates = np.array(
         [[TWO_PI * getattr(point, name) for _, name in _FIXED_CHANNELS] for point in points]
@@ -258,6 +272,9 @@ def _build(points: Sequence[ModelParams]) -> tuple[np.ndarray, list[Exception | 
         gens += lindblad_dissipator(CollapseChannel(op, rates[:, j]))
     if phonon:
         gens[phonon] += total
+    for k in np.flatnonzero(~np.isfinite(gens).all(axis=(1, 2))).tolist():
+        if errors[k] is None:
+            errors[k] = DomainError("generator has a non-finite entry: its rates overflow a float")
     return gens, errors
 
 

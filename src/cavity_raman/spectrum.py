@@ -1,9 +1,10 @@
 """Steady-state cavity emission spectra via the quantum regression theorem.
 
 The field correlation <a^dag(tau) a(0)> evolves under the same generator as
-the density matrix, so its Laplace transform is a finite sum of complex
-Lorentzians, one per Liouvillian eigenvalue.  Everything here works with
-that exact mode decomposition; no time grid is involved.
+the density matrix, so its Laplace transform is a sum of three complex
+Lorentzians, one per eigenvalue of the generator's 3 x 3 block that holds
+a rho_ss.  Everything here works with that exact mode decomposition; no
+time grid is involved.
 """
 from __future__ import annotations
 
@@ -16,16 +17,21 @@ import numpy as np
 from . import liouvillian as lv
 from . import stack
 from .errors import DegenerateSpectrum, DomainError, FrameError, UnstableLiouvillian
-from .model import ModelParams
+from .model import COHERENT_BLOCK, DIM, G2_0, G2_1, ModelParams
 
 TWO_PI = 2.0 * math.pi
 
-#: Largest acceptable real part of a nonstationary Liouvillian eigenvalue.
+#: Largest acceptable real part of a correlation mode's eigenvalue.
 STABILITY_TOL = 1e-10
 
 #: Grid points per block in mixture_intensity: its complex temporaries hold
-#: 65,536 x 16 modes, about 17 MB each, whatever the grid size.
+#: 65,536 x 3 modes, about 3 MB each, whatever the grid size.
 MIXTURE_BLOCK = 65536
+
+#: Vec indices of |g2,0><j|, j in COHERENT_BLOCK: the block of charge
+#: q = +1, where q = [i = g2,0] - [j = g2,0] of |i><j|.  No term of the
+#: generator changes q, and vec(a rho_ss) lies in this block.
+_CHARGE_BLOCK = np.array([G2_0 + DIM * j for j in COHERENT_BLOCK])
 
 
 @dataclass(frozen=True)
@@ -85,15 +91,16 @@ def correlation_modes(
 
     Returns ``(lambdas, residues, photon_number)`` where
     <a^dag(tau) a> = sum_j residues[j] * exp(lambdas[j] tau), lambdas in
-    1/ns.  The residues sum to the steady photon number by construction
-    (the final linear solve enforces it), which the spectrum normalization
-    below relies on.  The stationary mode is forced to a zero residue; a
-    genuinely nondecaying correlation component raises UnstableLiouvillian,
-    as does any relaxing eigenvalue with a nonnegative real part.
+    1/ns.  The three modes are those of the generator's q = +1 block
+    (``_CHARGE_BLOCK``); none is stationary.  The residues sum to the
+    steady photon number by construction (the final linear solve enforces
+    it), which the spectrum normalization below relies on.  An eigenvalue
+    with real part of at least ``STABILITY_TOL`` raises UnstableLiouvillian.
 
     Given a sequence, solves it in stacks of up to ``stack.POINTS``
-    points, each one build, SVD, ``eig`` and ``solve``, and returns each
-    point's modes, or the exception it raises alone.
+    points, each one 16 x 16 build and SVD and one 3 x 3 ``eig`` and
+    ``solve``, and returns each point's modes, or the exception it raises
+    alone.
     """
     if isinstance(params, ModelParams):
         return stack.unwrap(_modes([params])[0])
@@ -138,8 +145,9 @@ def generator_modes(
     state ``rho_ss``, for a caller that already holds both.
 
     Given stacks, (K, 16, 16) generators and (K, 4, 4) states, makes one
-    stacked ``eig`` and ``solve`` and returns ``(lambdas, residues,
-    photon_numbers, errors)``, each point's error None where it solved.
+    ``eig`` and one ``solve`` of the (K, 3, 3) q = +1 blocks and returns
+    ``(lambdas, residues, photon_numbers, errors)``, each of shape (K, 3)
+    or (K,), each point's error None where it solved.
     """
     if np.ndim(gen) == 2:
         lambdas, residues, photons, errors = _stacked_modes(gen[None], rho_ss[None])
@@ -151,26 +159,22 @@ def generator_modes(
 def _stacked_modes(
     gen: np.ndarray, rho_ss: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
-    a_op = lv.cavity_annihilation()
-    rows = np.arange(len(gen))
-    (lambdas, rvecs), errors = stack.linalg(np.linalg.eig, gen)
-    stationary = np.argmin(np.abs(lambdas), axis=1)
-    relaxing = lambdas.real.copy()
-    relaxing[rows, stationary] = -np.inf
-    worst = np.max(relaxing, axis=1)
+    block = gen[:, _CHARGE_BLOCK[:, None], _CHARGE_BLOCK]
+    (lambdas, rvecs), errors = stack.linalg(np.linalg.eig, block)
+    worst = np.max(lambdas.real, axis=1)
 
-    # residue_j = (vec(a)^H r_j) (l_j^H vec(a rho_ss)); solving against the
+    # residue_j = (vec(a)^H r_j) (l_j^H vec(a rho_ss)) in the block, where
+    # vec(a) is the unit vector of |g2,0><g2,1| and the |g2,0> row of
+    # a rho_ss is the |g2,1> row of rho_ss.  Solving against the
     # eigenvector matrix instead of inverting keeps sum(residues) equal to
     # Tr[a^dag a rho_ss] to machine precision.
-    targets = np.swapaxes(a_op @ rho_ss, -1, -2).reshape(len(gen), -1, 1)
+    targets = rho_ss[:, G2_1, COHERENT_BLOCK, None]
     (weights,), solve_errors = stack.linalg(np.linalg.solve, rvecs, targets)
-    residues = (lv.vec(a_op).conj() @ rvecs) * weights[:, :, 0]
-    photons = np.real(np.trace(a_op.conj().T @ a_op @ rho_ss, axis1=-2, axis2=-1))
-    scale = np.maximum(np.sum(np.abs(residues), axis=1), 1e-300)
-    nondecaying = np.abs(residues[rows, stationary])
+    residues = rvecs[:, COHERENT_BLOCK.index(G2_1)] * weights[:, :, 0]
+    photons = rho_ss[:, G2_1, G2_1].real
 
-    # Each point's first error, in the order eig, stability, solve, residues.
-    for k in rows:
+    # Each point's first error, in the order eig, stability, solve.
+    for k in range(len(gen)):
         if errors[k] is not None:
             continue
         if worst[k] >= STABILITY_TOL:
@@ -179,12 +183,6 @@ def _stacked_modes(
             )
         elif solve_errors[k] is not None:
             errors[k] = solve_errors[k]
-        elif nondecaying[k] > 1e-8 * scale[k]:
-            errors[k] = UnstableLiouvillian(
-                "correlation function has a nondecaying component "
-                f"of relative weight {nondecaying[k] / scale[k]:.3e}"
-            )
-    residues[rows, stationary] = 0.0
     return lambdas, residues, photons, errors
 
 

@@ -458,6 +458,40 @@ def test_fit_phonon_error_bars_without_finite_weight_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, rows, message",
+    [
+        (["sweep-detuning", "--sweep-count", "5", "--phonon-n", "300"], None,
+         "phonon rates overflow a float at g = 0.8, omega_drive = 2.58, delta_laser = 15,"),
+        (["sweep-detuning", "--sweep-count", "5", "--g", "1e200"], None,
+         "phonon rates overflow a float at g = 1e+200,"),
+        (["spectrum", "--delta-laser", "1e-200", "--delta-cavity", "1e-200",
+          "--grid-points", "16"], None, "delta_laser = 1e-200,"),
+        (["spectrum", "--kappa", "2e307", "--gamma1", "2e307", "--gamma2", "2e307",
+          "--grid-points", "16"], None, "generator has a non-finite entry"),
+        (["fit", "lorentzian1"], "".join(f"{x},{2 - abs(x)},1e-320\n" for x in range(-3, 3)),
+         "error bar 1e-320 is too small to weight: its inverse overflows"),
+        (["fit", "exponential"], "".join(f"{t},{0.5**t},1e-320\n" for t in range(6)),
+         "error bar 1e-320 is too small to weight: its inverse overflows"),
+    ],
+    ids=["phonon_n_power", "g_squared", "tiny_detuning", "generator_sum", "lorentzian_errors",
+         "exponential_errors"],
+)
+def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
+    """Inputs that overflow a float on the way to a solve or a fit weight are
+    refused at exit 2 with no traceback and no numeric warning."""
+    if rows is not None:
+        path = tmp_path / "data.csv"
+        path.write_text(rows)
+        argv = argv + [str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep-detuning", "--kT", "1", "--sweep-start", "100", "--sweep-stop", "800",

@@ -112,6 +112,21 @@ def test_generators_match_kron_reference_bitwise(monkeypatch, paper_params):
     assert helpers.same_bits(fast, oracle.ladder_liouvillian(paper_params, 3)[0])
 
 
+def test_non_finite_generator_refused_alone(paper_params):
+    """Rates that are finite alone but overflow in the generator's sum are
+    refused with a DomainError, with no numeric warning; the points stacked
+    beside that point keep the generators they get alone."""
+    huge = replace(paper_params, kappa=2e307, gamma1=2e307, gamma2=2e307)
+    with pytest.raises(DomainError, match="non-finite entry"):
+        build_liouvillian(huge)
+    neighbour = replace(paper_params, g=1.1)
+    gens, errors = build_liouvillian([paper_params, huge, neighbour])
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], DomainError)
+    assert helpers.same_bits(gens[0], build_liouvillian(paper_params))
+    assert helpers.same_bits(gens[2], build_liouvillian(neighbour))
+
+
 def test_generator_trace_preserving_on_random_params():
     rng = np.random.default_rng(5)
     probe = vec(np.eye(4)).conj()

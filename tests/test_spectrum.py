@@ -27,7 +27,7 @@ from cavity_raman import (
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
 from cavity_raman import spectrum as spectrum_mod
-from cavity_raman.model import COHERENT_BLOCK
+from cavity_raman.model import COHERENT_BLOCK, G2_0
 from cavity_raman.spectrum import mixture_intensity
 from reference_values import PHOTON_NUMBER_REF
 
@@ -53,6 +53,47 @@ def test_generator_modes_match_correlation_modes(paper_params):
     modes = spectrum_mod.generator_modes(gen, steady_state(gen))
     for got, expected in zip(modes, correlation_modes(paper_params)):
         np.testing.assert_array_equal(got, expected)
+
+
+def test_generator_splits_into_charge_blocks_with_three_modes():
+    """The generator is block-diagonal in the charge q = [i = g2,0] -
+    [j = g2,0] of |i><j|: every entry between two charges is exactly 0.  So
+    the field correlation has exactly three modes, which correlation_modes
+    reads from the q = +1 block.  The oracle solves the whole 16 x 16
+    np.kron generator with np.linalg.svd, eig and solve, sharing no code
+    with the block route."""
+    rng = np.random.default_rng(43)
+    drawn = [helpers.random_valid_params(rng) for _ in range(30)]
+    points = (
+        drawn[:10]
+        + [replace(p, phonon_alpha1=0.0, phonon_alpha2=0.0) for p in drawn[10:20]]
+        + [replace(p, kT=0.0) for p in drawn[20:]]
+    )
+    # Charge of each vec index i + 4 j, |i><j|.
+    charge = np.array([(i == G2_0) - (j == G2_0) for j in range(4) for i in range(4)])
+    between = charge[:, None] != charge[None, :]
+    a_op = lv.cavity_annihilation()
+    gens, errors = build_liouvillian(points)
+    assert errors == [None] * len(points)
+    for params, gen, modes in zip(points, gens, correlation_modes(points)):
+        assert np.all(gen[between] == 0.0)
+
+        full = helpers.kron_liouvillian(params)
+        rho = np.linalg.svd(full)[2][-1].conj().reshape(4, 4, order="F")
+        rho = rho / np.trace(rho)
+        lambdas, rvecs = np.linalg.eig(full)
+        weights = np.linalg.solve(rvecs, lv.vec(a_op @ rho))
+        residues = (lv.vec(a_op).conj() @ rvecs) * weights
+        carrying = np.abs(residues) > 1e-20 * np.max(np.abs(residues))
+        assert np.count_nonzero(carrying) == 3
+
+        block_lambdas, block_residues, _ = modes
+        assert block_lambdas.shape == block_residues.shape == (3,)
+        scale = np.sum(np.abs(block_residues))
+        for lam, res in zip(lambdas[carrying], residues[carrying]):
+            j = np.argmin(np.abs(block_lambdas - lam))
+            assert abs(block_lambdas[j] - lam) <= 1e-11 * abs(lam)
+            assert abs(block_residues[j] - res) <= 1e-11 * scale
 
 
 def test_dark_cavity_emits_nothing(paper_params):
@@ -356,11 +397,15 @@ def test_stacked_lapack_failure_retries_each_point(monkeypatch, routine):
     points = [helpers.random_valid_params(rng) for _ in range(12)]
     bad = points[5]
     gen = build_liouvillian(bad)
+    # The modes are solved in the q = +1 charge block, |g2,0><j| for j in
+    # COHERENT_BLOCK.
+    charge = [G2_0 + 4 * j for j in COHERENT_BLOCK]
+    block = gen[np.ix_(charge, charge)]
     poison = {
         "eigh": build_hamiltonian(bad)[np.ix_(COHERENT_BLOCK, COHERENT_BLOCK)].real,
         "svd": gen,
-        "eig": gen,
-        "solve": np.linalg.eig(gen)[1],
+        "eig": block,
+        "solve": np.linalg.eig(block)[1],
     }[routine]
     lapack = getattr(np.linalg, routine)
     calls = []
