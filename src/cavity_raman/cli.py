@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -277,16 +277,8 @@ def _detuning_rows(config: RunConfig) -> list[tuple]:
             raise outcome
         else:
             point, (raman_fit, spont_fit) = outcome
-            rows.append(
-                (
-                    value,
-                    point.ratio,
-                    point.ratio_err,
-                    raman_fit.peaks[0].center,
-                    spont_fit.peaks[0].center,
-                    0,
-                )
-            )
+            centers = (raman_fit.peaks[0].center, spont_fit.peaks[0].center)
+            rows.append((value, point.ratio, point.ratio_err, *centers, 0))
     return rows
 
 
@@ -336,55 +328,21 @@ def _cmd_sweep(config: RunConfig, out: str | None, as_json: bool, variable: str)
 
 
 def cmd_fit(config: RunConfig, kind: str, path: str, out: str | None) -> int:
-    if kind in ("lorentzian1", "lorentzian2"):
+    if kind in ("lorentzian1", "lorentzian2", "exponential"):
         data = _read_numeric_csv(path, 2, 3)
         errors = data[:, 2] if data.shape[1] == 3 else None
-        result = fit_mod.fit_lorentzian(
-            data[:, 0],
-            data[:, 1],
-            n_peaks=1 if kind == "lorentzian1" else 2,
-            errors=errors,
-        )
-        payload = {
-            "peaks": [
-                {
-                    "center": p.center,
-                    "fwhm": p.fwhm,
-                    "amplitude": p.amplitude,
-                    "area": p.area,
-                    "center_err": p.center_err,
-                    "fwhm_err": p.fwhm_err,
-                    "amplitude_err": p.amplitude_err,
-                    "area_err": p.area_err,
-                }
-                for p in result.peaks
-            ],
-            "baseline": result.baseline,
-            "baseline_err": result.baseline_err,
-            "residual_rms": result.residual_rms,
-        }
-    elif kind == "exponential":
-        data = _read_numeric_csv(path, 2, 3)
-        errors = data[:, 2] if data.shape[1] == 3 else None
-        result = fit_mod.fit_exponential(data[:, 0], data[:, 1], errors=errors)
-        payload = {
-            "tau": result.tau,
-            "tau_err": result.tau_err,
-            "amplitude": result.amplitude,
-            "amplitude_err": result.amplitude_err,
-            "baseline": result.baseline,
-            "baseline_err": result.baseline_err,
-            "residual_rms": result.residual_rms,
-        }
+        if kind == "exponential":
+            result = fit_mod.fit_exponential(data[:, 0], data[:, 1], errors=errors)
+        else:
+            n_peaks = 1 if kind == "lorentzian1" else 2
+            result = fit_mod.fit_lorentzian(data[:, 0], data[:, 1], n_peaks=n_peaks, errors=errors)
+        # Every field of the fit but its iteration count, peaks included.
+        payload = asdict(result)
+        del payload["iterations"]
     elif kind == "phonon-n":
         data = _read_numeric_csv(path, 2, 3)
         points = [
-            fit_mod.RsPoint(
-                delta=row[0],
-                ratio=row[1],
-                ratio_err=row[2] if data.shape[1] == 3 else 0.0,
-            )
-            for row in data
+            fit_mod.RsPoint(row[0], row[1], row[2] if data.shape[1] == 3 else 0.0) for row in data
         ]
         result = fit_mod.fit_phonon_exponent(points, config.params, mode=config.rs_mode)
         payload = {
@@ -557,18 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a key = value configuration file")
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    for key in _PARAM_KEYS + _RUN_FLOAT_KEYS:
+    for key in _PARAM_KEYS + _RUN_FLOAT_KEYS + _RUN_INT_KEYS:
         flags = [f"--{key.replace('_', '-')}"]
         if "_" in key:
             flags.append(f"--{key}")
         if key == "omega_drive":
             flags.append("--omega")
-        common.add_argument(*flags, dest=key, type=float, default=None)
-    for key in _RUN_INT_KEYS:
-        flags = [f"--{key.replace('_', '-')}"]
-        if "_" in key:
-            flags.append(f"--{key}")
-        common.add_argument(*flags, dest=key, type=int, default=None)
+        kind = int if key in _RUN_INT_KEYS else float
+        common.add_argument(*flags, dest=key, type=kind, default=None)
     common.add_argument("--rs-mode", "--rs_mode", dest="rs_mode", default=None)
 
     parser = argparse.ArgumentParser(
@@ -589,9 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser as it was, so main builds one per process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = resolve_config(args)
         if args.command == "rates":

@@ -136,19 +136,6 @@ def _initial_peaks(
     return guesses, baseline
 
 
-def _start(
-    guesses: Sequence[tuple[float, float, float]], baseline: float
-) -> np.ndarray:
-    """Parameter vector (amplitude, center, |fwhm|, ..., baseline)."""
-    x0 = np.empty(3 * len(guesses) + 1)
-    for k, (amplitude, center, fwhm) in enumerate(guesses):
-        if fwhm == 0.0:
-            raise DomainError("initial fwhm must be nonzero")
-        x0[3 * k : 3 * k + 3] = (amplitude, center, abs(fwhm))
-    x0[-1] = baseline
-    return x0
-
-
 def fit_lorentzian(
     freqs: np.ndarray,
     intensity: np.ndarray,
@@ -167,7 +154,7 @@ def fit_lorentzian(
     freqs, intensity = _check_samples(
         freqs, intensity, "freqs and intensity", 4 * n_peaks + 1, f"for {n_peaks} peaks"
     )
-    sqrt_w = _weights(errors, freqs.size)
+    sqrt_w = _weights(errors, intensity)
 
     if init is None:
         guesses, base0 = _initial_peaks(freqs, intensity, n_peaks)
@@ -176,7 +163,9 @@ def fit_lorentzian(
             raise DomainError(f"expected {n_peaks} initial triples, got {len(init)}")
         guesses = [tuple(map(float, triple)) for triple in init]
         base0 = float(np.min(intensity))
-    x0 = _start(guesses, base0)
+    if any(fwhm == 0.0 for _, _, fwhm in guesses):
+        raise DomainError("initial fwhm must be nonzero")
+    x0 = np.array([v for a, c, fwhm in guesses for v in (a, c, abs(fwhm))] + [base0])
     (fit,) = _fit_lorentzians(freqs[None], intensity[None], sqrt_w[None], x0[None])
     if isinstance(fit, FitError):
         raise fit
@@ -221,61 +210,49 @@ def _fit_lorentzians(
     sigmas = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
     unweighted = _lorentzian_model(freqs[done], x) - intensity[done]
     rms = np.sqrt(np.mean(unweighted**2, axis=1))
+
+    # Every row's peaks at once, in PeakFit field order, sorted by center.
+    amplitude, center, fwhm = x[:, 0:-1:3], x[:, 1:-1:3], np.abs(x[:, 2:-1:3])
+    amp_err, center_err, fwhm_err = (sigmas[:, k:-1:3] for k in range(3))
+    cross = np.diagonal(cov[:, 0:-1:3, 2:-1:3], axis1=1, axis2=2)
+    area = amplitude * fwhm * math.pi / 2.0
+    with np.errstate(over="ignore"):  # a huge error bar is inf, not a warning
+        # float_power squares with C pow, as a float64 scalar's ** does;
+        # an array's ** squares by x * x, which can differ in the last bit.
+        area_var = (
+            np.float_power(fwhm, 2) * np.float_power(amp_err, 2)
+            + np.float_power(amplitude, 2) * np.float_power(fwhm_err, 2)
+            + 2.0 * amplitude * fwhm * cross
+        )
+        area_var = (math.pi / 2.0) ** 2 * np.where(0.0 > area_var, 0.0, area_var)
+    table = np.stack(
+        [center, fwhm, amplitude, area, center_err, fwhm_err, amp_err, np.sqrt(area_var)],
+        axis=-1,
+    )
+    # Tied centers are refused below as coincident, so their order never
+    # shows.  Two centers within a tenth of the narrower width coincide;
+    # min(a, b) is b only where b < a, as Python's min.
+    table = np.take_along_axis(table, np.argsort(center, axis=1)[..., None], 1)
+    first, second = np.nonzero(np.arange(n_peaks)[:, None] < np.arange(n_peaks))
+    centers, widths = table[..., 0], table[..., 1]
+    narrower = np.where(widths[:, second] < widths[:, first], widths[:, second], widths[:, first])
+    close = np.abs(centers[:, first] - centers[:, second]) < 0.1 * narrower
     for j, k in enumerate(converged):
-        try:
-            peaks = _peaks(x[j], sigmas[j], cov[j], n_peaks)
-        except DegeneratePeaks as degenerate:
-            fits[k] = degenerate
+        if close[j].any():
+            pair = int(np.argmax(close[j]))
+            fits[k] = DegeneratePeaks(
+                f"fitted centers {float(centers[j, first[pair]])} and "
+                f"{float(centers[j, second[pair]])} coincide"
+            )
             continue
         fits[k] = LorentzianFit(
-            peaks=peaks,
+            peaks=tuple(PeakFit(*fields) for fields in table[j].tolist()),
             baseline=float(x[j, -1]),
             baseline_err=float(sigmas[j, -1]),
             residual_rms=float(rms[j]),
             iterations=int(solution.iterations[k]),
         )
     return fits
-
-
-def _peaks(
-    x: np.ndarray, sigma: np.ndarray, cov: np.ndarray, n_peaks: int
-) -> tuple[PeakFit, ...]:
-    """Fitted peaks sorted by center, with area errors from the covariance;
-    raises DegeneratePeaks when two centers coincide."""
-    peaks = []
-    for k in range(n_peaks):
-        amplitude, center, fwhm = x[3 * k], x[3 * k + 1], abs(x[3 * k + 2])
-        amp_err, cen_err, width_err = sigma[3 * k : 3 * k + 3]
-        cross = cov[3 * k, 3 * k + 2]
-        area = amplitude * fwhm * math.pi / 2.0
-        with np.errstate(over="ignore"):  # a huge error bar is inf, not a warning
-            area_var = (math.pi / 2.0) ** 2 * max(
-                fwhm**2 * amp_err**2 + amplitude**2 * width_err**2
-                + 2.0 * amplitude * fwhm * cross,
-                0.0,
-            )
-        peaks.append(
-            PeakFit(
-                center=float(center),
-                fwhm=float(fwhm),
-                amplitude=float(amplitude),
-                area=float(area),
-                center_err=float(cen_err),
-                fwhm_err=float(width_err),
-                amplitude_err=float(amp_err),
-                area_err=float(math.sqrt(area_var)),
-            )
-        )
-    peaks.sort(key=lambda p: p.center)
-
-    for i in range(len(peaks)):
-        for j in range(i + 1, len(peaks)):
-            closeness = 0.1 * min(peaks[i].fwhm, peaks[j].fwhm)
-            if abs(peaks[i].center - peaks[j].center) < closeness:
-                raise DegeneratePeaks(
-                    f"fitted centers {peaks[i].center} and {peaks[j].center} coincide"
-                )
-    return tuple(peaks)
 
 
 def _check_samples(
@@ -293,19 +270,28 @@ def _check_samples(
     return x, y
 
 
-def _weights(errors: np.ndarray | None, size: int) -> np.ndarray:
+def _weights(errors: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """Square-root weights 1 / errors of ``values`` (ones without errors).
+    Refuses error bars whose weights, or weighted values, overflow a float
+    when squared and summed, as the LM's Gram matrix and cost would."""
     if errors is None:
-        return np.ones(size)
+        return np.ones(values.size)
     errors = np.asarray(errors, dtype=float)
-    if errors.shape != (size,):
+    if errors.shape != values.shape:
         raise DomainError("errors must match the data length")
     if not np.all(np.isfinite(errors) & (errors > 0.0)):
         raise DomainError("error bars must be positive and finite")
-    with np.errstate(over="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         weights = 1.0 / errors
+        squares = [np.sum(np.square(weights)), np.sum(np.square(values * weights))]
     if not np.all(np.isfinite(weights)):
         raise DomainError(
             f"error bar {float(np.min(errors))!r} is too small to weight: its inverse overflows"
+        )
+    if not np.all(np.isfinite(squares)):
+        raise DomainError(
+            f"error bar {float(np.min(errors))!r} is too small to weight: "
+            "the weighted squares overflow"
         )
     return weights
 
@@ -341,7 +327,7 @@ def fit_exponential(
     )
     if np.min(np.diff(times)) <= 0.0:
         raise DomainError("times must be strictly ascending")
-    sqrt_w = _weights(errors, times.size)
+    sqrt_w = _weights(errors, values)
 
     if init is None:
         tail = max(times.size // 10, 1)
@@ -509,74 +495,79 @@ def fit_emission_lines(
 def _line_fits(points: Sequence[ModelParams]) -> list[LinePair | Exception]:
     outcomes: list[LinePair | Exception] = []
     for start in range(0, len(points), _STACK_POINTS):
-        plans, axes, samples, starts = _line_plans(points[start : start + _STACK_POINTS])
-        fits = _fit_lorentzians(axes, samples, None, starts) if len(starts) else []
-        for plan in plans:
-            if isinstance(plan, Exception):
-                outcomes.append(plan)
-                continue
-            pair = [fits[row] if isinstance(row, int) else row for row in plan]
-            failed = [fit for fit in pair if isinstance(fit, Exception)]
-            outcomes.append(failed[0] if failed else (pair[0], pair[1]))
+        stacked = spectrum_mod.line_table(points[start : start + _STACK_POINTS])
+        plan, fitted, axes, samples, starts = _line_plans(stacked)
+        if fitted.any():
+            plan[fitted] = _fit_lorentzians(axes, samples, None, starts)
+        for raman, spont in plan:
+            failed = [fit for fit in (raman, spont) if isinstance(fit, Exception)]
+            outcomes.append(failed[0] if failed else (raman, spont))
     return outcomes
 
 
 def _line_plans(
-    points: Sequence[ModelParams],
-) -> tuple[list[Exception | list[int | DomainError]], np.ndarray, np.ndarray, np.ndarray]:
-    """Every point's line windows, stacked for one LM call.
+    table: spectrum_mod.LineTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Raman and spontaneous line windows of a classified stack of K
+    points, stacked for one LM call.
 
-    The points are classified in one stacked call.  Per point, the plan is
-    the error the point raised before its fits, or for each window its row
-    in the stack or the error fit_lorentzian would raise before fitting.
-    Errors wait in the plans, so a caller meets them in its own order.
-    Returns (plans, axes, samples, starts).
+    Returns (plan, fitted, axes, samples, starts).  ``plan`` is a (K, 2)
+    object array holding the error each window meets before its fit, as
+    fit_lorentzian would raise it: a point's own error in both windows,
+    non-finite data, or a zero start width.  ``fitted`` marks the windows
+    without one; their axes, spectrum samples and starts follow in that
+    order.  Errors wait in the plan, so a caller meets them in its own order.
     """
-    plans: list[Exception | list[int | DomainError]] = []
-    axes, samples, starts = [], [], []
-    for params, lines in zip(points, spectrum_mod.classify_lines(points)):
-        try:
-            windows, values, guesses = _line_windows(params, stack.unwrap(lines))
-        except Exception as exc:  # any error: the caller raises it in grid order
-            plans.append(exc)
-            continue
-        plan: list[int | DomainError] = []
-        for axis, value, guess in zip(windows, values, guesses):
+    plan = np.array([[error, error] for error in table.errors], dtype=object)
+    ok = np.flatnonzero([error is None for error in table.errors])
+    delta = table.delta_laser[ok, None]
+    centers = table.roles[ok, :, 0] - delta
+    widths = table.roles[ok, :, 1]
+    midpoint = 0.5 * (centers[:, :1] + centers[:, 1:])
+    lo = centers - _LINE_WINDOW * widths
+    hi = centers + _LINE_WINDOW * widths
+    # Each window is clipped at the midpoint between the lines; min(hi, m)
+    # is m only where m < hi, and max(lo, m) m only where m > lo.
+    below = centers < midpoint
+    hi = np.where(below & (midpoint < hi), midpoint, hi)
+    lo = np.where(~below & (midpoint > lo), midpoint, lo)
+    axes = _window_axes(lo, hi)
+    nu = axes + delta[..., None]
+    modes = (table.lambdas[ok], table.residues[ok], table.kappa[ok])
+    try:
+        samples = spectrum_mod.mixture_intensity(nu, *modes)
+    except DomainError:
+        # A kappa too large to normalize: each point raises as it does alone.
+        samples = np.full(nu.shape, np.nan)
+        for j, k in enumerate(ok.tolist()):
             try:
-                _check_samples(axis, value, "freqs and intensity", 5, "for 1 peaks")
-                x0 = _start([guess], float(np.min(value)))
+                samples[j] = spectrum_mod.mixture_intensity(nu[j], *(m[j] for m in modes))
             except DomainError as exc:
-                plan.append(exc)
-                continue
-            plan.append(len(starts))
-            axes.append(axis)
-            samples.append(value)
-            starts.append(x0)
-        plans.append(plan)
-    return plans, np.array(axes), np.array(samples), np.array(starts)
+                plan[k] = exc
+    finite = np.isfinite(axes).all(axis=-1) & np.isfinite(samples).all(axis=-1)
+    fitted = np.zeros(plan.shape, dtype=bool)
+    fitted[ok] = finite & (widths != 0.0)
+    for j, w in zip(*np.nonzero(~fitted[ok])):
+        if plan[ok[j], w] is None:
+            plan[ok[j], w] = DomainError(
+                "data must be finite" if not finite[j, w] else "initial fwhm must be nonzero"
+            )
+    with np.errstate(divide="ignore", invalid="ignore"):  # refused above
+        amplitudes = 2.0 * np.abs(table.roles[ok, :, 2]) / (math.pi * widths)
+    starts = np.stack([amplitudes, centers, np.abs(widths), np.min(samples, axis=-1)], axis=-1)
+    chosen = fitted[ok]
+    return plan, fitted, axes[chosen], samples[chosen], starts[chosen]
 
 
-def _line_windows(
-    params: ModelParams, lines: spectrum_mod.LineClassification
-) -> tuple[list[np.ndarray], np.ndarray, list[tuple[float, float, float]]]:
-    """Axes, spectrum samples and start peak of the Raman and spontaneous
-    line windows at one operating point, classified as ``lines``."""
-    shifts = [line[0] - params.delta_laser for line in (lines.raman, lines.spontaneous)]
-    midpoint = 0.5 * (shifts[0] + shifts[1])
-    windows, guesses = [], []
-    for (center, width, area), shifted in zip((lines.raman, lines.spontaneous), shifts):
-        lo = shifted - _LINE_WINDOW * width
-        hi = shifted + _LINE_WINDOW * width
-        if shifted < midpoint:
-            hi = min(hi, midpoint)
-        else:
-            lo = max(lo, midpoint)
-        windows.append(np.linspace(lo, hi, _LINE_POINTS))
-        guesses.append((2.0 * abs(area) / (math.pi * width), shifted, width))
-    values = spectrum_mod.mixture_intensity(
-        np.array(windows) + params.delta_laser, lines.lambdas, lines.residues, params.kappa
-    )
-    return windows, values, guesses
+def _window_axes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, _LINE_POINTS)`` of every window, each bitwise
+    its own call: a stacked call takes the zero-step route in every row
+    once one row needs it, so those rows are evaluated apart."""
+    zero_step = (hi - lo) / (_LINE_POINTS - 1) == 0.0
+    axes = np.empty(lo.shape + (_LINE_POINTS,))
+    for rows in (zero_step, ~zero_step):
+        axes[rows] = np.linspace(lo[rows], hi[rows], _LINE_POINTS, axis=-1)
+    return axes
 
 
 def predict_rs(

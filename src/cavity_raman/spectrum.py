@@ -24,8 +24,8 @@ TWO_PI = 2.0 * math.pi
 #: Largest acceptable real part of a correlation mode's eigenvalue.
 STABILITY_TOL = 1e-10
 
-#: Grid points per block in mixture_intensity: its complex temporaries hold
-#: 65,536 x 3 modes, about 3 MB each, whatever the grid size.
+#: Samples per block in mixture_intensity: its complex temporaries hold
+#: 65,536 samples of one mode, about 1 MB each, whatever the grid size.
 MIXTURE_BLOCK = 65536
 
 #: Vec indices of |g2,0><j|, j in COHERENT_BLOCK: the block of charge
@@ -69,6 +69,8 @@ class Spectrum:
         intensity = np.asarray(self.intensity, dtype=float)
         if freqs.ndim != 1 or freqs.shape != intensity.shape:
             raise DomainError("freqs and intensity must be matching 1-d arrays")
+        if not np.all(np.isfinite(intensity)):
+            raise DomainError("intensity must be finite")
         if freqs.size >= 2 and np.min(np.diff(freqs)) <= 0.0:
             raise DomainError("frequency axis must be strictly increasing")
         if self.frame not in ("rotating", "lab"):
@@ -103,25 +105,33 @@ def correlation_modes(
     alone.
     """
     if isinstance(params, ModelParams):
-        return stack.unwrap(_modes([params])[0])
+        return stack.unwrap(correlation_modes([params])[0])
     points = list(params)
-    return [
-        outcome
-        for start in range(0, len(points), stack.POINTS)
-        for outcome in _modes(points[start : start + stack.POINTS])
-    ]
+    outcomes: list[Modes | Exception] = []
+    for start in range(0, len(points), stack.POINTS):
+        lambdas, residues, photons, errors = _stack_modes(points[start : start + stack.POINTS])
+        outcomes += [
+            error or (lambdas[k], residues[k], float(photons[k])) for k, error in enumerate(errors)
+        ]
+    return outcomes
 
 
-def _modes(points: Sequence[ModelParams]) -> list[Modes | Exception]:
-    """correlation_modes of one stack of points.  Each point meets its
-    errors in the order build, steady state, modes, as it does alone."""
-    outcomes: list = [None] * len(points)
+def _stack_modes(
+    points: Sequence[ModelParams],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
+    """correlation_modes of one stack of points as (K, 3) ``lambdas`` and
+    ``residues``, (K,) photon numbers and each point's error; a failed
+    point's rows are zeros.  Each point meets its errors in the order
+    build, steady state, modes, as it does alone."""
+    lambdas = np.zeros((len(points), len(COHERENT_BLOCK)), dtype=complex)
+    residues = np.zeros_like(lambdas)
+    photons = np.zeros(len(points))
+    outcomes: list[Exception | None] = [None] * len(points)
     alive = np.arange(len(points))
 
     def survivors(errors: list[Exception | None]) -> np.ndarray:
         for k, error in zip(alive, errors):
-            if error is not None:
-                outcomes[k] = error
+            outcomes[k] = error
         return np.array([error is None for error in errors], dtype=bool)
 
     gens, errors = lv.build_liouvillian(points)
@@ -132,10 +142,9 @@ def _modes(points: Sequence[ModelParams]) -> list[Modes | Exception]:
         ok = survivors(errors)
         alive, gens, rhos = alive[ok], gens[ok], rhos[ok]
     if alive.size:
-        lambdas, residues, photons, errors = generator_modes(gens, rhos)
-        for j, k in enumerate(alive):
-            outcomes[k] = errors[j] or (lambdas[j], residues[j], float(photons[j]))
-    return outcomes
+        lambdas[alive], residues[alive], photons[alive], errors = generator_modes(gens, rhos)
+        survivors(errors)
+    return lambdas, residues, photons, outcomes
 
 
 def generator_modes(
@@ -150,15 +159,9 @@ def generator_modes(
     or (K,), each point's error None where it solved.
     """
     if np.ndim(gen) == 2:
-        lambdas, residues, photons, errors = _stacked_modes(gen[None], rho_ss[None])
+        lambdas, residues, photons, errors = generator_modes(gen[None], rho_ss[None])
         stack.unwrap(errors[0])
         return lambdas[0], residues[0], float(photons[0])
-    return _stacked_modes(gen, rho_ss)
-
-
-def _stacked_modes(
-    gen: np.ndarray, rho_ss: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
     block = gen[:, _CHARGE_BLOCK[:, None], _CHARGE_BLOCK]
     (lambdas, rvecs), errors = stack.linalg(np.linalg.eig, block)
     worst = np.max(lambdas.real, axis=1)
@@ -174,40 +177,51 @@ def _stacked_modes(
     photons = rho_ss[:, G2_1, G2_1].real
 
     # Each point's first error, in the order eig, stability, solve.
-    for k in range(len(gen)):
-        if errors[k] is not None:
-            continue
-        if worst[k] >= STABILITY_TOL:
-            errors[k] = UnstableLiouvillian(
-                f"relaxing eigenvalue with real part {worst[k]:.3e} 1/ns >= {STABILITY_TOL:.0e}"
-            )
-        elif solve_errors[k] is not None:
-            errors[k] = solve_errors[k]
-    return lambdas, residues, photons, errors
+    for k in np.flatnonzero(worst >= STABILITY_TOL).tolist():
+        errors[k] = errors[k] or UnstableLiouvillian(
+            f"relaxing eigenvalue with real part {worst[k]:.3e} 1/ns >= {STABILITY_TOL:.0e}"
+        )
+    return lambdas, residues, photons, [first or late for first, late in zip(errors, solve_errors)]
 
 
 def mixture_intensity(
     nu_rot: np.ndarray,
     lambdas: np.ndarray,
     residues: np.ndarray,
-    kappa: float,
+    kappa: float | np.ndarray,
 ) -> np.ndarray:
     """Evaluate the Lorentzian mode mixture on a rotating-frame axis.
 
     Normalized so the integral over frequency equals the steady cavity
     output flux 2pi * kappa * <a^dag a> in 1/ns.  ``nu_rot`` may have any
-    shape; the result has the same one (at least 1-d).  The (points x
-    modes) terms are summed ``MIXTURE_BLOCK`` points at a time, so memory
-    stays bounded on any grid; each point's sum is the same in any block.
+    shape; the result has the same one (at least 1-d).  Given the modes of
+    K points, (K, 3) ``lambdas`` and ``residues`` and K ``kappa``, the
+    leading axis of ``nu_rot`` is K and row k is evaluated with the modes
+    of point k.  The modes' terms are added in turn, ``MIXTURE_BLOCK``
+    samples of a row at a time, so memory stays bounded on any grid; each
+    sample's sum is the same in any block or row.  Raises DomainError when
+    the normalization (2pi)^2 kappa overflows a float.
     """
+    lambdas, residues = np.asarray(lambdas), np.asarray(residues)
+    with np.errstate(over="ignore"):  # checked below
+        norm = TWO_PI**2 * np.asarray(kappa, dtype=float)[..., None]
+    if not np.all(np.isfinite(norm)):
+        raise DomainError(
+            f"kappa {float(np.max(np.abs(kappa)))!r} GHz is too large: the spectrum "
+            "normalization (2 pi)^2 kappa overflows a float"
+        )
     nu_rot = np.atleast_1d(np.asarray(nu_rot, dtype=float))
-    flat = nu_rot.reshape(-1)
-    values = np.empty(flat.size)
-    for start in range(0, flat.size, MIXTURE_BLOCK):
-        block = slice(start, start + MIXTURE_BLOCK)
-        denom = 1j * TWO_PI * flat[block, None] - lambdas[None, :]
-        values[block] = np.sum((residues[None, :] / denom).real, axis=1) / math.pi
-    return (TWO_PI**2 * kappa * values).reshape(nu_rot.shape)
+    rows = lambdas.shape[:-1]
+    flat = nu_rot.reshape(rows + (math.prod(nu_rot.shape[len(rows) :]),))
+    values = np.empty(flat.shape)
+    for start in range(0, flat.shape[-1], MIXTURE_BLOCK):
+        block = np.s_[..., start : start + MIXTURE_BLOCK]
+        phase = 1j * TWO_PI * flat[block]
+        total = np.zeros(phase.shape)
+        for j in range(lambdas.shape[-1]):
+            total += (residues[..., j, None] / (phase - lambdas[..., j, None])).real
+        values[block] = total / math.pi
+    return (norm * values).reshape(nu_rot.shape)
 
 
 def rotating_spectrum(params: ModelParams, nu_rot: np.ndarray) -> Spectrum:
@@ -252,17 +266,6 @@ def apply_filter(spectrum: Spectrum, window: FilterWindow) -> Spectrum:
     )
 
 
-def _lines(
-    lambdas: np.ndarray, residues: np.ndarray, kappa: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    centers = lambdas.imag / TWO_PI
-    fwhms = -lambdas.real / math.pi
-    areas = TWO_PI * kappa * residues.real
-    keep = np.abs(areas) > 1e-13 * max(np.max(np.abs(areas)), 1e-300)
-    order = np.argsort(centers[keep])
-    return centers[keep][order], fwhms[keep][order], areas[keep][order]
-
-
 #: Smallest steady photon number that counts as emission; below it the
 #: residues are rounding noise and no line has a physical area.
 EMISSION_FLOOR = 1e-15
@@ -287,6 +290,29 @@ class LineClassification:
     photon_number: float
 
 
+@dataclass(frozen=True)
+class LineTable:
+    """The emission lines of a stack of K points as arrays, point k in row k.
+
+    ``lambdas``, ``residues`` and ``photons`` are the correlation modes;
+    ``lines`` holds each point's (center GHz, fwhm GHz, area 1/ns) rows in
+    center order; ``roles`` holds its Raman and spontaneous rows, and
+    ``background`` marks the kept lines of neither role.  ``errors`` holds
+    the exception each point raises alone (None where it classified); a
+    failed point's rows, and its ``kappa``, are placeholders.
+    """
+
+    lambdas: np.ndarray
+    residues: np.ndarray
+    photons: np.ndarray
+    kappa: np.ndarray
+    delta_laser: np.ndarray
+    lines: np.ndarray
+    roles: np.ndarray
+    background: np.ndarray
+    errors: list[Exception | None]
+
+
 def classify_lines(
     params: ModelParams | Sequence[ModelParams],
 ) -> LineClassification | list[LineClassification | Exception]:
@@ -299,54 +325,80 @@ def classify_lines(
     when the cavity emits nothing (steady photon number below
     ``EMISSION_FLOOR``) or when the two roles land on one line.
 
-    Given a sequence, solves it as :func:`correlation_modes` does and
-    returns each point's classification, or the exception it raises alone.
+    Given a sequence, classifies it in stacks of up to ``stack.POINTS``
+    points (see :func:`line_table`) and returns each point's
+    classification, or the exception it raises alone.
     """
     if isinstance(params, ModelParams):
-        return stack.unwrap(_classified(params, correlation_modes(params)))
+        return stack.unwrap(classify_lines([params])[0])
     points = list(params)
-    return [
-        _classified(point, modes) if not isinstance(modes, Exception) else modes
-        for point, modes in zip(points, correlation_modes(points))
-    ]
+    outcomes: list[LineClassification | Exception] = []
+    for start in range(0, len(points), stack.POINTS):
+        table = line_table(points[start : start + stack.POINTS])
+        outcomes += [
+            error
+            or LineClassification(
+                raman=tuple(table.roles[k, 0].tolist()),
+                spontaneous=tuple(table.roles[k, 1].tolist()),
+                background=tuple(map(tuple, table.lines[k, table.background[k]].tolist())),
+                lambdas=table.lambdas[k],
+                residues=table.residues[k],
+                photon_number=float(table.photons[k]),
+            )
+            for k, error in enumerate(table.errors)
+        ]
+    return outcomes
 
 
-def _classified(params: ModelParams, modes: Modes) -> LineClassification | DegenerateSpectrum:
-    """The lines of one point's correlation modes, or why they have no roles."""
-    lambdas, residues, photon_number = modes
-    if photon_number < EMISSION_FLOOR:
-        return DegenerateSpectrum(
-            f"steady photon number {photon_number:.3e} is below {EMISSION_FLOOR:.0e}; "
-            "the cavity emits no lines"
-        )
-    centers, fwhms, areas = _lines(lambdas, residues, params.kappa)
-    narrow = fwhms < params.kappa / 2.0
-    if np.count_nonzero(narrow) < 2:
-        return DegenerateSpectrum(
-            f"expected two sub-cavity-width lines, found {np.count_nonzero(narrow)}"
-        )
-    candidates = np.flatnonzero(narrow)
-    raman_idx = candidates[np.argmin(np.abs(centers[candidates]))]
-    spont_idx = candidates[np.argmin(np.abs(centers[candidates] - params.delta_laser))]
-    if raman_idx == spont_idx:
-        return DegenerateSpectrum(
-            "Raman and spontaneous roles collapse onto one line at "
-            f"center {centers[raman_idx]:.3f} GHz"
-        )
-    rest = tuple(
-        (float(centers[j]), float(fwhms[j]), float(areas[j]))
-        for j in range(centers.size)
-        if j not in (raman_idx, spont_idx)
+def line_table(points: Sequence[ModelParams]) -> LineTable:
+    """:func:`classify_lines` of one stack of points, as arrays.
+
+    Solves the stack's correlation modes, keeps the lines whose area
+    exceeds 1e-13 of the largest, sorts them by center (ties in mode
+    order) and picks each point's roles among its narrow lines (ties to
+    the first in center order).  Each point meets its errors in the order
+    of a call of its own: the solve's, the emission floor, fewer than two
+    narrow lines, then the roles' collapse.
+    """
+    lambdas, residues, photons, errors = _stack_modes(points)
+    # A failed point gets kappa 0, so its placeholder rows overflow nothing.
+    kappa = np.array([0.0 if error else p.kappa for p, error in zip(points, errors)])
+    delta_laser = np.array([p.delta_laser for p in points])
+    areas = TWO_PI * kappa[:, None] * residues.real
+    kept = np.abs(areas) > 1e-13 * np.maximum(np.max(np.abs(areas), axis=1, keepdims=True), 1e-300)
+    # argsort keeps ties in mode order on three entries, as it did on the
+    # kept lines alone; the unkept lines among them are masked below.
+    centers = lambdas.imag / TWO_PI
+    order = np.argsort(centers, axis=1)[..., None]
+    lines = np.take_along_axis(np.stack([centers, -lambdas.real / math.pi, areas], -1), order, 1)
+    kept = np.take_along_axis(kept, order[..., 0], axis=1)
+    narrow = kept & (lines[..., 1] < kappa[:, None] / 2.0)
+    raman = np.argmin(np.where(narrow, np.abs(lines[..., 0]), np.inf), axis=1)
+    offsets = np.abs(lines[..., 0] - delta_laser[:, None])
+    spont = np.argmin(np.where(narrow, offsets, np.inf), axis=1)
+    counts = np.count_nonzero(narrow, axis=1)
+    dark = photons < EMISSION_FLOOR
+    for k in np.flatnonzero(dark | (counts < 2) | (raman == spont)).tolist():
+        if errors[k] is not None:
+            continue
+        if dark[k]:
+            errors[k] = DegenerateSpectrum(
+                f"steady photon number {photons[k]:.3e} is below {EMISSION_FLOOR:.0e}; "
+                "the cavity emits no lines"
+            )
+        elif counts[k] < 2:
+            errors[k] = DegenerateSpectrum(
+                f"expected two sub-cavity-width lines, found {counts[k]}"
+            )
+        else:
+            errors[k] = DegenerateSpectrum(
+                "Raman and spontaneous roles collapse onto one line at "
+                f"center {lines[k, raman[k], 0]:.3f} GHz"
+            )
+    roles = np.take_along_axis(lines, np.stack([raman, spont], axis=1)[..., None], axis=1)
+    position = np.arange(lines.shape[1])
+    background = kept & (position != raman[:, None]) & (position != spont[:, None])
+    return LineTable(
+        lambdas, residues, photons, kappa, delta_laser, lines, roles, background, errors
     )
-    return LineClassification(
-        raman=(float(centers[raman_idx]), float(fwhms[raman_idx]), float(areas[raman_idx])),
-        spontaneous=(
-            float(centers[spont_idx]),
-            float(fwhms[spont_idx]),
-            float(areas[spont_idx]),
-        ),
-        background=rest,
-        lambdas=lambdas,
-        residues=residues,
-        photon_number=photon_number,
-    )
+

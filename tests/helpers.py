@@ -1,14 +1,16 @@
 """Shared test utilities: random operating points, plain ``np.kron``
 superoperators, finite-horizon transforms for the time-domain spectrum
-check, and short-horizon RK45 references for the exactly propagated
-oracles.
+check, short-horizon RK45 references for the exactly propagated oracles,
+and per-point loop references for the stacked line classification,
+windows, spectrum sums and peak read-back.
 """
+import math
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from cavity_raman import ModelParams, n_thermal
+from cavity_raman import DegeneratePeaks, DegenerateSpectrum, DomainError, ModelParams, n_thermal
 
 TWO_PI = 2.0 * np.pi
 
@@ -208,3 +210,103 @@ def rk45_adiabatic_populations(omega, g, delta, t_grid):
     exact = _rk45(lambda _t, c: -1j * (ham @ c), [1.0, 0.0, 0.0], t_grid)
     effective = _rk45(lambda _t, b: -1j * (ham_eff @ b), [1.0, 0.0], t_grid)
     return np.abs(exact[1]) ** 2, np.abs(effective[1]) ** 2, np.abs(exact[2]) ** 2
+
+
+# --- Per-point loop references of the stacked line pipeline ----------------
+# The package classifies lines, builds fit windows, sums spectrum modes and
+# reads fitted peaks back as array operations over a stack.  These are the
+# loops they replaced, one point, window or peak at a time, kept as the
+# references the stacked code must match bit for bit.
+
+
+def loop_mixture_intensity(nu_rot, lambdas, residues, kappa):
+    """One point's spectrum as numpy's sum over its (samples x modes) terms."""
+    nu_rot = np.atleast_1d(np.asarray(nu_rot, dtype=float))
+    denom = 1j * TWO_PI * nu_rot.reshape(-1)[:, None] - lambdas[None, :]
+    values = np.sum((residues[None, :] / denom).real, axis=1) / math.pi
+    return (TWO_PI**2 * kappa * values).reshape(nu_rot.shape)
+
+
+def loop_classification(params, modes):
+    """(raman, spontaneous, background) line triples of one point's
+    correlation modes, or the DegenerateSpectrum it raises."""
+    lambdas, residues, photon_number = modes
+    if photon_number < 1e-15:
+        return DegenerateSpectrum(
+            f"steady photon number {photon_number:.3e} is below 1e-15; "
+            "the cavity emits no lines"
+        )
+    centers = lambdas.imag / TWO_PI
+    fwhms = -lambdas.real / math.pi
+    areas = TWO_PI * params.kappa * residues.real
+    keep = np.abs(areas) > 1e-13 * max(np.max(np.abs(areas)), 1e-300)
+    order = np.argsort(centers[keep])
+    centers, fwhms, areas = centers[keep][order], fwhms[keep][order], areas[keep][order]
+    narrow = fwhms < params.kappa / 2.0
+    if np.count_nonzero(narrow) < 2:
+        return DegenerateSpectrum(
+            f"expected two sub-cavity-width lines, found {np.count_nonzero(narrow)}"
+        )
+    candidates = np.flatnonzero(narrow)
+    raman = candidates[np.argmin(np.abs(centers[candidates]))]
+    spont = candidates[np.argmin(np.abs(centers[candidates] - params.delta_laser))]
+    if raman == spont:
+        return DegenerateSpectrum(
+            "Raman and spontaneous roles collapse onto one line at "
+            f"center {centers[raman]:.3f} GHz"
+        )
+    triples = [(float(c), float(f), float(a)) for c, f, a in zip(centers, fwhms, areas)]
+    rest = tuple(line for j, line in enumerate(triples) if j not in (raman, spont))
+    return triples[raman], triples[spont], rest
+
+
+def loop_windows(params, lines):
+    """Axis, spectrum samples and start (amplitude, center, fwhm, baseline)
+    of the Raman and spontaneous windows of one point, classified as
+    ``lines``, or for each window the DomainError it meets before its fit."""
+    shifts = [line[0] - params.delta_laser for line in (lines.raman, lines.spontaneous)]
+    midpoint = 0.5 * (shifts[0] + shifts[1])
+    windows = []
+    for (center, width, area), shifted in zip((lines.raman, lines.spontaneous), shifts):
+        lo, hi = shifted - 4.0 * width, shifted + 4.0 * width
+        if shifted < midpoint:
+            hi = min(hi, midpoint)
+        else:
+            lo = max(lo, midpoint)
+        axis = np.linspace(lo, hi, 97)
+        values = loop_mixture_intensity(
+            axis + params.delta_laser, lines.lambdas, lines.residues, params.kappa
+        )
+        if not (np.all(np.isfinite(axis)) and np.all(np.isfinite(values))):
+            windows.append(DomainError("data must be finite"))
+        elif width == 0.0:
+            windows.append(DomainError("initial fwhm must be nonzero"))
+        else:
+            start = (2.0 * abs(area) / (math.pi * width), shifted, abs(width))
+            windows.append((axis, values, np.array(start + (float(np.min(values)),))))
+    return windows
+
+
+def loop_peaks(x, sigma, cov, n_peaks):
+    """PeakFit field tuples of one fitted row, sorted by center, with area
+    errors from the covariance; or the DegeneratePeaks it raises."""
+    peaks = []
+    for k in range(n_peaks):
+        amplitude, center, fwhm = x[3 * k], x[3 * k + 1], abs(x[3 * k + 2])
+        amp_err, cen_err, width_err = sigma[3 * k : 3 * k + 3]
+        cross = cov[3 * k, 3 * k + 2]
+        area = amplitude * fwhm * math.pi / 2.0
+        with np.errstate(over="ignore"):
+            area_var = (math.pi / 2.0) ** 2 * max(
+                fwhm**2 * amp_err**2 + amplitude**2 * width_err**2
+                + 2.0 * amplitude * fwhm * cross,
+                0.0,
+            )
+        fields = (center, fwhm, amplitude, area, cen_err, width_err, amp_err)
+        peaks.append(tuple(map(float, fields)) + (float(math.sqrt(area_var)),))
+    peaks.sort(key=lambda peak: peak[0])
+    for i in range(len(peaks)):
+        for j in range(i + 1, len(peaks)):
+            if abs(peaks[i][0] - peaks[j][0]) < 0.1 * min(peaks[i][1], peaks[j][1]):
+                return DegeneratePeaks(f"fitted centers {peaks[i][0]} and {peaks[j][0]} coincide")
+    return tuple(peaks)

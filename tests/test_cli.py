@@ -472,9 +472,16 @@ def test_fit_phonon_error_bars_without_finite_weight_exit_2(capsys, tmp_path):
          "error bar 1e-320 is too small to weight: its inverse overflows"),
         (["fit", "exponential"], "".join(f"{t},{0.5**t},1e-320\n" for t in range(6)),
          "error bar 1e-320 is too small to weight: its inverse overflows"),
+        (["fit", "lorentzian1"], "".join(f"{x},{2 - abs(x)},1e-300\n" for x in range(-3, 3)),
+         "error bar 1e-300 is too small to weight: the weighted squares overflow"),
+        (["fit", "exponential"], "".join(f"{t},{0.5**t},1e-300\n" for t in range(6)),
+         "error bar 1e-300 is too small to weight: the weighted squares overflow"),
+        (["spectrum", "--kappa", "1e307", "--phonon-alpha1", "1e306", "--grid-points", "16"],
+         None, "the spectrum normalization (2 pi)^2 kappa overflows a float"),
     ],
     ids=["phonon_n_power", "g_squared", "tiny_detuning", "generator_sum", "lorentzian_errors",
-         "exponential_errors"],
+         "exponential_errors", "lorentzian_weighted_squares", "exponential_weighted_squares",
+         "spectrum_normalization"],
 )
 def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
     """Inputs that overflow a float on the way to a solve or a fit weight are
@@ -489,6 +496,42 @@ def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_one_parser_serves_many_calls(capsys, monkeypatch, tmp_path):
+    """main builds its parser once per process; each call of a sequence,
+    a refused flag among them, prints and returns what the same call does
+    with a freshly built parser."""
+    freqs = np.linspace(-40.0, 40.0, 161)
+    intensity = fit_mod.lorentzian_profile(freqs, 2.3, -12.0, 6.0, baseline=0.1)
+    intensity += fit_mod.lorentzian_profile(freqs, 0.9, 15.0, 4.0)
+    path = tmp_path / "two.csv"
+    path.write_text("".join(f"{nu:.17g},{val:.17g}\n" for nu, val in zip(freqs, intensity)))
+    calls = [
+        ["sweep-detuning", "--json"],
+        ["sweep-detuning"],
+        ["sweep-detuning", "--no-such-flag"],
+        ["fit", "lorentzian2", str(path)],
+        ["validate"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a flag this way
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    assert cli._parser() is cli._parser()
+    shared = run_all()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == run_all()
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in shared[2][2]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Least-squares fitters: round trips, Monte-Carlo recovery, ratio labeling."""
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -165,22 +165,33 @@ def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
     """One stacked pipeline call over random valid operating points gives
     each point the window fits of a fit_lorentzian call per window (a stack
     of one) and the ratio rs_ratio forms from them, bit for bit; so does a
-    call split into stacks of five points."""
+    call split into stacks of five points.  Points without a thermal bath
+    (kT = 0), with a falling spectral density (phonon_n < 0) and with both
+    are among them."""
     if stack_points is not None:
         monkeypatch.setattr(fit_mod, "_STACK_POINTS", stack_points)
     rng = np.random.default_rng(2024)
-    points = [helpers.random_valid_params(rng) for _ in range(24)]
+    drawn = [helpers.random_valid_params(rng) for _ in range(24)]
+    points = (
+        drawn
+        + [replace(p, kT=0.0) for p in drawn[:4]]
+        + [replace(p, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[4:8]]
+        + [replace(p, kT=0.0, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[8:12]]
+    )
     fields = ("center", "fwhm", "amplitude", "area",
               "center_err", "fwhm_err", "amplitude_err", "area_err")
     compared = 0
     for params, outcome in zip(points, predict_rs(points)):
         try:
-            lines = fit_mod.spectrum_mod.classify_lines(params)
-            windows, values, guesses = fit_mod._line_windows(params, lines)
-            alone = [
-                fit_lorentzian(axis, value, n_peaks=1, init=(guess,))
-                for axis, value, guess in zip(windows, values, guesses)
-            ]
+            table = fit_mod.spectrum_mod.line_table([params])
+            plan, _, axes, values, starts = fit_mod._line_plans(table)
+            windows = iter(zip(axes, values, starts))
+            alone = []
+            for error in plan[0]:
+                if error is not None:
+                    raise error
+                axis, value, start = next(windows)
+                alone.append(fit_lorentzian(axis, value, n_peaks=1, init=(tuple(start[:3]),)))
             point_alone = rs_ratio(
                 (alone[0].peaks[0], alone[1].peaks[0]), delta=params.delta_laser
             )
@@ -200,7 +211,133 @@ def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
                 + [fit_alone.baseline, fit_alone.baseline_err, fit_alone.residual_rms],
             )
         compared += 1
-    assert compared >= 20
+    assert compared >= 30
+
+
+def test_overflowing_normalization_fails_only_its_point(paper_params):
+    """A point whose spectrum normalization (2 pi)^2 kappa overflows gets
+    mixture_intensity's DomainError in both windows; the other points of
+    its stack keep the windows they get alone, bit for bit."""
+    table = fit_mod.spectrum_mod.line_table([paper_params, paper_params])
+    kappa = table.kappa.copy()
+    kappa[1] = 1e307
+    plan, fitted, *windows = fit_mod._line_plans(replace(table, kappa=kappa))
+    assert fitted.tolist() == [[True, True], [False, False]]
+    for error in plan[1]:
+        assert isinstance(error, DomainError) and "normalization" in str(error)
+    _, _, *alone = fit_mod._line_plans(fit_mod.spectrum_mod.line_table([paper_params]))
+    for got, expected in zip(windows, alone):
+        assert helpers.same_bits(got, expected)
+
+
+def test_line_windows_match_per_point_loop():
+    """The stacked windows, samples and starts of fit_emission_lines equal
+    the per-point loop they replaced (helpers.loop_windows) bit for bit,
+    on random points and the ROADMAP edge cases kT = 0, phonon_n < 0 and
+    both."""
+    rng = np.random.default_rng(53)
+    drawn = [helpers.random_valid_params(rng) for _ in range(30)]
+    points = (
+        drawn[:15]
+        + [replace(p, kT=0.0) for p in drawn[15:20]]
+        + [replace(p, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[20:25]]
+        + [replace(p, kT=0.0, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[25:]]
+    )
+    plan, fitted, axes, samples, starts = fit_mod._line_plans(
+        fit_mod.spectrum_mod.line_table(points)
+    )
+    assert fitted.all()
+    expected = [
+        window
+        for params, lines in zip(points, fit_mod.spectrum_mod.classify_lines(points))
+        for window in helpers.loop_windows(params, lines)
+    ]
+    for row, (axis, values, start) in enumerate(expected):
+        assert helpers.same_bits(axes[row], axis)
+        assert helpers.same_bits(samples[row], values)
+        assert helpers.same_bits(starts[row], start)
+
+
+@pytest.mark.parametrize("n_peaks", [1, 2, 3])
+def test_peak_read_back_matches_per_peak_loop(monkeypatch, n_peaks):
+    """Areas, area errors, center order and the coincidence test of a
+    stacked read-back equal the per-peak loop they replaced
+    (helpers.loop_peaks) bit for bit, for any number of peaks."""
+    rng = np.random.default_rng(59 + n_peaks)
+    freqs = np.linspace(-30.0, 30.0, 121)
+    rows, starts = [], []
+    for _ in range(12):
+        centers = np.sort(rng.uniform(-25.0, 25.0, n_peaks))
+        peaks = [(rng.uniform(0.5, 4.0), c, rng.uniform(0.5, 6.0)) for c in centers]
+        values = sum(lorentzian_profile(freqs, *peak) for peak in peaks) + 0.2
+        rows.append(values + rng.normal(0.0, 0.02, freqs.size))
+        starts.append([v for peak in peaks for v in peak] + [0.2])
+    # One line fitted by equal peaks: they stay equal, so they coincide.
+    rows[0] = lorentzian_profile(freqs, *starts[0][:3]) + 0.2
+    starts[0][:-1] = starts[0][:3] * n_peaks
+    solutions, minimize = [], leastsq.minimize
+
+    def recording(*args, **kwargs):
+        solutions.append(minimize(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(leastsq, "minimize", recording)
+    fits = fit_mod._fit_lorentzians(
+        np.tile(freqs, (12, 1)), np.array(rows), None, np.array(starts)
+    )
+    (solution,) = solutions
+    cov = leastsq.covariance(solution.gram, solution.cost, freqs.size, 3 * n_peaks + 1)
+    sigmas = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
+    compared = degenerate = 0
+    for k, fit in enumerate(fits):
+        if isinstance(fit, NoConvergence):
+            continue
+        expected = helpers.loop_peaks(solution.x[k], sigmas[k], cov[k], n_peaks)
+        if isinstance(expected, Exception):
+            assert type(fit) is type(expected) and str(fit) == str(expected)
+            degenerate += 1
+            continue
+        got = [tuple(map(float.hex, astuple(peak))) for peak in fit.peaks]
+        assert got == [tuple(map(float.hex, peak)) for peak in expected]
+        compared += 1
+    assert compared >= 8 and degenerate >= (n_peaks > 1)
+
+
+def test_area_errors_square_as_the_per_peak_loop(monkeypatch):
+    """The per-peak loop squared float64 scalars, which calls C pow; numpy
+    squares an array by x * x, which with some C libraries differs from pow
+    in the last bit for about one x in a thousand.  Over 20,000 read-backs
+    of chosen solutions, every area error equals the loop's."""
+    rng = np.random.default_rng(61)
+    count = 20000
+    x0 = np.column_stack([
+        rng.uniform(0.1, 10.0, count), rng.uniform(-5.0, 5.0, count),
+        rng.uniform(0.1, 10.0, count), np.zeros(count),
+    ])
+    gram = np.broadcast_to(np.diag(rng.uniform(0.5, 2.0, 4)), (count, 4, 4)).copy()
+    cost = rng.uniform(0.5, 2.0, count)
+    chosen = leastsq.Solution(
+        x0, gram, cost, np.ones(count, dtype=int), (leastsq.STOP_GRADIENT,) * count
+    )
+    monkeypatch.setattr(leastsq, "minimize", lambda *args, **kwargs: chosen)
+    freqs = np.tile(np.linspace(-1.0, 1.0, 5), (count, 1))
+    fits = fit_mod._fit_lorentzians(freqs, np.zeros_like(freqs), None, x0)
+    cov = leastsq.covariance(gram, cost, 5, 4)
+    sigmas = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
+    area_errors = [fit.peaks[0].area_err for fit in fits]
+    expected = [helpers.loop_peaks(x0[k], sigmas[k], cov[k], 1)[0][7] for k in range(count)]
+    assert helpers.same_bits(np.array(area_errors), np.array(expected))
+
+
+def test_window_axes_are_each_windows_linspace():
+    """A stacked linspace takes its zero-step route in every row once one
+    row has a zero step; the window axes keep each row its own call's bits."""
+    lo = np.array([[-3.7, 12.25], [5.0, 1e-310]])
+    hi = np.array([[4.1, 19.0], [5.0, 2e-310]])
+    axes = fit_mod._window_axes(lo, hi)
+    for index in np.ndindex(lo.shape):
+        expected = np.linspace(lo[index], hi[index], fit_mod._LINE_POINTS)
+        assert helpers.same_bits(axes[index], expected)
 
 
 def test_single_lorentzian_exact_round_trip():

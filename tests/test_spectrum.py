@@ -298,6 +298,19 @@ def test_mixture_intensity_blocks_are_bitwise_one_call(monkeypatch, paper_params
     )
 
 
+def test_mixture_intensity_refuses_overflowing_normalization(paper_params):
+    """(2 pi)^2 kappa overflows a float above about 4.5e306 GHz: refused,
+    with no warning, instead of NaN intensities."""
+    lambdas, residues, _ = correlation_modes(paper_params)
+    with pytest.raises(DomainError, match="normalization"):
+        mixture_intensity(np.linspace(-5.0, 5.0, 7), lambdas, residues, 1e307)
+    with pytest.raises(DomainError, match="normalization"):
+        mixture_intensity(
+            np.zeros((2, 3)), np.stack([lambdas] * 2), np.stack([residues] * 2),
+            np.array([53.7, 1e307]),
+        )
+
+
 def test_spectrum_validation():
     freqs = np.array([0.0, 1.0, 2.0])
     good = np.array([0.0, 1.0, 0.5])
@@ -309,6 +322,9 @@ def test_spectrum_validation():
         Spectrum(freqs=freqs, intensity=good, frame="galactic")
     with pytest.raises(DomainError):
         Spectrum(freqs=freqs, intensity=good[:2], frame="lab")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            Spectrum(freqs=freqs, intensity=np.array([0.0, bad, 0.5]), frame="lab")
     # Tiny negative rounding noise is tolerated.
     ok = Spectrum(freqs=freqs, intensity=np.array([0.0, -1e-13, 0.1]), frame="lab")
     assert ok.frame == "lab"
@@ -342,17 +358,20 @@ def _assert_each_as_alone(points, outcomes):
 
 def test_stacked_classification_matches_each_point_alone(paper_params):
     """One classify_lines call over 60 points, two stacks, gives every point
-    its own call's lambdas, residues and lines bit for bit, with phonon-off
-    and kT = 0 points among them.  Points that fail at the build, the
-    steady state or the classification fail in the stack with the same
-    exception and message, and leave their neighbours as they are alone."""
+    its own call's lambdas, residues and lines bit for bit, with phonon-off,
+    kT = 0, phonon_n < 0, and kT = 0 with phonon_n < 0 points among them.
+    Points that fail at the build, the steady state or the classification
+    fail in the stack with the same exception and message, and leave their
+    neighbours as they are alone."""
     rng = np.random.default_rng(31)
     drawn = [helpers.random_valid_params(rng) for _ in range(60)]
     points = (
         drawn[:20]
         + [replace(p, phonon_alpha1=0.0, phonon_alpha2=0.0) for p in drawn[20:30]]
         + [replace(p, kT=0.0) for p in drawn[30:40]]
-        + drawn[40:]
+        + [replace(p, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[40:45]]
+        + [replace(p, kT=0.0, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[45:50]]
+        + drawn[50:]
     )
     no_phonons = {"phonon_alpha1": 0.0, "phonon_alpha2": 0.0}
     closed = {"kappa": 0.0, "gamma1": 0.0, "gamma2": 0.0, "gamma_flip": 0.0}
@@ -386,6 +405,59 @@ def test_stacked_classification_matches_each_point_alone(paper_params):
             assert helpers.same_bits(lambdas, outcome.lambdas)
             assert helpers.same_bits(residues, outcome.residues)
             assert helpers.same_bits(np.float64(photons), np.float64(outcome.photon_number))
+
+
+def test_line_table_matches_per_point_loop(paper_params):
+    """The stacked classification equals the per-point loop it replaced
+    (helpers.loop_classification) bit for bit, with the same errors, on
+    random points, the ROADMAP edge cases (kT = 0, phonon_n < 0, both) and
+    points that emit nothing, keep one line or collapse both roles."""
+    rng = np.random.default_rng(43)
+    drawn = [helpers.random_valid_params(rng) for _ in range(40)]
+    no_phonons = {"phonon_alpha1": 0.0, "phonon_alpha2": 0.0}
+    points = (
+        drawn[:25]
+        + [replace(p, kT=0.0) for p in drawn[25:30]]
+        + [replace(p, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[30:35]]
+        + [replace(p, kT=0.0, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[35:]]
+        + [
+            replace(paper_params, g=0.0, **no_phonons),
+            replace(paper_params, omega_drive=0.0),
+            replace(paper_params, delta_laser=0.0, delta_cavity=0.0, **no_phonons),
+        ]
+    )
+    failures = 0
+    for params, outcome, modes in zip(points, classify_lines(points), correlation_modes(points)):
+        expected = helpers.loop_classification(params, modes)
+        if isinstance(expected, Exception):
+            assert type(outcome) is type(expected) and str(outcome) == str(expected)
+            failures += 1
+            continue
+        raman, spont, background = expected
+        got = [outcome.raman, outcome.spontaneous, *outcome.background]
+        assert [tuple(map(float.hex, line)) for line in got] == [
+            tuple(map(float.hex, line)) for line in (raman, spont, *background)
+        ]
+    assert failures == 3
+
+
+def test_mixture_intensity_matches_per_mode_sum(paper_params):
+    """Adding the three modes' terms in turn gives numpy's sum over them,
+    signed zeros included, one point or a stack of rows."""
+    rng = np.random.default_rng(47)
+    lambdas = -np.abs(rng.normal(size=(8, 3))) * 10.0 + 1j * rng.normal(size=(8, 3)) * 40.0
+    residues = (rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))) * 1e-4
+    residues[1, 0] = 0.0
+    residues[2] = -0.0
+    kappa = rng.uniform(20.0, 80.0, 8)
+    nu = np.concatenate([rng.uniform(-150.0, 150.0, (8, 60)), np.zeros((8, 1)), -np.zeros((8, 1))], 1)
+    rows = mixture_intensity(nu, lambdas, residues, kappa)
+    for k in range(8):
+        expected = helpers.loop_mixture_intensity(nu[k], lambdas[k], residues[k], kappa[k])
+        assert helpers.same_bits(rows[k], expected)
+        assert helpers.same_bits(
+            mixture_intensity(nu[k], lambdas[k], residues[k], kappa[k]), expected
+        )
 
 
 @pytest.mark.parametrize("routine", ["eigh", "svd", "eig", "solve"])
