@@ -446,7 +446,10 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         omega = delta / 10.0
         target = rates_mod.raman_rate_bare_ideal(omega, delta, gamma)
         t_start = 30.0 / (2.0 * math.pi * gamma)
-        horizon = t_start + 0.05 / target
+        # Three decay times: over a small part of one decay the trace is
+        # nearly a straight line, on which amplitude, tau and baseline
+        # trade off, and the fit stalls (300 iterations at 5%, against 6).
+        horizon = t_start + 3.0 / target
         grid = np.linspace(t_start, horizon, 200)
         pops = oracle.bare_lambda_evolve(omega, delta, gamma, gamma, grid)
         decay = fit_mod.fit_exponential(grid, pops[:, 1])

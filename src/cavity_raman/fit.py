@@ -32,8 +32,6 @@ from .model import ModelParams
 # the number of spectrum samples in each.
 _LINE_WINDOW = 4.0
 _LINE_POINTS = 97
-# Operating points solved, and line windows fitted, as one stack.
-_STACK_POINTS = stack.POINTS
 # Step floor of the phonon refit's LM in (log alpha, n).  Its ratios carry
 # about 1e-10 relative noise from the two line fits, and steps of that size
 # only chase it.  A step of 1e-9 moves each ln s = log alpha + n ln d by at
@@ -467,9 +465,8 @@ def rs_ratio(
 LinePair = tuple[LorentzianFit, LorentzianFit]
 
 
-def fit_emission_lines(
-    params: ModelParams | Sequence[ModelParams],
-) -> LinePair | list[LinePair | Exception]:
+@stack.per_point
+def fit_emission_lines(points: list[ModelParams]) -> list[LinePair | Exception]:
     """Fit the two narrow emission lines, each in its own local window.
 
     The spectrum carries a cavity-wide background pedestal whose level
@@ -481,28 +478,16 @@ def fit_emission_lines(
     cover each other's peak.  Centers land on an axis shifted so the Raman
     line sits near -delta_laser and the spontaneous line near zero.
 
-    Given one operating point, returns its (Raman, spontaneous) fits or
-    raises.  Given a sequence, classifies each point, samples all 2N
-    windows and fits them in one stacked LM call per _STACK_POINTS points,
-    each fit bit for bit the one it gets alone; returns one outcome per
-    point in order, its pair of fits or the exception it raised.
+    Returns the (Raman, spontaneous) fits.  Takes one point or a sequence
+    (see :func:`stack.per_point`); a stack's points are classified and all
+    its windows sampled and fitted in one stacked LM call, each fit bit for
+    bit the one it gets alone.
     """
-    if isinstance(params, ModelParams):
-        return stack.unwrap(_line_fits([params])[0])
-    return _line_fits(params)
-
-
-def _line_fits(points: Sequence[ModelParams]) -> list[LinePair | Exception]:
-    outcomes: list[LinePair | Exception] = []
-    for start in range(0, len(points), _STACK_POINTS):
-        stacked = spectrum_mod.line_table(points[start : start + _STACK_POINTS])
-        plan, fitted, axes, samples, starts = _line_plans(stacked)
-        if fitted.any():
-            plan[fitted] = _fit_lorentzians(axes, samples, None, starts)
-        for raman, spont in plan:
-            failed = [fit for fit in (raman, spont) if isinstance(fit, Exception)]
-            outcomes.append(failed[0] if failed else (raman, spont))
-    return outcomes
+    plan, fitted, axes, samples, starts = _line_plans(spectrum_mod.line_table(points))
+    if fitted.any():
+        plan[fitted] = _fit_lorentzians(axes, samples, None, starts)
+    # A point's outcome is its first failed window, or both fits.
+    return [next((f for f in pair if isinstance(f, Exception)), tuple(pair)) for pair in plan]
 
 
 def _line_plans(
@@ -570,21 +555,19 @@ def _window_axes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return axes
 
 
+@stack.per_point
 def predict_rs(
-    params: ModelParams | Sequence[ModelParams], mode: str = "area"
-) -> tuple[RsPoint, LinePair] | list[tuple[RsPoint, LinePair] | Exception]:
+    points: list[ModelParams], mode: str = "area"
+) -> list[tuple[RsPoint, LinePair] | Exception]:
     """Full ratio pipeline at one operating point, or at each of a sequence.
 
     Fits the Raman and spontaneous lines via fit_emission_lines, labels the
     pair, and forms the intensity ratio.  Returns the labelled point
-    together with the two underlying fits, Raman first.  Given a sequence,
-    fits every point's lines as a stack (see fit_emission_lines) and
-    returns one outcome per point in order: that pair, or the exception
-    the point raised (VanishingSpontaneous included), so a caller can
-    raise the first failure in its own order.
+    together with the two underlying fits, Raman first.  Takes one point or
+    a sequence (see :func:`stack.per_point`); a sequence gets one outcome
+    per point, VanishingSpontaneous included, so a caller can raise the
+    first failure in its own order.
     """
-    single = isinstance(params, ModelParams)
-    points = [params] if single else list(params)
     outcomes = []
     for trial, fits in zip(points, fit_emission_lines(points)):
         if not isinstance(fits, Exception):
@@ -600,7 +583,7 @@ def predict_rs(
             else:
                 fits = (point, fits)
         outcomes.append(fits)
-    return stack.unwrap(outcomes[0]) if single else outcomes
+    return outcomes
 
 
 @dataclass(frozen=True)

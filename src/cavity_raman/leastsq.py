@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import stack
 from .errors import NoConvergence
 
 _DAMPING_START = 1e-3
@@ -75,7 +76,6 @@ def minimize(
     residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
-    max_iterations: int = _MAX_ITERATIONS,
     step_floor: float = _STEP_FLOOR,
 ) -> Solution:
     """Damped least squares with multiplicative damping control, solving a
@@ -103,7 +103,7 @@ def minimize(
     cost = _squares(r)
     grad, gram = _normal_equations(jacobian, ids, x, r)
     damping = np.full(count, _DAMPING_START)
-    iterations = np.full(count, max_iterations)
+    iterations = np.full(count, _MAX_ITERATIONS)
     stops = [STOP_MAX_ITERATIONS] * count
     # The state arrays hold the running problems only, in ``ids`` order; a
     # problem that stops is copied into ``solution`` and dropped from them.
@@ -118,7 +118,7 @@ def minimize(
         for k in done:
             stops[k] = reason
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         if ids.size == 0:
             break
         zero = cost <= 1e-300
@@ -139,16 +139,11 @@ def minimize(
         scaled = np.zeros_like(gram)
         scaled[:, diagonal, diagonal] = scale
         system = gram + damping[:, None, None] * scaled
-        solved = None
-        try:
-            step = np.linalg.solve(system, -grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step, solved = np.zeros_like(grad), np.ones(ids.size, dtype=bool)
-            for k in range(ids.size):
-                try:
-                    step[k] = np.linalg.solve(system[k], -grad[k])
-                except np.linalg.LinAlgError:
-                    solved[k] = False
+        (step,), errors = stack.linalg(np.linalg.solve, system, -grad[:, :, None])
+        step, solved = step[:, :, 0], None
+        if any(errors):
+            solved = np.array([error is None for error in errors])
+            step[~solved] = 0.0
 
         trial = x + step
         with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +186,7 @@ def minimize(
             ids, x, cost, grad, gram, damping = (
                 a[keep] for a in (ids, x, cost, grad, gram, damping)
             )
-    retire(np.ones(ids.size, dtype=bool), STOP_MAX_ITERATIONS, max_iterations)
+    retire(np.ones(ids.size, dtype=bool), STOP_MAX_ITERATIONS, _MAX_ITERATIONS)
     return Solution(*solution, iterations, tuple(stops))
 
 
@@ -202,17 +197,12 @@ def single(func: Callable[[np.ndarray], np.ndarray]) -> Callable:
 
 def covariance(gram: np.ndarray, cost: np.ndarray, size: int, n_params: int) -> np.ndarray:
     """Parameter covariances scaled by the reduced chi square, one per row
-    of the stacked Gram matrices and costs of ``size`` residuals each."""
+    of the stacked Gram matrices and costs of ``size`` residuals each.  A
+    singular Gram matrix takes its pseudo-inverse; the others are inverted
+    as one stack."""
     dof = max(size - n_params, 1)
-    try:
-        inverse = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        inverse = np.array([_inverse(block) for block in gram])
+    (inverse,), errors = stack.linalg(np.linalg.inv, gram)
+    for k, error in enumerate(errors):
+        if error is not None:
+            inverse[k] = np.linalg.pinv(gram[k])
     return inverse * (cost / dof)[:, None, None]
-
-
-def _inverse(gram: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(gram)

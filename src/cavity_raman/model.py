@@ -162,22 +162,15 @@ class DressedStates:
     omega_dark: float
 
 
-def dressed_states(
-    params: ModelParams | Sequence[ModelParams],
-) -> DressedStates | list[DressedStates | Exception]:
+@stack.per_point
+def dressed_states(points: list[ModelParams]) -> list[DressedStates | Exception]:
     """Diagonalize the driven three-state block numerically.
 
     Valid at any coupling; raises DegenerateSpectrum when two dressed
-    frequencies coincide.  Given a sequence, diagonalizes every block in
-    one stacked ``eigh`` and returns each point's states, or the exception
-    it raises alone.
+    frequencies coincide.  Takes one point or a sequence (see
+    :func:`stack.per_point`); a stack's blocks are diagonalized in one
+    stacked ``eigh``.
     """
-    if isinstance(params, ModelParams):
-        return stack.unwrap(_dressed([params])[0])
-    return _dressed(params)
-
-
-def _dressed(points: Sequence[ModelParams]) -> list[DressedStates | Exception]:
     outcomes: list[DressedStates | Exception | None] = [
         DomainError("dressed states are undefined at zero laser detuning")
         if point.delta_laser == 0.0

@@ -86,9 +86,8 @@ class Spectrum:
 Modes = tuple[np.ndarray, np.ndarray, float]
 
 
-def correlation_modes(
-    params: ModelParams | Sequence[ModelParams],
-) -> Modes | list[Modes | Exception]:
+@stack.per_point
+def correlation_modes(points: list[ModelParams]) -> list[Modes | Exception]:
     """Eigenvalues and spectral residues of the field correlation function.
 
     Returns ``(lambdas, residues, photon_number)`` where
@@ -99,21 +98,13 @@ def correlation_modes(
     it), which the spectrum normalization below relies on.  An eigenvalue
     with real part of at least ``STABILITY_TOL`` raises UnstableLiouvillian.
 
-    Given a sequence, solves it in stacks of up to ``stack.POINTS``
-    points, each one 16 x 16 build and SVD and one 3 x 3 ``eig`` and
-    ``solve``, and returns each point's modes, or the exception it raises
-    alone.
+    Takes one point or a sequence (see :func:`stack.per_point`); a stack
+    is one 16 x 16 build and SVD and one 3 x 3 ``eig`` and ``solve``.
     """
-    if isinstance(params, ModelParams):
-        return stack.unwrap(correlation_modes([params])[0])
-    points = list(params)
-    outcomes: list[Modes | Exception] = []
-    for start in range(0, len(points), stack.POINTS):
-        lambdas, residues, photons, errors = _stack_modes(points[start : start + stack.POINTS])
-        outcomes += [
-            error or (lambdas[k], residues[k], float(photons[k])) for k, error in enumerate(errors)
-        ]
-    return outcomes
+    lambdas, residues, photons, errors = _stack_modes(points)
+    return [
+        error or (lambdas[k], residues[k], float(photons[k])) for k, error in enumerate(errors)
+    ]
 
 
 def _stack_modes(
@@ -313,9 +304,8 @@ class LineTable:
     errors: list[Exception | None]
 
 
-def classify_lines(
-    params: ModelParams | Sequence[ModelParams],
-) -> LineClassification | list[LineClassification | Exception]:
+@stack.per_point
+def classify_lines(points: list[ModelParams]) -> list[LineClassification | Exception]:
     """Label the emission lines by physical role.
 
     Lines wider than half the cavity linewidth are cavity-like background
@@ -325,29 +315,22 @@ def classify_lines(
     when the cavity emits nothing (steady photon number below
     ``EMISSION_FLOOR``) or when the two roles land on one line.
 
-    Given a sequence, classifies it in stacks of up to ``stack.POINTS``
-    points (see :func:`line_table`) and returns each point's
-    classification, or the exception it raises alone.
+    Takes one point or a sequence (see :func:`stack.per_point`); a stack
+    is classified as arrays by :func:`line_table`.
     """
-    if isinstance(params, ModelParams):
-        return stack.unwrap(classify_lines([params])[0])
-    points = list(params)
-    outcomes: list[LineClassification | Exception] = []
-    for start in range(0, len(points), stack.POINTS):
-        table = line_table(points[start : start + stack.POINTS])
-        outcomes += [
-            error
-            or LineClassification(
-                raman=tuple(table.roles[k, 0].tolist()),
-                spontaneous=tuple(table.roles[k, 1].tolist()),
-                background=tuple(map(tuple, table.lines[k, table.background[k]].tolist())),
-                lambdas=table.lambdas[k],
-                residues=table.residues[k],
-                photon_number=float(table.photons[k]),
-            )
-            for k, error in enumerate(table.errors)
-        ]
-    return outcomes
+    table = line_table(points)
+    return [
+        error
+        or LineClassification(
+            raman=tuple(table.roles[k, 0].tolist()),
+            spontaneous=tuple(table.roles[k, 1].tolist()),
+            background=tuple(map(tuple, table.lines[k, table.background[k]].tolist())),
+            lambdas=table.lambdas[k],
+            residues=table.residues[k],
+            photon_number=float(table.photons[k]),
+        )
+        for k, error in enumerate(table.errors)
+    ]
 
 
 def line_table(points: Sequence[ModelParams]) -> LineTable:

@@ -5,6 +5,7 @@ and per-point loop references for the stacked line classification,
 windows, spectrum sums and peak read-back.
 """
 import math
+from dataclasses import astuple, is_dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,6 +121,23 @@ def same_bits(a, b) -> bool:
     ``np.array_equal``, a -0.0 does not match a +0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_outcome(a, b) -> bool:
+    """True when two outcomes of a point-taking solve are the same to the
+    bit: exceptions by type and message, dataclasses field by field,
+    tuples and lists item by item, numbers and arrays by ``same_bits``."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    if is_dataclass(a):
+        return type(a) is type(b) and same_outcome(astuple(a), astuple(b))
+    if isinstance(a, (tuple, list)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(same_outcome(x, y) for x, y in zip(a, b))
+        )
+    return same_bits(a, b)
 
 
 def windowed_transform(taus, series, nu, kappa):

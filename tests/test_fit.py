@@ -1,4 +1,5 @@
 """Least-squares fitters: round trips, Monte-Carlo recovery, ratio labeling."""
+import functools
 import math
 from dataclasses import astuple, replace
 
@@ -13,10 +14,15 @@ from cavity_raman import (
     DegenerateSpectrum,
     DomainError,
     IllConditioned,
+    ModelParams,
     NoConvergence,
     PeakFit,
     RsPoint,
     VanishingSpontaneous,
+    classify_lines,
+    correlation_modes,
+    dressed_states,
+    fit_emission_lines,
     fit_exponential,
     fit_lorentzian,
     fit_phonon_exponent,
@@ -25,7 +31,7 @@ from cavity_raman import (
     rs_ratio,
 )
 from cavity_raman import fit as fit_mod
-from cavity_raman import leastsq
+from cavity_raman import leastsq, stack
 
 # Frozen pipeline outputs at the default operating point.
 PREDICT_RS_AREA_REF = 0.11419118598996021
@@ -160,6 +166,23 @@ def test_lm_stack_keeps_failing_problems_apart(monkeypatch):
     assert stacked.iterations.tolist() == [54, 21, 500, 500]
 
 
+def test_covariance_takes_pinv_only_for_a_singular_gram():
+    """A stack holding one exactly singular Gram matrix inverts the others
+    as one stack, each bitwise its own 2-D inverse, and gives the singular
+    one its pseudo-inverse, all scaled by the reduced chi square."""
+    rng = np.random.default_rng(71)
+    jac = rng.normal(size=(5, 9, 3))
+    gram = jac.transpose(0, 2, 1) @ jac
+    gram[2] = np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])  # rank one
+    cost = rng.uniform(0.5, 2.0, 5)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(gram[2])
+    cov = leastsq.covariance(gram, cost, 9, 3)
+    for k in range(5):
+        inverse = np.linalg.pinv(gram[k]) if k == 2 else np.linalg.inv(gram[k])
+        assert helpers.same_bits(cov[k], inverse * (cost[k] / 6))
+
+
 @pytest.mark.parametrize("stack_points", [None, 5])
 def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
     """One stacked pipeline call over random valid operating points gives
@@ -169,7 +192,7 @@ def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
     (kT = 0), with a falling spectral density (phonon_n < 0) and with both
     are among them."""
     if stack_points is not None:
-        monkeypatch.setattr(fit_mod, "_STACK_POINTS", stack_points)
+        monkeypatch.setattr(stack, "POINTS", stack_points)
     rng = np.random.default_rng(2024)
     drawn = [helpers.random_valid_params(rng) for _ in range(24)]
     points = (
@@ -212,6 +235,59 @@ def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
             )
         compared += 1
     assert compared >= 30
+
+
+_NO_PHONONS = {"phonon_alpha1": 0.0, "phonon_alpha2": 0.0}
+_CLOSED = {"kappa": 0.0, "gamma1": 0.0, "gamma2": 0.0, "gamma_flip": 0.0}
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        dressed_states,
+        correlation_modes,
+        classify_lines,
+        fit_emission_lines,
+        predict_rs,
+        functools.partial(predict_rs, mode="amplitude"),
+    ],
+    ids=["dressed_states", "correlation_modes", "classify_lines", "fit_emission_lines",
+         "predict_rs", "predict_rs_amplitude"],
+)
+def test_point_taking_solves_keep_the_per_point_contract(monkeypatch, paper_params, solve):
+    """Every function decorated by stack.per_point gives a point what a
+    stack of one gives it: one point returns its result or raises its
+    exception; a list, a tuple or a generator of points, and a sequence cut
+    into stacks of two, return each point's result or exception in order;
+    an empty sequence returns [].  Among the points, some fail in the
+    Hamiltonian, the build, the steady state, the classification, the fit
+    and the ratio."""
+    rng = np.random.default_rng(83)
+    points = [helpers.random_valid_params(rng) for _ in range(3)] + [
+        replace(paper_params, delta_laser=0.0, delta_cavity=0.0, **_NO_PHONONS),
+        ModelParams(g=0.0, omega_drive=0.0),
+        replace(paper_params, g=0.0, **_NO_PHONONS),
+        replace(paper_params, delta_laser=-5.0),
+        replace(paper_params, **_CLOSED, **_NO_PHONONS),
+        replace(paper_params, phonon_n=300.0),
+        replace(paper_params, phonon_alpha1=1e3, phonon_alpha2=1e3),
+        replace(paper_params, delta_laser=3.0, delta_cavity=3.0),
+    ]
+    alone = [solve([params])[0] for params in points]
+    failed = [isinstance(outcome, Exception) for outcome in alone]
+    assert any(failed) and not all(failed)
+    for params, expected in zip(points, alone):
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as raised:
+                solve(params)
+            assert helpers.same_outcome(raised.value, expected)
+        else:
+            assert helpers.same_outcome(solve(params), expected)
+    for form in (list, tuple, iter):
+        assert helpers.same_outcome(solve(form(points)), alone)
+        assert solve(form([])) == []
+    monkeypatch.setattr(stack, "POINTS", 2)
+    assert helpers.same_outcome(solve(points), alone)
 
 
 def test_overflowing_normalization_fails_only_its_point(paper_params):
