@@ -86,6 +86,9 @@ class RunConfig:
             raise ConfigError(
                 f"sweep_start {self.sweep_start} must not exceed sweep_stop {self.sweep_stop}"
             )
+        for low, high in (("grid_min", "grid_max"), ("sweep_start", "sweep_stop")):
+            if not math.isfinite(getattr(self, high) - getattr(self, low)):
+                raise ConfigError(f"the span from {low} to {high} overflows a float")
         if self.rs_mode not in ("area", "amplitude"):
             raise ConfigError(f"rs_mode must be 'area' or 'amplitude', got {self.rs_mode!r}")
         if self.filter_width <= 0.0:

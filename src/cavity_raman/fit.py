@@ -498,16 +498,15 @@ def _line_plans(
 
     Returns (plan, fitted, axes, samples, starts).  ``plan`` is a (K, 2)
     object array holding the error each window meets before its fit, as
-    fit_lorentzian would raise it: a point's own error in both windows,
-    non-finite data, or a zero start width.  ``fitted`` marks the windows
-    without one; their axes, spectrum samples and starts follow in that
-    order.  Errors wait in the plan, so a caller meets them in its own order.
+    fit_lorentzian would raise it: non-finite data, or a zero start width.
+    ``fitted`` marks the windows without one; their axes, spectrum samples
+    and starts follow in that order.  Errors wait in the plan, so a caller
+    meets them in its own order.  A point whose spectrum normalization
+    overflows raises stack.Failed.
     """
-    plan = np.array([[error, error] for error in table.errors], dtype=object)
-    ok = np.flatnonzero([error is None for error in table.errors])
-    delta = table.delta_laser[ok, None]
-    centers = table.roles[ok, :, 0] - delta
-    widths = table.roles[ok, :, 1]
+    delta = table.delta_laser[:, None]
+    centers = table.roles[:, :, 0] - delta
+    widths = table.roles[:, :, 1]
     midpoint = 0.5 * (centers[:, :1] + centers[:, 1:])
     lo = centers - _LINE_WINDOW * widths
     hi = centers + _LINE_WINDOW * widths
@@ -518,30 +517,30 @@ def _line_plans(
     lo = np.where(~below & (midpoint > lo), midpoint, lo)
     axes = _window_axes(lo, hi)
     nu = axes + delta[..., None]
-    modes = (table.lambdas[ok], table.residues[ok], table.kappa[ok])
+    modes = (table.lambdas, table.residues, table.kappa)
     try:
         samples = spectrum_mod.mixture_intensity(nu, *modes)
     except DomainError:
         # A kappa too large to normalize: each point raises as it does alone.
-        samples = np.full(nu.shape, np.nan)
-        for j, k in enumerate(ok.tolist()):
+        errors = {}
+        for k in range(len(nu)):
             try:
-                samples[j] = spectrum_mod.mixture_intensity(nu[j], *(m[j] for m in modes))
+                spectrum_mod.mixture_intensity(nu[k], *(m[k] for m in modes))
             except DomainError as exc:
-                plan[k] = exc
+                errors[k] = exc
+        stack.fail(errors)
+        raise
     finite = np.isfinite(axes).all(axis=-1) & np.isfinite(samples).all(axis=-1)
-    fitted = np.zeros(plan.shape, dtype=bool)
-    fitted[ok] = finite & (widths != 0.0)
-    for j, w in zip(*np.nonzero(~fitted[ok])):
-        if plan[ok[j], w] is None:
-            plan[ok[j], w] = DomainError(
-                "data must be finite" if not finite[j, w] else "initial fwhm must be nonzero"
-            )
+    fitted = finite & (widths != 0.0)
+    plan = np.full(fitted.shape, None, dtype=object)
+    for k, w in zip(*np.nonzero(~fitted)):
+        plan[k, w] = DomainError(
+            "data must be finite" if not finite[k, w] else "initial fwhm must be nonzero"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):  # refused above
-        amplitudes = 2.0 * np.abs(table.roles[ok, :, 2]) / (math.pi * widths)
+        amplitudes = 2.0 * np.abs(table.roles[:, :, 2]) / (math.pi * widths)
     starts = np.stack([amplitudes, centers, np.abs(widths), np.min(samples, axis=-1)], axis=-1)
-    chosen = fitted[ok]
-    return plan, fitted, axes[chosen], samples[chosen], starts[chosen]
+    return plan, fitted, axes[fitted], samples[fitted], starts[fitted]
 
 
 def _window_axes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

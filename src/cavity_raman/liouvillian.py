@@ -131,82 +131,55 @@ def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
     leading-order choice.  Returned in the order up, down (minus branch),
     up, down (dark branch).
     """
-    ops, rates, errors = _phonon_terms([params])
-    stack.unwrap(errors[0])
-    return [CollapseChannel(op, float(rate)) for op, rate in zip(ops[0], rates[0])]
+    ops, rates = stack.alone(_phonon_terms, params)
+    return [CollapseChannel(op, float(rate)) for op, rate in zip(ops, rates)]
 
 
-def _phonon_terms(
-    points: Sequence[ModelParams],
-) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
+def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     """Operators (K, 4, 4, 4) and rates (K, 4) of every point's phonon
-    channels, in :func:`phonon_channels` order, and each point's error."""
-    errors: list[Exception | None] = [
-        DomainError(
-            f"phonon channels need a positive laser detuning, got {point.delta_laser}"
-        )
+    channels, in :func:`phonon_channels` order."""
+    stack.fail({
+        k: DomainError(f"phonon channels need a positive laser detuning, got {point.delta_laser}")
+        for k, point in enumerate(points)
         if point.delta_laser <= 0.0
-        else None
-        for point in points
-    ]
-    live = [k for k, error in enumerate(errors) if error is None]
-    ops = np.zeros((len(points), 4, DIM, DIM), dtype=complex)
-    rates = np.zeros((len(points), 4))
-    dressed = model.dressed_states([points[k] for k in live]) if live else []
-    solved = []
-    for k, states in zip(live, dressed):
-        if isinstance(states, Exception):
-            errors[k] = states
-            continue
-        try:
-            rates[k] = _phonon_rates(points[k])
-        except DomainError as exc:
-            errors[k] = exc
-            continue
-        except ArithmeticError:
-            point = points[k]
-            errors[k] = DomainError(
-                "phonon rates overflow a float at "
-                f"g = {point.g:.6g}, omega_drive = {point.omega_drive:.6g}, "
-                f"delta_laser = {point.delta_laser:.6g}, "
-                f"phonon_alpha1 = {point.phonon_alpha1:.6g}, "
-                f"phonon_alpha2 = {point.phonon_alpha2:.6g}, phonon_n = {point.phonon_n:.6g}"
-            )
-            continue
-        solved.append(states)
-    if solved:
-        rows = [k for k in live if errors[k] is None]
-        plus, minus, dark = (
-            np.array([getattr(states, name) for states in solved])
-            for name in ("plus", "minus", "dark")
-        )
-        for j, (left, right) in enumerate(
-            ((plus, minus), (minus, plus), (plus, dark), (dark, plus))
-        ):
-            # np.outer(left, right.conj()) of each point.
-            ops[rows, j] = left[:, :, None] * right.conj()[:, None, :]
-    return ops, rates, errors
+    })
+    dressed = model.dressed_states(points)
+    stack.fail(dressed)
+    rates = [_phonon_rates(point) for point in points]
+    stack.fail(rates)
+    plus, minus, dark = (
+        np.array([getattr(states, name) for states in dressed])
+        for name in ("plus", "minus", "dark")
+    )
+    pairs = ((plus, minus), (minus, plus), (plus, dark), (dark, plus))
+    # np.outer(left, right.conj()) of each point.
+    ops = np.stack([left[:, :, None] * right.conj()[:, None, :] for left, right in pairs], 1)
+    return ops, np.array(rates)
 
 
-def _phonon_rates(params: ModelParams) -> list[float]:
-    """Rates of the four phonon channels of one point, each checked as
-    CollapseChannel checks it, in order.  A power or quotient that
-    overflows raises OverflowError or ZeroDivisionError, which
-    :func:`_phonon_terms` turns into the point's DomainError."""
+def _phonon_rates(params: ModelParams) -> list[float] | DomainError:
+    """Rates of the four phonon channels of one point, or the DomainError
+    of the first that CollapseChannel refuses, or of a power or quotient
+    that overflows a float."""
     split = params.delta_laser
     occupation = 0.0 if params.kT == 0.0 else model.n_thermal(split, params.kT)
-
-    # Perturbative weight of the phonon coupling on the dressed branches.
-    prefactor = (params.g**2 + (params.omega_drive / 2.0) ** 2) / params.delta_laser**2
-
+    try:
+        # Perturbative weight of the phonon coupling on the dressed branches.
+        prefactor = (params.g**2 + (params.omega_drive / 2.0) ** 2) / params.delta_laser**2
+        power = split**params.phonon_n
+    except ArithmeticError:
+        return DomainError(
+            "phonon rates overflow a float at "
+            f"g = {params.g:.6g}, omega_drive = {params.omega_drive:.6g}, "
+            f"delta_laser = {params.delta_laser:.6g}, "
+            f"phonon_alpha1 = {params.phonon_alpha1:.6g}, "
+            f"phonon_alpha2 = {params.phonon_alpha2:.6g}, phonon_n = {params.phonon_n:.6g}"
+        )
     rates = []
     for alpha in (params.phonon_alpha1, params.phonon_alpha2):
-        density = alpha * split**params.phonon_n
-        rate = TWO_PI * prefactor * density
-        for value in (rate * occupation, rate * (1.0 + occupation)):
-            stack.unwrap(_rate_error(value))
-            rates.append(value)
-    return rates
+        rate = TWO_PI * prefactor * (alpha * power)
+        rates += [rate * occupation, rate * (1.0 + occupation)]
+    return next(filter(None, map(_rate_error, rates)), rates)
 
 
 # Cavity decay, spontaneous emission, and ground-state reshuffling.
@@ -218,33 +191,27 @@ _FIXED_CHANNELS = (
 )
 
 
-def build_liouvillian(
-    params: ModelParams | Sequence[ModelParams],
-) -> np.ndarray | tuple[np.ndarray, list[Exception | None]]:
+def build_liouvillian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
     """Full generator of the master equation on the truncated basis, 1/ns.
 
     Given one operating point, returns its (16, 16) generator or raises.
     Given a sequence of K, builds all K in one pass and returns the
-    (K, 16, 16) stack with each point's error (None where it built); a
-    failed point's slice is not a generator.  Each generator is bitwise
-    the one its point gets alone.
+    (K, 16, 16) stack, or raises stack.Failed for the points that fail.
+    Each generator is bitwise the one its point gets alone.
     """
     if isinstance(params, ModelParams):
-        gens, errors = _build([params])
-        stack.unwrap(errors[0])
-        return gens[0]
+        return stack.alone(_build, params)
     return _build(params)
 
 
 # Rates that are finite alone can overflow in their sum; such a generator
 # is refused at the end, before any LAPACK routine sees it.
 @np.errstate(over="ignore", invalid="ignore")
-def _build(points: Sequence[ModelParams]) -> tuple[np.ndarray, list[Exception | None]]:
+def _build(points: Sequence[ModelParams]) -> np.ndarray:
     rates = np.array(
         [[TWO_PI * getattr(point, name) for _, name in _FIXED_CHANNELS] for point in points]
     ).reshape(-1, len(_FIXED_CHANNELS))
-    errors = [next(filter(None, map(_rate_error, row)), None) for row in rates.tolist()]
-    rates[[error is not None for error in errors]] = 0.0
+    stack.fail([next(filter(None, map(_rate_error, row)), None) for row in rates.tolist()])
 
     # The phonon terms are summed on their own, from 0, and added last: the
     # last bits of every output depend on this order.  They are summed
@@ -255,27 +222,27 @@ def _build(points: Sequence[ModelParams]) -> tuple[np.ndarray, list[Exception | 
     phonon = [
         k
         for k, point in enumerate(points)
-        if errors[k] is None and (point.phonon_alpha1 > 0.0 or point.phonon_alpha2 > 0.0)
+        if point.phonon_alpha1 > 0.0 or point.phonon_alpha2 > 0.0
     ]
     total = 0
     if phonon:
-        ops, phonon_rates, phonon_errors = _phonon_terms([points[k] for k in phonon])
-        for k, error in zip(phonon, phonon_errors):
-            errors[k] = error
-        ok = [j for j, error in enumerate(phonon_errors) if error is None]
-        phonon = [phonon[j] for j in ok]
-        for j in range(ops.shape[1] if ok else 0):
-            total += lindblad_dissipator(CollapseChannel(ops[ok, j], phonon_rates[ok, j]))
+        try:
+            ops, phonon_rates = _phonon_terms([points[k] for k in phonon])
+        except stack.Failed as failed:
+            stack.fail({phonon[j]: error for j, error in failed.errors.items()})
+        for j in range(ops.shape[1]):
+            total += lindblad_dissipator(CollapseChannel(ops[:, j], phonon_rates[:, j]))
 
     gens = hamiltonian_superoperator(model.build_hamiltonian(points))
     for j, (op, _) in enumerate(_FIXED_CHANNELS):
         gens += lindblad_dissipator(CollapseChannel(op, rates[:, j]))
     if phonon:
         gens[phonon] += total
-    for k in np.flatnonzero(~np.isfinite(gens).all(axis=(1, 2))).tolist():
-        if errors[k] is None:
-            errors[k] = DomainError("generator has a non-finite entry: its rates overflow a float")
-    return gens, errors
+    stack.fail({
+        k: DomainError("generator has a non-finite entry: its rates overflow a float")
+        for k in np.flatnonzero(~np.isfinite(gens).all(axis=(1, 2))).tolist()
+    })
+    return gens
 
 
 #: Kernel test of steady_state: the second-smallest singular value must
@@ -283,47 +250,43 @@ def _build(points: Sequence[ModelParams]) -> tuple[np.ndarray, list[Exception | 
 KERNEL_RTOL = 1e-10
 
 
-def steady_state(gen: np.ndarray) -> np.ndarray | tuple[np.ndarray, list[Exception | None]]:
+def steady_state(gen: np.ndarray) -> np.ndarray:
     """Unique trace-one null vector of the generator.
 
     Raises NonUniqueSteadyState when the second-smallest singular value is
     below KERNEL_RTOL times the largest, i.e. when the kernel is degenerate
     at working precision.  Given a (K, n, n) stack of generators, makes one
-    stacked SVD and returns the (K, m, m) states with each generator's
-    error (None where it solved).
+    stacked SVD and returns the (K, m, m) states, or raises stack.Failed
+    for the generators that fail.
     """
     gen = np.asarray(gen, dtype=complex)
     if gen.ndim == 2:
-        rhos, errors = _steady_states(gen[None])
-        stack.unwrap(errors[0])
-        return rhos[0]
+        return stack.alone(_steady_states, gen)
     return _steady_states(gen)
 
 
-def _steady_states(gen: np.ndarray) -> tuple[np.ndarray, list[Exception | None]]:
+def _steady_states(gen: np.ndarray) -> np.ndarray:
     count, size = gen.shape[0], gen.shape[-1]
     dim = math.isqrt(size)
     if dim * dim != size:
         raise DomainError(f"vector of length {size} is not a stacked square matrix")
     (_, svals, vh), errors = stack.linalg(np.linalg.svd, gen)
+    stack.fail(errors)
     # unvec of each row, a column-stacked square matrix.
     rho = np.swapaxes(vh[:, -1].conj().reshape(count, dim, dim), -1, -2)
     rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
     traces = np.trace(rho, axis1=-2, axis2=-1).real
-    for k in range(count):
-        if errors[k] is not None:
-            continue
-        if svals[k, -2] < KERNEL_RTOL * svals[k, 0]:
-            errors[k] = NonUniqueSteadyState(
-                f"singular values {svals[k, -2]:.3e}, {svals[k, -1]:.3e} both vanish "
-                f"against {svals[k, 0]:.3e}"
-            )
-        elif abs(traces[k]) < 1e-14:
-            errors[k] = NonUniqueSteadyState("null vector is traceless, no physical state")
-    ok = [error is None for error in errors]
-    rhos = np.zeros((count, dim, dim), dtype=complex)
-    rhos[ok] = rho[ok] / traces[ok, None, None]
-    return rhos, errors
+    degenerate = svals[:, -2] < KERNEL_RTOL * svals[:, 0]
+    stack.fail({
+        k: NonUniqueSteadyState(
+            f"singular values {svals[k, -2]:.3e}, {svals[k, -1]:.3e} both vanish "
+            f"against {svals[k, 0]:.3e}"
+            if degenerate[k]
+            else "null vector is traceless, no physical state"
+        )
+        for k in np.flatnonzero(degenerate | (np.abs(traces) < 1e-14)).tolist()
+    })
+    return rho / traces[:, None, None]
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

@@ -163,7 +163,7 @@ class DressedStates:
 
 
 @stack.per_point
-def dressed_states(points: list[ModelParams]) -> list[DressedStates | Exception]:
+def dressed_states(points: list[ModelParams]) -> list[DressedStates]:
     """Diagonalize the driven three-state block numerically.
 
     Valid at any coupling; raises DegenerateSpectrum when two dressed
@@ -171,18 +171,20 @@ def dressed_states(points: list[ModelParams]) -> list[DressedStates | Exception]
     :func:`stack.per_point`); a stack's blocks are diagonalized in one
     stacked ``eigh``.
     """
-    outcomes: list[DressedStates | Exception | None] = [
-        DomainError("dressed states are undefined at zero laser detuning")
+    stack.fail({
+        k: DomainError("dressed states are undefined at zero laser detuning")
+        for k, point in enumerate(points)
         if point.delta_laser == 0.0
-        else None
-        for point in points
-    ]
-    live = [k for k, outcome in enumerate(outcomes) if outcome is None]
-    if not live:
-        return outcomes
+    })
     block = np.array(COHERENT_BLOCK)
-    h = build_hamiltonian([points[k] for k in live])
+    h = build_hamiltonian(points)
     (vals, vecs), errors = stack.linalg(np.linalg.eigh, h[:, block[:, None], block].real)
+    stack.fail(errors)
+    degenerate = np.any(np.diff(np.sort(vals, axis=1), axis=1) < 1e-9, axis=1)
+    stack.fail({
+        k: DegenerateSpectrum(f"dressed frequencies separated by less than 1e-9 GHz: {vals[k]}")
+        for k in np.flatnonzero(degenerate).tolist()
+    })
 
     # Branch labels follow excited-state weight; the block index of |e,0>
     # within COHERENT_BLOCK is 2.  Columns in label order dark, minus, plus.
@@ -192,26 +194,17 @@ def dressed_states(points: list[ModelParams]) -> list[DressedStates | Exception]
     anchor = np.argmax(np.abs(columns), axis=1)
     flip = np.take_along_axis(columns, anchor[:, None, :], axis=1)[:, 0, :] < 0.0
     columns = np.where(flip[:, None, :], -columns, columns)
-    full = np.zeros((len(live), 3, DIM), dtype=complex)
+    full = np.zeros((len(points), 3, DIM), dtype=complex)
     full[:, :, block] = columns.transpose(0, 2, 1)
     omegas = np.take_along_axis(vals, order, axis=1)
-    degenerate = np.any(np.diff(np.sort(vals, axis=1), axis=1) < 1e-9, axis=1)
-
-    for j, k in enumerate(live):
-        if errors[j] is not None:
-            outcomes[k] = errors[j]
-            continue
-        if degenerate[j]:
-            outcomes[k] = DegenerateSpectrum(
-                f"dressed frequencies separated by less than 1e-9 GHz: {vals[j]}"
-            )
-            continue
-        outcomes[k] = DressedStates(
-            plus=full[j, 2],
-            minus=full[j, 1],
-            dark=full[j, 0],
-            omega_plus=float(omegas[j, 2]),
-            omega_minus=float(omegas[j, 1]),
-            omega_dark=float(omegas[j, 0]),
+    return [
+        DressedStates(
+            plus=full[k, 2],
+            minus=full[k, 1],
+            dark=full[k, 0],
+            omega_plus=float(omegas[k, 2]),
+            omega_minus=float(omegas[k, 1]),
+            omega_dark=float(omegas[k, 0]),
         )
-    return outcomes
+        for k in range(len(points))
+    ]

@@ -87,7 +87,7 @@ Modes = tuple[np.ndarray, np.ndarray, float]
 
 
 @stack.per_point
-def correlation_modes(points: list[ModelParams]) -> list[Modes | Exception]:
+def correlation_modes(points: list[ModelParams]) -> list[Modes]:
     """Eigenvalues and spectral residues of the field correlation function.
 
     Returns ``(lambdas, residues, photon_number)`` where
@@ -101,61 +101,41 @@ def correlation_modes(points: list[ModelParams]) -> list[Modes | Exception]:
     Takes one point or a sequence (see :func:`stack.per_point`); a stack
     is one 16 x 16 build and SVD and one 3 x 3 ``eig`` and ``solve``.
     """
-    lambdas, residues, photons, errors = _stack_modes(points)
-    return [
-        error or (lambdas[k], residues[k], float(photons[k])) for k, error in enumerate(errors)
-    ]
+    lambdas, residues, photons = _stack_modes(points)
+    return [(lambdas[k], residues[k], float(photons[k])) for k in range(len(points))]
 
 
-def _stack_modes(
-    points: Sequence[ModelParams],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
+def _stack_modes(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """correlation_modes of one stack of points as (K, 3) ``lambdas`` and
-    ``residues``, (K,) photon numbers and each point's error; a failed
-    point's rows are zeros.  Each point meets its errors in the order
-    build, steady state, modes, as it does alone."""
-    lambdas = np.zeros((len(points), len(COHERENT_BLOCK)), dtype=complex)
-    residues = np.zeros_like(lambdas)
-    photons = np.zeros(len(points))
-    outcomes: list[Exception | None] = [None] * len(points)
-    alive = np.arange(len(points))
-
-    def survivors(errors: list[Exception | None]) -> np.ndarray:
-        for k, error in zip(alive, errors):
-            outcomes[k] = error
-        return np.array([error is None for error in errors], dtype=bool)
-
-    gens, errors = lv.build_liouvillian(points)
-    ok = survivors(errors)
-    alive, gens = alive[ok], gens[ok]
-    if alive.size:
-        rhos, errors = lv.steady_state(gens)
-        ok = survivors(errors)
-        alive, gens, rhos = alive[ok], gens[ok], rhos[ok]
-    if alive.size:
-        lambdas[alive], residues[alive], photons[alive], errors = generator_modes(gens, rhos)
-        survivors(errors)
-    return lambdas, residues, photons, outcomes
+    ``residues`` and (K,) photon numbers."""
+    gens = lv.build_liouvillian(points)
+    return generator_modes(gens, lv.steady_state(gens))
 
 
 def generator_modes(
     gen: np.ndarray, rho_ss: np.ndarray
-) -> Modes | tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """:func:`correlation_modes` of a built generator ``gen`` and its steady
     state ``rho_ss``, for a caller that already holds both.
 
     Given stacks, (K, 16, 16) generators and (K, 4, 4) states, makes one
     ``eig`` and one ``solve`` of the (K, 3, 3) q = +1 blocks and returns
-    ``(lambdas, residues, photon_numbers, errors)``, each of shape (K, 3)
-    or (K,), each point's error None where it solved.
+    ``(lambdas, residues, photon_numbers)``, of shapes (K, 3) and (K,), or
+    raises stack.Failed for the points that fail.
     """
     if np.ndim(gen) == 2:
-        lambdas, residues, photons, errors = generator_modes(gen[None], rho_ss[None])
-        stack.unwrap(errors[0])
-        return lambdas[0], residues[0], float(photons[0])
+        lambdas, residues, photons = stack.alone(generator_modes, gen, rho_ss)
+        return lambdas, residues, float(photons)
     block = gen[:, _CHARGE_BLOCK[:, None], _CHARGE_BLOCK]
     (lambdas, rvecs), errors = stack.linalg(np.linalg.eig, block)
+    stack.fail(errors)
     worst = np.max(lambdas.real, axis=1)
+    stack.fail({
+        k: UnstableLiouvillian(
+            f"relaxing eigenvalue with real part {worst[k]:.3e} 1/ns >= {STABILITY_TOL:.0e}"
+        )
+        for k in np.flatnonzero(worst >= STABILITY_TOL).tolist()
+    })
 
     # residue_j = (vec(a)^H r_j) (l_j^H vec(a rho_ss)) in the block, where
     # vec(a) is the unit vector of |g2,0><g2,1| and the |g2,0> row of
@@ -163,16 +143,10 @@ def generator_modes(
     # eigenvector matrix instead of inverting keeps sum(residues) equal to
     # Tr[a^dag a rho_ss] to machine precision.
     targets = rho_ss[:, G2_1, COHERENT_BLOCK, None]
-    (weights,), solve_errors = stack.linalg(np.linalg.solve, rvecs, targets)
+    (weights,), errors = stack.linalg(np.linalg.solve, rvecs, targets)
+    stack.fail(errors)
     residues = rvecs[:, COHERENT_BLOCK.index(G2_1)] * weights[:, :, 0]
-    photons = rho_ss[:, G2_1, G2_1].real
-
-    # Each point's first error, in the order eig, stability, solve.
-    for k in np.flatnonzero(worst >= STABILITY_TOL).tolist():
-        errors[k] = errors[k] or UnstableLiouvillian(
-            f"relaxing eigenvalue with real part {worst[k]:.3e} 1/ns >= {STABILITY_TOL:.0e}"
-        )
-    return lambdas, residues, photons, [first or late for first, late in zip(errors, solve_errors)]
+    return lambdas, residues, rho_ss[:, G2_1, G2_1].real
 
 
 def mixture_intensity(
@@ -288,9 +262,7 @@ class LineTable:
     ``lambdas``, ``residues`` and ``photons`` are the correlation modes;
     ``lines`` holds each point's (center GHz, fwhm GHz, area 1/ns) rows in
     center order; ``roles`` holds its Raman and spontaneous rows, and
-    ``background`` marks the kept lines of neither role.  ``errors`` holds
-    the exception each point raises alone (None where it classified); a
-    failed point's rows, and its ``kappa``, are placeholders.
+    ``background`` marks the kept lines of neither role.
     """
 
     lambdas: np.ndarray
@@ -301,11 +273,10 @@ class LineTable:
     lines: np.ndarray
     roles: np.ndarray
     background: np.ndarray
-    errors: list[Exception | None]
 
 
 @stack.per_point
-def classify_lines(points: list[ModelParams]) -> list[LineClassification | Exception]:
+def classify_lines(points: list[ModelParams]) -> list[LineClassification]:
     """Label the emission lines by physical role.
 
     Lines wider than half the cavity linewidth are cavity-like background
@@ -320,8 +291,7 @@ def classify_lines(points: list[ModelParams]) -> list[LineClassification | Excep
     """
     table = line_table(points)
     return [
-        error
-        or LineClassification(
+        LineClassification(
             raman=tuple(table.roles[k, 0].tolist()),
             spontaneous=tuple(table.roles[k, 1].tolist()),
             background=tuple(map(tuple, table.lines[k, table.background[k]].tolist())),
@@ -329,7 +299,7 @@ def classify_lines(points: list[ModelParams]) -> list[LineClassification | Excep
             residues=table.residues[k],
             photon_number=float(table.photons[k]),
         )
-        for k, error in enumerate(table.errors)
+        for k in range(len(points))
     ]
 
 
@@ -339,13 +309,12 @@ def line_table(points: Sequence[ModelParams]) -> LineTable:
     Solves the stack's correlation modes, keeps the lines whose area
     exceeds 1e-13 of the largest, sorts them by center (ties in mode
     order) and picks each point's roles among its narrow lines (ties to
-    the first in center order).  Each point meets its errors in the order
-    of a call of its own: the solve's, the emission floor, fewer than two
-    narrow lines, then the roles' collapse.
+    the first in center order).  A point that fails raises stack.Failed,
+    in the solve or with the first of its checks: the emission floor,
+    fewer than two narrow lines, then the roles' collapse.
     """
-    lambdas, residues, photons, errors = _stack_modes(points)
-    # A failed point gets kappa 0, so its placeholder rows overflow nothing.
-    kappa = np.array([0.0 if error else p.kappa for p, error in zip(points, errors)])
+    lambdas, residues, photons = _stack_modes(points)
+    kappa = np.array([p.kappa for p in points])
     delta_laser = np.array([p.delta_laser for p in points])
     areas = TWO_PI * kappa[:, None] * residues.real
     kept = np.abs(areas) > 1e-13 * np.maximum(np.max(np.abs(areas), axis=1, keepdims=True), 1e-300)
@@ -361,9 +330,8 @@ def line_table(points: Sequence[ModelParams]) -> LineTable:
     spont = np.argmin(np.where(narrow, offsets, np.inf), axis=1)
     counts = np.count_nonzero(narrow, axis=1)
     dark = photons < EMISSION_FLOOR
+    errors: dict[int, DegenerateSpectrum] = {}
     for k in np.flatnonzero(dark | (counts < 2) | (raman == spont)).tolist():
-        if errors[k] is not None:
-            continue
         if dark[k]:
             errors[k] = DegenerateSpectrum(
                 f"steady photon number {photons[k]:.3e} is below {EMISSION_FLOOR:.0e}; "
@@ -378,10 +346,8 @@ def line_table(points: Sequence[ModelParams]) -> LineTable:
                 "Raman and spontaneous roles collapse onto one line at "
                 f"center {lines[k, raman[k], 0]:.3f} GHz"
             )
+    stack.fail(errors)
     roles = np.take_along_axis(lines, np.stack([raman, spont], axis=1)[..., None], axis=1)
     position = np.arange(lines.shape[1])
     background = kept & (position != raman[:, None]) & (position != spont[:, None])
-    return LineTable(
-        lambdas, residues, photons, kappa, delta_laser, lines, roles, background, errors
-    )
-
+    return LineTable(lambdas, residues, photons, kappa, delta_laser, lines, roles, background)

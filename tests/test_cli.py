@@ -478,10 +478,14 @@ def test_fit_phonon_error_bars_without_finite_weight_exit_2(capsys, tmp_path):
          "error bar 1e-300 is too small to weight: the weighted squares overflow"),
         (["spectrum", "--kappa", "1e307", "--phonon-alpha1", "1e306", "--grid-points", "16"],
          None, "the spectrum normalization (2 pi)^2 kappa overflows a float"),
+        (["spectrum", "--grid-points", "16", "--grid-min=-1e308", "--grid-max=1e308"], None,
+         "error: the span from grid_min to grid_max overflows a float\n"),
+        (["sweep-detuning", "--sweep-count", "3", "--sweep-start=-1e308", "--sweep-stop=1e308"],
+         None, "error: the span from sweep_start to sweep_stop overflows a float\n"),
     ],
     ids=["phonon_n_power", "g_squared", "tiny_detuning", "generator_sum", "lorentzian_errors",
          "exponential_errors", "lorentzian_weighted_squares", "exponential_weighted_squares",
-         "spectrum_normalization"],
+         "spectrum_normalization", "grid_span", "sweep_span"],
 )
 def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
     """Inputs that overflow a float on the way to a solve or a fit weight are

@@ -32,6 +32,7 @@ from cavity_raman import (
 )
 from cavity_raman import fit as fit_mod
 from cavity_raman import leastsq, stack
+from cavity_raman import liouvillian as lv
 
 # Frozen pipeline outputs at the default operating point.
 PREDICT_RS_AREA_REF = 0.11419118598996021
@@ -241,6 +242,25 @@ _NO_PHONONS = {"phonon_alpha1": 0.0, "phonon_alpha2": 0.0}
 _CLOSED = {"kappa": 0.0, "gamma1": 0.0, "gamma2": 0.0, "gamma_flip": 0.0}
 
 
+def _mixed_points(paper_params):
+    """Three random points and eight that fail, in turn: at zero detuning
+    (in dressed_states, and in classification elsewhere), in the phonon
+    channels' dressed states, in classification, in the phonon channels'
+    detuning check, in the steady state, in the phonon rates, in the ratio
+    and in the fit."""
+    rng = np.random.default_rng(83)
+    return [helpers.random_valid_params(rng) for _ in range(3)] + [
+        replace(paper_params, delta_laser=0.0, delta_cavity=0.0, **_NO_PHONONS),
+        ModelParams(g=0.0, omega_drive=0.0),
+        replace(paper_params, g=0.0, **_NO_PHONONS),
+        replace(paper_params, delta_laser=-5.0),
+        replace(paper_params, **_CLOSED, **_NO_PHONONS),
+        replace(paper_params, phonon_n=300.0),
+        replace(paper_params, phonon_alpha1=1e3, phonon_alpha2=1e3),
+        replace(paper_params, delta_laser=3.0, delta_cavity=3.0),
+    ]
+
+
 @pytest.mark.parametrize(
     "solve",
     [
@@ -262,17 +282,7 @@ def test_point_taking_solves_keep_the_per_point_contract(monkeypatch, paper_para
     an empty sequence returns [].  Among the points, some fail in the
     Hamiltonian, the build, the steady state, the classification, the fit
     and the ratio."""
-    rng = np.random.default_rng(83)
-    points = [helpers.random_valid_params(rng) for _ in range(3)] + [
-        replace(paper_params, delta_laser=0.0, delta_cavity=0.0, **_NO_PHONONS),
-        ModelParams(g=0.0, omega_drive=0.0),
-        replace(paper_params, g=0.0, **_NO_PHONONS),
-        replace(paper_params, delta_laser=-5.0),
-        replace(paper_params, **_CLOSED, **_NO_PHONONS),
-        replace(paper_params, phonon_n=300.0),
-        replace(paper_params, phonon_alpha1=1e3, phonon_alpha2=1e3),
-        replace(paper_params, delta_laser=3.0, delta_cavity=3.0),
-    ]
+    points = _mixed_points(paper_params)
     alone = [solve([params])[0] for params in points]
     failed = [isinstance(outcome, Exception) for outcome in alone]
     assert any(failed) and not all(failed)
@@ -290,17 +300,50 @@ def test_point_taking_solves_keep_the_per_point_contract(monkeypatch, paper_para
     assert helpers.same_outcome(solve(points), alone)
 
 
+@pytest.mark.parametrize(
+    "solve", [classify_lines, fit_emission_lines, predict_rs],
+    ids=["classify_lines", "fit_emission_lines", "predict_rs"],
+)
+def test_stacks_are_solved_again_only_where_points_fail(monkeypatch, paper_params, solve):
+    """A stack whose points all solve is built once.  A stack with failing
+    points is built once more for each stage that some of its points fail
+    in, each time without them: on the mixed points above, the phonon
+    channels' detuning check, their dressed states, the phonon rates, the
+    steady state and the classification.  Failed fits and ratios are
+    outcomes of the last stage, and solve nothing again."""
+    built = []
+    build = lv.build_liouvillian
+
+    def counting_build(points):
+        built.append(len(points))
+        return build(points)
+
+    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
+    rng = np.random.default_rng(61)
+    healthy = [helpers.random_valid_params(rng) for _ in range(12)]
+    assert not any(isinstance(outcome, Exception) for outcome in solve(healthy))
+    assert built == [12]
+    built.clear()
+    solve(_mixed_points(paper_params))
+    assert built == [11, 10, 9, 8, 7, 5]
+
+
 def test_overflowing_normalization_fails_only_its_point(paper_params):
-    """A point whose spectrum normalization (2 pi)^2 kappa overflows gets
-    mixture_intensity's DomainError in both windows; the other points of
-    its stack keep the windows they get alone, bit for bit."""
+    """A point whose spectrum normalization (2 pi)^2 kappa overflows is the
+    only point its stack.Failed names, with mixture_intensity's DomainError;
+    the other point of its stack, planned again without it, keeps the
+    windows it gets alone, bit for bit."""
     table = fit_mod.spectrum_mod.line_table([paper_params, paper_params])
     kappa = table.kappa.copy()
     kappa[1] = 1e307
-    plan, fitted, *windows = fit_mod._line_plans(replace(table, kappa=kappa))
-    assert fitted.tolist() == [[True, True], [False, False]]
-    for error in plan[1]:
-        assert isinstance(error, DomainError) and "normalization" in str(error)
+    with pytest.raises(stack.Failed) as failed:
+        fit_mod._line_plans(replace(table, kappa=kappa))
+    assert list(failed.value.errors) == [1]
+    error = failed.value.errors[1]
+    assert isinstance(error, DomainError) and "normalization" in str(error)
+    first = replace(table, **{name: rows[:1] for name, rows in vars(table).items()})
+    plan, fitted, *windows = fit_mod._line_plans(first)
+    assert fitted.tolist() == [[True, True]] and plan.tolist() == [[None, None]]
     _, _, *alone = fit_mod._line_plans(fit_mod.spectrum_mod.line_table([paper_params]))
     for got, expected in zip(windows, alone):
         assert helpers.same_bits(got, expected)

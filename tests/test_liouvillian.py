@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from cavity_raman import liouvillian as lv
-from cavity_raman import oracle
+from cavity_raman import oracle, stack
 from cavity_raman import (
     CollapseChannel,
     DomainError,
@@ -99,8 +99,8 @@ def test_generators_match_kron_reference_bitwise(monkeypatch, paper_params):
     rng = np.random.default_rng(23)
     drawn = [helpers.random_valid_params(rng) for _ in range(50)]
     cases = drawn + [replace(p, phonon_alpha1=0.0, phonon_alpha2=0.0) for p in drawn]
-    gens, errors = build_liouvillian(cases)
-    assert errors == [None] * 100
+    gens = build_liouvillian(cases)
+    assert gens.shape == (100, 16, 16)
     for gen, params in zip(gens, cases):
         assert helpers.same_bits(gen, helpers.kron_liouvillian(params))
 
@@ -114,17 +114,20 @@ def test_generators_match_kron_reference_bitwise(monkeypatch, paper_params):
 
 def test_non_finite_generator_refused_alone(paper_params):
     """Rates that are finite alone but overflow in the generator's sum are
-    refused with a DomainError, with no numeric warning; the points stacked
-    beside that point keep the generators they get alone."""
+    refused with a DomainError, with no numeric warning.  A stacked build
+    names that point alone in its stack.Failed, and the points stacked
+    beside it, built again without it, keep the generators they get alone."""
     huge = replace(paper_params, kappa=2e307, gamma1=2e307, gamma2=2e307)
-    with pytest.raises(DomainError, match="non-finite entry"):
+    with pytest.raises(DomainError, match="non-finite entry") as alone:
         build_liouvillian(huge)
     neighbour = replace(paper_params, g=1.1)
-    gens, errors = build_liouvillian([paper_params, huge, neighbour])
-    assert errors[0] is None and errors[2] is None
-    assert isinstance(errors[1], DomainError)
+    with pytest.raises(stack.Failed) as failed:
+        build_liouvillian([paper_params, huge, neighbour])
+    assert list(failed.value.errors) == [1]
+    assert helpers.same_outcome(failed.value.errors[1], alone.value)
+    gens = build_liouvillian([paper_params, neighbour])
     assert helpers.same_bits(gens[0], build_liouvillian(paper_params))
-    assert helpers.same_bits(gens[2], build_liouvillian(neighbour))
+    assert helpers.same_bits(gens[1], build_liouvillian(neighbour))
 
 
 def test_generator_trace_preserving_on_random_params():

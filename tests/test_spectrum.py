@@ -73,8 +73,8 @@ def test_generator_splits_into_charge_blocks_with_three_modes():
     charge = np.array([(i == G2_0) - (j == G2_0) for j in range(4) for i in range(4)])
     between = charge[:, None] != charge[None, :]
     a_op = lv.cavity_annihilation()
-    gens, errors = build_liouvillian(points)
-    assert errors == [None] * len(points)
+    gens = build_liouvillian(points)
+    assert gens.shape == (len(points), 16, 16)
     for params, gen, modes in zip(points, gens, correlation_modes(points)):
         assert np.all(gen[between] == 0.0)
 
