@@ -501,8 +501,8 @@ def _line_plans(
     fit_lorentzian would raise it: non-finite data, or a zero start width.
     ``fitted`` marks the windows without one; their axes, spectrum samples
     and starts follow in that order.  Errors wait in the plan, so a caller
-    meets them in its own order.  A point whose spectrum normalization
-    overflows raises stack.Failed.
+    meets them in its own order.  A point whose spectrum normalization or
+    window frequency overflows raises stack.Failed.
     """
     delta = table.delta_laser[:, None]
     centers = table.roles[:, :, 0] - delta
@@ -521,7 +521,8 @@ def _line_plans(
     try:
         samples = spectrum_mod.mixture_intensity(nu, *modes)
     except DomainError:
-        # A kappa too large to normalize: each point raises as it does alone.
+        # A kappa too large to normalize, or a window frequency too large
+        # for 2 pi nu: each point raises as it does alone.
         errors = {}
         for k in range(len(nu)):
             try:

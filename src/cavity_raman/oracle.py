@@ -6,11 +6,13 @@ paths is a real consistency statement, not a tautology.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from . import liouvillian as lv
 from .errors import DomainError
 from .model import ModelParams
@@ -202,6 +204,17 @@ def _check_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
+@functools.cache
+def _expm():
+    """scipy's ``expm``, imported on first use: the CLI starts without
+    scipy.linalg.  The import loads scipy's own OpenBLAS, which an open
+    :func:`blas.one_thread` scope limits before its first call."""
+    from scipy.linalg import expm
+
+    blas.adopt()
+    return expm
+
+
 def bare_lambda_evolve(
     omega: float,
     delta: float,
@@ -244,9 +257,7 @@ def bare_lambda_evolve(
             [-0.5 * w_drive, 0.0, 0.5 * w_drive, -w_delta, -w_deph],
         ]
     )
-    from scipy.linalg import expm
-
-    propagators = expm(gen * t_grid[:, None, None])
+    propagators = _expm()(gen * t_grid[:, None, None])
     return propagators[:, :3, 0]
 
 
@@ -257,9 +268,7 @@ def propagate_steps(gen: np.ndarray, start: np.ndarray, dt: float, n_steps: int)
     exact evolution on a uniform grid of spacing ``dt``, with no
     eigendecomposition anywhere.
     """
-    from scipy.linalg import expm
-
-    step = expm(gen * dt)
+    step = _expm()(gen * dt)
     states = np.empty((n_steps + 1, start.size), dtype=np.result_type(step, start))
     states[0] = start
     for k in range(n_steps):

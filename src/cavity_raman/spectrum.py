@@ -165,7 +165,8 @@ def mixture_intensity(
     of point k.  The modes' terms are added in turn, ``MIXTURE_BLOCK``
     samples of a row at a time, so memory stays bounded on any grid; each
     sample's sum is the same in any block or row.  Raises DomainError when
-    the normalization (2pi)^2 kappa overflows a float.
+    the normalization (2pi)^2 kappa, or 2pi nu of a finite frequency,
+    overflows a float.
     """
     lambdas, residues = np.asarray(lambdas), np.asarray(residues)
     with np.errstate(over="ignore"):  # checked below
@@ -181,7 +182,14 @@ def mixture_intensity(
     values = np.empty(flat.shape)
     for start in range(0, flat.shape[-1], MIXTURE_BLOCK):
         block = np.s_[..., start : start + MIXTURE_BLOCK]
-        phase = 1j * TWO_PI * flat[block]
+        with np.errstate(over="ignore"):  # checked below
+            phase = 1j * TWO_PI * flat[block]
+        overflow = np.isinf(phase.imag) & np.isfinite(flat[block])
+        if overflow.any():
+            raise DomainError(
+                f"rotating-frame frequency {float(flat[block][overflow][0])!r} GHz is too "
+                "large: 2 pi nu overflows a float"
+            )
         total = np.zeros(phase.shape)
         for j in range(lambdas.shape[-1]):
             total += (residues[..., j, None] / (phase - lambdas[..., j, None])).real

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,11 +13,12 @@ import pytest
 from dataclasses import replace
 
 import cavity_raman
-from cavity_raman import AmbiguousAssignment, ModelParams, cli
+from cavity_raman import AmbiguousAssignment, ModelParams, blas, cli
 from cavity_raman import fit as fit_mod
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
 from cavity_raman import rates as rates_mod
+from cavity_raman.errors import ConfigError, FitError, UnstableLiouvillian
 
 # Same frozen pipeline value the fit suite pins for predict_rs at the
 # default operating point; the sweep row must reproduce it bit for bit
@@ -141,6 +143,29 @@ def test_sweep_detuning_rows(capsys):
         assert abs(s_peak) < 3.0
         assert vanishing == 0.0
     assert float(rows[1][1]) == pytest.approx(PREDICT_RS_AREA_REF, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--kT", "0"], ["--phonon-n", "-1"], ["--phonon-n", "-3"],
+     ["--kT", "0", "--phonon-n", "-1"]],
+    ids=["cold", "phonon_n_-1", "phonon_n_-3", "cold_phonon_n_-1"],
+)
+def test_sweep_at_envelope_edges(capsys, flags):
+    """At the edges of the validity envelope, zero temperature and negative
+    phonon exponents, a sweep runs without a numeric warning, every ratio
+    and error is positive and finite, and the ratio rises with detuning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["sweep-detuning", "--sweep-count", "9", *flags])
+    assert code == 0, err
+    rows = np.array([[float(v) for v in row.split(",")] for row in data_rows(out)])
+    assert rows[:, 0].tolist() == [15.0 + 10.0 * k for k in range(9)]
+    ratios, errors, vanishing = rows[:, 1], rows[:, 2], rows[:, 5]
+    assert np.all(np.isfinite(ratios) & (ratios > 0.0))
+    assert np.all(np.isfinite(errors) & (errors > 0.0))
+    assert not vanishing.any()
+    assert np.all(np.diff(ratios) > 0.0)
 
 
 def test_sweep_cavity_rows_show_line_contrast(capsys):
@@ -480,12 +505,15 @@ def test_fit_phonon_error_bars_without_finite_weight_exit_2(capsys, tmp_path):
          None, "the spectrum normalization (2 pi)^2 kappa overflows a float"),
         (["spectrum", "--grid-points", "16", "--grid-min=-1e308", "--grid-max=1e308"], None,
          "error: the span from grid_min to grid_max overflows a float\n"),
+        (["spectrum", "--grid-points", "16", "--grid-min=1e307", "--grid-max=1e308"], None,
+         "error: rotating-frame frequency 3.4000000000000003e+307 GHz is too large: "
+         "2 pi nu overflows a float\n"),
         (["sweep-detuning", "--sweep-count", "3", "--sweep-start=-1e308", "--sweep-stop=1e308"],
          None, "error: the span from sweep_start to sweep_stop overflows a float\n"),
     ],
     ids=["phonon_n_power", "g_squared", "tiny_detuning", "generator_sum", "lorentzian_errors",
          "exponential_errors", "lorentzian_weighted_squares", "exponential_weighted_squares",
-         "spectrum_normalization", "grid_span", "sweep_span"],
+         "spectrum_normalization", "grid_span", "grid_frequency", "sweep_span"],
 )
 def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
     """Inputs that overflow a float on the way to a solve or a fit weight are
@@ -584,35 +612,168 @@ def test_validate_flags_broken_adiabaticity(capsys):
     assert "adiabatic_elimination" in failed
 
 
-@pytest.mark.parametrize("module", ["cavity_raman", "cavity_raman.cli"])
-def test_module_entry_points_run(module):
+def fresh_python(*args, **env):
+    """Run a fresh interpreter on the package in this checkout."""
     src = str(Path(cavity_raman.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", module, "rates"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert "omega_eff_GHz" in done.stdout
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", ["cavity_raman", "cavity_raman.cli"])
+def test_module_entry_points_run(module):
+    assert "omega_eff_GHz" in fresh_python("-m", module, "rates")
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # expm is imported where it is called, so starting the CLI skips
+    # expm is imported on its first use, so starting the CLI skips
     # scipy.linalg; oracle and liouvillian still load with it.
-    src = str(Path(cavity_raman.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, cavity_raman.cli; "
         "print(*(m in sys.modules for m in "
         "('scipy.linalg', 'cavity_raman.oracle', 'cavity_raman.liouvillian')))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True", "True"]
+    assert fresh_python("-c", probe).split() == ["False", "True", "True"]
+
+
+@pytest.fixture
+def openblas():
+    """{path: (get, set)} of the OpenBLAS libraries loaded in this process,
+    as blas.py finds them; skips where numpy's BLAS is not OpenBLAS or the
+    libraries cannot be looked up."""
+    name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in name:
+        pytest.skip(f"numpy's BLAS is {name}, not OpenBLAS")
+    if not (hasattr(os, "RTLD_NOLOAD") and os.path.exists("/proc/self/maps")):
+        pytest.skip("no RTLD_NOLOAD lookup or /proc/self/maps here")
+    blas.adopt()
+    assert blas._libraries, "numpy's OpenBLAS was not found"
+    return dict(blas._libraries)
+
+
+def thread_counts(libraries):
+    return {path: get() for path, (get, _) in libraries.items()}
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(None, 0), (ConfigError("bad"), 2), (UnstableLiouvillian("unstable"), 3),
+     (FitError("no fit"), 4), (RuntimeError("crash"), None)],
+    ids=["exit_0", "exit_2", "exit_3", "exit_4", "raises"],
+)
+def test_command_runs_on_one_blas_thread(capsys, monkeypatch, openblas, error, code):
+    """A command runs with every OpenBLAS at one thread, and each library
+    gets its earlier count back however the command ends."""
+    seen = []
+
+    def rates(config, out, as_json):
+        seen.append(thread_counts(openblas))
+        if error is not None:
+            raise error
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_rates", rates)
+    defaults = thread_counts(openblas)
+    for _, set_ in openblas.values():
+        set_(2)  # a count the scope must give back, whatever the environment set
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="crash"):
+                cli.main(["rates"])
+        else:
+            assert cli.main(["rates"]) == code
+        assert seen == [{path: 1 for path in openblas}]
+        assert thread_counts(openblas) == {path: 2 for path in openblas}
+    finally:
+        for path, (_, set_) in openblas.items():
+            set_(defaults[path])
+    capsys.readouterr()
+
+
+def test_blas_scopes_in_many_threads(openblas):
+    """Scopes open and close in eight threads at once: inside any of them
+    every library is at one thread, and the last to close gives the
+    earlier counts back."""
+    before = thread_counts(openblas)
+    wrong = []
+
+    def worker():
+        for _ in range(200):
+            with blas.one_thread():
+                counts = thread_counts(openblas)
+                if set(counts.values()) != {1}:
+                    wrong.append(counts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert thread_counts(openblas) == before
+
+
+COLD_VALIDATE = """
+import contextlib, io, json, sys
+from cavity_raman import blas, cli, oracle
+
+assert "scipy.linalg" not in sys.modules
+blas.adopt()
+numpy_blas = dict(blas._libraries)
+evolve, seen = oracle.bare_lambda_evolve, []
+
+def traced(*args):
+    populations = evolve(*args)
+    seen.append({path: get() for path, (get, _) in blas._libraries.items()})
+    return populations
+
+oracle.bare_lambda_evolve = traced
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["validate"])
+after = {path: get() for path, (get, _) in blas._libraries.items()}
+print(json.dumps({"code": code, "numpy": list(numpy_blas), "seen": seen, "after": after}))
+"""
+
+
+def test_cold_validate_limits_scipy_openblas(openblas):
+    """In a fresh interpreter, scipy's OpenBLAS loads during validate, at
+    the oracle's import of expm; bare_lambda_evolve already runs it at one
+    thread, and after the command it is at its own default, which is
+    numpy's."""
+    result = json.loads(fresh_python("-c", COLD_VALIDATE, OPENBLAS_NUM_THREADS="2"))
+    assert result["code"] == 0
+    (during,) = result["seen"]
+    loaded = set(during) - set(result["numpy"])
+    assert loaded, "scipy's OpenBLAS did not load during validate"
+    assert set(during.values()) == {1}
+    (default,) = {result["after"][path] for path in result["numpy"]}
+    assert all(result["after"][path] == default for path in loaded)
+
+
+def test_rates_and_sweeps_leave_scipy_openblas_unloaded(openblas):
+    """No command loads a library only to limit it: rates and a sweep use
+    no scipy, and leave scipy.linalg and its OpenBLAS unloaded."""
+    probe = """
+import contextlib, io, json, sys
+from cavity_raman import cli
+
+def openblas_mapped():
+    with open("/proc/self/maps") as maps:
+        return sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line})
+
+before = openblas_mapped()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["rates"]), cli.main(["sweep-detuning", "--sweep-count", "3"])]
+print(json.dumps([codes, "scipy.linalg" in sys.modules, openblas_mapped() == before]))
+"""
+    assert json.loads(fresh_python("-c", probe)) == [[0, 0], False, True]

@@ -349,6 +349,21 @@ def test_overflowing_normalization_fails_only_its_point(paper_params):
         assert helpers.same_bits(got, expected)
 
 
+def test_overflowing_window_frequency_fails_only_its_point(paper_params):
+    """A point whose line windows reach a finite frequency where 2 pi nu
+    overflows is the only point its stack.Failed names, with
+    mixture_intensity's DomainError naming that frequency."""
+    table = fit_mod.spectrum_mod.line_table([paper_params, paper_params])
+    roles = table.roles.copy()
+    roles[1, :, 0] = 3e307
+    with pytest.raises(stack.Failed) as failed:
+        fit_mod._line_plans(replace(table, roles=roles))
+    assert list(failed.value.errors) == [1]
+    error = failed.value.errors[1]
+    assert isinstance(error, DomainError)
+    assert "rotating-frame frequency" in str(error) and "2 pi nu overflows" in str(error)
+
+
 def test_line_windows_match_per_point_loop():
     """The stacked windows, samples and starts of fit_emission_lines equal
     the per-point loop they replaced (helpers.loop_windows) bit for bit,

@@ -252,10 +252,13 @@ def test_raman_funnel_monotone_without_reshuffling(paper_params):
 
 def test_phonon_channels_zero_temperature_and_zero_coupling(paper_params):
     cold = phonon_channels(replace(paper_params, kT=0.0))
-    # Upward channels first in each pair; both must be switched off.
+    # Upward channels first in each pair; both must be switched off, and
+    # spontaneous phonon emission keeps both downward ones.
     assert cold[0].rate == 0.0
     assert cold[2].rate == 0.0
     assert cold[1].rate > 0.0
+    assert cold[3].rate > 0.0
+    assert cold[1].rate == pytest.approx(0.016576, abs=5e-7)
     silent = phonon_channels(
         replace(paper_params, phonon_alpha1=0.0, phonon_alpha2=0.0)
     )
