@@ -14,7 +14,6 @@ from .errors import (
     DegenerateSpectrum,
     DomainError,
     FitError,
-    FrameError,
     IllConditioned,
     NoConvergence,
     NonDecaying,
@@ -85,14 +84,9 @@ from .rates import (
 )
 from .spectrum import (
     FilterWindow,
-    LineClassification,
     Spectrum,
     apply_filter,
-    classify_lines,
-    correlation_modes,
     emission_spectrum,
-    frame_shift,
-    rotating_spectrum,
 )
 
 __version__ = "0.1.0"

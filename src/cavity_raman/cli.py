@@ -96,14 +96,21 @@ class RunConfig:
             raise ConfigError(f"filter_width must be positive, got {self.filter_width}")
 
 
+def _read_lines(path: str, error: type[CavityRamanError], name: str) -> list[str]:
+    """The lines of a UTF-8 text file; a file that cannot be opened or
+    decoded raises ``error`` "cannot read ``name``"."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason})"
+        raise error(f"cannot read {name}: {reason}") from exc
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blank lines ignored."""
     mapping: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    lines = _read_lines(path, ConfigError, f"config file {path}")
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -178,11 +185,7 @@ def _emit(text: str, out: str | None) -> None:
 def _read_numeric_csv(path: str, min_cols: int, max_cols: int) -> np.ndarray:
     """Rows of comma separated floats; '#' lines and blank lines skipped."""
     rows: list[list[float]] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    lines = _read_lines(path, ParseError, path)
     width = None
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
@@ -240,7 +243,7 @@ def cmd_spectrum(config: RunConfig, out: str | None, as_json: bool) -> int:
         payload = {
             "nu_lab_GHz": list(spec.freqs),
             "intensity_per_ns_per_GHz": list(spec.intensity),
-            "frame": spec.frame,
+            "frame": "lab",
             "filter_center": window.center if window else None,
             "filter_width": window.width if window else None,
         }

@@ -21,10 +21,6 @@ class UnstableLiouvillian(CavityRamanError):
     """A nonzero Liouvillian eigenvalue has nonnegative real part."""
 
 
-class FrameError(CavityRamanError):
-    """Spectrum frame does not match the requested operation."""
-
-
 class FitError(CavityRamanError):
     """Base class for least-squares fitting failures."""
 

@@ -25,15 +25,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v, dtype=complex)
-    dim = math.isqrt(v.size)
-    if dim * dim != v.size:
-        raise DomainError(f"vector of length {v.size} is not a stacked square matrix")
-    return v.reshape((dim, dim), order="F")
-
-
 @dataclass(frozen=True)
 class CollapseChannel:
     """One Lindblad jump operator with its angular rate in 1/ns.
@@ -272,7 +263,7 @@ def _steady_states(gen: np.ndarray) -> np.ndarray:
         raise DomainError(f"vector of length {size} is not a stacked square matrix")
     (_, svals, vh), errors = stack.linalg(np.linalg.svd, gen)
     stack.fail(errors)
-    # unvec of each row, a column-stacked square matrix.
+    # Each row is a column-stacked square matrix: undo the stacking.
     rho = np.swapaxes(vh[:, -1].conj().reshape(count, dim, dim), -1, -2)
     rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
     traces = np.trace(rho, axis1=-2, axis2=-1).real

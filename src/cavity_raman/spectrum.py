@@ -16,7 +16,7 @@ import numpy as np
 
 from . import liouvillian as lv
 from . import stack
-from .errors import DegenerateSpectrum, DomainError, FrameError, UnstableLiouvillian
+from .errors import DegenerateSpectrum, DomainError, UnstableLiouvillian
 from .model import COHERENT_BLOCK, DIM, G2_0, G2_1, ModelParams
 
 TWO_PI = 2.0 * math.pi
@@ -50,18 +50,16 @@ class FilterWindow:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled emission spectrum.
+    """Sampled lab-frame emission spectrum.
 
-    ``freqs`` is strictly increasing, in GHz; ``intensity`` is the emitted
-    photon flux density in 1/ns per GHz, so integrating over the full axis
-    gives the total cavity output flux.  ``frame`` is "rotating" (offsets
-    from the drive rotating frame zero) or "lab" (offsets from the bare
-    cavity resonance).
+    ``freqs`` is strictly increasing, in GHz from the bare cavity
+    resonance; ``intensity`` is the emitted photon flux density in 1/ns per
+    GHz, so integrating over the full axis gives the total cavity output
+    flux.
     """
 
     freqs: np.ndarray
     intensity: np.ndarray
-    frame: str
     filter_window: FilterWindow | None = None
 
     def __post_init__(self):
@@ -73,8 +71,6 @@ class Spectrum:
             raise DomainError("intensity must be finite")
         if freqs.size >= 2 and np.min(np.diff(freqs)) <= 0.0:
             raise DomainError("frequency axis must be strictly increasing")
-        if self.frame not in ("rotating", "lab"):
-            raise DomainError(f"unknown frame {self.frame!r}")
         if intensity.size and np.min(intensity) < -1e-12:
             raise DomainError(
                 f"negative intensity {np.min(intensity):.3e} exceeds rounding tolerance"
@@ -83,45 +79,24 @@ class Spectrum:
         object.__setattr__(self, "intensity", intensity)
 
 
-Modes = tuple[np.ndarray, np.ndarray, float]
-
-
-@stack.per_point
-def correlation_modes(points: list[ModelParams]) -> list[Modes]:
-    """Eigenvalues and spectral residues of the field correlation function.
+def generator_modes(
+    gen: np.ndarray, rho_ss: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    """Eigenvalues and spectral residues of the field correlation function
+    of a built generator ``gen`` and its steady state ``rho_ss``.
 
     Returns ``(lambdas, residues, photon_number)`` where
     <a^dag(tau) a> = sum_j residues[j] * exp(lambdas[j] tau), lambdas in
     1/ns.  The three modes are those of the generator's q = +1 block
     (``_CHARGE_BLOCK``); none is stationary.  The residues sum to the
     steady photon number by construction (the final linear solve enforces
-    it), which the spectrum normalization below relies on.  An eigenvalue
-    with real part of at least ``STABILITY_TOL`` raises UnstableLiouvillian.
-
-    Takes one point or a sequence (see :func:`stack.per_point`); a stack
-    is one 16 x 16 build and SVD and one 3 x 3 ``eig`` and ``solve``.
-    """
-    lambdas, residues, photons = _stack_modes(points)
-    return [(lambdas[k], residues[k], float(photons[k])) for k in range(len(points))]
-
-
-def _stack_modes(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """correlation_modes of one stack of points as (K, 3) ``lambdas`` and
-    ``residues`` and (K,) photon numbers."""
-    gens = lv.build_liouvillian(points)
-    return generator_modes(gens, lv.steady_state(gens))
-
-
-def generator_modes(
-    gen: np.ndarray, rho_ss: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
-    """:func:`correlation_modes` of a built generator ``gen`` and its steady
-    state ``rho_ss``, for a caller that already holds both.
+    it), which the spectrum normalization relies on.  An eigenvalue with
+    real part of at least ``STABILITY_TOL`` raises UnstableLiouvillian.
 
     Given stacks, (K, 16, 16) generators and (K, 4, 4) states, makes one
     ``eig`` and one ``solve`` of the (K, 3, 3) q = +1 blocks and returns
-    ``(lambdas, residues, photon_numbers)``, of shapes (K, 3) and (K,), or
-    raises stack.Failed for the points that fail.
+    arrays of shapes (K, 3) and (K,), or raises stack.Failed for the
+    points that fail.
     """
     if np.ndim(gen) == 2:
         lambdas, residues, photons = stack.alone(generator_modes, gen, rho_ss)
@@ -197,36 +172,23 @@ def mixture_intensity(
     return (norm * values).reshape(nu_rot.shape)
 
 
-def rotating_spectrum(params: ModelParams, nu_rot: np.ndarray) -> Spectrum:
-    """Emission spectrum on a rotating-frame frequency axis (GHz)."""
-    lambdas, residues, _ = correlation_modes(params)
-    intensity = mixture_intensity(nu_rot, lambdas, residues, params.kappa)
-    return Spectrum(freqs=np.asarray(nu_rot, dtype=float), intensity=intensity, frame="rotating")
-
-
 def emission_spectrum(params: ModelParams, freqs_lab: np.ndarray) -> Spectrum:
-    """Emission spectrum on a lab-frame axis relative to the bare cavity."""
-    freqs_lab = np.asarray(freqs_lab, dtype=float)
-    spectrum = rotating_spectrum(params, freqs_lab + params.delta_cavity)
-    return frame_shift(spectrum, params)
+    """Emission spectrum on a lab-frame axis relative to the bare cavity.
 
-
-def frame_shift(spectrum: Spectrum, params: ModelParams) -> Spectrum:
-    """Translate a rotating-frame spectrum onto the lab axis.
-
-    The rotating frame sits at the drive frequency, which is detuned by
-    delta_cavity from the bare cavity line, so lab offsets are rotating
-    offsets minus delta_cavity.
+    The modes' frequencies are offsets in the drive's rotating frame, which
+    sits delta_cavity from the bare cavity line, so the spectrum is
+    evaluated at freqs_lab + delta_cavity; its axis is those offsets minus
+    delta_cavity, which may differ from ``freqs_lab`` in the last bit.
     """
-    if spectrum.frame != "rotating":
-        raise FrameError(f"cannot shift a spectrum already in frame {spectrum.frame!r}")
-    return replace(spectrum, freqs=spectrum.freqs - params.delta_cavity, frame="lab")
+    gen = lv.build_liouvillian(params)
+    lambdas, residues, _ = generator_modes(gen, lv.steady_state(gen))
+    nu_rot = np.asarray(freqs_lab, dtype=float) + params.delta_cavity
+    intensity = mixture_intensity(nu_rot, lambdas, residues, params.kappa)
+    return Spectrum(freqs=nu_rot - params.delta_cavity, intensity=intensity)
 
 
 def apply_filter(spectrum: Spectrum, window: FilterWindow) -> Spectrum:
     """Zero the intensity outside a rectangular lab-frame pass band."""
-    if spectrum.frame != "lab":
-        raise FrameError("filters are defined on the lab axis; shift frames first")
     if spectrum.filter_window is not None:
         raise DomainError("spectrum has already been filtered")
     low = window.center - window.width / 2.0
@@ -245,27 +207,9 @@ EMISSION_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
-class LineClassification:
-    """Emission lines sorted into roles, rotating frame.
-
-    ``raman`` and ``spontaneous`` are (center GHz, fwhm GHz, area 1/ns)
-    triples for the two emitter-dynamics lines; ``background`` holds the
-    remaining (cavity-broad or negligible) lines.  ``lambdas``,
-    ``residues`` and ``photon_number`` are the correlation modes the lines
-    were read from, as returned by :func:`correlation_modes`.
-    """
-
-    raman: tuple[float, float, float]
-    spontaneous: tuple[float, float, float]
-    background: tuple[tuple[float, float, float], ...]
-    lambdas: np.ndarray
-    residues: np.ndarray
-    photon_number: float
-
-
-@dataclass(frozen=True)
 class LineTable:
-    """The emission lines of a stack of K points as arrays, point k in row k.
+    """The one record of a solved stack of K points: its correlation modes
+    and emission lines as arrays, point k in row k.
 
     ``lambdas``, ``residues`` and ``photons`` are the correlation modes;
     ``lines`` holds each point's (center GHz, fwhm GHz, area 1/ns) rows in
@@ -283,45 +227,23 @@ class LineTable:
     background: np.ndarray
 
 
-@stack.per_point
-def classify_lines(points: list[ModelParams]) -> list[LineClassification]:
-    """Label the emission lines by physical role.
+def line_table(points: Sequence[ModelParams]) -> LineTable:
+    """Solve a stack of points and label their emission lines by role.
 
+    Solves the stack's correlation modes (one generator build and SVD,
+    one 3 x 3 ``eig`` and ``solve``), keeps the lines whose area exceeds
+    1e-13 of the largest and sorts them by center (ties in mode order).
     Lines wider than half the cavity linewidth are cavity-like background
     (the broad pedestal of strongly filtered emission); among the narrow
     remainder, the Raman line sits nearest the rotating-frame zero and the
-    spontaneous line nearest the laser detuning.  Raises DegenerateSpectrum
-    when the cavity emits nothing (steady photon number below
-    ``EMISSION_FLOOR``) or when the two roles land on one line.
-
-    Takes one point or a sequence (see :func:`stack.per_point`); a stack
-    is classified as arrays by :func:`line_table`.
+    spontaneous line nearest the laser detuning (ties to the first in
+    center order).  A point that fails raises stack.Failed, in the solve
+    or with the first of its DegenerateSpectrum checks: the cavity emits
+    nothing (steady photon number below ``EMISSION_FLOOR``), fewer than
+    two narrow lines, then the roles' collapse onto one line.
     """
-    table = line_table(points)
-    return [
-        LineClassification(
-            raman=tuple(table.roles[k, 0].tolist()),
-            spontaneous=tuple(table.roles[k, 1].tolist()),
-            background=tuple(map(tuple, table.lines[k, table.background[k]].tolist())),
-            lambdas=table.lambdas[k],
-            residues=table.residues[k],
-            photon_number=float(table.photons[k]),
-        )
-        for k in range(len(points))
-    ]
-
-
-def line_table(points: Sequence[ModelParams]) -> LineTable:
-    """:func:`classify_lines` of one stack of points, as arrays.
-
-    Solves the stack's correlation modes, keeps the lines whose area
-    exceeds 1e-13 of the largest, sorts them by center (ties in mode
-    order) and picks each point's roles among its narrow lines (ties to
-    the first in center order).  A point that fails raises stack.Failed,
-    in the solve or with the first of its checks: the emission floor,
-    fewer than two narrow lines, then the roles' collapse.
-    """
-    lambdas, residues, photons = _stack_modes(points)
+    gens = lv.build_liouvillian(points)
+    lambdas, residues, photons = generator_modes(gens, lv.steady_state(gens))
     kappa = np.array([p.kappa for p in points])
     delta_laser = np.array([p.delta_laser for p in points])
     areas = TWO_PI * kappa[:, None] * residues.real

@@ -11,7 +11,16 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from cavity_raman import DegeneratePeaks, DegenerateSpectrum, DomainError, ModelParams, n_thermal
+from cavity_raman import (
+    DegeneratePeaks,
+    DegenerateSpectrum,
+    DomainError,
+    ModelParams,
+    build_liouvillian,
+    n_thermal,
+    steady_state,
+)
+from cavity_raman.spectrum import generator_modes
 
 TWO_PI = 2.0 * np.pi
 
@@ -114,6 +123,13 @@ def kron_liouvillian(params) -> np.ndarray:
             )
     gen += total
     return gen
+
+
+def point_modes(params):
+    """(lambdas, residues, photon_number) of one point's correlation modes,
+    read from its built generator and steady state."""
+    gen = build_liouvillian(params)
+    return generator_modes(gen, steady_state(gen))
 
 
 def same_bits(a, b) -> bool:
@@ -278,14 +294,16 @@ def loop_classification(params, modes):
     return triples[raman], triples[spont], rest
 
 
-def loop_windows(params, lines):
+def loop_windows(params, table, k):
     """Axis, spectrum samples and start (amplitude, center, fwhm, baseline)
-    of the Raman and spontaneous windows of one point, classified as
-    ``lines``, or for each window the DomainError it meets before its fit."""
-    shifts = [line[0] - params.delta_laser for line in (lines.raman, lines.spontaneous)]
+    of the Raman and spontaneous windows of one point, row ``k`` of the
+    line table ``table``, or for each window the DomainError it meets
+    before its fit."""
+    roles = table.roles[k].tolist()
+    shifts = [line[0] - params.delta_laser for line in roles]
     midpoint = 0.5 * (shifts[0] + shifts[1])
     windows = []
-    for (center, width, area), shifted in zip((lines.raman, lines.spontaneous), shifts):
+    for (center, width, area), shifted in zip(roles, shifts):
         lo, hi = shifted - 4.0 * width, shifted + 4.0 * width
         if shifted < midpoint:
             hi = min(hi, midpoint)
@@ -293,7 +311,7 @@ def loop_windows(params, lines):
             lo = max(lo, midpoint)
         axis = np.linspace(lo, hi, 97)
         values = loop_mixture_intensity(
-            axis + params.delta_laser, lines.lambdas, lines.residues, params.kappa
+            axis + params.delta_laser, table.lambdas[k], table.residues[k], params.kappa
         )
         if not (np.all(np.isfinite(axis)) and np.all(np.isfinite(values))):
             windows.append(DomainError("data must be finite"))

@@ -246,7 +246,7 @@ def test_criterion_11_structural_invariants_random_sweep():
             assert down.rate > 0.0
             assert up.rate / down.rate == pytest.approx(boltzmann, rel=1e-12)
 
-        lambdas, residues, nbar = spectrum_mod.correlation_modes(params)
+        lambdas, residues, nbar = spectrum_mod.generator_modes(gen, rho_ss)
         assert abs(np.sum(residues) - nbar) <= 1e-10
 
         nu = np.linspace(

@@ -218,6 +218,11 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert code == 2
     assert "cannot read" in err
 
+    config.write_bytes(b"kappa = 53.7 \xb5m\n")
+    code, _, err = run_cli(capsys, ["rates", "--config", str(config)])
+    assert code == 2
+    assert "cannot read config file" in err and "not UTF-8" in err
+
     config.write_text("not_a_key = 3\n")
     code, _, err = run_cli(capsys, ["rates", "--config", str(config)])
     assert code == 2
@@ -384,6 +389,19 @@ def test_non_finite_fit_input_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["fit", "exponential", str(path)])
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.parametrize("kind", ["lorentzian1", "exponential"])
+def test_unreadable_data_file_exits_2(capsys, tmp_path, kind):
+    """A data file that is absent or not UTF-8 text exits 2 naming it."""
+    path = tmp_path / "latin1.csv"
+    code, _, err = run_cli(capsys, ["fit", kind, str(path)])
+    assert code == 2
+    assert f"cannot read {path}" in err
+    path.write_bytes(b"# \xb5s\n0,1.0\n1,0.5\n")
+    code, _, err = run_cli(capsys, ["fit", kind, str(path)])
+    assert code == 2
+    assert f"cannot read {path}: not UTF-8 text" in err
 
 
 def test_ragged_csv_exits_2(capsys, tmp_path):

@@ -19,8 +19,6 @@ from cavity_raman import (
     PeakFit,
     RsPoint,
     VanishingSpontaneous,
-    classify_lines,
-    correlation_modes,
     dressed_states,
     fit_emission_lines,
     fit_exponential,
@@ -265,14 +263,11 @@ def _mixed_points(paper_params):
     "solve",
     [
         dressed_states,
-        correlation_modes,
-        classify_lines,
         fit_emission_lines,
         predict_rs,
         functools.partial(predict_rs, mode="amplitude"),
     ],
-    ids=["dressed_states", "correlation_modes", "classify_lines", "fit_emission_lines",
-         "predict_rs", "predict_rs_amplitude"],
+    ids=["dressed_states", "fit_emission_lines", "predict_rs", "predict_rs_amplitude"],
 )
 def test_point_taking_solves_keep_the_per_point_contract(monkeypatch, paper_params, solve):
     """Every function decorated by stack.per_point gives a point what a
@@ -301,8 +296,7 @@ def test_point_taking_solves_keep_the_per_point_contract(monkeypatch, paper_para
 
 
 @pytest.mark.parametrize(
-    "solve", [classify_lines, fit_emission_lines, predict_rs],
-    ids=["classify_lines", "fit_emission_lines", "predict_rs"],
+    "solve", [fit_emission_lines, predict_rs], ids=["fit_emission_lines", "predict_rs"],
 )
 def test_stacks_are_solved_again_only_where_points_fail(monkeypatch, paper_params, solve):
     """A stack whose points all solve is built once.  A stack with failing
@@ -377,14 +371,13 @@ def test_line_windows_match_per_point_loop():
         + [replace(p, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[20:25]]
         + [replace(p, kT=0.0, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[25:]]
     )
-    plan, fitted, axes, samples, starts = fit_mod._line_plans(
-        fit_mod.spectrum_mod.line_table(points)
-    )
+    table = fit_mod.spectrum_mod.line_table(points)
+    plan, fitted, axes, samples, starts = fit_mod._line_plans(table)
     assert fitted.all()
     expected = [
         window
-        for params, lines in zip(points, fit_mod.spectrum_mod.classify_lines(points))
-        for window in helpers.loop_windows(params, lines)
+        for k, params in enumerate(points)
+        for window in helpers.loop_windows(params, table, k)
     ]
     for row, (axis, values, start) in enumerate(expected):
         assert helpers.same_bits(axes[row], axis)

@@ -21,7 +21,7 @@ from cavity_raman import (
     steady_state,
     trace_distance,
 )
-from cavity_raman.liouvillian import cavity_annihilation, unvec, vec
+from cavity_raman.liouvillian import cavity_annihilation, vec
 from cavity_raman.model import G1_0, G2_0, G2_1
 from reference_values import PHOTON_NUMBER_REF, STEADY_POPULATIONS_REF
 
@@ -30,7 +30,7 @@ TWO_PI = 2.0 * math.pi
 
 def _evolve(gen, rho0, t):
     """rho0 after a time t (ns) under the generator, one expm step."""
-    return unvec(oracle.propagate_steps(gen, vec(rho0), t, 1)[1])
+    return oracle.propagate_steps(gen, vec(rho0), t, 1)[1].reshape((4, 4), order="F")
 
 
 def _index(row, col):

@@ -1,4 +1,6 @@
-"""Emission spectra: mode decomposition, frames, filtering, line roles."""
+"""Emission spectra: mode decomposition, the lab axis, filtering, and the
+line table of a solved stack."""
+import json
 import math
 from dataclasses import replace
 
@@ -10,22 +12,18 @@ from cavity_raman import (
     DegenerateSpectrum,
     DomainError,
     FilterWindow,
-    FrameError,
     ModelParams,
     NonUniqueSteadyState,
     Spectrum,
     apply_filter,
     build_hamiltonian,
     build_liouvillian,
-    classify_lines,
-    correlation_modes,
     emission_spectrum,
-    frame_shift,
-    rotating_spectrum,
+    fit_emission_lines,
     steady_state,
 )
+from cavity_raman import cli, oracle, stack
 from cavity_raman import liouvillian as lv
-from cavity_raman import oracle
 from cavity_raman import spectrum as spectrum_mod
 from cavity_raman.model import COHERENT_BLOCK, G2_0
 from cavity_raman.spectrum import mixture_intensity
@@ -39,8 +37,17 @@ RATIO_OF_RATIOS_SMALL_ALPHA_REF = 226.59768691207938
 RATIO_OF_RATIOS_UNIT_ALPHA_REF = 12.04908407989722
 
 
+def _alone(params):
+    """line_table of one point: its one-row table, or the exception that
+    stack.Failed names the point with."""
+    try:
+        return spectrum_mod.line_table([params])
+    except stack.Failed as failed:
+        return failed.errors[0]
+
+
 def test_residues_sum_to_photon_number(paper_params):
-    lambdas, residues, nbar = correlation_modes(paper_params)
+    lambdas, residues, nbar = helpers.point_modes(paper_params)
     assert nbar == pytest.approx(PHOTON_NUMBER_REF, rel=1e-9)
     assert np.sum(residues).real == pytest.approx(nbar, rel=1e-12)
     assert abs(np.sum(residues).imag) < 1e-12 * nbar
@@ -49,16 +56,42 @@ def test_residues_sum_to_photon_number(paper_params):
 
 
 def test_generator_modes_match_correlation_modes(paper_params):
-    gen = build_liouvillian(paper_params)
-    modes = spectrum_mod.generator_modes(gen, steady_state(gen))
-    for got, expected in zip(modes, correlation_modes(paper_params)):
-        np.testing.assert_array_equal(got, expected)
+    """The correlation modes in a point's line-table row are
+    generator_modes of its own 2-D generator and steady state, bit for
+    bit."""
+    table = spectrum_mod.line_table([paper_params])
+    lambdas, residues, nbar = helpers.point_modes(paper_params)
+    assert helpers.same_bits(table.lambdas[0], lambdas)
+    assert helpers.same_bits(table.residues[0], residues)
+    assert table.photons[0] == nbar
+
+
+def test_classified_modes_are_the_correlation_modes(paper_params):
+    """The Raman and spontaneous rows of line_table([p]) are two distinct
+    correlation modes of the point, read as (Im lambda / 2 pi, -Re lambda /
+    pi, 2 pi kappa Re residue), bit for bit."""
+    table = spectrum_mod.line_table([paper_params])
+    lambdas, residues, _ = helpers.point_modes(paper_params)
+    modes = np.stack(
+        [
+            lambdas.imag / TWO_PI,
+            -lambdas.real / math.pi,
+            TWO_PI * paper_params.kappa * residues.real,
+        ],
+        axis=-1,
+    )
+    matched = [
+        [j for j, mode in enumerate(modes) if helpers.same_bits(role, mode)]
+        for role in table.roles[0]
+    ]
+    assert [len(js) for js in matched] == [1, 1]
+    assert matched[0] != matched[1]
 
 
 def test_generator_splits_into_charge_blocks_with_three_modes():
     """The generator is block-diagonal in the charge q = [i = g2,0] -
     [j = g2,0] of |i><j|: every entry between two charges is exactly 0.  So
-    the field correlation has exactly three modes, which correlation_modes
+    the field correlation has exactly three modes, which generator_modes
     reads from the q = +1 block.  The oracle solves the whole 16 x 16
     np.kron generator with np.linalg.svd, eig and solve, sharing no code
     with the block route."""
@@ -75,7 +108,10 @@ def test_generator_splits_into_charge_blocks_with_three_modes():
     a_op = lv.cavity_annihilation()
     gens = build_liouvillian(points)
     assert gens.shape == (len(points), 16, 16)
-    for params, gen, modes in zip(points, gens, correlation_modes(points)):
+    stacked_lambdas, stacked_residues, _ = spectrum_mod.generator_modes(gens, steady_state(gens))
+    for params, gen, block_lambdas, block_residues in zip(
+        points, gens, stacked_lambdas, stacked_residues
+    ):
         assert np.all(gen[between] == 0.0)
 
         full = helpers.kron_liouvillian(params)
@@ -87,7 +123,6 @@ def test_generator_splits_into_charge_blocks_with_three_modes():
         carrying = np.abs(residues) > 1e-20 * np.max(np.abs(residues))
         assert np.count_nonzero(carrying) == 3
 
-        block_lambdas, block_residues, _ = modes
         assert block_lambdas.shape == block_residues.shape == (3,)
         scale = np.sum(np.abs(block_residues))
         for lam, res in zip(lambdas[carrying], residues[carrying]):
@@ -98,7 +133,7 @@ def test_generator_splits_into_charge_blocks_with_three_modes():
 
 def test_dark_cavity_emits_nothing(paper_params):
     dark = replace(paper_params, g=0.0, phonon_alpha1=0.0, phonon_alpha2=0.0)
-    _, residues, nbar = correlation_modes(dark)
+    _, residues, nbar = helpers.point_modes(dark)
     assert nbar < 1e-15
     assert np.sum(np.abs(residues)) < 1e-15
 
@@ -115,23 +150,14 @@ def test_dark_cavity_emits_nothing(paper_params):
 def test_classify_rejects_zero_emission(paper_params, changes):
     # The photon number here is rounding noise of either sign (|n| < 1e-16),
     # and so are the areas of any lines read from it.
-    silent = replace(paper_params, **changes)
-    with pytest.raises(DegenerateSpectrum, match="photon number"):
-        classify_lines(silent)
-
-
-def test_classified_modes_are_the_correlation_modes(paper_params):
-    lines = classify_lines(paper_params)
-    lambdas, residues, nbar = correlation_modes(paper_params)
-    assert np.array_equal(lines.lambdas, lambdas)
-    assert np.array_equal(lines.residues, residues)
-    assert lines.photon_number == nbar
+    error = _alone(replace(paper_params, **changes))
+    assert isinstance(error, DegenerateSpectrum) and "photon number" in str(error)
 
 
 def test_correlation_routes_agree(paper_params):
     gen = build_liouvillian(paper_params)
     rho_ss = steady_state(gen)
-    lambdas, residues, nbar = correlation_modes(paper_params)
+    lambdas, residues, nbar = helpers.point_modes(paper_params)
     taus = np.linspace(0.0, 0.5, 33)
     # Stepping the propagator avoids the eigendecomposition, so the two
     # routes are independent.
@@ -145,7 +171,7 @@ def test_correlation_routes_agree(paper_params):
 
 
 def test_total_flux_sum_rule(paper_params):
-    _, _, nbar = correlation_modes(paper_params)
+    _, _, nbar = helpers.point_modes(paper_params)
     grid = np.linspace(-1255.0, 1145.0, 300001)
     spectrum = emission_spectrum(paper_params, grid)
     flux = np.trapezoid(spectrum.intensity, grid)
@@ -154,24 +180,26 @@ def test_total_flux_sum_rule(paper_params):
 
 
 def test_line_areas_sum_to_flux(paper_params):
-    _, _, nbar = correlation_modes(paper_params)
-    lines = classify_lines(paper_params)
-    areas = [lines.raman[2], lines.spontaneous[2]] + [line[2] for line in lines.background]
+    _, _, nbar = helpers.point_modes(paper_params)
+    table = spectrum_mod.line_table([paper_params])
+    areas = [*table.roles[0, :, 2], *table.lines[0, table.background[0], 2]]
     assert np.sum(areas) == pytest.approx(TWO_PI * paper_params.kappa * nbar, rel=1e-10)
 
 
 def test_classified_line_positions(paper_params):
-    lines = classify_lines(paper_params)
+    table = spectrum_mod.line_table([paper_params])
+    raman, spontaneous = table.roles[0]
     # Rotating frame: transfer line near zero, spontaneous near the drive
     # detuning, both pulled slightly by light shifts.
-    assert abs(lines.raman[0]) < 2.0
-    assert abs(lines.spontaneous[0] - paper_params.delta_laser) < 3.0
-    assert 0.0 < lines.raman[1] < paper_params.kappa / 2.0
-    assert 0.0 < lines.spontaneous[1] < paper_params.kappa / 2.0
-    assert lines.raman[2] > 0.0
-    assert lines.spontaneous[2] > 0.0
+    assert abs(raman[0]) < 2.0
+    assert abs(spontaneous[0] - paper_params.delta_laser) < 3.0
+    assert 0.0 < raman[1] < paper_params.kappa / 2.0
+    assert 0.0 < spontaneous[1] < paper_params.kappa / 2.0
+    assert raman[2] > 0.0
+    assert spontaneous[2] > 0.0
     # The broad remainder is the cavity-filtered pedestal.
-    assert any(width > paper_params.kappa / 2.0 for _, width, _ in lines.background)
+    background = table.lines[0, table.background[0]]
+    assert np.any(background[:, 1] > paper_params.kappa / 2.0)
 
 
 def test_classify_degenerate_roles(paper_params):
@@ -182,13 +210,12 @@ def test_classify_degenerate_roles(paper_params):
         phonon_alpha1=0.0,
         phonon_alpha2=0.0,
     )
-    with pytest.raises(DegenerateSpectrum):
-        classify_lines(collapsed)
+    assert isinstance(_alone(collapsed), DegenerateSpectrum)
 
 
 def _area_ratio(params):
-    lines = classify_lines(params)
-    return lines.raman[2] / lines.spontaneous[2]
+    areas = spectrum_mod.line_table([params]).roles[0, :, 2]
+    return areas[0] / areas[1]
 
 
 def test_rs_ratio_regression(paper_params):
@@ -222,27 +249,33 @@ def test_ratio_of_ratios_saturates_at_unit_alpha(paper_params):
     assert abs(_ratio_of_ratios(paper_params, 2.0) / value - 1.0) > 0.1
 
 
-def test_frame_shift_moves_axis(paper_params):
-    grid = np.linspace(-10.0, 120.0, 27)
-    rot = rotating_spectrum(paper_params, grid)
-    assert rot.frame == "rotating"
-    lab = frame_shift(rot, paper_params)
-    assert lab.frame == "lab"
-    assert np.allclose(lab.freqs, grid - paper_params.delta_cavity)
-    np.testing.assert_array_equal(lab.intensity, rot.intensity)
-    with pytest.raises(FrameError):
-        frame_shift(lab, paper_params)
+def test_frame_shift_moves_axis(capsys, paper_params):
+    """emission_spectrum returns the lab axis as the rotating-frame offsets
+    grid + delta_cavity minus delta_cavity, bit for bit: on the CLI's
+    5-300 GHz grid it differs from the grid in the last bit of some
+    samples, and the CLI writes that axis as the lab frame."""
+    assert paper_params.delta_cavity == 55.0
+    grid = np.linspace(5.0, 300.0, 200)
+    spectrum = emission_spectrum(paper_params, grid)
+    assert helpers.same_bits(spectrum.freqs, (grid + 55.0) - 55.0)
+    assert np.any(spectrum.freqs != grid)
+
+    argv = ["spectrum", "--grid-min", "5", "--grid-max", "300", "--grid-points", "200", "--json"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["frame"] == "lab"
+    assert payload["nu_lab_GHz"] == spectrum.freqs.tolist()
 
 
 def test_emission_spectrum_equals_shifted_rotating(paper_params):
-    lab_grid = np.linspace(-80.0, 20.0, 51)
-    via_lab = emission_spectrum(paper_params, lab_grid)
-    via_rot = frame_shift(
-        rotating_spectrum(paper_params, lab_grid + paper_params.delta_cavity),
-        paper_params,
-    )
-    np.testing.assert_allclose(via_lab.intensity, via_rot.intensity, rtol=1e-13)
-    np.testing.assert_allclose(via_lab.freqs, via_rot.freqs)
+    """The lab spectrum is the mode mixture evaluated at the rotating-frame
+    offsets grid + delta_cavity, bit for bit."""
+    for grid in (np.linspace(5.0, 300.0, 200), np.linspace(-80.0, 20.0, 51)):
+        spectrum = emission_spectrum(paper_params, grid)
+        lambdas, residues, _ = helpers.point_modes(paper_params)
+        rotating = grid + paper_params.delta_cavity
+        expected = mixture_intensity(rotating, lambdas, residues, paper_params.kappa)
+        assert helpers.same_bits(spectrum.intensity, expected)
 
 
 def test_filter_band_selects_lines(paper_params):
@@ -260,11 +293,18 @@ def test_filter_band_selects_lines(paper_params):
 
 
 def test_filter_frame_and_reuse_guards(paper_params):
+    """A filter passes the band on the lab axis, which emission_spectrum
+    returns, and refuses a spectrum filtered before and an empty or
+    non-finite window."""
     grid = np.linspace(-80.0, 20.0, 11)
     window = FilterWindow(0.0, 120.0)
-    with pytest.raises(FrameError):
-        apply_filter(rotating_spectrum(paper_params, grid + 55.0), window)
-    filtered = apply_filter(emission_spectrum(paper_params, grid), window)
+    spectrum = emission_spectrum(paper_params, grid)
+    filtered = apply_filter(spectrum, window)
+    # -80 and -70 GHz lie below the band; on the rotating axis (+55 GHz)
+    # the two samples above it would be cut instead.
+    assert helpers.same_bits(filtered.freqs, spectrum.freqs)
+    assert np.all(filtered.intensity[:2] == 0.0)
+    assert helpers.same_bits(filtered.intensity[2:], spectrum.intensity[2:])
     with pytest.raises(DomainError):
         apply_filter(filtered, window)
     with pytest.raises(DomainError):
@@ -286,7 +326,7 @@ def test_mixture_intensity_zero_modes():
 def test_mixture_intensity_blocks_are_bitwise_one_call(monkeypatch, paper_params):
     """Evaluating in blocks bounds memory and changes no bit: a 2-d axis in
     blocks of 7 points equals the same axis in one block, in its shape."""
-    lambdas, residues, _ = correlation_modes(paper_params)
+    lambdas, residues, _ = helpers.point_modes(paper_params)
     nu = np.linspace(-120.0, 40.0, 150).reshape(3, 50)
     whole = mixture_intensity(nu, lambdas, residues, paper_params.kappa)
     monkeypatch.setattr(spectrum_mod, "MIXTURE_BLOCK", 7)
@@ -301,7 +341,7 @@ def test_mixture_intensity_blocks_are_bitwise_one_call(monkeypatch, paper_params
 def test_mixture_intensity_refuses_overflowing_normalization(paper_params):
     """(2 pi)^2 kappa overflows a float above about 4.5e306 GHz: refused,
     with no warning, instead of NaN intensities."""
-    lambdas, residues, _ = correlation_modes(paper_params)
+    lambdas, residues, _ = helpers.point_modes(paper_params)
     with pytest.raises(DomainError, match="normalization"):
         mixture_intensity(np.linspace(-5.0, 5.0, 7), lambdas, residues, 1e307)
     with pytest.raises(DomainError, match="normalization"):
@@ -315,54 +355,41 @@ def test_spectrum_validation():
     freqs = np.array([0.0, 1.0, 2.0])
     good = np.array([0.0, 1.0, 0.5])
     with pytest.raises(DomainError):
-        Spectrum(freqs=np.array([0.0, 2.0, 1.0]), intensity=good, frame="lab")
+        Spectrum(freqs=np.array([0.0, 2.0, 1.0]), intensity=good)
     with pytest.raises(DomainError):
-        Spectrum(freqs=freqs, intensity=np.array([0.0, -1.0, 0.0]), frame="lab")
+        Spectrum(freqs=freqs, intensity=np.array([0.0, -1.0, 0.0]))
     with pytest.raises(DomainError):
-        Spectrum(freqs=freqs, intensity=good, frame="galactic")
-    with pytest.raises(DomainError):
-        Spectrum(freqs=freqs, intensity=good[:2], frame="lab")
+        Spectrum(freqs=freqs, intensity=good[:2])
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError, match="finite"):
-            Spectrum(freqs=freqs, intensity=np.array([0.0, bad, 0.5]), frame="lab")
+            Spectrum(freqs=freqs, intensity=np.array([0.0, bad, 0.5]))
     # Tiny negative rounding noise is tolerated.
-    ok = Spectrum(freqs=freqs, intensity=np.array([0.0, -1e-13, 0.1]), frame="lab")
-    assert ok.frame == "lab"
+    ok = Spectrum(freqs=freqs, intensity=np.array([0.0, -1e-13, 0.1]))
+    assert ok.intensity[1] == -1e-13 and ok.filter_window is None
 
 
-def _same_classification(a, b):
-    """Bitwise equality of two LineClassification results."""
-    return (
-        helpers.same_bits(np.array([a.raman, a.spontaneous]), np.array([b.raman, b.spontaneous]))
-        and helpers.same_bits(
-            np.array(a.background).reshape(-1, 3), np.array(b.background).reshape(-1, 3)
-        )
-        and helpers.same_bits(a.lambdas, b.lambdas)
-        and helpers.same_bits(a.residues, b.residues)
-        and helpers.same_bits(np.float64(a.photon_number), np.float64(b.photon_number))
-    )
-
-
-def _assert_each_as_alone(points, outcomes):
-    """Each stacked outcome is the classification, or the exception type and
-    message, that its point gets from a call of its own."""
-    assert len(outcomes) == len(points)
-    for params, outcome in zip(points, outcomes):
-        try:
-            alone = classify_lines(params)
-        except Exception as exc:
-            assert type(outcome) is type(exc) and str(outcome) == str(exc)
-            continue
-        assert _same_classification(outcome, alone)
+def _assert_each_as_alone(points, errors, table):
+    """Each point named in ``errors`` meets the exception, type and message,
+    that line_table names it with alone; ``table``, the line table of the
+    other points in order, holds in each row its point's table alone, bit
+    for bit."""
+    healthy = [params for k, params in enumerate(points) if k not in errors]
+    assert len(table.photons) == len(healthy)
+    for k, error in errors.items():
+        assert helpers.same_outcome(error, _alone(points[k]))
+    for row, params in enumerate(healthy):
+        alone = _alone(params)
+        for name, rows in vars(table).items():
+            assert helpers.same_bits(rows[row], getattr(alone, name)[0]), name
 
 
 def test_stacked_classification_matches_each_point_alone(paper_params):
-    """One classify_lines call over 60 points, two stacks, gives every point
-    its own call's lambdas, residues and lines bit for bit, with phonon-off,
-    kT = 0, phonon_n < 0, and kT = 0 with phonon_n < 0 points among them.
-    Points that fail at the build, the steady state or the classification
-    fail in the stack with the same exception and message, and leave their
-    neighbours as they are alone."""
+    """Points that fail at the build, the steady state or the classification
+    fail in a 60-point fit_emission_lines call, two stacks, with the
+    exception and message that line_table gives them alone.  The line
+    table of the other 56 points gives every point its own call's modes
+    and lines bit for bit, with phonon-off, kT = 0, phonon_n < 0, and
+    kT = 0 with phonon_n < 0 points among them."""
     rng = np.random.default_rng(31)
     drawn = [helpers.random_valid_params(rng) for _ in range(60)]
     points = (
@@ -392,19 +419,19 @@ def test_stacked_classification_matches_each_point_alone(paper_params):
     for k, (params, _, _) in failing.items():
         points[k] = params
 
-    outcomes = classify_lines(points)
+    outcomes = fit_emission_lines(points)
     for k, (_, error, message) in failing.items():
         assert isinstance(outcomes[k], error) and message in str(outcomes[k])
-    assert sum(isinstance(o, Exception) for o in outcomes) == len(failing)
-    _assert_each_as_alone(points, outcomes)
+    errors = {k: o for k, o in enumerate(outcomes) if isinstance(o, Exception)}
+    assert sorted(errors) == sorted(failing)
+    healthy = [params for k, params in enumerate(points) if k not in failing]
+    table = spectrum_mod.line_table(healthy)
+    _assert_each_as_alone(points, errors, table)
 
-    modes = correlation_modes(points)
-    for outcome, mode in zip(outcomes, modes):
-        if not isinstance(outcome, Exception):
-            lambdas, residues, photons = mode
-            assert helpers.same_bits(lambdas, outcome.lambdas)
-            assert helpers.same_bits(residues, outcome.residues)
-            assert helpers.same_bits(np.float64(photons), np.float64(outcome.photon_number))
+    gens = build_liouvillian(healthy)
+    modes = spectrum_mod.generator_modes(gens, steady_state(gens))
+    for got, expected in zip((table.lambdas, table.residues, table.photons), modes):
+        assert helpers.same_bits(got, expected)
 
 
 def test_line_table_matches_per_point_loop(paper_params):
@@ -426,19 +453,21 @@ def test_line_table_matches_per_point_loop(paper_params):
             replace(paper_params, delta_laser=0.0, delta_cavity=0.0, **no_phonons),
         ]
     )
-    failures = 0
-    for params, outcome, modes in zip(points, classify_lines(points), correlation_modes(points)):
-        expected = helpers.loop_classification(params, modes)
-        if isinstance(expected, Exception):
-            assert type(outcome) is type(expected) and str(outcome) == str(expected)
-            failures += 1
-            continue
-        raman, spont, background = expected
-        got = [outcome.raman, outcome.spontaneous, *outcome.background]
+    expected = [helpers.loop_classification(p, helpers.point_modes(p)) for p in points]
+    errors = {k: e for k, e in enumerate(expected) if isinstance(e, Exception)}
+    assert len(errors) == 3
+    with pytest.raises(stack.Failed) as failed:
+        spectrum_mod.line_table(points)
+    assert sorted(failed.value.errors) == sorted(errors)
+    for k, error in errors.items():
+        assert helpers.same_outcome(failed.value.errors[k], error)
+    table = spectrum_mod.line_table([p for k, p in enumerate(points) if k not in errors])
+    lines = [e for e in expected if not isinstance(e, Exception)]
+    for row, (raman, spont, background) in enumerate(lines):
+        got = [*table.roles[row].tolist(), *table.lines[row, table.background[row]].tolist()]
         assert [tuple(map(float.hex, line)) for line in got] == [
             tuple(map(float.hex, line)) for line in (raman, spont, *background)
         ]
-    assert failures == 3
 
 
 def test_mixture_intensity_matches_per_mode_sum(paper_params):
@@ -463,8 +492,9 @@ def test_mixture_intensity_matches_per_mode_sum(paper_params):
 @pytest.mark.parametrize("routine", ["eigh", "svd", "eig", "solve"])
 def test_stacked_lapack_failure_retries_each_point(monkeypatch, routine):
     """When a stacked LAPACK call raises LinAlgError, its stack is solved one
-    point at a time: only the point that fails alone fails, with the same
-    error, and every other point gets its own call's result."""
+    point at a time: line_table names only the point that fails alone, with
+    the same error, and every other point, solved again without it, gets
+    its own call's result."""
     rng = np.random.default_rng(37)
     points = [helpers.random_valid_params(rng) for _ in range(12)]
     bad = points[5]
@@ -490,8 +520,11 @@ def test_stacked_lapack_failure_retries_each_point(monkeypatch, routine):
         return lapack(a, *args)
 
     monkeypatch.setattr(np.linalg, routine, failing)
-    outcomes = classify_lines(points)
+    with pytest.raises(stack.Failed) as failed:
+        spectrum_mod.line_table(points)
     assert calls.count(3) >= 1 and calls.count(2) >= len(points)
-    assert isinstance(outcomes[5], np.linalg.LinAlgError)
-    assert str(outcomes[5]) == f"{routine} refused"
-    _assert_each_as_alone(points, outcomes)
+    assert list(failed.value.errors) == [5]
+    error = failed.value.errors[5]
+    assert isinstance(error, np.linalg.LinAlgError) and str(error) == f"{routine} refused"
+    table = spectrum_mod.line_table(points[:5] + points[6:])
+    _assert_each_as_alone(points, failed.value.errors, table)
