@@ -52,7 +52,6 @@ from .model import (
     G1_0,
     G2_0,
     G2_1,
-    DressedStates,
     ModelParams,
     build_hamiltonian,
     dressed_states,

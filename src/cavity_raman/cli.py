@@ -175,9 +175,14 @@ def _header(command: str, config: RunConfig, extra: dict) -> list[str]:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one; a file
+    that cannot be written raises ConfigError "cannot write ``out``"."""
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

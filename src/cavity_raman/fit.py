@@ -311,14 +311,12 @@ class ExponentialFit:
 def fit_exponential(
     times: np.ndarray,
     values: np.ndarray,
-    init: tuple[float, float, float] | None = None,
     errors: np.ndarray | None = None,
 ) -> ExponentialFit:
     """Fit amplitude * exp(-t/tau) + baseline to a time trace.
 
-    ``init`` is (amplitude, tau, baseline).  A nonpositive fitted tau
-    raises NonDecaying; growing saturation traces are handled by a
-    negative amplitude, not a negative tau.
+    A nonpositive fitted tau raises NonDecaying; growing saturation
+    traces are handled by a negative amplitude, not a negative tau.
     """
     times, values = _check_samples(
         times, values, "times and values", 4, "for a three-parameter fit"
@@ -327,24 +325,20 @@ def fit_exponential(
         raise DomainError("times must be strictly ascending")
     sqrt_w = _weights(errors, values)
 
-    if init is None:
-        tail = max(times.size // 10, 1)
-        base0 = float(np.mean(values[-tail:]))
-        amp0 = float(values[0] - base0)
-        if amp0 == 0.0:
-            amp0 = float(np.max(values) - np.min(values)) or 1.0
-        shifted = (values - base0) / amp0
-        usable = shifted > 0.05
-        if np.count_nonzero(usable) >= 2:
-            slope = np.polyfit(times[usable], np.log(shifted[usable]), 1)[0]
-            tau0 = -1.0 / slope if slope < 0.0 else (times[-1] - times[0]) / 3.0
-        else:
-            tau0 = (times[-1] - times[0]) / 3.0
-        x0 = np.array([amp0, tau0, base0])
+    # The start tau is positive: the times ascend strictly.
+    tail = max(times.size // 10, 1)
+    base0 = float(np.mean(values[-tail:]))
+    amp0 = float(values[0] - base0)
+    if amp0 == 0.0:
+        amp0 = float(np.max(values) - np.min(values)) or 1.0
+    shifted = (values - base0) / amp0
+    usable = shifted > 0.05
+    if np.count_nonzero(usable) >= 2:
+        slope = np.polyfit(times[usable], np.log(shifted[usable]), 1)[0]
+        tau0 = -1.0 / slope if slope < 0.0 else (times[-1] - times[0]) / 3.0
     else:
-        x0 = np.array(init, dtype=float)
-    if x0[1] <= 0.0:
-        x0[1] = (times[-1] - times[0]) / 3.0
+        tau0 = (times[-1] - times[0]) / 3.0
+    x0 = np.array([amp0, tau0, base0])
 
     def model(x: np.ndarray) -> np.ndarray:
         exponent = np.clip(-times / x[1], -700.0, 700.0)

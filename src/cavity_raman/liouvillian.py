@@ -134,18 +134,13 @@ def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray
         for k, point in enumerate(points)
         if point.delta_laser <= 0.0
     })
-    dressed = model.dressed_states(points)
-    stack.fail(dressed)
+    vectors, _ = model.dressed_states(points)
     rates = [_phonon_rates(point) for point in points]
     stack.fail(rates)
-    plus, minus, dark = (
-        np.array([getattr(states, name) for states in dressed])
-        for name in ("plus", "minus", "dark")
-    )
-    pairs = ((plus, minus), (minus, plus), (plus, dark), (dark, plus))
-    # np.outer(left, right.conj()) of each point.
-    ops = np.stack([left[:, :, None] * right.conj()[:, None, :] for left, right in pairs], 1)
-    return ops, np.array(rates)
+    # np.outer(left, right.conj()) of each point, for the (left, right)
+    # pairs (plus, minus), (minus, plus), (plus, dark), (dark, plus).
+    left, right = vectors[:, [2, 1, 2, 0], :, None], vectors.conj()[:, [1, 2, 0, 2], None, :]
+    return left * right, np.array(rates)
 
 
 def _phonon_rates(params: ModelParams) -> list[float] | DomainError:

@@ -145,49 +145,48 @@ def build_hamiltonian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray
     return h[0] if isinstance(params, ModelParams) else h
 
 
-@dataclass(frozen=True)
-class DressedStates:
-    """Eigenstates of the coherent block, labelled by excited-state content.
+def dressed_states(
+    params: ModelParams | Sequence[ModelParams],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenstates of the driven three-state block and their frequencies.
 
-    ``plus`` carries the largest |e,0> weight, ``dark`` the smallest, and
-    ``minus`` the rest.  Vectors live in the full four-state basis with an
-    exactly zero |g2,0> component.  Frequencies are GHz in the drive frame.
+    Branch labels follow excited-state content: ``plus`` carries the
+    largest |e,0> weight, ``dark`` the smallest, and ``minus`` the rest.
+    Returns the vectors in the full four-state basis, with an exactly zero
+    |g2,0> component, and their frequencies in GHz in the drive frame,
+    both in label order dark, minus, plus: shapes (3, 4) and (3,) for one
+    operating point, (K, 3, 4) and (K, 3) for a sequence of K.
+
+    Valid at any coupling.  One point raises DomainError at zero laser
+    detuning and DegenerateSpectrum when two dressed frequencies coincide;
+    a sequence diagonalizes its blocks in one stacked ``eigh`` and raises
+    stack.Failed for the points that fail.
     """
-
-    plus: np.ndarray
-    minus: np.ndarray
-    dark: np.ndarray
-    omega_plus: float
-    omega_minus: float
-    omega_dark: float
+    if isinstance(params, ModelParams):
+        return stack.alone(_dressed_states, params)
+    return _dressed_states(params)
 
 
-@stack.per_point
-def dressed_states(points: list[ModelParams]) -> list[DressedStates]:
-    """Diagonalize the driven three-state block numerically.
-
-    Valid at any coupling; raises DegenerateSpectrum when two dressed
-    frequencies coincide.  Takes one point or a sequence (see
-    :func:`stack.per_point`); a stack's blocks are diagonalized in one
-    stacked ``eigh``.
-    """
-    stack.fail({
-        k: DomainError("dressed states are undefined at zero laser detuning")
-        for k, point in enumerate(points)
-        if point.delta_laser == 0.0
-    })
+def _dressed_states(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     block = np.array(COHERENT_BLOCK)
     h = build_hamiltonian(points)
     (vals, vecs), errors = stack.linalg(np.linalg.eigh, h[:, block[:, None], block].real)
-    stack.fail(errors)
     degenerate = np.any(np.diff(np.sort(vals, axis=1), axis=1) < 1e-9, axis=1)
+    # Each point's first error, in the order of a call of its own.
+    first = [
+        DomainError("dressed states are undefined at zero laser detuning")
+        if point.delta_laser == 0.0
+        else error
+        for point, error in zip(points, errors)
+    ]
     stack.fail({
-        k: DegenerateSpectrum(f"dressed frequencies separated by less than 1e-9 GHz: {vals[k]}")
-        for k in np.flatnonzero(degenerate).tolist()
+        k: first[k]
+        or DegenerateSpectrum(f"dressed frequencies separated by less than 1e-9 GHz: {vals[k]}")
+        for k in range(len(points))
+        if first[k] or degenerate[k]
     })
 
-    # Branch labels follow excited-state weight; the block index of |e,0>
-    # within COHERENT_BLOCK is 2.  Columns in label order dark, minus, plus.
+    # The block index of |e,0> within COHERENT_BLOCK is 2.
     order = np.argsort(np.abs(vecs[:, 2, :]) ** 2, axis=-1)
     columns = np.take_along_axis(vecs, order[:, None, :], axis=2)
     # Canonical sign: the largest component of each column is positive.
@@ -196,15 +195,4 @@ def dressed_states(points: list[ModelParams]) -> list[DressedStates]:
     columns = np.where(flip[:, None, :], -columns, columns)
     full = np.zeros((len(points), 3, DIM), dtype=complex)
     full[:, :, block] = columns.transpose(0, 2, 1)
-    omegas = np.take_along_axis(vals, order, axis=1)
-    return [
-        DressedStates(
-            plus=full[k, 2],
-            minus=full[k, 1],
-            dark=full[k, 0],
-            omega_plus=float(omegas[k, 2]),
-            omega_minus=float(omegas[k, 1]),
-            omega_dark=float(omegas[k, 0]),
-        )
-        for k in range(len(points))
-    ]
+    return full, np.take_along_axis(vals, order, axis=1)

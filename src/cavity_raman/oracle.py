@@ -44,46 +44,6 @@ class LadderBasis:
         return LEVELS.index(level) * (self.n_max + 1) + n
 
 
-def _ladder_hamiltonian(params: ModelParams, basis: LadderBasis) -> np.ndarray:
-    """Drive, Jaynes-Cummings coupling and detunings on the full ladder, GHz."""
-    delta2 = params.delta_laser - params.delta_cavity
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for n in range(basis.n_max + 1):
-        h[basis.index("g1", n), basis.index("g1", n)] = n * delta2
-        h[basis.index("g2", n), basis.index("g2", n)] = n * delta2
-        h[basis.index("e", n), basis.index("e", n)] = params.delta_laser + n * delta2
-        e_n = basis.index("e", n)
-        g1_n = basis.index("g1", n)
-        h[e_n, g1_n] = params.omega_drive / 2.0
-        h[g1_n, e_n] = params.omega_drive / 2.0
-        if n < basis.n_max:
-            g2_up = basis.index("g2", n + 1)
-            h[e_n, g2_up] = params.g * math.sqrt(n + 1)
-            h[g2_up, e_n] = params.g * math.sqrt(n + 1)
-    return h
-
-
-def _ladder_collapse(params: ModelParams, basis: LadderBasis) -> list[lv.CollapseChannel]:
-    dim = basis.dim
-    a_full = np.zeros((dim, dim), dtype=complex)
-    decay1 = np.zeros((dim, dim), dtype=complex)
-    decay2 = np.zeros((dim, dim), dtype=complex)
-    flip = np.zeros((dim, dim), dtype=complex)
-    for n in range(basis.n_max + 1):
-        if n >= 1:
-            for level in LEVELS:
-                a_full[basis.index(level, n - 1), basis.index(level, n)] = math.sqrt(n)
-        decay1[basis.index("g1", n), basis.index("e", n)] = 1.0
-        decay2[basis.index("g2", n), basis.index("e", n)] = 1.0
-        flip[basis.index("g1", n), basis.index("g2", n)] = 1.0
-    return [
-        lv.CollapseChannel(a_full, TWO_PI * params.kappa),
-        lv.CollapseChannel(decay1, TWO_PI * params.gamma1),
-        lv.CollapseChannel(decay2, TWO_PI * params.gamma2),
-        lv.CollapseChannel(flip, TWO_PI * params.gamma_flip),
-    ]
-
-
 def _kept_positions(basis: LadderBasis) -> list[int]:
     """Ladder indices of the four truncated-basis states, in model order."""
     return [
@@ -94,32 +54,48 @@ def _kept_positions(basis: LadderBasis) -> list[int]:
     ]
 
 
-def _embed_truncated(op4: np.ndarray, basis: LadderBasis) -> np.ndarray:
-    """Place a truncated-basis operator at its four ladder positions."""
-    positions = _kept_positions(basis)
-    full = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for row4, row in enumerate(positions):
-        for col4, col in enumerate(positions):
-            full[row, col] = op4[row4, col4]
-    return full
+def _emitter(row: str, col: str) -> np.ndarray:
+    """|row><col| on the emitter levels."""
+    op = np.zeros((len(LEVELS), len(LEVELS)))
+    op[LEVELS.index(row), LEVELS.index(col)] = 1.0
+    return op
 
 
 def ladder_liouvillian(params: ModelParams, n_max: int = 3) -> tuple[np.ndarray, LadderBasis]:
     """Master-equation generator on the untruncated photon ladder, 1/ns.
 
-    The thermal jump operators live between dressed states defined inside
-    the single-excitation manifold, so they are embedded at the matching
-    four ladder positions.
+    The Hamiltonian (drive, Jaynes-Cummings coupling, detunings) and the
+    cavity, spontaneous and reshuffling channels are emitter (x) photon
+    products.  The thermal jump operators live between dressed states
+    defined inside the single-excitation manifold, so they are embedded at
+    the matching four ladder positions.
     """
     basis = LadderBasis(n_max)
-    gen = lv.hamiltonian_superoperator(_ladder_hamiltonian(params, basis))
-    for channel in _ladder_collapse(params, basis):
-        gen += lv.lindblad_dissipator(channel)
+    eye = np.eye(n_max + 1)
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
+    drive = np.kron(_emitter("e", "g1"), eye)
+    coupling = np.kron(_emitter("e", "g2"), a)
+    h = (params.delta_laser - params.delta_cavity) * np.kron(
+        np.eye(len(LEVELS)), np.diag(np.arange(n_max + 1.0))
+    )
+    h += params.delta_laser * np.kron(_emitter("e", "e"), eye)
+    h += params.omega_drive / 2.0 * (drive + drive.T)
+    h += params.g * (coupling + coupling.T)
+    gen = lv.hamiltonian_superoperator(h)
+    for op, rate in (
+        (np.kron(np.eye(len(LEVELS)), a), params.kappa),
+        (np.kron(_emitter("g1", "e"), eye), params.gamma1),
+        (np.kron(_emitter("g2", "e"), eye), params.gamma2),
+        (np.kron(_emitter("g1", "g2"), eye), params.gamma_flip),
+    ):
+        gen += lv.lindblad_dissipator(lv.CollapseChannel(op, TWO_PI * rate))
     if params.phonon_alpha1 > 0.0 or params.phonon_alpha2 > 0.0:
-        for channel in lv.phonon_channels(params):
-            gen += lv.lindblad_dissipator(
-                lv.CollapseChannel(_embed_truncated(channel.operator, basis), channel.rate)
-            )
+        channels = lv.phonon_channels(params)
+        kept = _kept_positions(basis)
+        ops = np.zeros((len(channels), basis.dim, basis.dim), dtype=complex)
+        ops[np.ix_(range(len(channels)), kept, kept)] = [channel.operator for channel in channels]
+        for op, channel in zip(ops, channels):
+            gen += lv.lindblad_dissipator(lv.CollapseChannel(op, channel.rate))
     return gen, basis
 
 

@@ -75,8 +75,7 @@ def per_point(solve: Callable) -> Callable:
     points at a time and returns every point's outcome in order: its
     result, or the exception that a Failed named it with.
     """
-    # Imported here: model imports this module, and decorates with it only
-    # once ModelParams is defined.
+    # Imported here: model imports this module at its top.
     from .model import ModelParams
 
     def outcomes(points: list, args, kwargs) -> list:

@@ -1,8 +1,9 @@
 """Shared test utilities: random operating points, plain ``np.kron``
-superoperators, finite-horizon transforms for the time-domain spectrum
-check, short-horizon RK45 references for the exactly propagated oracles,
-and per-point loop references for the stacked line classification,
-windows, spectrum sums and peak read-back.
+superoperators, an index-loop photon-ladder generator, finite-horizon
+transforms for the time-domain spectrum check, short-horizon RK45
+references for the exactly propagated oracles, and per-point loop
+references for the stacked line classification, windows, spectrum sums
+and peak read-back.
 """
 import math
 from dataclasses import astuple, is_dataclass
@@ -92,11 +93,29 @@ def kron_liouvillian(params) -> np.ndarray:
         op = np.zeros((4, 4), dtype=complex)
         op[lower, upper] = 1.0
         gen += kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=TWO_PI * rate))
-    if params.phonon_alpha1 == 0.0 and params.phonon_alpha2 == 0.0:
-        return gen
+    channels = kron_phonon_channels(params)
+    if channels:
+        gen += sum(
+            kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=rate))
+            for op, rate in channels
+        )
+    return gen
 
-    block = (g1_0, g2_1, e_0)
-    vals, vecs = np.linalg.eigh(h[np.ix_(block, block)].real)
+
+def kron_phonon_channels(params) -> list:
+    """(operator, rate) of one point's four phonon channels on the
+    truncated basis, in ``liouvillian.phonon_channels`` order, from a 2-D
+    ``eigh`` of its own coherent block; none without phonons."""
+    if params.phonon_alpha1 == 0.0 and params.phonon_alpha2 == 0.0:
+        return []
+    # The coherent block |g1,0>, |g2,1>, |e,0>.
+    block = (0, 2, 3)
+    h = np.zeros((3, 3))
+    h[2, 2] = params.delta_laser
+    h[1, 1] = params.delta_laser - params.delta_cavity
+    h[2, 0] = h[0, 2] = params.omega_drive / 2.0
+    h[2, 1] = h[1, 2] = params.g
+    vals, vecs = np.linalg.eigh(h)
     assert np.min(np.diff(vals)) >= 1e-9
 
     def embedded(column):
@@ -111,17 +130,61 @@ def kron_liouvillian(params) -> np.ndarray:
     split = params.delta_laser
     occupation = 0.0 if params.kT == 0.0 else n_thermal(split, params.kT)
     prefactor = (params.g**2 + (params.omega_drive / 2.0) ** 2) / params.delta_laser**2
-    total = 0
+    channels = []
     for alpha, lower_state in ((params.phonon_alpha1, minus), (params.phonon_alpha2, dark)):
         rate = TWO_PI * prefactor * (alpha * split**params.phonon_n)
-        for op, channel_rate in (
+        channels += [
             (np.outer(plus, lower_state.conj()), rate * occupation),
             (np.outer(lower_state, plus.conj()), rate * (1.0 + occupation)),
-        ):
-            total = total + kron_lindblad_dissipator(
-                SimpleNamespace(operator=op, rate=channel_rate)
-            )
-    gen += total
+        ]
+    return channels
+
+
+def loop_ladder_liouvillian(params, n_max) -> np.ndarray:
+    """The photon-ladder generator of one point, its operators written
+    entry by entry in index loops on the emitter x photon basis, |level, n>
+    at level * (n_max + 1) + n with levels g1, g2, e, and summed with the
+    ``np.kron`` superoperators above in ``oracle.ladder_liouvillian``'s
+    order.  The phonon channels are :func:`kron_phonon_channels`, placed at
+    the ladder positions of the four truncated-basis states."""
+    g1, g2, e = range(3)
+    dim = 3 * (n_max + 1)
+
+    def at(level, n):
+        return level * (n_max + 1) + n
+
+    delta2 = params.delta_laser - params.delta_cavity
+    h = np.zeros((dim, dim), dtype=complex)
+    a_full, decay1, decay2, flip = (np.zeros((dim, dim), dtype=complex) for _ in range(4))
+    for n in range(n_max + 1):
+        h[at(g1, n), at(g1, n)] = n * delta2
+        h[at(g2, n), at(g2, n)] = n * delta2
+        h[at(e, n), at(e, n)] = params.delta_laser + n * delta2
+        h[at(e, n), at(g1, n)] = h[at(g1, n), at(e, n)] = params.omega_drive / 2.0
+        if n < n_max:
+            h[at(e, n), at(g2, n + 1)] = params.g * math.sqrt(n + 1)
+            h[at(g2, n + 1), at(e, n)] = params.g * math.sqrt(n + 1)
+        if n >= 1:
+            for level in (g1, g2, e):
+                a_full[at(level, n - 1), at(level, n)] = math.sqrt(n)
+        decay1[at(g1, n), at(e, n)] = 1.0
+        decay2[at(g2, n), at(e, n)] = 1.0
+        flip[at(g1, n), at(g2, n)] = 1.0
+    gen = kron_hamiltonian_superoperator(h)
+    for op, rate in (
+        (a_full, params.kappa),
+        (decay1, params.gamma1),
+        (decay2, params.gamma2),
+        (flip, params.gamma_flip),
+    ):
+        gen += kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=TWO_PI * rate))
+    kept = (at(g1, 0), at(g2, 0), at(g2, 1), at(e, 0))
+    for op4, rate in kron_phonon_channels(params):
+        op = np.zeros((dim, dim), dtype=complex)
+        for row4, row in enumerate(kept):
+            for col4, col in enumerate(kept):
+                op[row, col] = op4[row4, col4]
+        gen += kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=rate))
     return gen
 
 

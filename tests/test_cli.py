@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through cli.main, plus
 subprocess smoke tests of the module entry points."""
+import errno
 import json
 import os
 import subprocess
@@ -402,6 +403,20 @@ def test_unreadable_data_file_exits_2(capsys, tmp_path, kind):
     code, _, err = run_cli(capsys, ["fit", kind, str(path)])
     assert code == 2
     assert f"cannot read {path}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize(
+    "target, errno_code",
+    [("missing_directory", errno.ENOENT), ("directory", errno.EISDIR)],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, target, errno_code):
+    """An --out path in a directory that does not exist, or naming a
+    directory, exits 2 naming the path, and writes nothing to stdout."""
+    path = tmp_path / "absent" / "rates.txt" if target == "missing_directory" else tmp_path
+    code, out, err = run_cli(capsys, ["rates", "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: {os.strerror(errno_code)}\n"
 
 
 def test_ragged_csv_exits_2(capsys, tmp_path):
