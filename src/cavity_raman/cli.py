@@ -11,9 +11,12 @@ errors, 3 numerically unusable operating points, 4 fit failures.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -185,6 +188,19 @@ def _emit(text: str, out: str | None) -> None:
             raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an ``out`` that names a directory or whose
+    directory cannot be found, with the ConfigError :func:`_emit` would
+    raise.  The file is not opened: a failing command leaves it as it was."""
+    try:
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(out) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _read_numeric_csv(path: str, min_cols: int, max_cols: int) -> np.ndarray:
@@ -567,6 +583,8 @@ def main(argv: list[str] | None = None) -> int:
     with blas.one_thread():
         try:
             config = resolve_config(args)
+            if args.out:
+                _check_out(args.out)
             if args.command == "rates":
                 return cmd_rates(config, args.out, args.json)
             if args.command == "spectrum":

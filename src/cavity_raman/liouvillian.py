@@ -7,6 +7,7 @@ GHz and are scaled by 2pi on the way in.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -236,30 +237,39 @@ def _build(points: Sequence[ModelParams]) -> np.ndarray:
 KERNEL_RTOL = 1e-10
 
 
-def steady_state(gen: np.ndarray) -> np.ndarray:
+def steady_state(gen: np.ndarray, excitations: np.ndarray | None = None) -> np.ndarray:
     """Unique trace-one null vector of the generator.
 
     Raises NonUniqueSteadyState when the second-smallest singular value is
     below KERNEL_RTOL times the largest, i.e. when the kernel is degenerate
     at working precision.  Given a (K, n, n) stack of generators, makes one
-    stacked SVD and returns the (K, m, m) states, or raises stack.Failed
-    for the generators that fail.
+    stacked SVD per sector and returns the (K, m, m) states, or raises
+    stack.Failed for the generators that fail.
+
+    ``excitations``, one integer N per basis state, declares the generator
+    block-diagonal in the charge q = N_i - N_j of each |i><j| (a weak U(1)
+    symmetry).  The solve then checks that every entry coupling two
+    sectors is exactly zero, or raises DomainError for that generator;
+    takes the null vector from the q = 0 sector alone, with every other
+    entry of the state exactly zero; and reads the kernel test from the
+    union of all sectors' singular values.  Without it the generator is
+    one sector, solved by one SVD of the whole.
     """
     gen = np.asarray(gen, dtype=complex)
+    solve = functools.partial(_steady_states, excitations=excitations)
     if gen.ndim == 2:
-        return stack.alone(_steady_states, gen)
-    return _steady_states(gen)
+        return stack.alone(solve, gen)
+    return solve(gen)
 
 
-def _steady_states(gen: np.ndarray) -> np.ndarray:
+def _steady_states(gen: np.ndarray, excitations: np.ndarray | None) -> np.ndarray:
     count, size = gen.shape[0], gen.shape[-1]
     dim = math.isqrt(size)
     if dim * dim != size:
         raise DomainError(f"vector of length {size} is not a stacked square matrix")
-    (_, svals, vh), errors = stack.linalg(np.linalg.svd, gen)
-    stack.fail(errors)
+    vectors, svals = _null_vectors(gen, _charges(excitations, dim))
     # Each row is a column-stacked square matrix: undo the stacking.
-    rho = np.swapaxes(vh[:, -1].conj().reshape(count, dim, dim), -1, -2)
+    rho = np.swapaxes(vectors.reshape(count, dim, dim), -1, -2)
     rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
     traces = np.trace(rho, axis1=-2, axis2=-1).real
     degenerate = svals[:, -2] < KERNEL_RTOL * svals[:, 0]
@@ -273,6 +283,59 @@ def _steady_states(gen: np.ndarray) -> np.ndarray:
         for k in np.flatnonzero(degenerate | (np.abs(traces) < 1e-14)).tolist()
     })
     return rho / traces[:, None, None]
+
+
+def _charges(excitations: np.ndarray | None, dim: int) -> np.ndarray:
+    """Charge N_i - N_j of each vec position of a dim x dim matrix; all
+    zero without ``excitations``."""
+    if excitations is None:
+        return np.zeros(dim * dim, dtype=int)
+    counts = np.asarray(excitations)
+    if counts.shape != (dim,):
+        raise DomainError(f"need {dim} excitation numbers, got shape {counts.shape}")
+    return (counts[:, None] - counts[None, :]).reshape(-1, order="F")
+
+
+def _null_vectors(gen: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null vectors (K, n) of a stack of generators, each the last right
+    singular vector of its q = 0 sector placed at that sector's positions,
+    and the (K, n) union of every sector's singular values in descending
+    order; raises Failed for a generator with a nonzero entry between
+    sectors, or whose SVD fails."""
+    # Not np.unique: its first call in a process adds about 0.5 MB to the
+    # peak memory of every sweep.
+    sectors = [charges == q for q in [0] + sorted(set(charges.tolist()) - {0})]
+    if len(sectors) > 1:
+        leaks = (gen != 0.0) & (charges[:, None] != charges[None, :])
+        stack.fail({
+            k: DomainError(
+                f"generator entry ({row}, {col}) couples excitation sectors "
+                f"{charges[row]} and {charges[col]}"
+            )
+            for k in np.flatnonzero(leaks.any(axis=(1, 2))).tolist()
+            for row, col in [np.unravel_index(np.argmax(leaks[k]), leaks.shape[1:])]
+        })
+    zero = sectors[0]
+    block = gen if len(sectors) == 1 else gen[:, zero][:, :, zero]
+    (_, svals, vh), errors = stack.linalg(np.linalg.svd, block)
+    values = [svals]
+    for sector in sectors[1:]:
+        (sector_values,), sector_errors = stack.linalg(
+            functools.partial(np.linalg.svd, compute_uv=False), gen[:, sector][:, :, sector]
+        )
+        values.append(sector_values)
+        errors = [first or later for first, later in zip(errors, sector_errors)]
+    stack.fail(errors)
+    if len(sectors) == 1:
+        return vh[:, -1].conj(), svals
+    union = np.sort(np.concatenate(values, axis=1), axis=1)[:, ::-1]
+    vectors = np.zeros(gen.shape[:2], dtype=complex)
+    vectors[:, zero] = vh[:, -1].conj()
+    # Where another sector holds the smallest singular value, the kernel
+    # lies off the diagonal, so the null vector of the whole generator is
+    # traceless: zero, as the trace test reads it.
+    vectors[svals[:, -1] > union[:, -1]] = 0.0
+    return vectors, union
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

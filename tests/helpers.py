@@ -1,9 +1,9 @@
 """Shared test utilities: random operating points, plain ``np.kron``
-superoperators, an index-loop photon-ladder generator, finite-horizon
-transforms for the time-domain spectrum check, short-horizon RK45
-references for the exactly propagated oracles, and per-point loop
-references for the stacked line classification, windows, spectrum sums
-and peak read-back.
+superoperators, an index-loop photon-ladder generator, a dense-SVD steady
+state, finite-horizon transforms for the time-domain spectrum check,
+short-horizon RK45 and per-time ``expm`` references for the exactly
+propagated oracles, and per-point loop references for the stacked line
+classification, windows, spectrum sums and peak read-back.
 """
 import math
 from dataclasses import astuple, is_dataclass
@@ -11,16 +11,20 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from cavity_raman import (
     DegeneratePeaks,
     DegenerateSpectrum,
     DomainError,
     ModelParams,
+    NonUniqueSteadyState,
     build_liouvillian,
     n_thermal,
     steady_state,
 )
+from cavity_raman import stack
+from cavity_raman.liouvillian import KERNEL_RTOL
 from cavity_raman.spectrum import generator_modes
 
 TWO_PI = 2.0 * np.pi
@@ -188,6 +192,33 @@ def loop_ladder_liouvillian(params, n_max) -> np.ndarray:
     return gen
 
 
+def dense_steady_state(gen) -> np.ndarray:
+    """``liouvillian.steady_state`` as one full SVD of each whole generator,
+    with no sectors: the (n, n) state of one generator, or the (K, n, n)
+    states of a stack or stack.Failed for the generators that fail."""
+    gen = np.asarray(gen, dtype=complex)
+    if gen.ndim == 2:
+        return stack.alone(dense_steady_state, gen)
+    count, size = gen.shape[0], gen.shape[-1]
+    dim = math.isqrt(size)
+    (_, svals, vh), errors = stack.linalg(np.linalg.svd, gen)
+    stack.fail(errors)
+    rho = np.swapaxes(vh[:, -1].conj().reshape(count, dim, dim), -1, -2)
+    rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+    traces = np.trace(rho, axis1=-2, axis2=-1).real
+    degenerate = svals[:, -2] < KERNEL_RTOL * svals[:, 0]
+    stack.fail({
+        k: NonUniqueSteadyState(
+            f"singular values {svals[k, -2]:.3e}, {svals[k, -1]:.3e} both vanish "
+            f"against {svals[k, 0]:.3e}"
+            if degenerate[k]
+            else "null vector is traceless, no physical state"
+        )
+        for k in np.flatnonzero(degenerate | (np.abs(traces) < 1e-14)).tolist()
+    })
+    return rho / traces[:, None, None]
+
+
 def point_modes(params):
     """(lambdas, residues, photon_number) of one point's correlation modes,
     read from its built generator and steady state."""
@@ -290,6 +321,24 @@ def rk45_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
     rho0[0, 0] = 1.0
     rho = _rk45(rhs, rho0.ravel(), t_grid).reshape(3, 3, -1)
     return np.stack([rho[0, 0].real, rho[1, 1].real, rho[2, 2].real], axis=1)
+
+
+def expm_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
+    """``oracle.bare_lambda_evolve``'s populations with one matrix
+    exponential per grid time, expm(gen * t) applied to the initial
+    state, on the same five-component generator."""
+    w_drive, w_delta, w_gamma, w_tot = (TWO_PI * x for x in (omega, delta, gamma, gamma_tot))
+    w_deph = 0.5 * w_tot
+    gen = np.array(
+        [
+            [0.0, 0.0, w_tot - w_gamma, 0.0, w_drive],
+            [0.0, 0.0, w_gamma, 0.0, 0.0],
+            [0.0, 0.0, -w_tot, 0.0, -w_drive],
+            [0.0, 0.0, 0.0, -w_deph, w_delta],
+            [-0.5 * w_drive, 0.0, 0.5 * w_drive, -w_delta, -w_deph],
+        ]
+    )
+    return expm(gen * np.asarray(t_grid, dtype=float)[:, None, None])[:, :3, 0]
 
 
 def rk45_adiabatic_populations(omega, g, delta, t_grid):

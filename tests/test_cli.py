@@ -353,9 +353,9 @@ def test_validate_solves_each_generator_once(capsys, monkeypatch):
         built.append(params)
         return build(params)
 
-    def counting_steady(gen):
+    def counting_steady(gen, excitations=None):
         steady[0] += 1
-        return solve(gen)
+        return solve(gen, excitations)
 
     def counting_ladder(params, n_max=3):
         ladders.append(n_max)
@@ -417,6 +417,31 @@ def test_unwritable_out_exits_2(capsys, tmp_path, target, errno_code):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write {path}: {os.strerror(errno_code)}\n"
+
+
+def test_unwritable_out_is_refused_before_the_work(capsys, monkeypatch, tmp_path):
+    """An --out in a directory that does not exist exits 2 with the
+    write-time message before any generator is built, and a command that
+    fails in its work leaves an existing --out file as it was."""
+    built = []
+    build = lv.build_liouvillian
+
+    def counting_build(params):
+        built.append(params)
+        return build(params)
+
+    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
+    path = "/nonexistent-dir/x"
+    for command in (["validate"], ["sweep-detuning", "--sweep-count", "81"]):
+        code, out, err = run_cli(capsys, [*command, "--out", path])
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: cannot write {path}: {os.strerror(errno.ENOENT)}\n"
+
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    code, _, _ = run_cli(capsys, ["sweep-detuning", "--g", "0", "--out", str(kept)])
+    assert code == 3 and built
+    assert kept.read_text() == "earlier output\n"
 
 
 def test_ragged_csv_exits_2(capsys, tmp_path):

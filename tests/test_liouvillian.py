@@ -226,6 +226,17 @@ def test_steady_state_degenerate_kernel_raises():
         steady_state(build_liouvillian(params))
 
 
+def test_steady_state_without_excitations_is_the_dense_reference():
+    """Without excitation numbers the generator is one sector, and the
+    four-state steady states are bitwise the dense-SVD reference's, on a
+    full stack and alone."""
+    rng = np.random.default_rng(20)
+    gens = build_liouvillian([helpers.random_valid_params(rng) for _ in range(stack.POINTS)])
+    assert helpers.same_bits(steady_state(gens), helpers.dense_steady_state(gens))
+    for gen in gens:
+        assert helpers.same_bits(steady_state(gen), helpers.dense_steady_state(gen))
+
+
 def test_no_reverse_ground_flip(paper_params):
     gen = build_liouvillian(paper_params)
     # Population flow |g1,0> -> |g2,0> has no direct incoherent channel.

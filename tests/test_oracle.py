@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from cavity_raman import DomainError, ModelParams
+from cavity_raman import DomainError, ModelParams, NonUniqueSteadyState, stack
 from cavity_raman import liouvillian as lv
+from cavity_raman import rates as rates_mod
 from helpers import (
+    dense_steady_state,
+    expm_bare_populations,
     loop_ladder_liouvillian,
     random_valid_params,
     rk45_adiabatic_populations,
@@ -58,6 +61,76 @@ def test_ladder_generator_matches_index_loop_reference(paper_params):
             gen, basis = ladder_liouvillian(params, n_max)
             assert gen.shape == (basis.dim**2, basis.dim**2)
             assert same_bits(gen, loop_ladder_liouvillian(params, n_max))
+
+
+def _vec_charges(basis):
+    """N_i - N_j of each column-stacked |i><j| of the ladder."""
+    counts = basis.excitations
+    return (counts[:, None] - counts[None, :]).reshape(-1, order="F")
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_sector_steady_state_matches_dense_reference(paper_params, n_max):
+    """The ladder's steady state, solved by excitation-number sector, is
+    the dense-SVD state within 1e-12 in trace distance, with every entry
+    between sectors exactly zero, and the union of the sectors' singular
+    values is the dense spectrum within 1e-13 of the largest; at the
+    default point, without phonons, at g = 0 and at gamma_flip = kappa."""
+    for params in (
+        paper_params,
+        replace(paper_params, phonon_alpha1=0.0, phonon_alpha2=0.0),
+        replace(paper_params, g=0.0),
+        replace(paper_params, gamma_flip=paper_params.kappa),
+    ):
+        gen, basis = ladder_liouvillian(params, n_max)
+        rho, _, _ = full_ladder_steady_state(params, n_max)
+        assert lv.trace_distance(rho, dense_steady_state(gen)) <= 1e-12
+        charges = _vec_charges(basis)
+        assert np.all(lv.vec(rho)[charges != 0] == 0.0)
+        _, union = lv._null_vectors(gen[None], charges)
+        dense = np.linalg.svd(gen, compute_uv=False)
+        assert np.max(np.abs(union[0] - dense)) <= 1e-13 * dense[0]
+
+
+def test_sector_solve_refuses_an_entry_between_sectors(paper_params):
+    """A generator with one nonzero entry between sectors raises
+    DomainError for that point alone; the rest of the stack is solved
+    bitwise as each generator alone."""
+    rng = np.random.default_rng(7)
+    points = [paper_params] + [random_valid_params(rng) for _ in range(4)]
+    gens = np.array([ladder_liouvillian(params, 2)[0] for params in points])
+    basis = LadderBasis(2)
+    excitations, charges = basis.excitations, _vec_charges(basis)
+    row, col = np.argwhere(charges[:, None] != charges[None, :])[0]
+    leaky = gens.copy()
+    leaky[3, row, col] = 1e-3
+    with pytest.raises(stack.Failed) as failed:
+        lv.steady_state(leaky, excitations)
+    assert list(failed.value.errors) == [3]
+    assert isinstance(failed.value.errors[3], DomainError)
+    with pytest.raises(DomainError, match="couples excitation sectors"):
+        lv.steady_state(leaky[3], excitations)
+    rest = lv.steady_state(np.delete(leaky, 3, axis=0), excitations)
+    for rho, gen in zip(rest, np.delete(gens, 3, axis=0)):
+        assert same_bits(rho, lv.steady_state(gen, excitations))
+
+
+def test_ladder_without_dissipation_has_no_unique_state(paper_params):
+    """With every decay and the phonons off, the sectors' union of
+    singular values holds a degenerate kernel, as the dense SVD does."""
+    params = replace(
+        paper_params,
+        kappa=0.0,
+        gamma1=0.0,
+        gamma2=0.0,
+        gamma_flip=0.0,
+        phonon_alpha1=0.0,
+        phonon_alpha2=0.0,
+    )
+    with pytest.raises(NonUniqueSteadyState):
+        full_ladder_steady_state(params)
+    with pytest.raises(NonUniqueSteadyState):
+        dense_steady_state(ladder_liouvillian(params)[0])
 
 
 def test_ladder_generator_structure(paper_params):
@@ -134,6 +207,26 @@ def test_bare_emitter_conserves_probability():
     totals = pops.sum(axis=1)
     assert np.max(np.abs(totals - 1.0)) < 1e-9
     assert np.min(pops) > -1e-9
+
+
+@pytest.mark.parametrize("case", ["validate", "non_uniform"])
+def test_bare_emitter_steps_match_per_time_expm(case):
+    """Stepping with one exponential per distinct step agrees with one
+    exponential per grid time, on validate's grid and on a grid whose
+    steps all differ, and keeps the total population at one."""
+    if case == "validate":
+        # bare_rate_consistency's grid.
+        gamma, delta, omega = 0.2, 10.0, 1.0
+        target = rates_mod.raman_rate_bare_ideal(omega, delta, gamma)
+        t_start = 30.0 / (2.0 * np.pi * gamma)
+        rates = (omega, delta, gamma, gamma)
+        grid = np.linspace(t_start, t_start + 3.0 / target, 200)
+    else:
+        rates = (0.4, 4.0, 0.1, 0.2)
+        grid = 0.3 + np.cumsum(np.random.default_rng(5).uniform(0.01, 0.5, 150))
+    pops = bare_lambda_evolve(*rates, grid)
+    np.testing.assert_allclose(pops, expm_bare_populations(*rates, grid), rtol=0.0, atol=1e-11)
+    assert np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_bare_emitter_resonant_rabi():
