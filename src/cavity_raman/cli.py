@@ -195,10 +195,11 @@ def _check_out(out: str) -> None:
     directory cannot be found, with the ConfigError :func:`_emit` would
     raise.  The file is not opened: a failing command leaves it as it was."""
     try:
-        if os.path.isdir(out):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if not stat.S_ISDIR(os.stat(os.path.dirname(out) or ".").st_mode):
+        if not stat.S_ISDIR(os.stat(os.path.dirname(out.rstrip(os.sep)) or ".").st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        # A trailing separator names a directory even where none exists yet.
+        if out.endswith(os.sep) or os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 

@@ -305,19 +305,17 @@ def _null_vectors(gen: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.
     # Not np.unique: its first call in a process adds about 0.5 MB to the
     # peak memory of every sweep.
     sectors = [charges == q for q in [0] + sorted(set(charges.tolist()) - {0})]
-    if len(sectors) > 1:
-        leaks = (gen != 0.0) & (charges[:, None] != charges[None, :])
-        stack.fail({
-            k: DomainError(
-                f"generator entry ({row}, {col}) couples excitation sectors "
-                f"{charges[row]} and {charges[col]}"
-            )
-            for k in np.flatnonzero(leaks.any(axis=(1, 2))).tolist()
-            for row, col in [np.unravel_index(np.argmax(leaks[k]), leaks.shape[1:])]
-        })
+    leaks = (gen != 0.0) & (charges[:, None] != charges[None, :])
+    stack.fail({
+        k: DomainError(
+            f"generator entry ({row}, {col}) couples excitation sectors "
+            f"{charges[row]} and {charges[col]}"
+        )
+        for k in np.flatnonzero(leaks.any(axis=(1, 2))).tolist()
+        for row, col in [np.unravel_index(np.argmax(leaks[k]), leaks.shape[1:])]
+    })
     zero = sectors[0]
-    block = gen if len(sectors) == 1 else gen[:, zero][:, :, zero]
-    (_, svals, vh), errors = stack.linalg(np.linalg.svd, block)
+    (_, svals, vh), errors = stack.linalg(np.linalg.svd, gen[:, zero][:, :, zero])
     values = [svals]
     for sector in sectors[1:]:
         (sector_values,), sector_errors = stack.linalg(
@@ -326,8 +324,6 @@ def _null_vectors(gen: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.
         values.append(sector_values)
         errors = [first or later for first, later in zip(errors, sector_errors)]
     stack.fail(errors)
-    if len(sectors) == 1:
-        return vh[:, -1].conj(), svals
     union = np.sort(np.concatenate(values, axis=1), axis=1)[:, ::-1]
     vectors = np.zeros(gen.shape[:2], dtype=complex)
     vectors[:, zero] = vh[:, -1].conj()

@@ -407,12 +407,24 @@ def test_unreadable_data_file_exits_2(capsys, tmp_path, kind):
 
 @pytest.mark.parametrize(
     "target, errno_code",
-    [("missing_directory", errno.ENOENT), ("directory", errno.EISDIR)],
+    [
+        ("missing_directory", errno.ENOENT),
+        ("directory", errno.EISDIR),
+        ("trailing_separator", errno.EISDIR),
+    ],
 )
 def test_unwritable_out_exits_2(capsys, tmp_path, target, errno_code):
-    """An --out path in a directory that does not exist, or naming a
-    directory, exits 2 naming the path, and writes nothing to stdout."""
-    path = tmp_path / "absent" / "rates.txt" if target == "missing_directory" else tmp_path
+    """An --out path in a directory that does not exist, naming a
+    directory, or ending in a separator exits 2 naming the path with the
+    message the write itself gives, and writes nothing to stdout."""
+    path = {
+        "missing_directory": tmp_path / "absent" / "rates.txt",
+        "directory": tmp_path,
+        "trailing_separator": f"{tmp_path / 'absent'}{os.sep}",
+    }[target]
+    with pytest.raises(OSError) as written:
+        open(path, "w", encoding="utf-8")
+    assert written.value.errno == errno_code
     code, out, err = run_cli(capsys, ["rates", "--out", str(path)])
     assert code == 2
     assert out == ""

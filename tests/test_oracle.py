@@ -63,12 +63,6 @@ def test_ladder_generator_matches_index_loop_reference(paper_params):
             assert same_bits(gen, loop_ladder_liouvillian(params, n_max))
 
 
-def _vec_charges(basis):
-    """N_i - N_j of each column-stacked |i><j| of the ladder."""
-    counts = basis.excitations
-    return (counts[:, None] - counts[None, :]).reshape(-1, order="F")
-
-
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 def test_sector_steady_state_matches_dense_reference(paper_params, n_max):
     """The ladder's steady state, solved by excitation-number sector, is
@@ -85,7 +79,7 @@ def test_sector_steady_state_matches_dense_reference(paper_params, n_max):
         gen, basis = ladder_liouvillian(params, n_max)
         rho, _, _ = full_ladder_steady_state(params, n_max)
         assert lv.trace_distance(rho, dense_steady_state(gen)) <= 1e-12
-        charges = _vec_charges(basis)
+        charges = lv._charges(basis.excitations, basis.dim)
         assert np.all(lv.vec(rho)[charges != 0] == 0.0)
         _, union = lv._null_vectors(gen[None], charges)
         dense = np.linalg.svd(gen, compute_uv=False)
@@ -100,7 +94,8 @@ def test_sector_solve_refuses_an_entry_between_sectors(paper_params):
     points = [paper_params] + [random_valid_params(rng) for _ in range(4)]
     gens = np.array([ladder_liouvillian(params, 2)[0] for params in points])
     basis = LadderBasis(2)
-    excitations, charges = basis.excitations, _vec_charges(basis)
+    excitations = basis.excitations
+    charges = lv._charges(excitations, basis.dim)
     row, col = np.argwhere(charges[:, None] != charges[None, :])[0]
     leaky = gens.copy()
     leaky[3, row, col] = 1e-3
