@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import blas
 from . import fit as fit_mod
 from . import liouvillian as lv
 from . import oracle
@@ -581,33 +580,32 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    with blas.one_thread():
-        try:
-            config = resolve_config(args)
-            if args.out:
-                _check_out(args.out)
-            if args.command == "rates":
-                return cmd_rates(config, args.out, args.json)
-            if args.command == "spectrum":
-                return cmd_spectrum(config, args.out, args.json)
-            if args.command == "sweep-detuning":
-                return _cmd_sweep(config, args.out, args.json, "delta")
-            if args.command == "sweep-cavity":
-                return _cmd_sweep(config, args.out, args.json, "delta_cavity")
-            if args.command == "fit":
-                return cmd_fit(config, args.kind, args.input, args.out)
-            if args.command == "validate":
-                return cmd_validate(config, args.out, args.json)
-            raise ConfigError(f"unknown command {args.command!r}")
-        except (ConfigError, ParseError, DomainError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (UnstableLiouvillian, NonUniqueSteadyState, DegenerateSpectrum) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except FitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
+    try:
+        config = resolve_config(args)
+        if args.out:
+            _check_out(args.out)
+        if args.command == "rates":
+            return cmd_rates(config, args.out, args.json)
+        if args.command == "spectrum":
+            return cmd_spectrum(config, args.out, args.json)
+        if args.command == "sweep-detuning":
+            return _cmd_sweep(config, args.out, args.json, "delta")
+        if args.command == "sweep-cavity":
+            return _cmd_sweep(config, args.out, args.json, "delta_cavity")
+        if args.command == "fit":
+            return cmd_fit(config, args.kind, args.input, args.out)
+        if args.command == "validate":
+            return cmd_validate(config, args.out, args.json)
+        raise ConfigError(f"unknown command {args.command!r}")
+    except (ConfigError, ParseError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (UnstableLiouvillian, NonUniqueSteadyState, DegenerateSpectrum) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except FitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,13 +6,11 @@ paths is a real consistency statement, not a tautology.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas
 from . import liouvillian as lv
 from .errors import DomainError
 from .model import ModelParams
@@ -187,15 +185,52 @@ def _check_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
-@functools.cache
-def _expm():
-    """scipy's ``expm``, imported on first use: the CLI starts without
-    scipy.linalg.  The import loads scipy's own OpenBLAS, which an open
-    :func:`blas.one_thread` scope limits before its first call."""
-    from scipy.linalg import expm
+# Coefficients b_j = (26 - j)! 13! / (26! j! (13 - j)!) of the degree-13
+# Pade approximant to exp: numerator sum_j b_j A^j, denominator
+# sum_j b_j (-A)^j.  b_0 = 1, so expm(0) is exactly the identity.
+_PADE13 = [
+    math.factorial(26 - j) * math.factorial(13)
+    / (math.factorial(26) * math.factorial(j) * math.factorial(13 - j))
+    for j in range(14)
+]
+# Largest 1-norm at which the degree-13 approximant is accurate to double
+# precision without scaling.
+_THETA13 = 5.371920351148152
 
-    blas.adopt()
-    return expm
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each square matrix along the last two axes.
+
+    Scaling and squaring of the degree-13 Pade approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)): each matrix is divided by 2^s,
+    the power of two at or above its 1-norm over ``_THETA13``, and its
+    approximant is squared s times.  No eigendecomposition, so the
+    propagators stay independent of the spectrum's ``eig`` route.
+    """
+    b = _PADE13
+    # frexp writes norm / theta as m * 2^e with m < 1, so s = max(e, 0).
+    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(s, 0)
+    a = a / (2.0**s)[..., None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    # Odd part u and even part v of the numerator: the approximant is
+    # (v - u)^-1 (v + u).
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max())):
+        more = s > k  # matrices that still need a squaring
+        r[more] = r[more] @ r[more]
+    return r
 
 
 def bare_lambda_evolve(
@@ -248,7 +283,7 @@ def bare_lambda_evolve(
     )
     steps, which = np.unique(np.diff(t_grid), return_inverse=True)
     times = np.concatenate(([t_grid[0]], steps))
-    first, *propagators = _expm()(gen * times[:, None, None])
+    first, *propagators = _expm(gen * times[:, None, None])
     states = np.empty((t_grid.size, gen.shape[0]))
     states[0] = first[:, 0]
     for k, step in enumerate(which.tolist()):
@@ -263,7 +298,7 @@ def propagate_steps(gen: np.ndarray, start: np.ndarray, dt: float, n_steps: int)
     exact evolution on a uniform grid of spacing ``dt``, with no
     eigendecomposition anywhere.
     """
-    step = _expm()(gen * dt)
+    step = _expm(gen * dt)
     states = np.empty((n_steps + 1, start.size), dtype=np.result_type(step, start))
     states[0] = start
     for k in range(n_steps):

@@ -255,11 +255,23 @@ def windowed_transform(taus, series, nu, kappa):
 
     Trapezoid quadrature of g1(tau) exp(-i 2 pi nu tau) over the sampled
     horizon, scaled like the mode mixture so the two routes are directly
-    comparable.
+    comparable.  ``taus`` must be uniform, tau_k = tau_0 + k dt.  Over
+    k = 128 a + b the kernel factors into exp(-i 2 pi nu (tau_0 +
+    128 a dt)) times exp(-i 2 pi nu b dt), so two small exponential
+    tables and one contraction stand in for the dense nu x tau kernel.
     """
+    block = 128
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    kernel = np.exp(-1j * TWO_PI * np.outer(nu, taus))
-    integral = np.trapezoid(kernel * series[None, :], taus, axis=1)
+    taus = np.asarray(taus, dtype=float)
+    dt = taus[1] - taus[0]
+    np.testing.assert_allclose(taus, taus[0] + np.arange(taus.size) * dt, rtol=1e-12, atol=0.0)
+    rows = -(-taus.size // block)
+    weights = np.zeros(rows * block, dtype=complex)
+    weights[: taus.size] = series * dt
+    weights[[0, taus.size - 1]] *= 0.5  # trapezoid end points
+    outer = np.exp(-1j * TWO_PI * np.outer(nu, taus[0] + block * dt * np.arange(rows)))
+    inner = np.exp(-1j * TWO_PI * np.outer(nu, dt * np.arange(block)))
+    integral = np.sum(outer * (inner @ weights.reshape(rows, block).T), axis=1)
     return TWO_PI**2 * kappa * integral.real / np.pi
 
 
@@ -323,13 +335,12 @@ def rk45_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
     return np.stack([rho[0, 0].real, rho[1, 1].real, rho[2, 2].real], axis=1)
 
 
-def expm_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
-    """``oracle.bare_lambda_evolve``'s populations with one matrix
-    exponential per grid time, expm(gen * t) applied to the initial
-    state, on the same five-component generator."""
+def bare_lambda_generator(omega, delta, gamma, gamma_tot):
+    """The five-component generator of ``oracle.bare_lambda_evolve``:
+    d/dt (p1, p2, p3, re13, im13) = gen @ (...)."""
     w_drive, w_delta, w_gamma, w_tot = (TWO_PI * x for x in (omega, delta, gamma, gamma_tot))
     w_deph = 0.5 * w_tot
-    gen = np.array(
+    return np.array(
         [
             [0.0, 0.0, w_tot - w_gamma, 0.0, w_drive],
             [0.0, 0.0, w_gamma, 0.0, 0.0],
@@ -338,6 +349,13 @@ def expm_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
             [-0.5 * w_drive, 0.0, 0.5 * w_drive, -w_delta, -w_deph],
         ]
     )
+
+
+def expm_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
+    """``oracle.bare_lambda_evolve``'s populations with one scipy matrix
+    exponential per grid time, expm(gen * t) applied to the initial
+    state, on the same five-component generator."""
+    gen = bare_lambda_generator(omega, delta, gamma, gamma_tot)
     return expm(gen * np.asarray(t_grid, dtype=float)[:, None, None])[:, :3, 0]
 
 

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import pytest
 from dataclasses import replace
 
 import cavity_raman
-from cavity_raman import AmbiguousAssignment, ModelParams, blas, cli
+from cavity_raman import AmbiguousAssignment, ModelParams, cli
 from cavity_raman import fit as fit_mod
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
@@ -699,151 +698,51 @@ def test_module_entry_points_run(module):
     assert "omega_eff_GHz" in fresh_python("-m", module, "rates")
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # expm is imported on its first use, so starting the CLI skips
-    # scipy.linalg; oracle and liouvillian still load with it.
-    probe = (
-        "import sys, cavity_raman.cli; "
-        "print(*(m in sys.modules for m in "
-        "('scipy.linalg', 'cavity_raman.oracle', 'cavity_raman.liouvillian')))"
-    )
-    assert fresh_python("-c", probe).split() == ["False", "True", "True"]
-
-
-@pytest.fixture
-def openblas():
-    """{path: (get, set)} of the OpenBLAS libraries loaded in this process,
-    as blas.py finds them; skips where numpy's BLAS is not OpenBLAS or the
-    libraries cannot be looked up."""
-    name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    if "openblas" not in name:
-        pytest.skip(f"numpy's BLAS is {name}, not OpenBLAS")
-    if not (hasattr(os, "RTLD_NOLOAD") and os.path.exists("/proc/self/maps")):
-        pytest.skip("no RTLD_NOLOAD lookup or /proc/self/maps here")
-    blas.adopt()
-    assert blas._libraries, "numpy's OpenBLAS was not found"
-    return dict(blas._libraries)
-
-
-def thread_counts(libraries):
-    return {path: get() for path, (get, _) in libraries.items()}
-
-
-@pytest.mark.parametrize(
-    "error, code",
-    [(None, 0), (ConfigError("bad"), 2), (UnstableLiouvillian("unstable"), 3),
-     (FitError("no fit"), 4), (RuntimeError("crash"), None)],
-    ids=["exit_0", "exit_2", "exit_3", "exit_4", "raises"],
-)
-def test_command_runs_on_one_blas_thread(capsys, monkeypatch, openblas, error, code):
-    """A command runs with every OpenBLAS at one thread, and each library
-    gets its earlier count back however the command ends."""
-    seen = []
-
-    def rates(config, out, as_json):
-        seen.append(thread_counts(openblas))
-        if error is not None:
-            raise error
-        return 0
-
-    monkeypatch.setattr(cli, "cmd_rates", rates)
-    defaults = thread_counts(openblas)
-    for _, set_ in openblas.values():
-        set_(2)  # a count the scope must give back, whatever the environment set
-    try:
-        if code is None:
-            with pytest.raises(RuntimeError, match="crash"):
-                cli.main(["rates"])
-        else:
-            assert cli.main(["rates"]) == code
-        assert seen == [{path: 1 for path in openblas}]
-        assert thread_counts(openblas) == {path: 2 for path in openblas}
-    finally:
-        for path, (_, set_) in openblas.items():
-            set_(defaults[path])
-    capsys.readouterr()
-
-
-def test_blas_scopes_in_many_threads(openblas):
-    """Scopes open and close in eight threads at once: inside any of them
-    every library is at one thread, and the last to close gives the
-    earlier counts back."""
-    before = thread_counts(openblas)
-    wrong = []
-
-    def worker():
-        for _ in range(200):
-            with blas.one_thread():
-                counts = thread_counts(openblas)
-                if set(counts.values()) != {1}:
-                    wrong.append(counts)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert wrong == []
-    assert thread_counts(openblas) == before
-
-
-COLD_VALIDATE = """
-import contextlib, io, json, sys
-from cavity_raman import blas, cli, oracle
-
-assert "scipy.linalg" not in sys.modules
-blas.adopt()
-numpy_blas = dict(blas._libraries)
-evolve, seen = oracle.bare_lambda_evolve, []
-
-def traced(*args):
-    populations = evolve(*args)
-    seen.append({path: get() for path, (get, _) in blas._libraries.items()})
-    return populations
-
-oracle.bare_lambda_evolve = traced
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["validate"])
-after = {path: get() for path, (get, _) in blas._libraries.items()}
-print(json.dumps({"code": code, "numpy": list(numpy_blas), "seen": seen, "after": after}))
-"""
-
-
-def test_cold_validate_limits_scipy_openblas(openblas):
-    """In a fresh interpreter, scipy's OpenBLAS loads during validate, at
-    the oracle's import of expm; bare_lambda_evolve already runs it at one
-    thread, and after the command it is at its own default, which is
-    numpy's."""
-    result = json.loads(fresh_python("-c", COLD_VALIDATE, OPENBLAS_NUM_THREADS="2"))
-    assert result["code"] == 0
-    (during,) = result["seen"]
-    loaded = set(during) - set(result["numpy"])
-    assert loaded, "scipy's OpenBLAS did not load during validate"
-    assert set(during.values()) == {1}
-    (default,) = {result["after"][path] for path in result["numpy"]}
-    assert all(result["after"][path] == default for path in loaded)
-
-
-def test_rates_and_sweeps_leave_scipy_openblas_unloaded(openblas):
-    """No command loads a library only to limit it: rates and a sweep use
-    no scipy, and leave scipy.linalg and its OpenBLAS unloaded."""
-    probe = """
+NO_SCIPY = """
 import contextlib, io, json, sys
 from cavity_raman import cli
 
-def openblas_mapped():
-    with open("/proc/self/maps") as maps:
-        return sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line})
-
-before = openblas_mapped()
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["rates"]), cli.main(["sweep-detuning", "--sweep-count", "3"])]
-print(json.dumps([codes, "scipy.linalg" in sys.modules, openblas_mapped() == before]))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+scipy = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+print(json.dumps([codes, scipy]))
 """
-    assert json.loads(fresh_python("-c", probe)) == [[0, 0], False, True]
+
+
+def test_no_command_imports_scipy(tmp_path):
+    """scipy is a test dependency only: in a fresh interpreter, every
+    command, validate's time-domain checks included, runs without
+    importing any scipy module."""
+    freqs = np.linspace(-40.0, 40.0, 161)
+    one_line = fit_mod.lorentzian_profile(freqs, 2.3, -12.0, 6.0, baseline=0.1)
+    two_lines = one_line + fit_mod.lorentzian_profile(freqs, 0.9, 15.0, 4.0)
+    times = np.linspace(0.0, 8.0, 81)
+    ratios = []
+    for delta in (15.0, 55.0, 95.0):
+        trial = replace(
+            ModelParams(), delta_laser=delta, delta_cavity=delta,
+            phonon_alpha1=1.0, phonon_alpha2=1.0, phonon_n=0.31,
+        )
+        ratios.append((delta, fit_mod.predict_rs(trial)[0].ratio))
+    files = {
+        "lorentzian1": zip(freqs, one_line),
+        "lorentzian2": zip(freqs, two_lines),
+        "exponential": zip(times, 3.0 * np.exp(-times / 1.74)),
+        "phonon-n": ratios,
+    }
+    calls = [
+        ["rates"],
+        ["spectrum"],
+        ["sweep-detuning", "--sweep-count", "9"],
+        ["sweep-cavity", "--sweep-count", "9"],
+        ["validate"],
+    ]
+    for kind, rows in files.items():
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("".join(f"{x:.17g},{y:.17g}\n" for x, y in rows))
+        calls.append(["fit", kind, str(path)])
+    codes, scipy = json.loads(fresh_python("-c", NO_SCIPY, json.dumps(calls)))
+    assert codes == [0] * len(calls)
+    assert scipy == []

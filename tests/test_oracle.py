@@ -2,11 +2,14 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.linalg import expm as scipy_expm
 
 from cavity_raman import DomainError, ModelParams, NonUniqueSteadyState, stack
 from cavity_raman import liouvillian as lv
+from cavity_raman import oracle
 from cavity_raman import rates as rates_mod
 from helpers import (
+    bare_lambda_generator,
     dense_steady_state,
     expm_bare_populations,
     loop_ladder_liouvillian,
@@ -186,6 +189,43 @@ def test_ladder_converged_at_default_depth(paper_params):
     assert ladder_convergence(
         replace(paper_params, gamma_flip=paper_params.kappa)
     ) < 1e-9
+
+
+def _assert_expm_matches_scipy(ours, matrices):
+    """Each exponential within 1e-12 of scipy's largest entry."""
+    for mine, matrix in zip(ours, matrices):
+        reference = scipy_expm(matrix)
+        assert np.max(np.abs(mine - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("point", ["default", "cavity_only"])
+def test_expm_matches_scipy_on_four_state_generators(paper_params, point):
+    """The oracle's Pade expm against scipy's on the default-point
+    generator and on validate's cavity-only one, at criterion 11's step
+    and three longer ones, alone and as one stack."""
+    if point == "cavity_only":
+        paper_params = replace(
+            paper_params, gamma1=0.0, gamma2=0.0, gamma_flip=0.0,
+            phonon_alpha1=0.0, phonon_alpha2=0.0,
+        )
+    gen = lv.build_liouvillian(paper_params)
+    steps = gen * np.array([1.0 / 1024.0, 0.1, 1.0, 5.0])[:, None, None]
+    _assert_expm_matches_scipy([oracle._expm(step) for step in steps], steps)
+    _assert_expm_matches_scipy(oracle._expm(steps), steps)
+
+
+@pytest.mark.parametrize("rates", [(0.4, 4.0, 0.1, 0.2), (1.0, 10.0, 0.2, 0.2)])
+def test_expm_matches_scipy_on_bare_emitter_generator(rates):
+    """From 1 ps to 50 ns, as one stack (as bare_lambda_evolve takes its
+    steps) and one matrix at a time (as propagate_steps does)."""
+    steps = bare_lambda_generator(*rates) * np.geomspace(1e-3, 50.0, 30)[:, None, None]
+    _assert_expm_matches_scipy(oracle._expm(steps), steps)
+    _assert_expm_matches_scipy([oracle._expm(step) for step in steps], steps)
+
+
+def test_expm_of_zero_is_the_identity():
+    ours = oracle._expm(np.zeros((3, 5, 5)))
+    assert same_bits(ours, np.broadcast_to(np.eye(5), (3, 5, 5)))
 
 
 def test_bare_emitter_idle_without_drive():
