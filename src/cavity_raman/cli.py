@@ -41,18 +41,6 @@ from .errors import (
 from .model import G2_0, ModelParams
 
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
-_RUN_FLOAT_KEYS = (
-    "gamma_bare",
-    "nu0_thz",
-    "grid_min",
-    "grid_max",
-    "sweep_start",
-    "sweep_stop",
-    "filter_center",
-    "filter_width",
-)
-_RUN_INT_KEYS = ("grid_points", "sweep_count")
-_RUN_STR_KEYS = ("rs_mode",)
 
 
 @dataclass(frozen=True)
@@ -64,18 +52,18 @@ class RunConfig:
     nu0_thz: float = 406.8
     grid_min: float = -120.0
     grid_max: float = 40.0
-    grid_points: int = 1601
     sweep_start: float = 15.0
     sweep_stop: float = 95.0
-    sweep_count: int = 9
     filter_center: float | None = None
     filter_width: float = 120.0
-    rs_mode: str = "area"
+    # The int fields come last: flags are registered in field order.
+    grid_points: int = 1601
+    sweep_count: int = 9
 
     def __post_init__(self):
-        for key in _RUN_FLOAT_KEYS:
+        for key, kind in _RUN_KINDS.items():
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            if kind is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.grid_points < 16:
             raise ConfigError(f"grid_points must be at least 16, got {self.grid_points}")
@@ -92,10 +80,15 @@ class RunConfig:
         for low, high in (("grid_min", "grid_max"), ("sweep_start", "sweep_stop")):
             if not math.isfinite(getattr(self, high) - getattr(self, low)):
                 raise ConfigError(f"the span from {low} to {high} overflows a float")
-        if self.rs_mode not in ("area", "amplitude"):
-            raise ConfigError(f"rs_mode must be 'area' or 'amplitude', got {self.rs_mode!r}")
         if self.filter_width <= 0.0:
             raise ConfigError(f"filter_width must be positive, got {self.filter_width}")
+
+
+# Config key -> type of each run knob, in field order; every ModelParams
+# key is a float.
+_RUN_KINDS = {
+    f.name: int if f.type == "int" else float for f in fields(RunConfig) if f.name != "params"
+}
 
 
 def _read_lines(path: str, error: type[CavityRamanError], name: str) -> list[str]:
@@ -132,29 +125,24 @@ def parse_config_file(path: str) -> dict[str, str]:
     return mapping
 
 
-def _convert(key: str, value: str) -> float | int | str:
-    if key in _PARAM_KEYS or key in _RUN_FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"key {key!r} needs a number, got {value!r}") from None
-    if key in _RUN_INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"key {key!r} needs an integer, got {value!r}") from None
-    if key in _RUN_STR_KEYS:
-        return value
-    raise ConfigError(f"unknown configuration key {key!r}")
+def _convert(key: str, value: str) -> float | int:
+    kind = float if key in _PARAM_KEYS else _RUN_KINDS.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        return kind(value)
+    except ValueError:
+        need = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r} needs {need}, got {value!r}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file and command line flags, in that order."""
-    values: dict[str, float | int | str] = {}
+    values: dict[str, float | int] = {}
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             values[key] = _convert(key, raw)
-    for key in _PARAM_KEYS + _RUN_FLOAT_KEYS + _RUN_INT_KEYS + _RUN_STR_KEYS:
+    for key in (*_PARAM_KEYS, *_RUN_KINDS):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -187,6 +175,17 @@ def _emit(text: str, out: str | None) -> None:
             raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload, out: str | None, indent: int | None = None) -> None:
+    """:func:`_emit` ``payload`` as strict JSON (RFC 8259): a non-finite
+    number is written as null."""
+    dumps = functools.partial(json.dumps, allow_nan=False, sort_keys=True, indent=indent)
+    try:
+        text = dumps(payload)
+    except ValueError:  # a non-finite number: read back as None
+        text = dumps(json.loads(json.dumps(payload), parse_constant=lambda name: None))
+    _emit(text + "\n", out)
 
 
 def _check_out(out: str) -> None:
@@ -246,7 +245,7 @@ def cmd_rates(config: RunConfig, out: str | None, as_json: bool) -> int:
         "quality_factor": quality,
     }
     if as_json:
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+        _emit_json(payload, out, indent=2)
     else:
         text = "".join(f"{key} = {_fmt(value)}\n" for key, value in payload.items())
         _emit(text, out)
@@ -268,7 +267,7 @@ def cmd_spectrum(config: RunConfig, out: str | None, as_json: bool) -> int:
             "filter_center": window.center if window else None,
             "filter_width": window.width if window else None,
         }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", out)
+        _emit_json(payload, out)
         return 0
     extra = {
         "grid_min": config.grid_min,
@@ -296,7 +295,7 @@ def _detuning_rows(config: RunConfig) -> list[tuple]:
     grid = [float(value) for value in _sweep_grid(config)]
     trials = [replace(config.params, delta_laser=value, delta_cavity=value) for value in grid]
     rows = []
-    for value, outcome in zip(grid, fit_mod.predict_rs(trials, mode=config.rs_mode)):
+    for value, outcome in zip(grid, fit_mod.predict_rs(trials)):
         if isinstance(outcome, VanishingSpontaneous):
             point = outcome.point
             ratio, err = (math.nan, math.nan) if point is None else (point.ratio, point.ratio_err)
@@ -339,14 +338,14 @@ def _cmd_sweep(config: RunConfig, out: str | None, as_json: bool, variable: str)
         rows = _cavity_rows(config)
         formatted = [",".join(_fmt(float(v)) for v in row) for row in rows]
     if as_json:
-        payload = [dict(zip(names, row)) for row in rows]
-        _emit(json.dumps(payload, sort_keys=True) + "\n", out)
+        _emit_json([dict(zip(names, row)) for row in rows], out)
         return 0
     extra = {
         "sweep_start": config.sweep_start,
         "sweep_stop": config.sweep_stop,
         "sweep_count": config.sweep_count,
-        "rs_mode": config.rs_mode,
+        # The ratio is always of fitted line areas; the header says so.
+        "rs_mode": "area",
     }
     lines = _header(command, config, extra)
     lines.append("# columns: " + ",".join(names))
@@ -372,7 +371,7 @@ def cmd_fit(config: RunConfig, kind: str, path: str, out: str | None) -> int:
         points = [
             fit_mod.RsPoint(row[0], row[1], row[2] if data.shape[1] == 3 else 0.0) for row in data
         ]
-        result = fit_mod.fit_phonon_exponent(points, config.params, mode=config.rs_mode)
+        result = fit_mod.fit_phonon_exponent(points, config.params)
         payload = {
             "n": result.exponent,
             "n_err": result.exponent_err,
@@ -382,7 +381,7 @@ def cmd_fit(config: RunConfig, kind: str, path: str, out: str | None) -> int:
         }
     else:
         raise ConfigError(f"unknown fit kind {kind!r}")
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _emit_json(payload, out, indent=2)
     return 0
 
 
@@ -505,8 +504,7 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0
         grid = np.linspace(0.0, 0.5 / target, 120)
-        dt = float(grid[1] - grid[0])
-        states = oracle.propagate_steps(gen, lv.vec(rho0), dt, grid.size - 1)
+        states = oracle.propagate(gen, lv.vec(rho0), grid)
         trapped = states.reshape(-1, 4, 4)[:, G2_0, G2_0].real
         decay = fit_mod.fit_exponential(grid, trapped)
         fitted = 1.0 / decay.tau
@@ -530,7 +528,7 @@ def cmd_validate(config: RunConfig, out: str | None, as_json: bool) -> int:
     checks = _validation_checks(config)
     all_passed = all(check["passed"] for check in checks)
     if as_json:
-        _emit(json.dumps({"checks": checks, "passed": all_passed}, sort_keys=True, indent=2) + "\n", out)
+        _emit_json({"checks": checks, "passed": all_passed}, out, indent=2)
     else:
         lines = []
         for check in checks:
@@ -546,15 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a key = value configuration file")
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    for key in _PARAM_KEYS + _RUN_FLOAT_KEYS + _RUN_INT_KEYS:
+    for key in (*_PARAM_KEYS, *_RUN_KINDS):
         flags = [f"--{key.replace('_', '-')}"]
         if "_" in key:
             flags.append(f"--{key}")
         if key == "omega_drive":
             flags.append("--omega")
-        kind = int if key in _RUN_INT_KEYS else float
-        common.add_argument(*flags, dest=key, type=kind, default=None)
-    common.add_argument("--rs-mode", "--rs_mode", dest="rs_mode", default=None)
+        common.add_argument(*flags, dest=key, type=_RUN_KINDS.get(key, float), default=None)
 
     parser = argparse.ArgumentParser(
         prog="cavity-raman",

@@ -270,27 +270,27 @@ def _check_samples(
 
 def _weights(errors: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     """Square-root weights 1 / errors of ``values`` (ones without errors).
-    Refuses error bars whose weights, or weighted values, overflow a float
-    when squared and summed, as the LM's Gram matrix and cost would."""
+    Refuses weights, or weighted values, that overflow a float when squared
+    and summed, as the LM's Gram matrix and cost would."""
     if errors is None:
-        return np.ones(values.size)
-    errors = np.asarray(errors, dtype=float)
-    if errors.shape != values.shape:
-        raise DomainError("errors must match the data length")
-    if not np.all(np.isfinite(errors) & (errors > 0.0)):
-        raise DomainError("error bars must be positive and finite")
+        weights = np.ones(values.size)
+        refusal = "the data are too large to fit: their squares overflow"
+    else:
+        errors = np.asarray(errors, dtype=float)
+        if errors.shape != values.shape:
+            raise DomainError("errors must match the data length")
+        if not np.all(np.isfinite(errors) & (errors > 0.0)):
+            raise DomainError("error bars must be positive and finite")
+        bar = f"error bar {float(np.min(errors))!r} is too small to weight"
+        with np.errstate(over="ignore"):  # checked below
+            weights = 1.0 / errors
+        if not np.all(np.isfinite(weights)):
+            raise DomainError(f"{bar}: its inverse overflows")
+        refusal = f"{bar}: the weighted squares overflow"
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        weights = 1.0 / errors
         squares = [np.sum(np.square(weights)), np.sum(np.square(values * weights))]
-    if not np.all(np.isfinite(weights)):
-        raise DomainError(
-            f"error bar {float(np.min(errors))!r} is too small to weight: its inverse overflows"
-        )
     if not np.all(np.isfinite(squares)):
-        raise DomainError(
-            f"error bar {float(np.min(errors))!r} is too small to weight: "
-            "the weighted squares overflow"
-        )
+        raise DomainError(refusal)
     return weights
 
 
@@ -392,12 +392,8 @@ class RsPoint:
             raise DomainError(f"ratio_err must be nonnegative, got {self.ratio_err}")
 
 
-def rs_ratio(
-    peaks: Sequence[PeakFit],
-    delta: float,
-    mode: str = "area",
-) -> RsPoint:
-    """Label a fitted peak pair and form the Raman / spontaneous ratio.
+def rs_ratio(peaks: Sequence[PeakFit], delta: float) -> RsPoint:
+    """Label a fitted peak pair and form the Raman / spontaneous area ratio.
 
     Expects centers on an axis where the Raman line sits near -delta and
     the spontaneous line near zero.  Labels are chosen by total assignment
@@ -409,19 +405,10 @@ def rs_ratio(
     """
     if len(peaks) != 2:
         raise DomainError(f"need exactly two peaks, got {len(peaks)}")
-    if mode == "area":
-        values = [(p.area, p.area_err) for p in peaks]
-    elif mode == "amplitude":
-        values = [(p.amplitude, p.amplitude_err) for p in peaks]
-    else:
-        raise DomainError(f"unknown ratio mode {mode!r}")
 
     first, second = peaks
     if abs(first.center - second.center) < 1e-9:
-        err = math.hypot(
-            values[0][1] / max(abs(values[0][0]), 1e-300),
-            values[1][1] / max(abs(values[1][0]), 1e-300),
-        )
+        err = math.hypot(*(p.area_err / max(abs(p.area), 1e-300) for p in peaks))
         return RsPoint(delta=delta, ratio=1.0, ratio_err=err)
 
     cost_direct = abs(first.center + delta) + abs(second.center)
@@ -431,10 +418,8 @@ def rs_ratio(
             f"peak centers {first.center:.3f} and {second.center:.3f} GHz do not "
             f"separate into Raman and spontaneous lines at delta {delta:.3f}"
         )
-    if cost_direct <= cost_swapped:
-        (raman, raman_err), (spont, spont_err) = values
-    else:
-        (spont, spont_err), (raman, raman_err) = values
+    labelled = (first, second) if cost_direct <= cost_swapped else (second, first)
+    (raman, raman_err), (spont, spont_err) = ((p.area, p.area_err) for p in labelled)
 
     point = None
     ratio_ok = spont > 0.0 and raman > 0.0
@@ -550,9 +535,7 @@ def _window_axes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 @stack.per_point
-def predict_rs(
-    points: list[ModelParams], mode: str = "area"
-) -> list[tuple[RsPoint, LinePair] | Exception]:
+def predict_rs(points: list[ModelParams]) -> list[tuple[RsPoint, LinePair] | Exception]:
     """Full ratio pipeline at one operating point, or at each of a sequence.
 
     Fits the Raman and spontaneous lines via fit_emission_lines, labels the
@@ -567,11 +550,7 @@ def predict_rs(
         if not isinstance(fits, Exception):
             raman_fit, spont_fit = fits
             try:
-                point = rs_ratio(
-                    (raman_fit.peaks[0], spont_fit.peaks[0]),
-                    delta=trial.delta_laser,
-                    mode=mode,
-                )
+                point = rs_ratio((raman_fit.peaks[0], spont_fit.peaks[0]), trial.delta_laser)
             except CavityRamanError as exc:
                 fits = exc
             else:
@@ -603,11 +582,7 @@ def _exp_or_inf(u: float) -> float:
         return math.inf
 
 
-def fit_phonon_exponent(
-    points: Sequence[RsPoint],
-    params: ModelParams,
-    mode: str = "area",
-) -> PhononFit:
+def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> PhononFit:
     """Recover the phonon spectral-density power law from ratio data.
 
     Refits (prefactor, exponent) by running the full ratio pipeline at each
@@ -671,7 +646,7 @@ def fit_phonon_exponent(
                 )
             else:
                 fresh.append((d, s))
-        for key, outcome in zip(fresh, predict_rs(trials, mode) if trials else []):
+        for key, outcome in zip(fresh, predict_rs(trials) if trials else []):
             solved[key] = outcome if isinstance(outcome, Exception) else outcome[0].ratio
         return [solved[key] for key in keys]
 

@@ -250,19 +250,13 @@ def bare_lambda_evolve(
     (len(t_grid), 3) with columns (initial ground, target ground,
     excited).  The initial ground population is propagated explicitly
     rather than inferred from the trace, so probability conservation
-    stays a meaningful check on the result.
-
-    The generator is constant, so expm(gen * t_{k+1}) is expm(gen * dt_k)
-    applied to the state at t_k, with dt_k = t_{k+1} - t_k: one matrix
-    exponential for t_grid[0] and one per distinct step, then one
-    matrix-vector product per step.  That is exact on any increasing
-    grid, uniform or not; a linspace grid has a handful of distinct steps.
+    stays a meaningful check on the result.  Propagated exactly by
+    :func:`propagate`.
     """
     if gamma < 0.0 or gamma_tot <= 0.0:
         raise DomainError("gamma must be nonnegative and gamma_tot positive")
     if gamma > gamma_tot:
         raise DomainError(f"gamma={gamma} cannot exceed gamma_tot={gamma_tot}")
-    t_grid = _check_grid(t_grid)
 
     w_drive = TWO_PI * omega
     w_delta = TWO_PI * delta
@@ -281,28 +275,27 @@ def bare_lambda_evolve(
             [-0.5 * w_drive, 0.0, 0.5 * w_drive, -w_delta, -w_deph],
         ]
     )
+    return propagate(gen, np.eye(len(gen))[0], t_grid)[:, :3]
+
+
+def propagate(gen: np.ndarray, start: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """States expm(gen * t) @ start at each time t of ``t_grid``, one row each.
+
+    The generator is constant, so expm(gen * t_{k+1}) is expm(gen * dt_k)
+    applied to the state at t_k, with dt_k = t_{k+1} - t_k: one matrix
+    exponential for t_grid[0] and one per distinct step, in one stack,
+    then one matrix-vector product per step.  That is exact on any
+    increasing grid, uniform or not; a linspace grid has a handful of
+    distinct steps.  No eigendecomposition anywhere.
+    """
+    t_grid = _check_grid(t_grid)
     steps, which = np.unique(np.diff(t_grid), return_inverse=True)
     times = np.concatenate(([t_grid[0]], steps))
     first, *propagators = _expm(gen * times[:, None, None])
-    states = np.empty((t_grid.size, gen.shape[0]))
-    states[0] = first[:, 0]
+    states = np.empty((t_grid.size, start.size), dtype=np.result_type(first, start))
+    states[0] = first @ start
     for k, step in enumerate(which.tolist()):
         states[k + 1] = propagators[step] @ states[k]
-    return states[:, :3]
-
-
-def propagate_steps(gen: np.ndarray, start: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """States expm(gen * k * dt) @ start for k = 0..n_steps, one row each.
-
-    One matrix exponential, then one matrix-vector product per step: the
-    exact evolution on a uniform grid of spacing ``dt``, with no
-    eigendecomposition anywhere.
-    """
-    step = _expm(gen * dt)
-    states = np.empty((n_steps + 1, start.size), dtype=np.result_type(step, start))
-    states[0] = start
-    for k in range(n_steps):
-        states[k + 1] = step @ states[k]
     return states
 
 
@@ -335,7 +328,8 @@ def adiabatic_populations(
     -omega g / (2 delta).  Returns (exact target population, effective
     target population, exact excited population) on ``t_grid``.  Both
     generators are real symmetric, so one ``eigh`` each gives the
-    amplitudes at every grid time exactly.
+    amplitudes at every grid time exactly.  A Hamiltonian entry that
+    overflows a float raises DomainError.
     """
     if delta == 0.0:
         raise DomainError("adiabatic elimination is undefined at zero detuning")
@@ -353,12 +347,21 @@ def adiabatic_populations(
             [w_drive / 2.0, w_g, w_delta],
         ]
     )
-    h_effective = np.array(
-        [
-            [w_drive**2 / (4.0 * w_delta), w_drive * w_g / (2.0 * w_delta)],
-            [w_drive * w_g / (2.0 * w_delta), w_g**2 / w_delta],
-        ]
-    )
+    try:
+        h_effective = np.array(
+            [
+                [w_drive**2 / (4.0 * w_delta), w_drive * w_g / (2.0 * w_delta)],
+                [w_drive * w_g / (2.0 * w_delta), w_g**2 / w_delta],
+            ]
+        )
+        finite = np.all(np.isfinite(h_exact)) and np.all(np.isfinite(h_effective))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"computing the eliminated Hamiltonian at omega = {omega:.6g}, g = {g:.6g}, "
+            f"delta = {delta:.6g} GHz overflows a float"
+        )
     exact = _evolve_from_first(h_exact, -1.0, t_grid)
     effective = _evolve_from_first(h_effective, 1.0, t_grid)
     p_exact = np.abs(exact[:, 1]) ** 2

@@ -6,6 +6,7 @@ GHz at the module boundary.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,27 @@ from .model import ModelParams
 TWO_PI = 2.0 * math.pi
 
 
+def _finite(quantity: str):
+    """Make a closed form raise DomainError naming ``quantity`` where its
+    value, or a power or quotient on the way to it, overflows a float."""
+
+    def decorate(func):
+        @functools.wraps(func)
+        def checked(*args, **kwargs):
+            try:
+                value = func(*args, **kwargs)
+            except ArithmeticError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise DomainError(f"computing {quantity} overflows a float")
+            return value
+
+        return checked
+
+    return decorate
+
+
+@_finite("the effective Rabi frequency")
 def effective_rabi(omega: float, g: float, delta: float) -> float:
     """Two-photon Rabi frequency omega * g / delta in GHz."""
     if delta == 0.0:
@@ -22,6 +44,7 @@ def effective_rabi(omega: float, g: float, delta: float) -> float:
     return omega * g / delta
 
 
+@_finite("the cavity Raman rate")
 def raman_rate_cavity(omega: float, g: float, delta: float, kappa: float) -> float:
     """Cavity-assisted Raman transfer rate in 1/ns.
 
@@ -34,6 +57,7 @@ def raman_rate_cavity(omega: float, g: float, delta: float, kappa: float) -> flo
     return TWO_PI * effective_rabi(omega, g, delta) ** 2 / kappa
 
 
+@_finite("the bare Raman rate")
 def raman_rate_bare(
     omega: float,
     delta: float,
@@ -64,6 +88,7 @@ def raman_rate_bare_ideal(omega: float, delta: float, gamma: float) -> float:
     return raman_rate_bare(omega, delta, gamma, gamma, gamma / 2.0)
 
 
+@_finite("the Purcell factor")
 def purcell_factor(g: float, kappa: float, gamma_bare: float) -> float:
     """Single-emitter cooperativity 4 g^2 / (kappa * gamma_bare)."""
     if g <= 0.0 or kappa <= 0.0 or gamma_bare <= 0.0:
@@ -124,11 +149,18 @@ def g_from_lifetimes(tau_on: float, tau_off: float, kappa: float) -> float:
     return math.sqrt(kappa * (1.0 / tau_on - 1.0 / tau_off) / (8.0 * math.pi))
 
 
+@_finite("the quality factor")
 def quality_factor(nu0_thz: float, kappa: float) -> float:
     """Loaded quality factor of the cavity at optical frequency nu0 (THz)."""
     if nu0_thz <= 0.0 or kappa <= 0.0:
         raise DomainError("quality factor needs positive frequency and linewidth")
     return 1000.0 * nu0_thz / kappa
+
+
+@_finite("the cavity enhancement")
+def _enhancement(r_cavity: float, r_bare: float) -> float:
+    """r_cavity / r_bare, or 0 where the cavity rate vanishes."""
+    return r_cavity / r_bare if r_cavity else 0.0
 
 
 @dataclass(frozen=True)
@@ -159,11 +191,10 @@ def rate_report(params: ModelParams, gamma_bare: float) -> RateReport:
         params.omega_drive, params.g, params.delta_laser, params.kappa
     )
     r_bare = raman_rate_bare_ideal(params.omega_drive, params.delta_laser, gamma_bare)
-    enhancement = r_cavity / r_bare if r_bare > 0.0 else 0.0
     return RateReport(
         omega_eff=omega_eff,
         r_cavity=r_cavity,
         r_bare=r_bare,
-        enhancement=enhancement,
+        enhancement=_enhancement(r_cavity, r_bare),
         purcell=purcell_factor(params.g, params.kappa, gamma_bare),
     )

@@ -79,7 +79,7 @@ def test_criterion_04_closed_form_rates_match_dynamics():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     grid = np.linspace(0.0, 0.5 / target, 120)
-    states = oracle.propagate_steps(gen, lv.vec(rho0), grid[1] - grid[0], grid.size - 1)
+    states = oracle.propagate(gen, lv.vec(rho0), grid)
     trapped = states.reshape(-1, 4, 4)[:, 1, 1].real
     growth = fit_mod.fit_exponential(grid, trapped)
     assert 1.0 / growth.tau == pytest.approx(target, rel=0.05)
@@ -258,7 +258,7 @@ def test_criterion_11_structural_invariants_random_sweep():
         # Time-domain route: no eigendecomposition, one expm then steps.
         a_op = lv.cavity_annihilation()
         taus = np.arange(n_steps + 1) * dt
-        states = oracle.propagate_steps(gen, lv.vec(a_op @ rho_ss), dt, n_steps)
+        states = oracle.propagate(gen, lv.vec(a_op @ rho_ss), taus)
         series = states @ lv.vec(a_op).conj()
         numeric = windowed_transform(taus, series, nu, params.kappa)
         analytic = windowed_mode_sum(lambdas, residues, nu, params.kappa, taus[-1])

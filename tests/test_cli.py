@@ -189,22 +189,17 @@ def test_sweep_cavity_rows_show_line_contrast(capsys):
 
 
 def test_sweep_degenerate_bounds(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "sweep-detuning",
-            "--sweep-start",
-            "55",
-            "--sweep-stop",
-            "55",
-            "--sweep-count",
-            "2",
-        ],
-    )
-    assert code == 0
-    rows = data_rows(out)
-    assert len(rows) == 2
-    assert rows[0] == rows[1]
+    """Equal bounds give equal rows in both sweeps, whose headers name the
+    ratio's estimator, the fitted line areas."""
+    for command in ("sweep-detuning", "sweep-cavity"):
+        code, out, _ = run_cli(
+            capsys, [command, "--sweep-start", "55", "--sweep-stop", "55", "--sweep-count", "2"]
+        )
+        assert code == 0
+        assert "# rs_mode = area" in out.splitlines()
+        rows = data_rows(out)
+        assert len(rows) == 2
+        assert rows[0] == rows[1]
 
 
 def test_config_errors_exit_2(capsys, tmp_path):
@@ -234,7 +229,9 @@ def test_config_errors_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("seed", "0"), ("sweep_variable", "delta")], ids=["seed", "sweep_variable"]
+    "key, value",
+    [("seed", "0"), ("sweep_variable", "delta"), ("rs_mode", "area")],
+    ids=["seed", "sweep_variable", "rs_mode"],
 )
 def test_removed_seed_knob_exits_2(capsys, tmp_path, key, value):
     with pytest.raises(SystemExit) as exc:
@@ -328,6 +325,14 @@ def test_sweep_raises_first_failure_after_vanishing_point(capsys):
     assert code == 0
     (row,) = data_rows(out)
     assert row.startswith("5,") and row.endswith(",nan,nan,1")
+    code, out, _ = run_cli(
+        capsys, ["sweep-detuning", "--json", *flags, "--sweep-stop", "5", "--sweep-count", "1"]
+    )
+    assert code == 0
+    # RFC 8259 has no NaN, Infinity or -Infinity.
+    (payload,) = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+    assert payload["r_peak_GHz"] is None and payload["s_peak_GHz"] is None
+    assert payload["vanishing"] == 1
 
     code, out, err = run_cli(
         capsys, ["sweep-detuning", *flags, "--sweep-stop", "15", "--sweep-count", "11"]
@@ -579,14 +584,38 @@ def test_fit_phonon_error_bars_without_finite_weight_exit_2(capsys, tmp_path):
          "2 pi nu overflows a float\n"),
         (["sweep-detuning", "--sweep-count", "3", "--sweep-start=-1e308", "--sweep-stop=1e308"],
          None, "error: the span from sweep_start to sweep_stop overflows a float\n"),
+        (["fit", "lorentzian1"], "".join(f"{x},{1e300 / (1 + x * x)}\n" for x in range(-3, 3)),
+         "error: the data are too large to fit: their squares overflow\n"),
+        (["fit", "exponential"], "".join(f"{t},{1e300 * 0.5**t}\n" for t in range(6)),
+         "error: the data are too large to fit: their squares overflow\n"),
+        (["rates", "--g", "1e200"], None,
+         "error: computing the cavity Raman rate overflows a float\n"),
+        (["rates", "--json", "--omega", "1e200"], None,
+         "error: computing the cavity Raman rate overflows a float\n"),
+        (["rates", "--delta-laser", "1e-200"], None,
+         "error: computing the cavity Raman rate overflows a float\n"),
+        (["rates", "--delta-laser", "1e-320"], None,
+         "error: computing the effective Rabi frequency overflows a float\n"),
+        (["rates", "--delta-laser", "1e160"], None,
+         "error: computing the bare Raman rate overflows a float\n"),
+        (["rates", "--kappa", "1e-320"], None,
+         "error: computing the cavity Raman rate overflows a float\n"),
+        (["rates", "--gamma-bare", "1e-320"], None,
+         "error: computing the cavity enhancement overflows a float\n"),
+        (["rates", "--json", "--nu0-thz", "1e308"], None,
+         "error: computing the quality factor overflows a float\n"),
     ],
     ids=["phonon_n_power", "g_squared", "tiny_detuning", "generator_sum", "lorentzian_errors",
          "exponential_errors", "lorentzian_weighted_squares", "exponential_weighted_squares",
-         "spectrum_normalization", "grid_span", "grid_frequency", "sweep_span"],
+         "spectrum_normalization", "grid_span", "grid_frequency", "sweep_span",
+         "lorentzian_unweighted_squares", "exponential_unweighted_squares", "rates_g",
+         "rates_omega", "rates_small_detuning", "rates_denormal_detuning", "rates_large_detuning",
+         "rates_kappa", "rates_enhancement", "rates_quality_factor"],
 )
 def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
-    """Inputs that overflow a float on the way to a solve or a fit weight are
-    refused at exit 2 with no traceback and no numeric warning."""
+    """Inputs that overflow a float on the way to a solve, a fit weight or a
+    closed-form rate are refused at exit 2 with no traceback and no numeric
+    warning."""
     if rows is not None:
         path = tmp_path / "data.csv"
         path.write_text(rows)
@@ -670,15 +699,22 @@ def test_validate_flags_broken_truncation(capsys):
 
 
 def test_validate_flags_broken_adiabaticity(capsys):
-    code, out, _ = run_cli(capsys, ["validate", "--delta-laser", "2.58"])
-    assert code == 1
-    failed = [
-        line.split()[1].rstrip(":")
-        for line in out.splitlines()
-        if line.startswith("FAIL ")
-    ]
-    assert "adiabatic_regime" in failed
-    assert "adiabatic_elimination" in failed
+    """Near resonance, and at a drive whose closed forms overflow a float:
+    all ten checks are listed, and an overflow fails its own check with a
+    DomainError detail instead of ending the run."""
+    for flags, overflowing in (
+        (["--delta-laser", "2.58"], []),
+        (["--omega", "1e200"], ["adiabatic_elimination", "cavity_rate_consistency"]),
+    ):
+        code, out, _ = run_cli(capsys, ["validate", *flags])
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 11 and lines[-1] == "validation FAILED"
+        failed = {line.split()[1].rstrip(":"): line for line in lines if line.startswith("FAIL ")}
+        assert "adiabatic_regime" in failed
+        assert "adiabatic_elimination" in failed
+        for name in overflowing:
+            assert failed[name].startswith(f"FAIL {name}: DomainError: computing ")
 
 
 def fresh_python(*args, **env):

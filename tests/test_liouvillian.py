@@ -30,7 +30,7 @@ TWO_PI = 2.0 * math.pi
 
 def _evolve(gen, rho0, t):
     """rho0 after a time t (ns) under the generator, one expm step."""
-    return oracle.propagate_steps(gen, vec(rho0), t, 1)[1].reshape((4, 4), order="F")
+    return oracle.propagate(gen, vec(rho0), [0.0, t])[1].reshape((4, 4), order="F")
 
 
 def _index(row, col):
@@ -248,7 +248,7 @@ def test_raman_funnel_monotone_without_reshuffling(paper_params):
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     # 41 samples on [0, 200] ns, 5 ns apart.
-    states = oracle.propagate_steps(gen, vec(rho0), 5.0, 40)
+    states = oracle.propagate(gen, vec(rho0), 5.0 * np.arange(41))
     trapped = states.reshape(-1, 4, 4)[:, G2_0, G2_0].real
     assert np.all(np.diff(trapped) > -1e-12)
 

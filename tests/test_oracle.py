@@ -216,8 +216,8 @@ def test_expm_matches_scipy_on_four_state_generators(paper_params, point):
 
 @pytest.mark.parametrize("rates", [(0.4, 4.0, 0.1, 0.2), (1.0, 10.0, 0.2, 0.2)])
 def test_expm_matches_scipy_on_bare_emitter_generator(rates):
-    """From 1 ps to 50 ns, as one stack (as bare_lambda_evolve takes its
-    steps) and one matrix at a time (as propagate_steps does)."""
+    """From 1 ps to 50 ns, as one stack (as propagate takes its steps) and
+    one matrix at a time."""
     steps = bare_lambda_generator(*rates) * np.geomspace(1e-3, 50.0, 30)[:, None, None]
     _assert_expm_matches_scipy(oracle._expm(steps), steps)
     _assert_expm_matches_scipy([oracle._expm(step) for step in steps], steps)
@@ -244,11 +244,15 @@ def test_bare_emitter_conserves_probability():
     assert np.min(pops) > -1e-9
 
 
-@pytest.mark.parametrize("case", ["validate", "non_uniform"])
-def test_bare_emitter_steps_match_per_time_expm(case):
+@pytest.mark.parametrize("case", ["validate", "non_uniform", "four_state"])
+def test_bare_emitter_steps_match_per_time_expm(case, paper_params):
     """Stepping with one exponential per distinct step agrees with one
-    exponential per grid time, on validate's grid and on a grid whose
-    steps all differ, and keeps the total population at one."""
+    exponential per grid time, on validate's bare-emitter grid, on a grid
+    whose steps all differ, and there through oracle.propagate on the
+    default point's complex 16x16 generator; the total population stays
+    at one."""
+    grid = 0.3 + np.cumsum(np.random.default_rng(5).uniform(0.01, 0.5, 150))
+    rates = (0.4, 4.0, 0.1, 0.2)
     if case == "validate":
         # bare_rate_consistency's grid.
         gamma, delta, omega = 0.2, 10.0, 1.0
@@ -256,12 +260,18 @@ def test_bare_emitter_steps_match_per_time_expm(case):
         t_start = 30.0 / (2.0 * np.pi * gamma)
         rates = (omega, delta, gamma, gamma)
         grid = np.linspace(t_start, t_start + 3.0 / target, 200)
+    if case == "four_state":
+        gen = lv.build_liouvillian(paper_params)
+        start = lv.vec(np.diag([1.0 + 0j, 0.0, 0.0, 0.0]))
+        found = oracle.propagate(gen, start, grid)
+        expected = np.array([oracle._expm(gen * t) @ start for t in grid])
+        totals = np.trace(found.reshape(-1, 4, 4), axis1=1, axis2=2)
     else:
-        rates = (0.4, 4.0, 0.1, 0.2)
-        grid = 0.3 + np.cumsum(np.random.default_rng(5).uniform(0.01, 0.5, 150))
-    pops = bare_lambda_evolve(*rates, grid)
-    np.testing.assert_allclose(pops, expm_bare_populations(*rates, grid), rtol=0.0, atol=1e-11)
-    assert np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-12
+        found = bare_lambda_evolve(*rates, grid)
+        expected = expm_bare_populations(*rates, grid)
+        totals = found.sum(axis=1)
+    np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-11)
+    assert np.max(np.abs(totals - 1.0)) <= 1e-12
 
 
 def test_bare_emitter_resonant_rabi():

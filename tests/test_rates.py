@@ -158,6 +158,10 @@ def test_rate_domain_errors():
         raman_rate_bare(2.58, 55.0, 0.002, 0.002, gamma_dephase=0.0)
     with pytest.raises(DomainError):
         purcell_factor(0.0, 53.7, 0.0021)
+    with pytest.raises(DomainError, match="computing the Purcell factor overflows a float"):
+        purcell_factor(2e154, 53.7, 0.0021)
+    with pytest.raises(DomainError, match="computing the Purcell factor overflows a float"):
+        purcell_factor(0.8, 1e-200, 1e-200)
     with pytest.raises(DomainError):
         PurcellBoundInputs(1.2, 0.8, 0.1, 1.74)
     with pytest.raises(DomainError):

@@ -162,7 +162,7 @@ def test_correlation_routes_agree(paper_params):
     # Stepping the propagator avoids the eigendecomposition, so the two
     # routes are independent.
     a_op = lv.cavity_annihilation()
-    states = oracle.propagate_steps(gen, lv.vec(a_op @ rho_ss), taus[1], taus.size - 1)
+    states = oracle.propagate(gen, lv.vec(a_op @ rho_ss), taus)
     direct = states @ lv.vec(a_op).conj()
     from_modes = np.array([np.sum(residues * np.exp(lambdas * t)) for t in taus])
     assert direct[0].real == pytest.approx(nbar, rel=1e-12)
