@@ -58,9 +58,7 @@ from .model import (
     n_thermal,
 )
 from .oracle import (
-    AdiabaticReport,
     LadderBasis,
-    adiabatic_error,
     adiabatic_populations,
     bare_lambda_evolve,
     full_ladder_steady_state,

@@ -604,9 +604,11 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
     refines the start with one central difference in ln s per detuning,
     times ln d for the exponent column, and stops at steps below 1e-9 in
     (log alpha, n), where the ratios' ~1e-10 noise sets in.  A trial density
-    that overflows a float raises DomainError.  Reported errors transform
-    back to (exponent, prefactor) with the full covariance; a covariance
-    condition number above 1e8 raises IllConditioned.
+    that overflows a float raises DomainError, and so do ratio errors that
+    are zero at some detunings but not all; with every error zero the fit
+    is unweighted.  Reported errors transform back to (exponent, prefactor)
+    with the full covariance; a covariance condition number above 1e8
+    raises IllConditioned.
     """
     deltas = np.array([point.delta for point in points], dtype=float)
     if deltas.size < 3 or np.unique(deltas).size < 3:
@@ -619,8 +621,14 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
         )
     ratios = np.array([point.ratio for point in points], dtype=float)
     errs = np.array([point.ratio_err for point in points], dtype=float)
+    zero = errs == 0.0
+    if zero.any() and not zero.all():
+        raise DomainError(
+            f"ratio error is zero at detuning {float(deltas[np.argmax(zero)])!r} but not at "
+            "every detuning: give every ratio a positive error, or none"
+        )
     with np.errstate(over="ignore"):  # checked below
-        sqrt_w = 1.0 / errs if np.all(errs > 0.0) else np.ones_like(ratios)
+        sqrt_w = np.ones_like(ratios) if zero.all() else 1.0 / errs
     if not np.all(np.isfinite(sqrt_w)):
         raise DomainError(
             f"ratio error {float(np.min(errs))!r} is too small to weight: its inverse overflows"

@@ -35,7 +35,6 @@ _RATE_FIELDS = (
     "gamma2",
     "gamma_flip",
     "kT",
-    "delta_g",
     "phonon_alpha1",
     "phonon_alpha2",
 )
@@ -63,9 +62,6 @@ class ModelParams:
         is no reverse channel.
     kT : float
         Thermal energy of the phonon bath divided by h, GHz.
-    delta_g : float
-        Ground-state splitting, GHz.  Bookkeeping only; it does not enter
-        the rotating-frame dynamics.
     phonon_alpha1, phonon_alpha2 : float
         Spectral-density prefactors for the two phonon-assisted channels,
         GHz / GHz**phonon_n.
@@ -85,7 +81,6 @@ class ModelParams:
     gamma2: float = 0.046
     gamma_flip: float = 0.8
     kT: float = 83.0
-    delta_g: float = 544.0
     phonon_alpha1: float = 1.0
     phonon_alpha2: float = 1.0
     phonon_n: float = 0.31

@@ -306,14 +306,6 @@ def _evolve_from_first(h: np.ndarray, sign: float, t_grid: np.ndarray) -> np.nda
     return (phases * vecs[0]) @ vecs.T
 
 
-@dataclass(frozen=True)
-class AdiabaticReport:
-    """Worst-case disagreement between exact and eliminated dynamics."""
-
-    max_population_error: float
-    max_excited_population: float
-
-
 def adiabatic_populations(
     omega: float,
     g: float,
@@ -369,17 +361,3 @@ def adiabatic_populations(
     p_excited = np.abs(exact[:, 2]) ** 2
     return p_exact, p_effective, p_excited
 
-
-def adiabatic_error(
-    omega: float,
-    g: float,
-    delta: float,
-    t_grid: np.ndarray,
-) -> AdiabaticReport:
-    """Validity report for the excited-state elimination; see
-    :func:`adiabatic_populations`."""
-    p_exact, p_effective, p_excited = adiabatic_populations(omega, g, delta, t_grid)
-    return AdiabaticReport(
-        max_population_error=float(np.max(np.abs(p_exact - p_effective))),
-        max_excited_population=float(np.max(p_excited)),
-    )

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import cavity_raman
 from cavity_raman import AmbiguousAssignment, ModelParams, cli
+from cavity_raman import errors as errors_mod
 from cavity_raman import fit as fit_mod
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
@@ -230,8 +231,8 @@ def test_config_errors_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("seed", "0"), ("sweep_variable", "delta"), ("rs_mode", "area")],
-    ids=["seed", "sweep_variable", "rs_mode"],
+    [("seed", "0"), ("sweep_variable", "delta"), ("rs_mode", "area"), ("delta_g", "544")],
+    ids=["seed", "sweep_variable", "rs_mode", "delta_g"],
 )
 def test_removed_seed_knob_exits_2(capsys, tmp_path, key, value):
     with pytest.raises(SystemExit) as exc:
@@ -260,6 +261,51 @@ def test_non_finite_run_value_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+# The documented exit code of each public error class.
+EXIT_CODES = {
+    "ConfigError": 2,
+    "ParseError": 2,
+    "DomainError": 2,
+    "UnstableLiouvillian": 3,
+    "NonUniqueSteadyState": 3,
+    "DegenerateSpectrum": 3,
+    "FitError": 4,
+    "NoConvergence": 4,
+    "NonDecaying": 4,
+    "DegeneratePeaks": 4,
+    "AmbiguousAssignment": 4,
+    "IllConditioned": 4,
+    "VanishingSpontaneous": 4,
+}
+
+
+def test_every_public_error_has_an_exit_code():
+    public = {
+        name
+        for name, value in vars(errors_mod).items()
+        if isinstance(value, type)
+        and issubclass(value, errors_mod.CavityRamanError)
+        and value is not errors_mod.CavityRamanError
+        and not name.startswith("_")
+    }
+    assert public == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_error_raised_in_main_exits_with_its_code(capsys, monkeypatch, name):
+    """Each error class that reaches cli.main ends the run with its code
+    and one error line, and no traceback."""
+
+    def failing(args):
+        raise getattr(errors_mod, name)("the message")
+
+    monkeypatch.setattr(cli, "resolve_config", failing)
+    code, out, err = run_cli(capsys, ["rates"])
+    assert code == EXIT_CODES[name]
+    assert out == ""
+    assert err == "error: the message\n"
 
 
 def test_unusable_operating_point_exits_3(capsys):
@@ -554,6 +600,20 @@ def test_fit_phonon_error_bars_without_finite_weight_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: ratio error 1e-320 is too small to weight: its inverse overflows\n"
+
+
+def test_fit_phonon_error_bars_mixed_with_zeros_exit_2(capsys, tmp_path):
+    """A ratio table whose errors are zero on some rows and positive on
+    others is refused, not fitted unweighted."""
+    path = tmp_path / "ratios.csv"
+    path.write_text("15,0.04,0.001\n55,0.1,0\n95,0.2,0.002\n")
+    code, out, err = run_cli(capsys, ["fit", "phonon-n", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: ratio error is zero at detuning 55.0 but not at every detuning: "
+        "give every ratio a positive error, or none\n"
+    )
 
 
 @pytest.mark.parametrize(

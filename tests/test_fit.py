@@ -397,6 +397,28 @@ def test_overflowing_window_frequency_fails_only_its_point(paper_params):
     assert "rotating-frame frequency" in str(error) and "2 pi nu overflows" in str(error)
 
 
+def test_zero_width_window_is_refused_before_its_fit(monkeypatch, paper_params):
+    """A line whose start width is zero gets DomainError("initial fwhm must
+    be nonzero") as its point's outcome, stacked and alone; the other point
+    of the stack keeps bitwise the fits it gets alone."""
+    other = replace(paper_params, delta_laser=35.0, delta_cavity=35.0)
+    expected = fit_emission_lines(other)
+    line_table = fit_mod.spectrum_mod.line_table
+
+    def zero_raman_width(points):
+        table = line_table(points)
+        roles = table.roles.copy()
+        roles[table.delta_laser == paper_params.delta_laser, 0, 1] = 0.0
+        return replace(table, roles=roles)
+
+    monkeypatch.setattr(fit_mod.spectrum_mod, "line_table", zero_raman_width)
+    refused, kept = fit_emission_lines([paper_params, other])
+    assert type(refused) is DomainError and str(refused) == "initial fwhm must be nonzero"
+    with pytest.raises(DomainError, match="^initial fwhm must be nonzero$"):
+        fit_emission_lines(paper_params)
+    assert helpers.same_outcome(kept, expected)
+
+
 def test_line_windows_match_per_point_loop():
     """The stacked windows, samples and starts of fit_emission_lines equal
     the per-point loop they replaced (helpers.loop_windows) bit for bit,
@@ -745,6 +767,31 @@ def test_phonon_fit_input_validation(paper_params):
         fit_phonon_exponent(
             [RsPoint(40.0, 1.0, 0.1)] * 3 + [RsPoint(95.0, 1.0, 0.1)], paper_params
         )
+
+
+def test_phonon_fit_refuses_error_bars_mixed_with_zeros(monkeypatch, paper_params):
+    """Ratio errors that are zero at some detunings but not all cannot
+    weight the refit: DomainError names the first zero's detuning before
+    any solve.  All zero is the unweighted fit, which unit errors give bit
+    for bit."""
+    table = _five_detuning_table(paper_params)
+    zeros = [replace(point, ratio_err=0.0) for point in table]
+    ones = [replace(point, ratio_err=1.0) for point in table]
+    assert helpers.same_outcome(
+        fit_phonon_exponent(zeros, paper_params), fit_phonon_exponent(ones, paper_params)
+    )
+    mixed = [zeros[0], *table[1:3], zeros[3], table[4]]
+
+    def no_solve(points):
+        raise AssertionError("solved before the errors were checked")
+
+    monkeypatch.setattr(fit_mod, "predict_rs", no_solve)
+    with pytest.raises(DomainError) as refused:
+        fit_phonon_exponent(mixed, paper_params)
+    assert str(refused.value) == (
+        "ratio error is zero at detuning 15.0 but not at every detuning: "
+        "give every ratio a positive error, or none"
+    )
 
 
 def test_phonon_fit_degenerate_weights_ill_conditioned(paper_params):

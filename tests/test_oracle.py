@@ -20,7 +20,6 @@ from helpers import (
 )
 from cavity_raman.oracle import (
     LadderBasis,
-    adiabatic_error,
     adiabatic_populations,
     bare_lambda_evolve,
     full_ladder_steady_state,
@@ -292,19 +291,21 @@ def test_bare_emitter_input_validation():
         bare_lambda_evolve(1.0, 10.0, -0.1, 0.2, grid)
 
 
+def _elimination_errors(delta):
+    """Worst transfer-population error and excited weight over 12 ns."""
+    exact, effective, excited = adiabatic_populations(0.4, 0.2, delta, np.linspace(0.0, 12.0, 241))
+    return np.max(np.abs(exact - effective)), excited.max()
+
+
 def test_adiabatic_error_small_in_symmetric_regime():
-    grid = np.linspace(0.0, 12.0, 241)
-    report = adiabatic_error(0.4, 0.2, 40.0, grid)
-    assert report.max_population_error < 1e-3
+    error, weight = _elimination_errors(40.0)
+    assert error < 1e-3
     bound = 4.0 * ((0.4 / 2.0) ** 2 + 0.2**2) / 40.0**2
-    assert report.max_excited_population < bound
+    assert weight < bound
 
 
 def test_adiabatic_error_decreases_with_detuning():
-    grid = np.linspace(0.0, 12.0, 241)
-    near = adiabatic_error(0.4, 0.2, 40.0, grid)
-    far = adiabatic_error(0.4, 0.2, 80.0, grid)
-    assert far.max_population_error < near.max_population_error
+    assert _elimination_errors(80.0)[0] < _elimination_errors(40.0)[0]
 
 
 def test_adiabatic_static_without_drive():
@@ -316,7 +317,7 @@ def test_adiabatic_static_without_drive():
 
 def test_adiabatic_rejects_zero_detuning():
     with pytest.raises(DomainError):
-        adiabatic_error(0.4, 0.2, 0.0, np.linspace(0.0, 1.0, 11))
+        adiabatic_populations(0.4, 0.2, 0.0, np.linspace(0.0, 1.0, 11))
 
 
 def test_exact_oracles_match_rk45_reference():

@@ -15,6 +15,7 @@ from cavity_raman import (
     ModelParams,
     NonUniqueSteadyState,
     Spectrum,
+    UnstableLiouvillian,
     apply_filter,
     build_hamiltonian,
     build_liouvillian,
@@ -64,6 +65,28 @@ def test_generator_modes_match_correlation_modes(paper_params):
     assert helpers.same_bits(table.lambdas[0], lambdas)
     assert helpers.same_bits(table.residues[0], residues)
     assert table.photons[0] == nbar
+
+
+def test_unstable_generator_fails_only_its_point(paper_params):
+    """A generator with a growing mode is the only point of its stack that
+    generator_modes names, with UnstableLiouvillian; the healthy one, alone,
+    gets bitwise its slice of an all-healthy stack."""
+    healthy = build_liouvillian([replace(paper_params, delta_laser=35.0, delta_cavity=35.0),
+                                 paper_params])
+    states = steady_state(healthy)
+    unstable = healthy.copy()
+    unstable[1] = -unstable[1]
+    with pytest.raises(stack.Failed) as failed:
+        spectrum_mod.generator_modes(unstable, states)
+    assert list(failed.value.errors) == [1]
+    error = failed.value.errors[1]
+    assert isinstance(error, UnstableLiouvillian)
+    assert str(error) == "relaxing eigenvalue with real part 1.712e+02 1/ns >= 1e-10"
+    lambdas, residues, photons = spectrum_mod.generator_modes(healthy, states)
+    alone = spectrum_mod.generator_modes(unstable[0], states[0])
+    assert helpers.same_bits(alone[0], lambdas[0])
+    assert helpers.same_bits(alone[1], residues[0])
+    assert alone[2] == photons[0]
 
 
 def test_classified_modes_are_the_correlation_modes(paper_params):
