@@ -46,7 +46,6 @@ from .liouvillian import (
     trace_distance,
 )
 from .model import (
-    BASIS_LABELS,
     DIM,
     E_0,
     G1_0,

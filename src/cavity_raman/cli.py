@@ -156,12 +156,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _header(command: str, config: RunConfig, extra: dict) -> list[str]:
-    entries = {key: getattr(config.params, key) for key in _PARAM_KEYS}
-    entries.update(extra)
+def _write_csv(
+    command: str, config: RunConfig, extra: dict, names: tuple[str, ...], rows, out: str | None
+) -> None:
+    """:func:`_emit` a table: every parameter and ``extra`` as sorted
+    ``# key = value`` lines, the ``# columns:`` line, then ``rows``, an
+    iterable of rows, each cell of a float or int as :func:`_fmt` writes it."""
+    entries = {key: getattr(config.params, key) for key in _PARAM_KEYS} | extra
     lines = [f"# cavity-raman {command}"]
     lines.extend(f"# {key} = {_fmt(entries[key])}" for key in sorted(entries))
-    return lines
+    lines.append("# columns: " + ",".join(names))
+    # One % writes the whole text, so a million-row table is never copied:
+    # "%.17g" writes a float as _fmt does, and the integer 0 or 1 as str does.
+    cells = tuple(cell for row in rows for cell in row)
+    row_format = ",".join(["%.17g"] * len(names)) + "\n"
+    header = "".join(line.replace("%", "%%") + "\n" for line in lines)
+    _emit((header + row_format * (len(cells) // len(names))) % cells, out)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -276,23 +286,20 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
         "filter_center": config.filter_center if window else "none",
         "filter_width": config.filter_width if window else "none",
     }
-    lines = _header(args.command, config, extra)
-    lines.append("# columns: nu_lab_GHz,intensity_per_ns_per_GHz")
-    lines.extend(
-        f"{_fmt(nu)},{_fmt(val)}" for nu, val in zip(spec.freqs, spec.intensity)
-    )
-    _emit("\n".join(lines) + "\n", args.out)
+    names = ("nu_lab_GHz", "intensity_per_ns_per_GHz")
+    rows = zip(spec.freqs.tolist(), spec.intensity.tolist())
+    _write_csv(args.command, config, extra, names, rows, args.out)
     return 0
 
 
-def _sweep_grid(config: RunConfig) -> np.ndarray:
-    return np.linspace(config.sweep_start, config.sweep_stop, config.sweep_count)
+def _sweep_grid(config: RunConfig) -> list[float]:
+    return np.linspace(config.sweep_start, config.sweep_stop, config.sweep_count).tolist()
 
 
 def _detuning_rows(config: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     """Columns and rows of the ratio pipeline over a laser-detuning grid; the
     whole grid is fitted in one call, and the first failing point raises."""
-    grid = [float(value) for value in _sweep_grid(config)]
+    grid = _sweep_grid(config)
     trials = [replace(config.params, delta_laser=value, delta_cavity=value) for value in grid]
     rows = []
     for value, outcome in zip(grid, fit_mod.predict_rs(trials)):
@@ -313,7 +320,7 @@ def _detuning_rows(config: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
 def _cavity_rows(config: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     """Columns and rows of the line intensities over a cavity-detuning grid at
     fixed laser detuning, fitted as :func:`_detuning_rows` fits its grid."""
-    grid = [float(value) for value in _sweep_grid(config)]
+    grid = _sweep_grid(config)
     trials = [replace(config.params, delta_cavity=value) for value in grid]
     rows = []
     for value, outcome in zip(grid, fit_mod.fit_emission_lines(trials)):
@@ -337,10 +344,7 @@ def _cmd_sweep(sweep_rows, config: RunConfig, args: argparse.Namespace) -> int:
         # The ratio is always of fitted line areas; the header says so.
         "rs_mode": "area",
     }
-    lines = _header(args.command, config, extra)
-    lines.append("# columns: " + ",".join(names))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    _emit("\n".join(lines) + "\n", args.out)
+    _write_csv(args.command, config, extra, names, rows, args.out)
     return 0
 
 
@@ -376,15 +380,12 @@ def _validation_checks(config: RunConfig) -> list[dict]:
     params = config.params
     checks: list[dict] = []
 
-    def record(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
     def run(name: str, thunk) -> None:
         try:
             passed, detail = thunk()
         except CavityRamanError as exc:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        record(name, passed, detail)
+        checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     def regime_adiabatic():
         coupling = max(params.omega_drive / 2.0, params.g)
@@ -451,6 +452,12 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         ok = error < 5e-3 and weight < 5e-3
         return ok, f"population error {error:.3e}, excited weight {weight:.3e}"
 
+    # 1/tau of an exponential fitted to ``trace`` against the closed form.
+    def decay_rate(grid, trace, target: float, tolerance: float):
+        fitted = 1.0 / fit_mod.fit_exponential(grid, trace).tau
+        gap = abs(fitted / target - 1.0)
+        return gap < tolerance, f"fitted {fitted:.6e} vs closed form {target:.6e} (rel {gap:.2e})"
+
     def bare_rate_consistency():
         # Scaled operating point, kept so the output does not change; the
         # detuning-to-linewidth ratio is what the closed form is tested on.
@@ -465,10 +472,7 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         horizon = t_start + 3.0 / target
         grid = np.linspace(t_start, horizon, 200)
         pops = oracle.bare_lambda_evolve(omega, delta, gamma, gamma, grid)
-        decay = fit_mod.fit_exponential(grid, pops[:, 1])
-        fitted = 1.0 / decay.tau
-        gap = abs(fitted / target - 1.0)
-        return gap < 0.02, f"fitted {fitted:.6e} vs closed form {target:.6e} (rel {gap:.2e})"
+        return decay_rate(grid, pops[:, 1], target, 0.02)
 
     def cavity_rate_consistency():
         # Cavity decay is the only open channel here so the transfer is a
@@ -491,11 +495,7 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         rho0[0, 0] = 1.0
         grid = np.linspace(0.0, 0.5 / target, 120)
         states = oracle.propagate(gen, lv.vec(rho0), grid)
-        trapped = states.reshape(-1, 4, 4)[:, G2_0, G2_0].real
-        decay = fit_mod.fit_exponential(grid, trapped)
-        fitted = 1.0 / decay.tau
-        gap = abs(fitted / target - 1.0)
-        return gap < 0.05, f"fitted {fitted:.6e} vs closed form {target:.6e} (rel {gap:.2e})"
+        return decay_rate(grid, states.reshape(-1, 4, 4)[:, G2_0, G2_0].real, target, 0.05)
 
     run("adiabatic_regime", regime_adiabatic)
     run("truncation_regime", regime_truncation)

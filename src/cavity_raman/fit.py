@@ -495,7 +495,10 @@ def _line_plans(
     hi = np.where(below & (midpoint < hi), midpoint, hi)
     lo = np.where(~below & (midpoint > lo), midpoint, lo)
     axes = _window_axes(lo, hi)
-    nu = axes + delta[..., None]
+    # A window whose axis is not finite is refused below; it samples the
+    # stand-in axis 0 instead, so that no NaN reaches the spectrum.
+    finite_axes = np.isfinite(axes).all(axis=-1)
+    nu = np.where(finite_axes[..., None], axes, 0.0) + delta[..., None]
     modes = (table.lambdas, table.residues, table.kappa)
     try:
         samples = spectrum_mod.mixture_intensity(nu, *modes)
@@ -510,7 +513,7 @@ def _line_plans(
                 errors[k] = exc
         stack.fail(errors)
         raise
-    finite = np.isfinite(axes).all(axis=-1) & np.isfinite(samples).all(axis=-1)
+    finite = finite_axes & np.isfinite(samples).all(axis=-1)
     fitted = finite & (widths != 0.0)
     plan = np.full(fitted.shape, None, dtype=object)
     for k, w in zip(*np.nonzero(~fitted)):

@@ -106,17 +106,21 @@ def minimize(
     iterations = np.full(count, _MAX_ITERATIONS)
     stops = [STOP_MAX_ITERATIONS] * count
     # The state arrays hold the running problems only, in ``ids`` order; a
-    # problem that stops is copied into ``solution`` and dropped from them.
+    # problem that stops is copied into ``solution`` with its stop reason
+    # and dropped from them, by ``retire``.
     solution = (np.empty_like(x), np.empty_like(gram), np.empty_like(cost))
     diagonal = np.arange(x.shape[1])
 
-    def retire(mask: np.ndarray, reason: str, iteration: int) -> None:
+    def retire(mask: np.ndarray, reasons: list[str], iteration: int) -> None:
+        nonlocal ids, x, cost, grad, gram, damping
         done = ids[mask]
         for out, values in zip(solution, (x, gram, cost)):
             out[done] = values[mask]
         iterations[done] = iteration
-        for k in done:
+        for k, reason in zip(done.tolist(), reasons):
             stops[k] = reason
+        keep = ~mask
+        ids, x, cost, grad, gram, damping = (a[keep] for a in (ids, x, cost, grad, gram, damping))
 
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if ids.size == 0:
@@ -125,12 +129,8 @@ def minimize(
         flat = (np.abs(grad) * np.maximum(np.abs(x), 1.0)).max(axis=1) <= _GRADIENT_TOL * cost
         halted = zero | flat
         if halted.any():
-            retire(zero, STOP_ZERO_COST, iteration)
-            retire(flat & ~zero, STOP_GRADIENT, iteration)
-            keep = ~halted
-            ids, x, cost, grad, gram, damping = (
-                a[keep] for a in (ids, x, cost, grad, gram, damping)
-            )
+            reasons = np.where(zero, STOP_ZERO_COST, STOP_GRADIENT)[halted].tolist()
+            retire(halted, reasons, iteration)
             if ids.size == 0:
                 break
 
@@ -180,13 +180,9 @@ def minimize(
             )
         if small_step.any():
             # At the step floor: converged if accepted, stalled if rejected.
-            retire(small_step & better, STOP_SMALL_STEP, iteration)
-            retire(small_step & ~better, STOP_STALLED, iteration)
-            keep = ~small_step
-            ids, x, cost, grad, gram, damping = (
-                a[keep] for a in (ids, x, cost, grad, gram, damping)
-            )
-    retire(np.ones(ids.size, dtype=bool), STOP_MAX_ITERATIONS, _MAX_ITERATIONS)
+            reasons = np.where(better, STOP_SMALL_STEP, STOP_STALLED)[small_step].tolist()
+            retire(small_step, reasons, iteration)
+    retire(np.ones(ids.size, dtype=bool), [STOP_MAX_ITERATIONS] * ids.size, _MAX_ITERATIONS)
     return Solution(*solution, iterations, tuple(stops))
 
 

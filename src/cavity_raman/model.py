@@ -16,8 +16,8 @@ import numpy as np
 from . import stack
 from .errors import DegenerateSpectrum, DomainError
 
-# Fixed ordering of the truncated basis, shared by every module.
-BASIS_LABELS = ("|g1,0>", "|g2,0>", "|g2,1>", "|e,0>")
+# Fixed ordering of the truncated basis, shared by every module:
+# |g1,0>, |g2,0>, |g2,1>, |e,0>.
 G1_0, G2_0, G2_1, E_0 = range(4)
 DIM = 4
 

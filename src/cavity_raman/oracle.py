@@ -242,40 +242,29 @@ def bare_lambda_evolve(
 ) -> np.ndarray:
     """Populations of the bare driven three-level emitter on ``t_grid``.
 
-    Propagates the coupled equations for the drive coherence, the excited
-    population and both ground populations exactly, with ``gamma`` the
-    decay into the target state, ``gamma_tot`` the total excited-state
-    decay and gamma_tot / 2 the dipole decoherence rate.  All rates and
-    frequencies in GHz, times in ns.  Returns an array of shape
-    (len(t_grid), 3) with columns (initial ground, target ground,
-    excited).  The initial ground population is propagated explicitly
-    rather than inferred from the trace, so probability conservation
-    stays a meaningful check on the result.  Propagated exactly by
-    :func:`propagate`.
+    Propagates the emitter's Lindblad equation from |g1><g1| exactly, by
+    :func:`propagate`: the drive omega / 2 on g1 <-> e at detuning
+    ``delta``, and jumps e -> g2 at ``gamma`` (the decay into the target
+    state) and e -> g1 at the rest of ``gamma_tot``, so the dipole
+    decoheres at gamma_tot / 2.  All rates and frequencies in GHz, times
+    in ns.  Returns an array of shape (len(t_grid), 3) with columns
+    (initial ground, target ground, excited).  The initial ground
+    population is propagated explicitly rather than inferred from the
+    trace, so probability conservation stays a meaningful check on the
+    result.
     """
     if gamma < 0.0 or gamma_tot <= 0.0:
         raise DomainError("gamma must be nonnegative and gamma_tot positive")
     if gamma > gamma_tot:
         raise DomainError(f"gamma={gamma} cannot exceed gamma_tot={gamma_tot}")
 
-    w_drive = TWO_PI * omega
-    w_delta = TWO_PI * delta
-    w_gamma = TWO_PI * gamma
-    w_tot = TWO_PI * gamma_tot
-    w_deph = 0.5 * w_tot
-
-    # d/dt (p1, p2, p3, re13, im13) = gen @ (...); constant coefficients,
-    # so the state at time t is expm(gen * t) applied to e0.
-    gen = np.array(
-        [
-            [0.0, 0.0, w_tot - w_gamma, 0.0, w_drive],
-            [0.0, 0.0, w_gamma, 0.0, 0.0],
-            [0.0, 0.0, -w_tot, 0.0, -w_drive],
-            [0.0, 0.0, 0.0, -w_deph, w_delta],
-            [-0.5 * w_drive, 0.0, 0.5 * w_drive, -w_delta, -w_deph],
-        ]
-    )
-    return propagate(gen, np.eye(len(gen))[0], t_grid)[:, :3]
+    drive = _emitter("e", "g1")
+    h = delta * _emitter("e", "e") + omega / 2.0 * (drive + drive.T)
+    gen = lv.hamiltonian_superoperator(h)
+    for op, rate in ((_emitter("g2", "e"), gamma), (_emitter("g1", "e"), gamma_tot - gamma)):
+        gen += lv.lindblad_dissipator(lv.CollapseChannel(op, TWO_PI * rate))
+    # The populations of the column-stacked 3 x 3 state sit at 0, 4 and 8.
+    return propagate(gen, lv.vec(_emitter("g1", "g1")), t_grid)[:, ::4].real
 
 
 def propagate(gen: np.ndarray, start: np.ndarray, t_grid: np.ndarray) -> np.ndarray:

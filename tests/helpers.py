@@ -336,8 +336,11 @@ def rk45_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
 
 
 def bare_lambda_generator(omega, delta, gamma, gamma_tot):
-    """The five-component generator of ``oracle.bare_lambda_evolve``:
-    d/dt (p1, p2, p3, re13, im13) = gen @ (...)."""
+    """Hand-derived generator of the bare driven emitter on five real
+    components, d/dt (p1, p2, p3, re13, im13) = gen @ (...): the three
+    populations and the drive coherence, decaying at gamma_tot / 2.  An
+    independent reference for ``oracle.bare_lambda_evolve``, which builds
+    its 3 x 3 Lindblad generator from the shared superoperators instead."""
     w_drive, w_delta, w_gamma, w_tot = (TWO_PI * x for x in (omega, delta, gamma, gamma_tot))
     w_deph = 0.5 * w_tot
     return np.array(
@@ -352,9 +355,10 @@ def bare_lambda_generator(omega, delta, gamma, gamma_tot):
 
 
 def expm_bare_populations(omega, delta, gamma, gamma_tot, t_grid):
-    """``oracle.bare_lambda_evolve``'s populations with one scipy matrix
+    """(initial ground, target ground, excited) populations of the bare
+    emitter from :func:`bare_lambda_generator`, with one scipy matrix
     exponential per grid time, expm(gen * t) applied to the initial
-    state, on the same five-component generator."""
+    state; shares no generator with ``oracle.bare_lambda_evolve``."""
     gen = bare_lambda_generator(omega, delta, gamma, gamma_tot)
     return expm(gen * np.asarray(t_grid, dtype=float)[:, None, None])[:, :3, 0]
 

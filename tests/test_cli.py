@@ -93,6 +93,21 @@ def test_spectrum_deterministic_with_full_header(capsys, tmp_path):
     assert target.read_text() == first
 
 
+def test_csv_writer_formats_every_cell_as_fmt(capsys):
+    """The table writer's one-% formatting writes each float, the
+    non-finite ones, signed zero and the extremes included, and the 0/1
+    flags exactly as _fmt does."""
+    values = [
+        float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+        1.7976931348623157e308, 0.1, 1.0 / 3.0, 0, 1,
+    ]
+    rows = [(value,) for value in values]
+    cli._write_csv("test", cli.RunConfig(ModelParams()), {}, ("value",), rows, None)
+    text = capsys.readouterr().out
+    assert text.splitlines()[-len(values) - 1] == "# columns: value"
+    assert data_rows(text) == [cli._fmt(value) for value in values]
+
+
 def test_spectrum_filter_zeroes_outside_band(capsys):
     code, out, _ = run_cli(
         capsys,

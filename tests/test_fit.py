@@ -16,6 +16,7 @@ from cavity_raman import (
     ModelParams,
     NoConvergence,
     PeakFit,
+    PhononFit,
     RsPoint,
     VanishingSpontaneous,
     dressed_states,
@@ -397,26 +398,38 @@ def test_overflowing_window_frequency_fails_only_its_point(paper_params):
     assert "rotating-frame frequency" in str(error) and "2 pi nu overflows" in str(error)
 
 
-def test_zero_width_window_is_refused_before_its_fit(monkeypatch, paper_params):
-    """A line whose start width is zero gets DomainError("initial fwhm must
-    be nonzero") as its point's outcome, stacked and alone; the other point
-    of the stack keeps bitwise the fits it gets alone."""
-    other = replace(paper_params, delta_laser=35.0, delta_cavity=35.0)
+def _assert_window_refused(monkeypatch, params, column, value, message):
+    """Setting the Raman line's ``column`` (0 center, 1 width) of ``params``
+    to ``value`` makes DomainError(``message``) its outcome, stacked and
+    alone, with no warning on the way (the suite makes one an error); the
+    other point of the stack keeps bitwise the fits it gets alone."""
+    other = replace(params, delta_laser=35.0, delta_cavity=35.0)
     expected = fit_emission_lines(other)
     line_table = fit_mod.spectrum_mod.line_table
 
-    def zero_raman_width(points):
+    def patched_raman_line(points):
         table = line_table(points)
         roles = table.roles.copy()
-        roles[table.delta_laser == paper_params.delta_laser, 0, 1] = 0.0
+        roles[table.delta_laser == params.delta_laser, 0, column] = value
         return replace(table, roles=roles)
 
-    monkeypatch.setattr(fit_mod.spectrum_mod, "line_table", zero_raman_width)
-    refused, kept = fit_emission_lines([paper_params, other])
-    assert type(refused) is DomainError and str(refused) == "initial fwhm must be nonzero"
-    with pytest.raises(DomainError, match="^initial fwhm must be nonzero$"):
-        fit_emission_lines(paper_params)
+    monkeypatch.setattr(fit_mod.spectrum_mod, "line_table", patched_raman_line)
+    refused, kept = fit_emission_lines([params, other])
+    assert type(refused) is DomainError and str(refused) == message
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        fit_emission_lines(params)
     assert helpers.same_outcome(kept, expected)
+
+
+def test_zero_width_window_is_refused_before_its_fit(monkeypatch, paper_params):
+    _assert_window_refused(monkeypatch, paper_params, 1, 0.0, "initial fwhm must be nonzero")
+
+
+@pytest.mark.parametrize("column", [0, 1], ids=["nan_center", "nan_width"])
+def test_non_finite_window_is_refused_before_its_fit(monkeypatch, paper_params, column):
+    """The window of a NaN center or width is refused from its axis, before
+    the spectrum is sampled on it."""
+    _assert_window_refused(monkeypatch, paper_params, column, math.nan, "data must be finite")
 
 
 def test_line_windows_match_per_point_loop():
@@ -1033,6 +1046,53 @@ def test_refit_falls_back_when_a_secant_trial_vanishes(monkeypatch, paper_params
     np.testing.assert_allclose(starts[0], leading, rtol=1e-12)
     assert result.exponent == pytest.approx(0.4, abs=1e-6)
     assert result.prefactor == pytest.approx(0.8, rel=1e-6)
+
+
+def test_refit_penalizes_lm_trials_that_vanish(monkeypatch, paper_params):
+    """A detuning whose spontaneous line vanishes at every density but the
+    reference s = 1 sends the refit to its log-log fallback start, and its
+    LM rows become the 1e6 (1 + |ratio|) penalty instead of raising: the
+    refit returns a PhononFit, and the LM solved that detuning again."""
+    points = [
+        predict_rs(
+            replace(paper_params, delta_laser=d, delta_cavity=d,
+                    phonon_alpha1=0.8, phonon_alpha2=0.8, phonon_n=0.4)
+        )[0]
+        for d in np.linspace(15.0, 95.0, 9).tolist()
+    ]
+    ratios = np.array([point.ratio for point in points])
+    log_deltas = np.log([point.delta for point in points])
+    vanishing = points[4].delta
+    reference, starts, solves = [], [], []
+    predict = fit_mod.predict_rs
+    lm_minimize = leastsq.minimize
+
+    def vanishing_predict(trials):
+        outcomes = predict(trials)
+        for k, params in enumerate(trials):
+            if params.phonon_alpha1 == 1.0:
+                reference.append(outcomes[k][0].ratio)
+            elif params.delta_laser == vanishing:
+                solves.append(len(starts))
+                outcomes[k] = VanishingSpontaneous("spontaneous line extinguished")
+        return outcomes
+
+    def recording_lm(residual, jacobian, x0, *args, **kwargs):
+        if np.shape(x0)[1] == 2:
+            starts.append(np.array(x0[0]))
+        return lm_minimize(residual, jacobian, x0, *args, **kwargs)
+
+    monkeypatch.setattr(fit_mod, "predict_rs", vanishing_predict)
+    monkeypatch.setattr(leastsq, "minimize", recording_lm)
+    result = fit_phonon_exponent(points, paper_params)
+    assert isinstance(result, PhononFit)
+    assert len(reference) == len(points)
+    design = np.column_stack([np.ones_like(log_deltas), log_deltas])
+    leading, *_ = np.linalg.lstsq(design, np.log(np.array(reference) / ratios), rcond=None)
+    np.testing.assert_allclose(starts[0], leading, rtol=1e-12)
+    # Solved in the secant before the LM began, then by the LM.
+    assert solves[0] == 0
+    assert solves.count(1) >= 1
 
 
 def _sequential_start(points, params):

@@ -249,7 +249,9 @@ def test_bare_emitter_steps_match_per_time_expm(case, paper_params):
     exponential per grid time, on validate's bare-emitter grid, on a grid
     whose steps all differ, and there through oracle.propagate on the
     default point's complex 16x16 generator; the total population stays
-    at one."""
+    at one.  On the bare emitter the two sides are independent
+    formulations: the oracle's 3 x 3 Lindblad generator against the
+    helpers' hand-derived five-component one."""
     grid = 0.3 + np.cumsum(np.random.default_rng(5).uniform(0.01, 0.5, 150))
     rates = (0.4, 4.0, 0.1, 0.2)
     if case == "validate":
