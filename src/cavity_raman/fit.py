@@ -484,8 +484,11 @@ def _line_plans(
     window frequency overflows raises stack.Failed.
     """
     delta = table.delta_laser[:, None]
-    centers = table.roles[:, :, 0] - delta
-    widths = table.roles[:, :, 1]
+    # A non-finite center or width is refused below, from its axis.  As NaN
+    # it passes the window arithmetic quietly, where inf would meet inf - inf.
+    roles = np.where(np.isfinite(table.roles[:, :, :2]), table.roles[:, :, :2], np.nan)
+    centers = roles[:, :, 0] - delta
+    widths = roles[:, :, 1]
     midpoint = 0.5 * (centers[:, :1] + centers[:, 1:])
     lo = centers - _LINE_WINDOW * widths
     hi = centers + _LINE_WINDOW * widths
@@ -590,7 +593,7 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
 
     Refits (prefactor, exponent) by running the full ratio pipeline at each
     detuning, driving both phonon channels with the same trial power law.
-    ``build_liouvillian`` always evaluates the spectral density at the laser
+    The generator always evaluates the spectral density at the laser
     detuning, so at detuning d the generator sees the pair only through
     s = alpha * d**n.  Every trial solves at phonon_alpha1 = phonon_alpha2 = s
     and phonon_n = 0, the same generator bit for bit, and no (d, s) is solved
@@ -606,7 +609,10 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
     the reference sweep instead, any other is raised.  Damped least squares
     refines the start with one central difference in ln s per detuning,
     times ln d for the exponent column, and stops at steps below 1e-9 in
-    (log alpha, n), where the ratios' ~1e-10 noise sets in.  A trial density
+    (log alpha, n), where the ratios' ~1e-10 noise sets in; its first
+    residual and Jacobian are solved as one batch.  A VanishingSpontaneous
+    trial is a penalty row of the LM, and one left at the LM's solution is
+    raised, the first in detuning order.  A trial density
     that overflows a float raises DomainError, and so do ratio errors that
     are zero at some detunings but not all; with every error zero the fit
     is unweighted.  Reported errors transform back to (exponent, prefactor)
@@ -726,28 +732,40 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
         except OverflowError:
             return [math.inf] * len(detunings)
 
+    # Step 1e-4 in ln s: the ~1e-10 pipeline noise moves the slope ~1e-6.
+    up = math.exp(1e-4)
+
+    def differences(x: np.ndarray) -> list[tuple[float, float]]:
+        """The keys of the Jacobian at x: each detuning's density up and down."""
+        return [(d, t) for d, s in zip(detunings, densities(x)) for t in (s * up, s / up)]
+
     def residual(x: np.ndarray) -> np.ndarray:
         trials = densities(x)
         solve(list(zip(detunings, trials)))
         return np.array([row(i, s) for i, s in enumerate(trials)])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        # Step 1e-4 in ln s: the ~1e-10 pipeline noise moves the slope ~1e-6.
-        up = math.exp(1e-4)
         trials = densities(x)
-        solve([(d, t) for d, s in zip(detunings, trials) for t in (s * up, s / up)])
+        solve(differences(x))
         column = np.array(
             [row(i, s * up) - row(i, s / up) for i, s in enumerate(trials)]
         ) / 2e-4
         return np.column_stack([column, column * log_deltas])
 
     x0 = np.asarray(start, dtype=float)[None]
+    # The LM evaluates the residual and then the Jacobian at its start:
+    # their keys are solved as one batch.
+    solve(list(zip(detunings, densities(x0[0]))) + differences(x0[0]))
     solution = leastsq.minimize(
         leastsq.single(residual), leastsq.single(jacobian), x0, step_floor=_REFIT_STEP_FLOOR
     )
     if solution.error(0) is not None:
         raise solution.error(0)
     x = solution.x[0]
+    # A penalty row has no slope, so a fit that ends on one means nothing.
+    for key in zip(detunings, densities(x)):
+        if isinstance(solved[key], VanishingSpontaneous):
+            raise solved[key]
     log_alpha, exponent = float(x[0]), float(x[1])
     alpha = math.exp(log_alpha)
 

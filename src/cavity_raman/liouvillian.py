@@ -1,9 +1,14 @@
-"""Lindblad dissipators and the vectorized Liouvillian.
+"""Lindblad dissipators, the vectorized Liouvillian and its charge blocks.
 
 Density matrices are vectorized by stacking columns, vec = rho.reshape(-1,
 order="F"), so a sandwich A rho B is the Kronecker product B.T (x) A acting
 on vec(rho).  Superoperators are in 1/ns: rates and Hamiltonians enter in
 GHz and are scaled by 2pi on the way in.
+
+Two builders share one list of jump channels and one set of failure rules:
+:func:`build_liouvillian`, the whole (16, 16) generator, and
+:func:`charge_blocks`, only its two blocks that the ratio pipeline reads,
+assembled from rank-one jumps.  The whole generator is their oracle.
 """
 from __future__ import annotations
 
@@ -26,6 +31,30 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
 
+def _charges(excitations: np.ndarray | None, dim: int) -> np.ndarray:
+    """Charge N_i - N_j of each vec position of a dim x dim matrix; all
+    zero without ``excitations``."""
+    if excitations is None:
+        return np.zeros(dim * dim, dtype=int)
+    counts = np.asarray(excitations)
+    if counts.shape != (dim,):
+        raise DomainError(f"need {dim} excitation numbers, got shape {counts.shape}")
+    return (counts[:, None] - counts[None, :]).reshape(-1, order="F")
+
+
+#: Excitation number N of each basis state, in model order: |g1,0>, |g2,1>
+#: and |e,0> hold the one quantum of drive or cavity, |g2,0> none.  No term
+#: of the generator changes the charge q = N_i - N_j of |i><j|, so it is
+#: block-diagonal in q.
+EXCITATIONS = np.array([1, 0, 1, 1])
+#: Vec positions of the q = 0 block, which holds the steady state: the ten
+#: |i><j| with N_i = N_j, in vec order.  And of the q = -1 block,
+#: |g2,0><j| for j in COHERENT_BLOCK: vec(a rho) of every q = 0 state rho
+#: lies in it, and so do the three correlation modes.  The q = +1 block is
+#: its complex conjugate.
+STATE_BLOCK, MODE_BLOCK = (np.flatnonzero(_charges(EXCITATIONS, DIM) == q) for q in (0, -1))
+
+
 @dataclass(frozen=True)
 class CollapseChannel:
     """One Lindblad jump operator with its angular rate in 1/ns.
@@ -44,14 +73,22 @@ class CollapseChannel:
         rates = np.ravel(self.rate)
         refused = ~(np.isfinite(rates) & (rates >= 0.0))
         if refused.any():
-            stack.unwrap(_rate_error(float(rates[np.argmax(refused)])))
+            raise DomainError(
+                f"collapse rate must be nonnegative, got {float(rates[np.argmax(refused)])}"
+            )
         object.__setattr__(self, "operator", op)
 
 
 def _rate_error(rate: float) -> DomainError | None:
-    if not math.isfinite(rate) or rate < 0.0:
-        return DomainError(f"collapse rate must be nonnegative, got {rate}")
-    return None
+    """The DomainError of a builder's channel rate in 1/ns, or None.  Every
+    rate comes from finite, nonnegative parameters, so the only one refused
+    is a rate that overflowed a float on its way in."""
+    if math.isfinite(rate):
+        return None
+    return DomainError(
+        f"collapse rate overflows a float (got {rate} 1/ns): a rate in GHz times "
+        "2 pi, or a phonon rate, is too large"
+    )
 
 
 def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -101,9 +138,7 @@ def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
 
 def cavity_annihilation() -> np.ndarray:
     """Photon annihilation restricted to the truncated basis."""
-    a = np.zeros((DIM, DIM), dtype=complex)
-    a[G2_0, G2_1] = 1.0
-    return a
+    return transition(G2_1, G2_0)
 
 
 def transition(upper: int, lower: int) -> np.ndarray:
@@ -123,13 +158,16 @@ def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
     leading-order choice.  Returned in the order up, down (minus branch),
     up, down (dark branch).
     """
-    ops, rates = stack.alone(_phonon_terms, params)
-    return [CollapseChannel(op, float(rate)) for op, rate in zip(ops, rates)]
+    kets, bras, rates = stack.alone(_phonon_terms, params)
+    return [
+        CollapseChannel(np.outer(u, v.conj()), float(rate))
+        for u, v, rate in zip(kets, bras, rates)
+    ]
 
 
-def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Operators (K, 4, 4, 4) and rates (K, 4) of every point's phonon
-    channels, in :func:`phonon_channels` order."""
+def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every point's phonon jumps |u><v| as their vectors u and v, (K, 4, 4)
+    each, and their rates (K, 4), in :func:`phonon_channels` order."""
     stack.fail({
         k: DomainError(f"phonon channels need a positive laser detuning, got {point.delta_laser}")
         for k, point in enumerate(points)
@@ -138,16 +176,14 @@ def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray
     vectors, _ = model.dressed_states(points)
     rates = [_phonon_rates(point) for point in points]
     stack.fail(rates)
-    # np.outer(left, right.conj()) of each point, for the (left, right)
-    # pairs (plus, minus), (minus, plus), (plus, dark), (dark, plus).
-    left, right = vectors[:, [2, 1, 2, 0], :, None], vectors.conj()[:, [1, 2, 0, 2], None, :]
-    return left * right, np.array(rates)
+    # The (u, v) pairs (plus, minus), (minus, plus), (plus, dark), (dark, plus).
+    return vectors[:, [2, 1, 2, 0]], vectors[:, [1, 2, 0, 2]], np.array(rates)
 
 
 def _phonon_rates(params: ModelParams) -> list[float] | DomainError:
     """Rates of the four phonon channels of one point, or the DomainError
-    of the first that CollapseChannel refuses, or of a power or quotient
-    that overflows a float."""
+    of the first that overflows, or of a power or quotient that overflows
+    a float."""
     split = params.delta_laser
     occupation = 0.0 if params.kT == 0.0 else model.n_thermal(split, params.kT)
     try:
@@ -169,13 +205,61 @@ def _phonon_rates(params: ModelParams) -> list[float] | DomainError:
     return next(filter(None, map(_rate_error, rates)), rates)
 
 
-# Cavity decay, spontaneous emission, and ground-state reshuffling.
+# Cavity decay, spontaneous emission, and ground-state reshuffling: the
+# jump |lower><upper| of each, and the parameter of its rate in GHz.
 _FIXED_CHANNELS = (
-    (cavity_annihilation(), "kappa"),
-    (transition(E_0, G1_0), "gamma1"),
-    (transition(E_0, G2_0), "gamma2"),
-    (transition(G2_0, G1_0), "gamma_flip"),
+    (G2_1, G2_0, "kappa"),
+    (E_0, G1_0, "gamma1"),
+    (E_0, G2_0, "gamma2"),
+    (G2_0, G1_0, "gamma_flip"),
 )
+
+
+def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The eight jump channels of every point, the prologue of both
+    builders: rates (K, 8) in 1/ns, and each jump L = |u><v| as its vectors
+    u and v, (K, 8, 4) each.  The four fixed channels come first, in
+    ``_FIXED_CHANNELS`` order, then the phonon channels, in
+    :func:`phonon_channels` order.  Also returns the positions of the
+    points with phonons; the others get no phonon term, as alone, so they
+    never meet the phonon channels' errors (a non-positive laser detuning,
+    coinciding dressed frequencies).  Raises stack.Failed for the points
+    whose rates overflow or whose phonon channels fail, in that order."""
+    count = len(points)
+    rates = np.zeros((count, 8))
+    rates[:, :4] = np.reshape(
+        [[TWO_PI * getattr(point, name) for *_, name in _FIXED_CHANNELS] for point in points],
+        (-1, 4),
+    )
+    stack.fail([next(filter(None, map(_rate_error, row)), None) for row in rates.tolist()])
+    u, v = np.zeros((2, count, 8, DIM), dtype=complex)
+    for j, (upper, lower, _) in enumerate(_FIXED_CHANNELS):
+        u[:, j, lower] = v[:, j, upper] = 1.0
+    phonon = [
+        k
+        for k, point in enumerate(points)
+        if point.phonon_alpha1 > 0.0 or point.phonon_alpha2 > 0.0
+    ]
+    if phonon:
+        try:
+            u[phonon, 4:], v[phonon, 4:], rates[phonon, 4:] = _phonon_terms(
+                [points[k] for k in phonon]
+            )
+        except stack.Failed as failed:
+            stack.fail({phonon[j]: error for j, error in failed.errors.items()})
+    return rates, u, v, phonon
+
+
+def _refuse_non_finite(*blocks: np.ndarray) -> None:
+    """Raise stack.Failed for the generators with a non-finite entry in any
+    of ``blocks``, stacks of their (n, n) blocks: rates that are finite
+    alone can overflow in their sum, and such a generator is refused before
+    any LAPACK routine sees it."""
+    finite = np.logical_and.reduce([np.isfinite(block).all(axis=(1, 2)) for block in blocks])
+    stack.fail({
+        k: DomainError("generator has a non-finite entry: its rates overflow a float")
+        for k in np.flatnonzero(~finite).tolist()
+    })
 
 
 def build_liouvillian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
@@ -191,45 +275,66 @@ def build_liouvillian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray
     return _build(params)
 
 
-# Rates that are finite alone can overflow in their sum; such a generator
-# is refused at the end, before any LAPACK routine sees it.
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # refused at the end
 def _build(points: Sequence[ModelParams]) -> np.ndarray:
-    rates = np.array(
-        [[TWO_PI * getattr(point, name) for _, name in _FIXED_CHANNELS] for point in points]
-    ).reshape(-1, len(_FIXED_CHANNELS))
-    stack.fail([next(filter(None, map(_rate_error, row)), None) for row in rates.tolist()])
-
+    rates, u, v, phonon = _channels(points)
     # The phonon terms are summed on their own, from 0, and added last: the
-    # last bits of every output depend on this order.  They are summed
+    # last bits of every generator depend on this order.  They are summed
     # first, so that at most three stack-sized arrays are alive at a time.
-    # Points without phonons get no term, as alone, so they never meet the
-    # phonon channels' errors (a non-positive laser detuning, coinciding
-    # dressed frequencies).
-    phonon = [
-        k
-        for k, point in enumerate(points)
-        if point.phonon_alpha1 > 0.0 or point.phonon_alpha2 > 0.0
-    ]
     total = 0
-    if phonon:
-        try:
-            ops, phonon_rates = _phonon_terms([points[k] for k in phonon])
-        except stack.Failed as failed:
-            stack.fail({phonon[j]: error for j, error in failed.errors.items()})
-        for j in range(ops.shape[1]):
-            total += lindblad_dissipator(CollapseChannel(ops[:, j], phonon_rates[:, j]))
+    for j in range(4, 8) if phonon else ():
+        ops = u[phonon, j, :, None] * v[phonon, j, None, :].conj()
+        total += lindblad_dissipator(CollapseChannel(ops, rates[phonon, j]))
 
     gens = hamiltonian_superoperator(model.build_hamiltonian(points))
-    for j, (op, _) in enumerate(_FIXED_CHANNELS):
-        gens += lindblad_dissipator(CollapseChannel(op, rates[:, j]))
+    for j, (upper, lower, _) in enumerate(_FIXED_CHANNELS):
+        gens += lindblad_dissipator(CollapseChannel(transition(upper, lower), rates[:, j]))
     if phonon:
         gens[phonon] += total
-    stack.fail({
-        k: DomainError("generator has a non-finite entry: its rates overflow a float")
-        for k in np.flatnonzero(~np.isfinite(gens).all(axis=(1, 2))).tolist()
-    })
+    _refuse_non_finite(gens)
     return gens
+
+
+def charge_blocks(
+    params: ModelParams | Sequence[ModelParams],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's q = 0 block at ``STATE_BLOCK`` and its q = -1 block
+    at ``MODE_BLOCK``, 1/ns, without the whole generator.
+
+    Every jump is rank one, L = |u><v|, so with the effective
+    non-Hermitian Hamiltonian G = -2 pi i H - (1/2) sum_c rate_c L_c^dag L_c
+    (Dalibard, Castin and Molmer, PRL 68, 580 (1992)) the entry of row
+    |i><j| and column |k><l| is
+    G[i,k] d[j,l] + d[i,k] G*[j,l] + sum_c rate_c u_i u_j* v_k* v_l.
+    The blocks equal the slices of :func:`build_liouvillian` up to
+    rounding, and fail as it does.  Given one operating point, returns its
+    (10, 10) and (3, 3) blocks or raises; given a sequence of K, the
+    (K, 10, 10) and (K, 3, 3) stacks, or raises stack.Failed for the
+    points that fail.  Each point's blocks are bitwise the ones it gets
+    alone.
+    """
+    if isinstance(params, ModelParams):
+        return stack.alone(_charge_blocks, params)
+    return _charge_blocks(params)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # refused at the end
+def _charge_blocks(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
+    rates, u, v, _ = _channels(points)
+    # L^dag L = <u|u> |v><v|.
+    decay = (rates * np.sum(np.abs(u) ** 2, axis=-1))[:, None, :] * np.swapaxes(v, 1, 2)
+    g = -1j * TWO_PI * model.build_hamiltonian(points) - 0.5 * (decay @ v.conj())
+    blocks = []
+    for positions in (STATE_BLOCK, MODE_BLOCK):
+        i, j = positions % DIM, positions // DIM
+        block = np.where(j[:, None] == j, g[:, i[:, None], i], 0.0)
+        block += np.where(i[:, None] == i, g[:, j[:, None], j].conj(), 0.0)
+        # One (n, 8) @ (8, n) product sums the eight jumps' sandwiches.
+        left = rates[:, None, :] * np.swapaxes(u[:, :, i] * u[:, :, j].conj(), 1, 2)
+        block += left @ (v[:, :, i].conj() * v[:, :, j])
+        blocks.append(block)
+    _refuse_non_finite(*blocks)
+    return tuple(blocks)
 
 
 #: Kernel test of steady_state: the second-smallest singular value must
@@ -262,12 +367,42 @@ def steady_state(gen: np.ndarray, excitations: np.ndarray | None = None) -> np.n
     return solve(gen)
 
 
+def block_steady_state(state_block: np.ndarray, mode_block: np.ndarray) -> np.ndarray:
+    """Unique trace-one steady state (4, 4) of the generator whose
+    :func:`charge_blocks` are ``state_block`` and ``mode_block``: the
+    sector solve of :func:`steady_state` with ``EXCITATIONS``, on the
+    blocks alone.  Its kernel test reads the union of the q = 0 block's
+    singular values and the q = -1 block's, counted twice: the q = +1
+    block is the conjugate of the q = -1 block, so it has the same ones.
+    Given (K, 10, 10) and (K, 3, 3) stacks, returns the (K, 4, 4) states
+    or raises stack.Failed for the generators that fail.
+    """
+    if np.ndim(state_block) == 2:
+        return stack.alone(block_steady_state, state_block, mode_block)
+    return _kernel_test(*_block_null_vectors(state_block, mode_block))
+
+
+def _block_null_vectors(state_block: np.ndarray, mode_block: np.ndarray):
+    """:func:`_sector_null_vectors` of generators given by their charge
+    blocks: the q = -1 block stands for itself and its conjugate."""
+    return _sector_null_vectors(state_block, [(mode_block, 2)], STATE_BLOCK, DIM * DIM)
+
+
 def _steady_states(gen: np.ndarray, excitations: np.ndarray | None) -> np.ndarray:
-    count, size = gen.shape[0], gen.shape[-1]
+    size = gen.shape[-1]
     dim = math.isqrt(size)
     if dim * dim != size:
         raise DomainError(f"vector of length {size} is not a stacked square matrix")
-    vectors, svals = _null_vectors(gen, _charges(excitations, dim))
+    return _kernel_test(*_null_vectors(gen, _charges(excitations, dim)))
+
+
+def _kernel_test(vectors: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    """The states (K, dim, dim) of a stack of column-stacked null vectors
+    (K, dim * dim), hermitian and of trace one, or stack.Failed for the
+    generators whose kernel is degenerate (by the union of their sectors'
+    singular values ``svals``, in descending order) or whose null vector
+    is traceless: the one kernel test of the package."""
+    count, dim = len(vectors), math.isqrt(vectors.shape[-1])
     # Each row is a column-stacked square matrix: undo the stacking.
     rho = np.swapaxes(vectors.reshape(count, dim, dim), -1, -2)
     rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
@@ -285,23 +420,11 @@ def _steady_states(gen: np.ndarray, excitations: np.ndarray | None) -> np.ndarra
     return rho / traces[:, None, None]
 
 
-def _charges(excitations: np.ndarray | None, dim: int) -> np.ndarray:
-    """Charge N_i - N_j of each vec position of a dim x dim matrix; all
-    zero without ``excitations``."""
-    if excitations is None:
-        return np.zeros(dim * dim, dtype=int)
-    counts = np.asarray(excitations)
-    if counts.shape != (dim,):
-        raise DomainError(f"need {dim} excitation numbers, got shape {counts.shape}")
-    return (counts[:, None] - counts[None, :]).reshape(-1, order="F")
-
-
 def _null_vectors(gen: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null vectors (K, n) of a stack of generators, each the last right
-    singular vector of its q = 0 sector placed at that sector's positions,
-    and the (K, n) union of every sector's singular values in descending
-    order; raises Failed for a generator with a nonzero entry between
-    sectors, or whose SVD fails."""
+    """Null vectors (K, n) of a stack of generators, and the union of
+    their sectors' singular values, by :func:`_sector_null_vectors` on the
+    sectors of ``charges``; raises Failed for a generator with a nonzero
+    entry between sectors."""
     # Not np.unique: its first call in a process adds about 0.5 MB to the
     # peak memory of every sweep.
     sectors = [charges == q for q in [0] + sorted(set(charges.tolist()) - {0})]
@@ -314,19 +437,36 @@ def _null_vectors(gen: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.
         for k in np.flatnonzero(leaks.any(axis=(1, 2))).tolist()
         for row, col in [np.unravel_index(np.argmax(leaks[k]), leaks.shape[1:])]
     })
-    zero = sectors[0]
-    (_, svals, vh), errors = stack.linalg(np.linalg.svd, gen[:, zero][:, :, zero])
+    blocks = [gen[:, sector][:, :, sector] for sector in sectors]
+    return _sector_null_vectors(
+        blocks[0], [(block, 1) for block in blocks[1:]], np.flatnonzero(sectors[0]), len(charges)
+    )
+
+
+def _sector_null_vectors(
+    zero: np.ndarray, others: list[tuple[np.ndarray, int]], positions: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Null vectors (K, size) of a stack of generators given by their
+    charge sectors, and the (K, size) union of every sector's singular
+    values in descending order; raises Failed for a generator whose SVD
+    fails.
+
+    ``zero`` holds the q = 0 blocks, at the vec ``positions``: each null
+    vector is its block's last right singular vector there, and exactly
+    zero elsewhere.  ``others`` pairs the blocks of each other sector with
+    the number of sectors that share their singular values."""
+    (_, svals, vh), errors = stack.linalg(np.linalg.svd, zero)
     values = [svals]
-    for sector in sectors[1:]:
+    for block, copies in others:
         (sector_values,), sector_errors = stack.linalg(
-            functools.partial(np.linalg.svd, compute_uv=False), gen[:, sector][:, :, sector]
+            functools.partial(np.linalg.svd, compute_uv=False), block
         )
-        values.append(sector_values)
+        values += [sector_values] * copies
         errors = [first or later for first, later in zip(errors, sector_errors)]
     stack.fail(errors)
     union = np.sort(np.concatenate(values, axis=1), axis=1)[:, ::-1]
-    vectors = np.zeros(gen.shape[:2], dtype=complex)
-    vectors[:, zero] = vh[:, -1].conj()
+    vectors = np.zeros((len(zero), size), dtype=complex)
+    vectors[:, positions] = vh[:, -1].conj()
     # Where another sector holds the smallest singular value, the kernel
     # lies off the diagonal, so the null vector of the whole generator is
     # traceless: zero, as the trace test reads it.

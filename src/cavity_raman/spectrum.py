@@ -4,7 +4,9 @@ The field correlation <a^dag(tau) a(0)> evolves under the same generator as
 the density matrix, so its Laplace transform is a sum of three complex
 Lorentzians, one per eigenvalue of the generator's 3 x 3 block that holds
 a rho_ss.  Everything here works with that exact mode decomposition; no
-time grid is involved.
+time grid is involved.  The spectra and the line table solve a point on
+its two charge blocks (``liouvillian.charge_blocks``), never forming the
+whole generator.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 from . import liouvillian as lv
 from . import stack
 from .errors import DegenerateSpectrum, DomainError, UnstableLiouvillian
-from .model import COHERENT_BLOCK, DIM, G2_0, G2_1, ModelParams
+from .model import COHERENT_BLOCK, G2_1, ModelParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,10 +30,9 @@ STABILITY_TOL = 1e-10
 #: 65,536 samples of one mode, about 1 MB each, whatever the grid size.
 MIXTURE_BLOCK = 65536
 
-#: Vec indices of |g2,0><j|, j in COHERENT_BLOCK: the block of charge
-#: q = +1, where q = [i = g2,0] - [j = g2,0] of |i><j|.  No term of the
-#: generator changes q, and vec(a rho_ss) lies in this block.
-_CHARGE_BLOCK = np.array([G2_0 + DIM * j for j in COHERENT_BLOCK])
+#: Vec indices of |g2,0><j|, j in COHERENT_BLOCK: the generator's block of
+#: charge q = -1, which holds vec(a rho_ss).
+_CHARGE_BLOCK = lv.MODE_BLOCK
 
 
 @dataclass(frozen=True)
@@ -83,25 +84,34 @@ def generator_modes(
     gen: np.ndarray, rho_ss: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """Eigenvalues and spectral residues of the field correlation function
-    of a built generator ``gen`` and its steady state ``rho_ss``.
+    of a built generator ``gen`` and its steady state ``rho_ss``: the
+    :func:`block_modes` of its q = -1 block (``_CHARGE_BLOCK``).  Takes a
+    (16, 16) generator and a (4, 4) state, or stacks of K of each."""
+    return block_modes(gen[..., _CHARGE_BLOCK[:, None], _CHARGE_BLOCK], rho_ss)
+
+
+def block_modes(
+    block: np.ndarray, rho_ss: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    """Eigenvalues and spectral residues of the field correlation function
+    of a generator's q = -1 block ``block`` (3 x 3, at ``_CHARGE_BLOCK``)
+    and its steady state ``rho_ss``.
 
     Returns ``(lambdas, residues, photon_number)`` where
     <a^dag(tau) a> = sum_j residues[j] * exp(lambdas[j] tau), lambdas in
-    1/ns.  The three modes are those of the generator's q = +1 block
-    (``_CHARGE_BLOCK``); none is stationary.  The residues sum to the
-    steady photon number by construction (the final linear solve enforces
-    it), which the spectrum normalization relies on.  An eigenvalue with
-    real part of at least ``STABILITY_TOL`` raises UnstableLiouvillian.
+    1/ns.  The three modes are those of the block; none is stationary.
+    The residues sum to the steady photon number by construction (the
+    final linear solve enforces it), which the spectrum normalization
+    relies on.  An eigenvalue with real part of at least ``STABILITY_TOL``
+    raises UnstableLiouvillian.
 
-    Given stacks, (K, 16, 16) generators and (K, 4, 4) states, makes one
-    ``eig`` and one ``solve`` of the (K, 3, 3) q = +1 blocks and returns
-    arrays of shapes (K, 3) and (K,), or raises stack.Failed for the
-    points that fail.
+    Given stacks, (K, 3, 3) blocks and (K, 4, 4) states, makes one ``eig``
+    and one ``solve`` and returns arrays of shapes (K, 3) and (K,), or
+    raises stack.Failed for the points that fail.
     """
-    if np.ndim(gen) == 2:
-        lambdas, residues, photons = stack.alone(generator_modes, gen, rho_ss)
+    if np.ndim(block) == 2:
+        lambdas, residues, photons = stack.alone(block_modes, block, rho_ss)
         return lambdas, residues, float(photons)
-    block = gen[:, _CHARGE_BLOCK[:, None], _CHARGE_BLOCK]
     (lambdas, rvecs), errors = stack.linalg(np.linalg.eig, block)
     stack.fail(errors)
     worst = np.max(lambdas.real, axis=1)
@@ -122,6 +132,13 @@ def generator_modes(
     stack.fail(errors)
     residues = rvecs[:, COHERENT_BLOCK.index(G2_1)] * weights[:, :, 0]
     return lambdas, residues, rho_ss[:, G2_1, G2_1].real
+
+
+def _solved_modes(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The correlation modes (K, 3), (K, 3) and photon numbers (K,) of a
+    stack of points, solved on their charge blocks, or stack.Failed."""
+    state, modes = lv.charge_blocks(points)
+    return block_modes(modes, lv.block_steady_state(state, modes))
 
 
 def mixture_intensity(
@@ -180,8 +197,7 @@ def emission_spectrum(params: ModelParams, freqs_lab: np.ndarray) -> Spectrum:
     evaluated at freqs_lab + delta_cavity; its axis is those offsets minus
     delta_cavity, which may differ from ``freqs_lab`` in the last bit.
     """
-    gen = lv.build_liouvillian(params)
-    lambdas, residues, _ = generator_modes(gen, lv.steady_state(gen))
+    lambdas, residues, _ = stack.alone(_solved_modes, params)
     nu_rot = np.asarray(freqs_lab, dtype=float) + params.delta_cavity
     intensity = mixture_intensity(nu_rot, lambdas, residues, params.kappa)
     return Spectrum(freqs=nu_rot - params.delta_cavity, intensity=intensity)
@@ -230,8 +246,9 @@ class LineTable:
 def line_table(points: Sequence[ModelParams]) -> LineTable:
     """Solve a stack of points and label their emission lines by role.
 
-    Solves the stack's correlation modes (one generator build and SVD,
-    one 3 x 3 ``eig`` and ``solve``), keeps the lines whose area exceeds
+    Solves the stack's correlation modes on its charge blocks (one block
+    assembly, one 10 x 10 and one 3 x 3 SVD, one 3 x 3 ``eig`` and
+    ``solve``), keeps the lines whose area exceeds
     1e-13 of the largest and sorts them by center (ties in mode order).
     Lines wider than half the cavity linewidth are cavity-like background
     (the broad pedestal of strongly filtered emission); among the narrow
@@ -242,8 +259,7 @@ def line_table(points: Sequence[ModelParams]) -> LineTable:
     nothing (steady photon number below ``EMISSION_FLOOR``), fewer than
     two narrow lines, then the roles' collapse onto one line.
     """
-    gens = lv.build_liouvillian(points)
-    lambdas, residues, photons = generator_modes(gens, lv.steady_state(gens))
+    lambdas, residues, photons = _solved_modes(points)
     kappa = np.array([p.kappa for p in points])
     delta_laser = np.array([p.delta_laser for p in points])
     areas = TWO_PI * kappa[:, None] * residues.real

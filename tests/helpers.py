@@ -19,13 +19,11 @@ from cavity_raman import (
     DomainError,
     ModelParams,
     NonUniqueSteadyState,
-    build_liouvillian,
     n_thermal,
-    steady_state,
 )
 from cavity_raman import stack
-from cavity_raman.liouvillian import KERNEL_RTOL
-from cavity_raman.spectrum import generator_modes
+from cavity_raman.liouvillian import KERNEL_RTOL, block_steady_state, charge_blocks
+from cavity_raman.spectrum import block_modes
 
 TWO_PI = 2.0 * np.pi
 
@@ -221,9 +219,10 @@ def dense_steady_state(gen) -> np.ndarray:
 
 def point_modes(params):
     """(lambdas, residues, photon_number) of one point's correlation modes,
-    read from its built generator and steady state."""
-    gen = build_liouvillian(params)
-    return generator_modes(gen, steady_state(gen))
+    solved alone on its charge blocks, as ``spectrum.line_table`` solves
+    them."""
+    state, modes = charge_blocks(params)
+    return block_modes(modes, block_steady_state(state, modes))
 
 
 def same_bits(a, b) -> bool:

@@ -354,16 +354,16 @@ def test_zero_emission_sweep_exits_3(capsys):
 
 
 def test_each_operating_point_is_solved_once(capsys, monkeypatch, paper_params):
-    """Every point is built once, in grid order, counting the points of
-    each stacked build."""
+    """Every point's charge blocks are assembled once, in grid order,
+    counting the points of each stacked assembly."""
     built = []
-    build = lv.build_liouvillian
+    build = lv.charge_blocks
 
     def counting_build(params):
         built.extend([params] if isinstance(params, ModelParams) else params)
         return build(params)
 
-    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
+    monkeypatch.setattr(lv, "charge_blocks", counting_build)
     fit_mod.predict_rs(paper_params)
     assert built == [paper_params]
     built.clear()
@@ -498,16 +498,22 @@ def test_unwritable_out_exits_2(capsys, tmp_path, target, errno_code):
 
 def test_unwritable_out_is_refused_before_the_work(capsys, monkeypatch, tmp_path):
     """An --out in a directory that does not exist exits 2 with the
-    write-time message before any generator is built, and a command that
-    fails in its work leaves an existing --out file as it was."""
+    write-time message before any generator or charge block is built, and
+    a command that fails in its work leaves an existing --out file as it
+    was."""
     built = []
-    build = lv.build_liouvillian
+    build, blocks = lv.build_liouvillian, lv.charge_blocks
 
     def counting_build(params):
         built.append(params)
         return build(params)
 
+    def counting_blocks(params):
+        built.append(params)
+        return blocks(params)
+
     monkeypatch.setattr(lv, "build_liouvillian", counting_build)
+    monkeypatch.setattr(lv, "charge_blocks", counting_blocks)
     path = "/nonexistent-dir/x"
     for command in (["validate"], ["sweep-detuning", "--sweep-count", "81"]):
         code, out, err = run_cli(capsys, [*command, "--out", path])
@@ -679,13 +685,22 @@ def test_fit_phonon_error_bars_mixed_with_zeros_exit_2(capsys, tmp_path):
          "error: computing the cavity enhancement overflows a float\n"),
         (["rates", "--json", "--nu0-thz", "1e308"], None,
          "error: computing the quality factor overflows a float\n"),
+        (["sweep-cavity", "--sweep-count", "3", "--kappa", "1e308"], None,
+         "error: collapse rate overflows a float (got inf 1/ns): a rate in GHz times 2 pi, "
+         "or a phonon rate, is too large\n"),
+        (["sweep-detuning", "--sweep-count", "3", "--phonon-alpha1", "1e308"], None,
+         "error: collapse rate overflows a float (got inf 1/ns): a rate in GHz times 2 pi, "
+         "or a phonon rate, is too large\n"),
+        (["sweep-detuning", "--sweep-count", "3", "--gamma1", "2e307", "--gamma2", "2e307"],
+         None, "error: generator has a non-finite entry: its rates overflow a float\n"),
     ],
     ids=["phonon_n_power", "g_squared", "tiny_detuning", "generator_sum", "lorentzian_errors",
          "exponential_errors", "lorentzian_weighted_squares", "exponential_weighted_squares",
          "spectrum_normalization", "grid_span", "grid_frequency", "sweep_span",
          "lorentzian_unweighted_squares", "exponential_unweighted_squares", "rates_g",
          "rates_omega", "rates_small_detuning", "rates_denormal_detuning", "rates_large_detuning",
-         "rates_kappa", "rates_enhancement", "rates_quality_factor"],
+         "rates_kappa", "rates_enhancement", "rates_quality_factor", "collapse_rate",
+         "phonon_rate", "generator_sum_sweep"],
 )
 def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
     """Inputs that overflow a float on the way to a solve, a fit weight or a

@@ -264,8 +264,8 @@ def test_stacked_dressed_states_fail_as_each_point_alone(monkeypatch, paper_para
     type and message of its error alone; the stack solved again without
     them gives every other point its vectors and frequencies alone, bit for
     bit; an empty sequence gives empty arrays.  A predict_rs of the mixed
-    points diagonalizes dressed states in one stacked eigh per build that
-    has phonon points, and re-solves nothing inside a build."""
+    points diagonalizes dressed states in one stacked eigh per charge-block
+    assembly that has phonon points, and re-solves nothing inside one."""
     points = _mixed_points(paper_params)
     alone = []
     for params in points:
@@ -288,7 +288,7 @@ def test_stacked_dressed_states_fail_as_each_point_alone(monkeypatch, paper_para
     assert vectors.shape == (0, 3, 4) and omegas.shape == (0, 3)
 
     built, diagonalized = [], []
-    build, eigh = lv.build_liouvillian, np.linalg.eigh
+    build, eigh = lv.charge_blocks, np.linalg.eigh
 
     def counting_build(points):
         built.append(len(points))
@@ -298,7 +298,7 @@ def test_stacked_dressed_states_fail_as_each_point_alone(monkeypatch, paper_para
         diagonalized.append(len(matrices))
         return eigh(matrices)
 
-    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
+    monkeypatch.setattr(lv, "charge_blocks", counting_build)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     predict_rs(points)
     assert built == [11, 10, 9, 8, 7, 5]
@@ -339,20 +339,21 @@ def test_point_taking_solves_keep_the_per_point_contract(monkeypatch, paper_para
     "solve", [fit_emission_lines, predict_rs], ids=["fit_emission_lines", "predict_rs"],
 )
 def test_stacks_are_solved_again_only_where_points_fail(monkeypatch, paper_params, solve):
-    """A stack whose points all solve is built once.  A stack with failing
-    points is built once more for each stage that some of its points fail
-    in, each time without them: on the mixed points above, the phonon
-    channels' detuning check, their dressed states, the phonon rates, the
-    steady state and the classification.  Failed fits and ratios are
-    outcomes of the last stage, and solve nothing again."""
+    """A stack whose points all solve has its charge blocks assembled once.
+    A stack with failing points is assembled once more for each stage that
+    some of its points fail in, each time without them: on the mixed
+    points above, the phonon channels' detuning check, their dressed
+    states, the phonon rates, the steady state and the classification.
+    Failed fits and ratios are outcomes of the last stage, and solve
+    nothing again."""
     built = []
-    build = lv.build_liouvillian
+    build = lv.charge_blocks
 
     def counting_build(points):
         built.append(len(points))
         return build(points)
 
-    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
+    monkeypatch.setattr(lv, "charge_blocks", counting_build)
     rng = np.random.default_rng(61)
     healthy = [helpers.random_valid_params(rng) for _ in range(12)]
     assert not any(isinstance(outcome, Exception) for outcome in solve(healthy))
@@ -425,11 +426,15 @@ def test_zero_width_window_is_refused_before_its_fit(monkeypatch, paper_params):
     _assert_window_refused(monkeypatch, paper_params, 1, 0.0, "initial fwhm must be nonzero")
 
 
-@pytest.mark.parametrize("column", [0, 1], ids=["nan_center", "nan_width"])
-def test_non_finite_window_is_refused_before_its_fit(monkeypatch, paper_params, column):
-    """The window of a NaN center or width is refused from its axis, before
-    the spectrum is sampled on it."""
-    _assert_window_refused(monkeypatch, paper_params, column, math.nan, "data must be finite")
+@pytest.mark.parametrize(
+    "column, value",
+    [(0, math.nan), (1, math.nan), (0, math.inf), (1, math.inf)],
+    ids=["nan_center", "nan_width", "inf_center", "inf_width"],
+)
+def test_non_finite_window_is_refused_before_its_fit(monkeypatch, paper_params, column, value):
+    """The window of a NaN or infinite center or width is refused from its
+    axis, before the spectrum is sampled on it."""
+    _assert_window_refused(monkeypatch, paper_params, column, value, "data must be finite")
 
 
 def test_line_windows_match_per_point_loop():
@@ -956,17 +961,18 @@ def test_refit_solves_no_operating_point_twice(
 
 
 def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
-    """The secant start lands on the exact table's (ln alpha, n), each
-    Jacobian solves two points per detuning in one pipeline call, each
-    residual at most one call, and the exponent column is the density
-    column times ln d.
+    """The secant start lands on the exact table's (ln alpha, n), the LM's
+    first residual and Jacobian are solved as one pipeline call of three
+    points per detuning before it starts, each later Jacobian solves two
+    points per detuning in one call, each residual at most one call, and
+    the exponent column is the density column times ln d.
 
     On this five-detuning table the refit took 375 pipeline solves with the
     log-log start and a two-column Jacobian; it now takes 59.
     """
     points = _five_detuning_table(paper_params)
     log_deltas = np.log([point.delta for point in points])
-    batches, starts, jacobians, residuals = [], [], [], []
+    batches, starts, jacobians, residuals, opening = [], [], [], [], []
     predict = fit_mod.predict_rs
     lm_minimize = leastsq.minimize
 
@@ -991,6 +997,7 @@ def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
             return jac
 
         starts.append(np.array(x0[0]))
+        opening.append(batches[-1])
         return lm_minimize(recorded_residual, recorded_jacobian, x0, *args, **kwargs)
 
     monkeypatch.setattr(fit_mod, "predict_rs", counting_predict)
@@ -1002,9 +1009,10 @@ def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
     (start,) = starts
     assert abs(start[0] - math.log(0.8)) <= 1e-8
     assert abs(start[1] - 0.4) <= 1e-8
-    assert jacobians
-    for sizes, jac in jacobians:
-        assert sizes == [2 * len(points)]
+    assert opening == [3 * len(points)]
+    assert jacobians and jacobians[0][0] == []
+    for k, (sizes, jac) in enumerate(jacobians):
+        assert sizes == ([2 * len(points)] if k else [])
         assert np.array_equal(jac[:, 1], jac[:, 0] * log_deltas)
     assert residuals
     assert all(len(sizes) <= 1 and sum(sizes) <= len(points) for sizes in residuals)
@@ -1051,48 +1059,48 @@ def test_refit_falls_back_when_a_secant_trial_vanishes(monkeypatch, paper_params
 def test_refit_penalizes_lm_trials_that_vanish(monkeypatch, paper_params):
     """A detuning whose spontaneous line vanishes at every density but the
     reference s = 1 sends the refit to its log-log fallback start, and its
-    LM rows become the 1e6 (1 + |ratio|) penalty instead of raising: the
-    refit returns a PhononFit, and the LM solved that detuning again."""
-    points = [
-        predict_rs(
-            replace(paper_params, delta_laser=d, delta_cavity=d,
-                    phonon_alpha1=0.8, phonon_alpha2=0.8, phonon_n=0.4)
-        )[0]
-        for d in np.linspace(15.0, 95.0, 9).tolist()
-    ]
+    LM rows become the 1e6 (1 + |ratio|) penalty instead of raising, and
+    the LM solved that detuning again.  A penalty row has no slope, so the
+    LM stops where the other rows allow: the refit raises that detuning's
+    VanishingSpontaneous at the LM's solution instead of returning a fit
+    whose numbers mean nothing."""
+    points = _nine_detuning_table(paper_params)
     ratios = np.array([point.ratio for point in points])
     log_deltas = np.log([point.delta for point in points])
     vanishing = points[4].delta
-    reference, starts, solves = [], [], []
+    reference, starts, solves, batches, opening = [], [], [], [], []
     predict = fit_mod.predict_rs
     lm_minimize = leastsq.minimize
 
     def vanishing_predict(trials):
+        batches.append(len(trials))
         outcomes = predict(trials)
         for k, params in enumerate(trials):
             if params.phonon_alpha1 == 1.0:
                 reference.append(outcomes[k][0].ratio)
             elif params.delta_laser == vanishing:
-                solves.append(len(starts))
+                solves.append(len(batches))
                 outcomes[k] = VanishingSpontaneous("spontaneous line extinguished")
         return outcomes
 
     def recording_lm(residual, jacobian, x0, *args, **kwargs):
         if np.shape(x0)[1] == 2:
             starts.append(np.array(x0[0]))
+            opening.append(len(batches))
         return lm_minimize(residual, jacobian, x0, *args, **kwargs)
 
     monkeypatch.setattr(fit_mod, "predict_rs", vanishing_predict)
     monkeypatch.setattr(leastsq, "minimize", recording_lm)
-    result = fit_phonon_exponent(points, paper_params)
-    assert isinstance(result, PhononFit)
+    with pytest.raises(VanishingSpontaneous, match="^spontaneous line extinguished$"):
+        fit_phonon_exponent(points, paper_params)
     assert len(reference) == len(points)
     design = np.column_stack([np.ones_like(log_deltas), log_deltas])
     leading, *_ = np.linalg.lstsq(design, np.log(np.array(reference) / ratios), rcond=None)
     np.testing.assert_allclose(starts[0], leading, rtol=1e-12)
-    # Solved in the secant before the LM began, then by the LM.
-    assert solves[0] == 0
-    assert solves.count(1) >= 1
+    # Solved in the secant, then in the batch of the LM's start, the last
+    # before the LM began.
+    assert solves[0] < opening[0]
+    assert opening[0] in solves
 
 
 def _sequential_start(points, params):
@@ -1131,9 +1139,10 @@ def _sequential_start(points, params):
 
 def _record_secant_rounds(monkeypatch, fail_at=None):
     """Record the detunings of each secant round (every predict_rs call after
-    the reference sweep and before the LM) and the LM start.  ``fail_at``
-    maps a round number (1 for the first) to the detuning whose trial fails
-    in that round and the exception it fails with."""
+    the reference sweep and before the LM, but the last, which solves the
+    LM's first residual and Jacobian) and the LM start.  ``fail_at`` maps a
+    round number (1 for the first) to the detuning whose trial fails in
+    that round and the exception it fails with."""
     rounds, reference, starts = [], [], []
     predict = fit_mod.predict_rs
     lm_minimize = leastsq.minimize
@@ -1153,6 +1162,7 @@ def _record_secant_rounds(monkeypatch, fail_at=None):
     def recording_lm(residual, jacobian, x0, *args, **kwargs):
         if np.shape(x0)[1] == 2:
             starts.append(np.array(x0[0]))
+            rounds.pop()
         return lm_minimize(residual, jacobian, x0, *args, **kwargs)
 
     monkeypatch.setattr(fit_mod, "predict_rs", recording_predict)
@@ -1211,17 +1221,42 @@ def test_refit_secant_failures_count_in_detuning_order(
     assert result.prefactor == pytest.approx(0.8, rel=1e-6)
 
 
-def test_refit_recovers_benchmark_table(paper_params):
-    """The nine-detuning (0.8, 0.4) table of 15..95 GHz refits to the pinned
-    (alpha, n) within 1e-8 relative: the refinement's noise floor moves the
-    result by about 2e-13 there, far inside the pin."""
-    points = [
+def _nine_detuning_table(params):
+    """Exact ratio table of the power law (0.8, 0.4) at nine detunings from
+    15 to 95 GHz, the table of the benchmark's first refit."""
+    return [
         predict_rs(
-            replace(paper_params, delta_laser=d, delta_cavity=d,
+            replace(params, delta_laser=d, delta_cavity=d,
                     phonon_alpha1=0.8, phonon_alpha2=0.8, phonon_n=0.4)
         )[0]
         for d in np.linspace(15.0, 95.0, 9).tolist()
     ]
+
+
+def test_refit_solves_the_lm_start_as_one_batch(monkeypatch, paper_params):
+    """The nine-detuning table's refit sends the LM's first residual and
+    Jacobian, 27 keys, to predict_rs as one batch before the LM starts: 11
+    batches in all, one fewer than when the LM solved them apart.  The
+    count depends on rounding, through the secant rounds and LM steps."""
+    points = _nine_detuning_table(paper_params)
+    batches = []
+    predict = fit_mod.predict_rs
+
+    def counting_predict(trials):
+        batches.append(len(trials))
+        return predict(trials)
+
+    monkeypatch.setattr(fit_mod, "predict_rs", counting_predict)
+    fit_phonon_exponent(points, paper_params)
+    assert batches[0] == len(points) and batches.count(3 * len(points)) == 1
+    assert len(batches) == 11
+
+
+def test_refit_recovers_benchmark_table(paper_params):
+    """The nine-detuning (0.8, 0.4) table of 15..95 GHz refits to the pinned
+    (alpha, n) within 1e-8 relative: the refinement's noise floor moves the
+    result by about 2e-13 there, far inside the pin."""
+    points = _nine_detuning_table(paper_params)
     result = fit_phonon_exponent(points, paper_params)
     assert result.prefactor == pytest.approx(0.7999999999936683, rel=1e-8)
     assert result.exponent == pytest.approx(0.4000000000017811, rel=1e-8)

@@ -1,5 +1,6 @@
 """Dissipators, generator structure, propagation and steady states."""
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 import helpers
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle, stack
+from cavity_raman import spectrum as spectrum_mod
 from cavity_raman import (
+    CavityRamanError,
     CollapseChannel,
     DomainError,
     ModelParams,
     NonUniqueSteadyState,
+    build_hamiltonian,
     build_liouvillian,
     dressed_states,
     lindblad_dissipator,
@@ -296,3 +300,122 @@ def test_trace_distance_extremes():
     rho_b[1, 1] = 1.0
     assert trace_distance(rho_a, rho_a) == 0.0
     assert trace_distance(rho_a, rho_b) == pytest.approx(1.0, abs=1e-14)
+
+
+EPS = np.finfo(float).eps
+_NO_PHONONS = {"phonon_alpha1": 0.0, "phonon_alpha2": 0.0}
+
+
+def _whole_route(params):
+    """Generator, steady state and modes of a point from the whole
+    (16, 16) generator: the oracle of the charge-block route."""
+    gen = build_liouvillian(params)
+    rho = steady_state(gen)
+    return gen, rho, spectrum_mod.generator_modes(gen, rho)
+
+
+def _block_route(params):
+    """Charge blocks, steady state and modes of a point, as line_table
+    solves them."""
+    state, modes = lv.charge_blocks(params)
+    rho = lv.block_steady_state(state, modes)
+    return state, modes, rho, spectrum_mod.block_modes(modes, rho)
+
+
+def _outcome(route, params):
+    try:
+        return route(params)
+    except (CavityRamanError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def test_charge_blocks_match_the_whole_generator(paper_params):
+    """The charge-block route (blocks from rank-one jumps, the 10 x 10
+    steady state, the 3 x 3 modes) agrees with the whole generator's
+    (build_liouvillian, the 16 x 16 SVD and generator_modes on its slice)
+    within rounding bounds stated from the computation, on random points,
+    kT = 0, phonon_n < 0 and no phonons, and every point of the failure grid
+    fails with the same exception on both routes.
+
+    Bounds, with s = 2 pi max|H| + the sum of the eight rates (about
+    max|L|, so about sigma_max), kappa(V) the condition number of the
+    3 x 3 block's eigenvectors and g = sigma_max / sigma_(n-1) the
+    singular-value gap of the whole generator:
+    - blocks: on each route an entry sums at most 26 terms (the
+      Hamiltonian's two, the eight channels' halved decays twice and their
+      eight sandwiches), whose moduli add up to at most 2 s; a sum of n
+      terms rounds by at most n eps of that, so the routes differ by at
+      most 2 * 26 * 2 eps s = 104 eps s;
+    - the two SVDs then see generators within about 104 eps sigma_max of
+      each other and add backward errors of a few eps sigma_max, 128 eps
+      sigma_max in all: the singular values move by at most that (Weyl),
+      the steady state by at most that over sigma_(n-1), 128 eps g;
+    - eigenvalues: Bauer-Fike, 128 eps kappa(V) max|L|;
+    - residues: the eigenvector solve multiplies the state's error by
+      kappa(V) twice, 128 eps kappa(V)^2 g.
+    A NonUniqueSteadyState message prints the two vanishing singular values,
+    which are rounding noise and differ between the routes; the largest,
+    against which the kernel test compares them, must agree to its
+    printed digits."""
+    rng = np.random.default_rng(71)
+    drawn = [helpers.random_valid_params(rng) for _ in range(40)]
+    healthy = (
+        drawn[:20]
+        + [replace(p, kT=0.0) for p in drawn[20:25]]
+        + [replace(p, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[25:30]]
+        + [replace(p, kT=0.0, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[30:35]]
+        + [replace(p, **_NO_PHONONS) for p in drawn[35:]]
+        + [
+            replace(paper_params, g=0.0, **_NO_PHONONS),
+            replace(paper_params, omega_drive=0.0),
+            replace(paper_params, gamma_flip=0.0),
+            replace(paper_params, gamma_flip=0.0, **_NO_PHONONS),
+            replace(paper_params, phonon_alpha1=1e3, phonon_alpha2=1e3),
+            replace(paper_params, delta_laser=0.0, delta_cavity=0.0, **_NO_PHONONS),
+        ]
+    )
+    for params in healthy:
+        gen, rho, (lambdas, residues, photons) = _whole_route(params)
+        state, modes, block_rho, (block_lambdas, block_residues, block_photons) = (
+            _block_route(params)
+        )
+        rates = lv._channels([params])[0]
+        scale = TWO_PI * np.max(np.abs(build_hamiltonian(params))) + np.sum(rates)
+        for block, positions in ((state, lv.STATE_BLOCK), (modes, lv.MODE_BLOCK)):
+            assert np.max(np.abs(block - gen[np.ix_(positions, positions)])) <= 104 * EPS * scale
+        svals = np.linalg.svd(gen, compute_uv=False)
+        gap = svals[0] / svals[-2]
+        # The kernel test reads the blocks' singular values, the q = -1
+        # block's twice: they are the whole generator's.
+        _, union = lv._block_null_vectors(state[None], modes[None])
+        assert np.max(np.abs(union[0] - svals)) <= 128 * EPS * svals[0]
+        assert np.max(np.abs(block_rho - rho)) <= 128 * EPS * gap
+        condition = np.linalg.cond(np.linalg.eig(modes)[1])
+        order, block_order = np.argsort(lambdas.imag), np.argsort(block_lambdas.imag)
+        assert np.max(np.abs(block_lambdas[block_order] - lambdas[order])) <= (
+            128 * EPS * condition * np.max(np.abs(gen))
+        )
+        assert np.max(np.abs(block_residues[block_order] - residues[order])) <= (
+            128 * EPS * condition**2 * gap
+        )
+        assert abs(block_photons - photons) <= 128 * EPS * gap
+
+    failing = [
+        ModelParams(g=0.0, omega_drive=0.0),
+        replace(paper_params, delta_laser=-5.0),
+        replace(paper_params, delta_laser=0.0, delta_cavity=0.0),
+        replace(paper_params, kappa=0.0, gamma1=0.0, gamma2=0.0, gamma_flip=0.0, **_NO_PHONONS),
+        replace(paper_params, phonon_n=300.0),
+        replace(paper_params, kappa=1e308),
+        replace(paper_params, phonon_alpha1=1e308),
+        replace(paper_params, kappa=2e307, gamma1=2e307, gamma2=2e307),
+        replace(paper_params, gamma1=2e307, gamma2=2e307),
+    ]
+    noise = re.compile(r"singular values \S+, \S+ both vanish")
+    for params in failing:
+        whole, block = _outcome(_whole_route, params), _outcome(_block_route, params)
+        assert isinstance(whole, Exception) and type(block) is type(whole)
+        if isinstance(whole, NonUniqueSteadyState):
+            assert noise.sub("", str(block)) == noise.sub("", str(whole))
+        else:
+            assert str(block) == str(whole)

@@ -113,9 +113,10 @@ def test_classified_modes_are_the_correlation_modes(paper_params):
 
 def test_generator_splits_into_charge_blocks_with_three_modes():
     """The generator is block-diagonal in the charge q = [i = g2,0] -
-    [j = g2,0] of |i><j|: every entry between two charges is exactly 0.  So
-    the field correlation has exactly three modes, which generator_modes
-    reads from the q = +1 block.  The oracle solves the whole 16 x 16
+    [j = g2,0] of |i><j| (minus the charge of liouvillian.EXCITATIONS):
+    every entry between two charges is exactly 0.  So the field correlation
+    has exactly three modes, which generator_modes reads from the block of
+    |g2,0><j|.  The oracle solves the whole 16 x 16
     np.kron generator with np.linalg.svd, eig and solve, sharing no code
     with the block route."""
     rng = np.random.default_rng(43)
@@ -451,8 +452,8 @@ def test_stacked_classification_matches_each_point_alone(paper_params):
     table = spectrum_mod.line_table(healthy)
     _assert_each_as_alone(points, errors, table)
 
-    gens = build_liouvillian(healthy)
-    modes = spectrum_mod.generator_modes(gens, steady_state(gens))
+    state, block = lv.charge_blocks(healthy)
+    modes = spectrum_mod.block_modes(block, lv.block_steady_state(state, block))
     for got, expected in zip((table.lambdas, table.residues, table.photons), modes):
         assert helpers.same_bits(got, expected)
 
@@ -512,35 +513,36 @@ def test_mixture_intensity_matches_per_mode_sum(paper_params):
         )
 
 
-@pytest.mark.parametrize("routine", ["eigh", "svd", "eig", "solve"])
-def test_stacked_lapack_failure_retries_each_point(monkeypatch, routine):
+@pytest.mark.parametrize("case", ["eigh", "svd", "svd_modes", "eig", "solve"])
+def test_stacked_lapack_failure_retries_each_point(monkeypatch, case):
     """When a stacked LAPACK call raises LinAlgError, its stack is solved one
     point at a time: line_table names only the point that fails alone, with
     the same error, and every other point, solved again without it, gets
-    its own call's result."""
+    its own call's result.  The SVD is refused on the q = 0 block, whose
+    singular vectors give the steady state, or on the q = -1 block, whose
+    singular values join the kernel test."""
     rng = np.random.default_rng(37)
     points = [helpers.random_valid_params(rng) for _ in range(12)]
     bad = points[5]
-    gen = build_liouvillian(bad)
-    # The modes are solved in the q = +1 charge block, |g2,0><j| for j in
-    # COHERENT_BLOCK.
-    charge = [G2_0 + 4 * j for j in COHERENT_BLOCK]
-    block = gen[np.ix_(charge, charge)]
-    poison = {
-        "eigh": build_hamiltonian(bad)[np.ix_(COHERENT_BLOCK, COHERENT_BLOCK)].real,
-        "svd": gen,
-        "eig": block,
-        "solve": np.linalg.eig(block)[1],
-    }[routine]
+    # The steady state is solved on the q = 0 charge block, the modes on the
+    # q = -1 block, |g2,0><j| for j in COHERENT_BLOCK.
+    state, block = lv.charge_blocks(bad)
+    routine, poison = {
+        "eigh": ("eigh", build_hamiltonian(bad)[np.ix_(COHERENT_BLOCK, COHERENT_BLOCK)].real),
+        "svd": ("svd", state),
+        "svd_modes": ("svd", block),
+        "eig": ("eig", block),
+        "solve": ("solve", np.linalg.eig(block)[1]),
+    }[case]
     lapack = getattr(np.linalg, routine)
     calls = []
 
-    def failing(a, *args):
+    def failing(a, *args, **kwargs):
         a = np.asarray(a)
         calls.append(a.ndim)
         if any(helpers.same_bits(m, poison) for m in a.reshape((-1,) + a.shape[-2:])):
             raise np.linalg.LinAlgError(f"{routine} refused")
-        return lapack(a, *args)
+        return lapack(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, routine, failing)
     with pytest.raises(stack.Failed) as failed:
