@@ -401,7 +401,7 @@ def rs_ratio(peaks: Sequence[PeakFit], delta: float) -> RsPoint:
     exactly coincident centers, where the labels are arbitrary and the
     ratio is reported as 1.  A spontaneous peak weaker than three of its
     standard errors raises VanishingSpontaneous with the offending point
-    attached.
+    attached; after it, a Raman peak of no positive area raises FitError.
     """
     if len(peaks) != 2:
         raise DomainError(f"need exactly two peaks, got {len(peaks)}")
@@ -422,12 +422,9 @@ def rs_ratio(peaks: Sequence[PeakFit], delta: float) -> RsPoint:
     (raman, raman_err), (spont, spont_err) = ((p.area, p.area_err) for p in labelled)
 
     point = None
-    ratio_ok = spont > 0.0 and raman > 0.0
-    if ratio_ok:
+    if spont > 0.0 and raman > 0.0:
         ratio = raman / spont
-        ratio_err = ratio * math.hypot(
-            raman_err / raman if raman else 0.0, spont_err / spont
-        )
+        ratio_err = ratio * math.hypot(raman_err / raman, spont_err / spont)
         if math.isfinite(ratio) and ratio > 0.0:
             point = RsPoint(delta=delta, ratio=ratio, ratio_err=ratio_err)
     if spont <= 0.0 or spont < 3.0 * spont_err:
@@ -436,6 +433,8 @@ def rs_ratio(peaks: Sequence[PeakFit], delta: float) -> RsPoint:
             f"({spont_err:.3e}) at delta {delta:.3f}",
             point=point,
         )
+    if raman <= 0.0:
+        raise FitError(f"Raman peak area {raman:.3e} is not positive at delta {delta:.3f}")
     if point is None:
         raise DomainError(f"ratio {raman / spont!r} is not a positive finite number")
     return point

@@ -31,15 +31,10 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
 
-def _charges(excitations: np.ndarray | None, dim: int) -> np.ndarray:
-    """Charge N_i - N_j of each vec position of a dim x dim matrix; all
-    zero without ``excitations``."""
-    if excitations is None:
-        return np.zeros(dim * dim, dtype=int)
-    counts = np.asarray(excitations)
-    if counts.shape != (dim,):
-        raise DomainError(f"need {dim} excitation numbers, got shape {counts.shape}")
-    return (counts[:, None] - counts[None, :]).reshape(-1, order="F")
+def _charges(excitations: np.ndarray) -> np.ndarray:
+    """Charge N_i - N_j of each vec position of a matrix on a basis whose
+    states hold ``excitations``, one excitation number N each."""
+    return (excitations[:, None] - excitations[None, :]).reshape(-1, order="F")
 
 
 #: Excitation number N of each basis state, in model order: |g1,0>, |g2,1>
@@ -52,7 +47,7 @@ EXCITATIONS = np.array([1, 0, 1, 1])
 #: |g2,0><j| for j in COHERENT_BLOCK: vec(a rho) of every q = 0 state rho
 #: lies in it, and so do the three correlation modes.  The q = +1 block is
 #: its complex conjugate.
-STATE_BLOCK, MODE_BLOCK = (np.flatnonzero(_charges(EXCITATIONS, DIM) == q) for q in (0, -1))
+STATE_BLOCK, MODE_BLOCK = (np.flatnonzero(_charges(EXCITATIONS) == q) for q in (0, -1))
 
 
 @dataclass(frozen=True)
@@ -198,11 +193,11 @@ def _phonon_rates(params: ModelParams) -> list[float] | DomainError:
             f"phonon_alpha1 = {params.phonon_alpha1:.6g}, "
             f"phonon_alpha2 = {params.phonon_alpha2:.6g}, phonon_n = {params.phonon_n:.6g}"
         )
-    rates = []
-    for alpha in (params.phonon_alpha1, params.phonon_alpha2):
-        rate = TWO_PI * prefactor * (alpha * power)
-        rates += [rate * occupation, rate * (1.0 + occupation)]
-    return next(filter(None, map(_rate_error, rates)), rates)
+    # Tested before the occupation scales them: inf * 0 at kT = 0 is NaN.
+    alphas = (params.phonon_alpha1, params.phonon_alpha2)
+    bare = [TWO_PI * prefactor * (alpha * power) for alpha in alphas]
+    rates = [scaled for rate in bare for scaled in (rate * occupation, rate * (1.0 + occupation))]
+    return next(filter(None, map(_rate_error, bare + rates)), rates)
 
 
 # Cavity decay, spontaneous emission, and ground-state reshuffling: the
@@ -342,36 +337,31 @@ def _charge_blocks(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarra
 KERNEL_RTOL = 1e-10
 
 
-def steady_state(gen: np.ndarray, excitations: np.ndarray | None = None) -> np.ndarray:
+def steady_state(gen: np.ndarray) -> np.ndarray:
     """Unique trace-one null vector of the generator.
 
     Raises NonUniqueSteadyState when the second-smallest singular value is
     below KERNEL_RTOL times the largest, i.e. when the kernel is degenerate
     at working precision.  Given a (K, n, n) stack of generators, makes one
-    stacked SVD per sector and returns the (K, m, m) states, or raises
-    stack.Failed for the generators that fail.
-
-    ``excitations``, one integer N per basis state, declares the generator
-    block-diagonal in the charge q = N_i - N_j of each |i><j| (a weak U(1)
-    symmetry).  The solve then checks that every entry coupling two
-    sectors is exactly zero, or raises DomainError for that generator;
-    takes the null vector from the q = 0 sector alone, with every other
-    entry of the state exactly zero; and reads the kernel test from the
-    union of all sectors' singular values.  Without it the generator is
-    one sector, solved by one SVD of the whole.
+    stacked SVD and returns the (K, m, m) states, or raises stack.Failed
+    for the generators that fail.
     """
     gen = np.asarray(gen, dtype=complex)
-    solve = functools.partial(_steady_states, excitations=excitations)
-    if gen.ndim == 2:
-        return stack.alone(solve, gen)
-    return solve(gen)
+    size = gen.shape[-1]
+    if math.isqrt(size) ** 2 != size:
+        raise DomainError(f"vector of length {size} is not a stacked square matrix")
+
+    def solve(gens: np.ndarray) -> np.ndarray:
+        # One sector: the whole generator.
+        return _kernel_test(*_sector_null_vectors(gens, [], np.arange(size), size))
+
+    return stack.alone(solve, gen) if gen.ndim == 2 else solve(gen)
 
 
 def block_steady_state(state_block: np.ndarray, mode_block: np.ndarray) -> np.ndarray:
     """Unique trace-one steady state (4, 4) of the generator whose
-    :func:`charge_blocks` are ``state_block`` and ``mode_block``: the
-    sector solve of :func:`steady_state` with ``EXCITATIONS``, on the
-    blocks alone.  Its kernel test reads the union of the q = 0 block's
+    :func:`charge_blocks` are ``state_block`` and ``mode_block``, solved on
+    the blocks alone.  Its kernel test reads the union of the q = 0 block's
     singular values and the q = -1 block's, counted twice: the q = +1
     block is the conjugate of the q = -1 block, so it has the same ones.
     Given (K, 10, 10) and (K, 3, 3) stacks, returns the (K, 4, 4) states
@@ -385,15 +375,7 @@ def block_steady_state(state_block: np.ndarray, mode_block: np.ndarray) -> np.nd
 def _block_null_vectors(state_block: np.ndarray, mode_block: np.ndarray):
     """:func:`_sector_null_vectors` of generators given by their charge
     blocks: the q = -1 block stands for itself and its conjugate."""
-    return _sector_null_vectors(state_block, [(mode_block, 2)], STATE_BLOCK, DIM * DIM)
-
-
-def _steady_states(gen: np.ndarray, excitations: np.ndarray | None) -> np.ndarray:
-    size = gen.shape[-1]
-    dim = math.isqrt(size)
-    if dim * dim != size:
-        raise DomainError(f"vector of length {size} is not a stacked square matrix")
-    return _kernel_test(*_null_vectors(gen, _charges(excitations, dim)))
+    return _sector_null_vectors(state_block, [mode_block], STATE_BLOCK, DIM * DIM)
 
 
 def _kernel_test(vectors: np.ndarray, svals: np.ndarray) -> np.ndarray:
@@ -420,31 +402,8 @@ def _kernel_test(vectors: np.ndarray, svals: np.ndarray) -> np.ndarray:
     return rho / traces[:, None, None]
 
 
-def _null_vectors(gen: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null vectors (K, n) of a stack of generators, and the union of
-    their sectors' singular values, by :func:`_sector_null_vectors` on the
-    sectors of ``charges``; raises Failed for a generator with a nonzero
-    entry between sectors."""
-    # Not np.unique: its first call in a process adds about 0.5 MB to the
-    # peak memory of every sweep.
-    sectors = [charges == q for q in [0] + sorted(set(charges.tolist()) - {0})]
-    leaks = (gen != 0.0) & (charges[:, None] != charges[None, :])
-    stack.fail({
-        k: DomainError(
-            f"generator entry ({row}, {col}) couples excitation sectors "
-            f"{charges[row]} and {charges[col]}"
-        )
-        for k in np.flatnonzero(leaks.any(axis=(1, 2))).tolist()
-        for row, col in [np.unravel_index(np.argmax(leaks[k]), leaks.shape[1:])]
-    })
-    blocks = [gen[:, sector][:, :, sector] for sector in sectors]
-    return _sector_null_vectors(
-        blocks[0], [(block, 1) for block in blocks[1:]], np.flatnonzero(sectors[0]), len(charges)
-    )
-
-
 def _sector_null_vectors(
-    zero: np.ndarray, others: list[tuple[np.ndarray, int]], positions: np.ndarray, size: int
+    zero: np.ndarray, others: Sequence[np.ndarray], positions: np.ndarray, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Null vectors (K, size) of a stack of generators given by their
     charge sectors, and the (K, size) union of every sector's singular
@@ -453,15 +412,15 @@ def _sector_null_vectors(
 
     ``zero`` holds the q = 0 blocks, at the vec ``positions``: each null
     vector is its block's last right singular vector there, and exactly
-    zero elsewhere.  ``others`` pairs the blocks of each other sector with
-    the number of sectors that share their singular values."""
+    zero elsewhere.  Each of ``others`` holds the blocks of a sector q != 0,
+    counted twice for the -q sector, their conjugate."""
     (_, svals, vh), errors = stack.linalg(np.linalg.svd, zero)
     values = [svals]
-    for block, copies in others:
+    for block in others:
         (sector_values,), sector_errors = stack.linalg(
             functools.partial(np.linalg.svd, compute_uv=False), block
         )
-        values += [sector_values] * copies
+        values += [sector_values] * 2
         errors = [first or later for first, later in zip(errors, sector_errors)]
     stack.fail(errors)
     union = np.sort(np.concatenate(values, axis=1), axis=1)[:, ::-1]

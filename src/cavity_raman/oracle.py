@@ -1,8 +1,9 @@
 """Independent cross-checks: full photon ladder and exact time propagation.
 
 Nothing here reuses the truncated four-state machinery beyond the generic
-superoperator algebra, so agreement between these routines and the fast
-paths is a real consistency statement, not a tautology.
+superoperator algebra, the phonon channels and the package's one kernel
+test, so agreement between these routines and the fast paths is a real
+consistency statement, not a tautology.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import liouvillian as lv
+from . import liouvillian as lv, stack
 from .errors import DomainError
 from .model import ModelParams
 
@@ -27,6 +28,8 @@ class LadderBasis:
     n_max: int
 
     def __post_init__(self):
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)):
+            raise DomainError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise DomainError(f"need at least one photon level, got n_max={self.n_max}")
 
@@ -51,12 +54,7 @@ class LadderBasis:
 
 def _kept_positions(basis: LadderBasis) -> list[int]:
     """Ladder indices of the four truncated-basis states, in model order."""
-    return [
-        basis.index("g1", 0),
-        basis.index("g2", 0),
-        basis.index("g2", 1),
-        basis.index("e", 0),
-    ]
+    return [basis.index(level, n) for level, n in (("g1", 0), ("g2", 0), ("g2", 1), ("e", 0))]
 
 
 def _emitter(row: str, col: str) -> np.ndarray:
@@ -66,15 +64,13 @@ def _emitter(row: str, col: str) -> np.ndarray:
     return op
 
 
-def ladder_liouvillian(params: ModelParams, n_max: int = 3) -> tuple[np.ndarray, LadderBasis]:
-    """Master-equation generator on the untruncated photon ladder, 1/ns.
-
-    The Hamiltonian (drive, Jaynes-Cummings coupling, detunings) and the
-    cavity, spontaneous and reshuffling channels are emitter (x) photon
-    products.  The thermal jump operators live between dressed states
-    defined inside the single-excitation manifold, so they are embedded at
-    the matching four ladder positions.
-    """
+def _ladder_operators(
+    params: ModelParams, n_max: int
+) -> tuple[np.ndarray, dict[str, lv.CollapseChannel], LadderBasis]:
+    """Hamiltonian (GHz), named jump channels and basis of the untruncated
+    photon ladder: emitter (x) photon products, but for the thermal jumps,
+    which live between dressed states of the single-excitation manifold and
+    are embedded at the four matching ladder positions."""
     basis = LadderBasis(n_max)
     eye = np.eye(n_max + 1)
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
@@ -86,22 +82,64 @@ def ladder_liouvillian(params: ModelParams, n_max: int = 3) -> tuple[np.ndarray,
     h += params.delta_laser * np.kron(_emitter("e", "e"), eye)
     h += params.omega_drive / 2.0 * (drive + drive.T)
     h += params.g * (coupling + coupling.T)
-    gen = lv.hamiltonian_superoperator(h)
-    for op, rate in (
-        (np.kron(np.eye(len(LEVELS)), a), params.kappa),
-        (np.kron(_emitter("g1", "e"), eye), params.gamma1),
-        (np.kron(_emitter("g2", "e"), eye), params.gamma2),
-        (np.kron(_emitter("g1", "g2"), eye), params.gamma_flip),
-    ):
-        gen += lv.lindblad_dissipator(lv.CollapseChannel(op, TWO_PI * rate))
+    channels = {
+        name: lv.CollapseChannel(op, TWO_PI * getattr(params, name))
+        for op, name in (
+            (np.kron(np.eye(len(LEVELS)), a), "kappa"),
+            (np.kron(_emitter("g1", "e"), eye), "gamma1"),
+            (np.kron(_emitter("g2", "e"), eye), "gamma2"),
+            (np.kron(_emitter("g1", "g2"), eye), "gamma_flip"),
+        )
+    }
     if params.phonon_alpha1 > 0.0 or params.phonon_alpha2 > 0.0:
-        channels = lv.phonon_channels(params)
-        kept = _kept_positions(basis)
-        ops = np.zeros((len(channels), basis.dim, basis.dim), dtype=complex)
-        ops[np.ix_(range(len(channels)), kept, kept)] = [channel.operator for channel in channels]
-        for op, channel in zip(ops, channels):
-            gen += lv.lindblad_dissipator(lv.CollapseChannel(op, channel.rate))
-    return gen, basis
+        kept = np.ix_(_kept_positions(basis), _kept_positions(basis))
+        for k, channel in enumerate(lv.phonon_channels(params)):
+            op = np.zeros((basis.dim, basis.dim), dtype=complex)
+            op[kept] = channel.operator
+            channels[f"phonon {k}"] = lv.CollapseChannel(op, channel.rate)
+    return h, channels, basis
+
+
+@np.errstate(over="ignore", invalid="ignore")  # refused by the block solve
+def _ladder_blocks(
+    h: np.ndarray, channels: dict[str, lv.CollapseChannel], basis: LadderBasis, charges
+) -> list[np.ndarray]:
+    """The ladder generator's block at each charge q = N_i - N_j of
+    ``charges``, 1/ns, from its Hamiltonian ``h`` (GHz) and ``channels``:
+    the entry of row |i><j| and column |k><l| is G[i,k] d[j,l] +
+    d[i,k] G*[j,l] + sum_c rate_c L_c[i,k] L_c*[j,l], with
+    G = -2 pi i H - (1/2) sum_c rate_c L_c^dag L_c.  The generator keeps q
+    (Buca and Prosen, New J. Phys. 14, 073007 (2012)) when H keeps N and
+    each jump shifts N by one amount; an operator that does not raises
+    DomainError naming it."""
+    counts = basis.excitations
+    shifts = counts[:, None] - counts[None, :]
+    named = {"Hamiltonian": h, **{f"jump {k}": c.operator for k, c in channels.items()}}
+    for name, op in named.items():
+        # One amount each; for the hermitian H, whose entries pair d with -d, 0.
+        moves = sorted(set(shifts[op != 0.0].tolist()))
+        if len(moves) > 1:
+            raise DomainError(f"{name} shifts the excitation number by each of {moves}")
+    rates = np.array([channel.rate for channel in channels.values()])
+    ops = np.array([channel.operator for channel in channels.values()])
+    g = -1j * TWO_PI * h - 0.5 * np.tensordot(rates, np.swapaxes(ops.conj(), 1, 2) @ ops, 1)
+    blocks, vec_charges = [], lv._charges(counts)
+    for q in charges:
+        positions = np.flatnonzero(vec_charges == q)
+        i, j = positions % basis.dim, positions // basis.dim
+        block = np.where(j[:, None] == j, g[i[:, None], i], 0.0)
+        block += np.where(i[:, None] == i, g[j[:, None], j].conj(), 0.0)
+        block += np.tensordot(rates, ops[:, i[:, None], i] * ops[:, j[:, None], j].conj(), 1)
+        blocks.append(block)
+    return blocks
+
+
+def _ladder_null_vectors(basis: LadderBasis, zero: np.ndarray, *others: np.ndarray):
+    """The block solve: ``lv._sector_null_vectors`` of stacked ladders by
+    their q = 0 and q > 0 blocks; stack.Failed for a non-finite entry."""
+    lv._refuse_non_finite(zero, *others)
+    positions = np.flatnonzero(lv._charges(basis.excitations) == 0)
+    return lv._sector_null_vectors(zero, others, positions, basis.dim**2)
 
 
 def full_ladder_steady_state(
@@ -109,16 +147,16 @@ def full_ladder_steady_state(
 ) -> tuple[np.ndarray, LadderBasis, float]:
     """Steady state on the full ladder plus the weight outside the truncation.
 
-    The last element of the return triple sums the populations the
-    four-state model discards: every n >= 2 state together with |g1,1> and
-    |e,1>.
+    Solved on the generator's blocks q = 0 ... n_max + 1, never the whole
+    generator, as a stack of one.  The last element of the return triple
+    sums the populations the four-state model discards: every n >= 2 state
+    together with |g1,1> and |e,1>.
     """
-    gen, basis = ladder_liouvillian(params, n_max)
-    rho = lv.steady_state(gen, basis.excitations)
+    h, channels, basis = _ladder_operators(params, n_max)
+    blocks = _ladder_blocks(h, channels, basis, range(basis.n_max + 2))
+    rho = stack.alone(lambda *b: lv._kernel_test(*_ladder_null_vectors(basis, *b)), *blocks)
     kept = set(_kept_positions(basis))
-    excess = float(
-        sum(rho[j, j].real for j in range(basis.dim) if j not in kept)
-    )
+    excess = float(sum(rho[j, j].real for j in range(basis.dim) if j not in kept))
     return rho, basis, excess
 
 

@@ -1,9 +1,10 @@
 """Shared test utilities: random operating points, plain ``np.kron``
-superoperators, an index-loop photon-ladder generator, a dense-SVD steady
-state, finite-horizon transforms for the time-domain spectrum check,
-short-horizon RK45 and per-time ``expm`` references for the exactly
-propagated oracles, and per-point loop references for the stacked line
-classification, windows, spectrum sums and peak read-back.
+superoperators, the whole photon-ladder generator and an index-loop
+reference for it, a dense-SVD steady state, finite-horizon transforms for
+the time-domain spectrum check, short-horizon RK45 and per-time ``expm``
+references for the exactly propagated oracles, and per-point loop
+references for the stacked line classification, windows, spectrum sums
+and peak read-back.
 """
 import math
 from dataclasses import astuple, is_dataclass
@@ -21,7 +22,8 @@ from cavity_raman import (
     NonUniqueSteadyState,
     n_thermal,
 )
-from cavity_raman import stack
+from cavity_raman import liouvillian as lv
+from cavity_raman import oracle, stack
 from cavity_raman.liouvillian import KERNEL_RTOL, block_steady_state, charge_blocks
 from cavity_raman.spectrum import block_modes
 
@@ -142,11 +144,24 @@ def kron_phonon_channels(params) -> list:
     return channels
 
 
+def ladder_liouvillian(params, n_max=3):
+    """The whole photon-ladder generator of one point, (dim^2, dim^2) in
+    1/ns, and its ``oracle.LadderBasis``: the oracle's ladder Hamiltonian
+    and jumps summed as whole superoperators, the Hamiltonian's first, then
+    each jump's dissipator in channel order.  The oracle of the ladder's
+    charge blocks, and bitwise :func:`loop_ladder_liouvillian`."""
+    h, channels, basis = oracle._ladder_operators(params, n_max)
+    gen = lv.hamiltonian_superoperator(h)
+    for channel in channels.values():
+        gen += lv.lindblad_dissipator(channel)
+    return gen, basis
+
+
 def loop_ladder_liouvillian(params, n_max) -> np.ndarray:
     """The photon-ladder generator of one point, its operators written
     entry by entry in index loops on the emitter x photon basis, |level, n>
     at level * (n_max + 1) + n with levels g1, g2, e, and summed with the
-    ``np.kron`` superoperators above in ``oracle.ladder_liouvillian``'s
+    ``np.kron`` superoperators above in :func:`ladder_liouvillian`'s
     order.  The phonon channels are :func:`kron_phonon_channels`, placed at
     the ladder positions of the four truncated-basis states."""
     g1, g2, e = range(3)

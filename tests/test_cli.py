@@ -409,33 +409,40 @@ def test_sweep_raises_first_failure_after_vanishing_point(capsys):
 def test_validate_solves_each_generator_once(capsys, monkeypatch):
     """validate builds the four-state generator and solves its steady state
     once, and each photon ladder once: n_max = 3 serves both the
-    truncation and the convergence check."""
-    built, steady, ladders = [], [0], []
+    truncation and the convergence check, and each ladder is one block
+    solve, never a whole-generator steady state."""
+    built, steady, ladders, block_solves = [], [0], [], []
     build, solve = lv.build_liouvillian, lv.steady_state
-    ladder = oracle.full_ladder_steady_state
+    ladder, block_solve = oracle.full_ladder_steady_state, oracle._ladder_null_vectors
 
     def counting_build(params):
         built.append(params)
         return build(params)
 
-    def counting_steady(gen, excitations=None):
+    def counting_steady(gen):
         steady[0] += 1
-        return solve(gen, excitations)
+        return solve(gen)
 
     def counting_ladder(params, n_max=3):
         ladders.append(n_max)
         return ladder(params, n_max)
 
+    def counting_block_solve(basis, *blocks):
+        block_solves.append(basis.n_max)
+        return block_solve(basis, *blocks)
+
     monkeypatch.setattr(lv, "build_liouvillian", counting_build)
     monkeypatch.setattr(lv, "steady_state", counting_steady)
     monkeypatch.setattr(oracle, "full_ladder_steady_state", counting_ladder)
+    monkeypatch.setattr(oracle, "_ladder_null_vectors", counting_block_solve)
     code, _, _ = run_cli(capsys, ["validate"])
     assert code == 0
     # The second build is the cavity-only generator of the rate check.
     assert built[0] == ModelParams() and len(built) == 2
     assert ladders == [3, 4]
-    # One four-state steady state plus one per ladder.
-    assert steady[0] == 3
+    assert block_solves == [3, 4]
+    # The four-state steady state only.
+    assert steady[0] == 1
 
 
 def test_fit_failure_exits_4(capsys, tmp_path):
@@ -691,6 +698,10 @@ def test_fit_phonon_error_bars_mixed_with_zeros_exit_2(capsys, tmp_path):
         (["sweep-detuning", "--sweep-count", "3", "--phonon-alpha1", "1e308"], None,
          "error: collapse rate overflows a float (got inf 1/ns): a rate in GHz times 2 pi, "
          "or a phonon rate, is too large\n"),
+        # At kT = 0 the zero occupation must not turn the infinite rate into NaN.
+        (["sweep-detuning", "--sweep-count", "3", "--kT", "0", "--phonon-alpha1", "1e308"], None,
+         "error: collapse rate overflows a float (got inf 1/ns): a rate in GHz times 2 pi, "
+         "or a phonon rate, is too large\n"),
         (["sweep-detuning", "--sweep-count", "3", "--gamma1", "2e307", "--gamma2", "2e307"],
          None, "error: generator has a non-finite entry: its rates overflow a float\n"),
     ],
@@ -700,7 +711,7 @@ def test_fit_phonon_error_bars_mixed_with_zeros_exit_2(capsys, tmp_path):
          "lorentzian_unweighted_squares", "exponential_unweighted_squares", "rates_g",
          "rates_omega", "rates_small_detuning", "rates_denormal_detuning", "rates_large_detuning",
          "rates_kappa", "rates_enhancement", "rates_quality_factor", "collapse_rate",
-         "phonon_rate", "generator_sum_sweep"],
+         "phonon_rate", "phonon_rate_cold", "generator_sum_sweep"],
 )
 def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
     """Inputs that overflow a float on the way to a solve, a fit weight or a
@@ -805,6 +816,27 @@ def test_validate_flags_broken_adiabaticity(capsys):
         assert "adiabatic_elimination" in failed
         for name in overflowing:
             assert failed[name].startswith(f"FAIL {name}: DomainError: computing ")
+
+
+def test_validate_flags_a_degenerate_ladder(capsys):
+    """Without any dissipation the steady state is not unique: each check
+    that solves one fails with NonUniqueSteadyState, the two ladder checks
+    among them, and the cavity rate check has no decay to fit; the run
+    lists all ten checks and exits 1."""
+    code, out, _ = run_cli(capsys, [
+        "validate", "--json", "--kappa", "0", "--gamma1", "0", "--gamma2", "0",
+        "--gamma-flip", "0", "--phonon-alpha1", "0", "--phonon-alpha2", "0",
+    ])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False and len(payload["checks"]) == 10
+    failed = {check["name"]: check["detail"] for check in payload["checks"] if not check["passed"]}
+    assert list(failed) == [
+        "truncation_regime", "steady_state_physical", "spectrum_sum_rule",
+        "truncation_error", "ladder_convergence", "cavity_rate_consistency",
+    ]
+    for name in ("truncation_error", "ladder_convergence"):
+        assert failed[name].startswith("NonUniqueSteadyState: ")
 
 
 def fresh_python(*args, **env):

@@ -1,5 +1,6 @@
 """Least-squares fitters: round trips, Monte-Carlo recovery, ratio labeling."""
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from cavity_raman import (
     DegeneratePeaks,
     DegenerateSpectrum,
     DomainError,
+    FitError,
     IllConditioned,
     ModelParams,
     NoConvergence,
@@ -694,6 +696,21 @@ def test_rs_ratio_vanishing_spontaneous():
     with pytest.raises(VanishingSpontaneous) as excinfo:
         rs_ratio((raman, _peak(0.0, -0.5, err=0.1)), delta=55.0)
     assert excinfo.value.point is None
+
+
+def test_rs_ratio_refuses_a_nonpositive_raman_area_as_a_fit_failure():
+    """A Raman line of no positive area is a failed fit (exit 4), as a
+    non-positive spontaneous line is, not a domain error of the input: at
+    delta_laser = 3, delta_cavity = 27 the pipeline fits one from a valid
+    point."""
+    spont = _peak(0.0, 2.0, err=0.001)
+    for area in (-0.5, 0.0):
+        message = f"Raman peak area {area:.3e} is not positive at delta 55.000"
+        with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+            rs_ratio((_peak(-55.0, area), spont), delta=55.0)
+    with pytest.raises(FitError, match="^Raman peak area -") as raised:
+        predict_rs(replace(ModelParams(), delta_laser=3.0, delta_cavity=27.0))
+    assert type(raised.value) is FitError
 
 
 def test_rs_ratio_input_validation():

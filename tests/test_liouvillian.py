@@ -231,7 +231,7 @@ def test_steady_state_degenerate_kernel_raises():
 
 
 def test_steady_state_without_excitations_is_the_dense_reference():
-    """Without excitation numbers the generator is one sector, and the
+    """steady_state solves the whole generator as one sector: the
     four-state steady states are bitwise the dense-SVD reference's, on a
     full stack and alone."""
     rng = np.random.default_rng(20)

@@ -4,7 +4,7 @@ import pytest
 from dataclasses import replace
 from scipy.linalg import expm as scipy_expm
 
-from cavity_raman import DomainError, ModelParams, NonUniqueSteadyState, stack
+from cavity_raman import DomainError, ModelParams, NonUniqueSteadyState
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
 from cavity_raman import rates as rates_mod
@@ -12,6 +12,7 @@ from helpers import (
     bare_lambda_generator,
     dense_steady_state,
     expm_bare_populations,
+    ladder_liouvillian,
     loop_ladder_liouvillian,
     random_valid_params,
     rk45_adiabatic_populations,
@@ -24,7 +25,6 @@ from cavity_raman.oracle import (
     bare_lambda_evolve,
     full_ladder_steady_state,
     ladder_convergence,
-    ladder_liouvillian,
     truncation_error,
 )
 
@@ -32,6 +32,10 @@ from cavity_raman.oracle import (
 # the acceptance suite, which checks the phonon-free part of this
 # configuration against its closed form omega_eff / (2 kappa).
 TRUNCATION_AT_EQUAL_RATES_REF = 6.901413236531992e-4
+
+EPS = np.finfo(float).eps
+TWO_PI = 2.0 * np.pi
+_NO_PHONONS = {"phonon_alpha1": 0.0, "phonon_alpha2": 0.0}
 
 
 def test_ladder_basis_indexing():
@@ -45,6 +49,19 @@ def test_ladder_basis_indexing():
         basis.index("f", 0)
     with pytest.raises(DomainError):
         basis.index("g1", 4)
+
+
+def test_ladder_basis_refuses_a_non_integer_n_max(paper_params):
+    """A float, a string, a bool or None is no photon cutoff, and is
+    refused as bad input; numpy integers are taken as the int they hold."""
+    for n_max in (2.5, 3.0, "3", True, None):
+        with pytest.raises(DomainError, match="^n_max must be an integer, got "):
+            full_ladder_steady_state(paper_params, n_max)
+    assert LadderBasis(np.int32(3)) == LadderBasis(3)
+    assert same_bits(
+        full_ladder_steady_state(paper_params, np.int64(3))[0],
+        full_ladder_steady_state(paper_params, 3)[0],
+    )
 
 
 def test_ladder_generator_matches_index_loop_reference(paper_params):
@@ -66,50 +83,119 @@ def test_ladder_generator_matches_index_loop_reference(paper_params):
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_ladder_blocks_match_index_loop_generator(paper_params, n_max):
+    """Every charge block of the ladder, negative q included, is the slice
+    of the index-loop generator at its vec positions, and that generator
+    is exactly zero between sectors; on random valid points, without
+    phonons, at g = 0 and at negative detunings.
+
+    Bound, with s = 2 pi max|H| + sum_c rate_c max_k (L_c^dag L_c)[k,k]:
+    on either route an entry is a floating-point sum of at most 58
+    products: the Hamiltonian's two, and for each of at most 8 jumps its
+    sandwich rate L[i,k] L*[j,l] and its decay on either side, an entry of
+    rate L^dag L / 2, which sums at most three products (a phonon jump is
+    rank one on the three states of the coherent block; the other jumps
+    have one product per entry of L^dag L).  |L[i,k]|^2 and
+    |(L^dag L)[k,l]| are at most max_k (L^dag L)[k,k] (Cauchy-Schwarz), so
+    the moduli of an entry's products add up to at most 2 s.  Each product
+    carries at most four roundings of its own (two of a complex product,
+    the rate, 2 pi) and the sum at most 57, so each route is within
+    61 eps * 2 s of the exact entry, and the routes within 244 eps s."""
+    rng = np.random.default_rng(43)
+    cases = [random_valid_params(rng) for _ in range(8)] + [
+        replace(paper_params, **_NO_PHONONS),
+        replace(paper_params, g=0.0),
+        replace(paper_params, g=0.0, **_NO_PHONONS),
+        replace(paper_params, delta_cavity=-20.0),
+        replace(paper_params, delta_laser=-40.0, delta_cavity=-35.0, **_NO_PHONONS),
+    ]
+    every = range(-(n_max + 1), n_max + 2)
+    for params in cases:
+        h, channels, basis = oracle._ladder_operators(params, n_max)
+        gen = loop_ladder_liouvillian(params, n_max)
+        charges = lv._charges(basis.excitations)
+        assert np.all(gen[charges[:, None] != charges] == 0.0)
+        scale = TWO_PI * np.max(np.abs(h)) + sum(
+            channel.rate * np.max(np.linalg.norm(channel.operator, axis=0) ** 2)
+            for channel in channels.values()
+        )
+        blocks = oracle._ladder_blocks(h, channels, basis, every)
+        assert sum(block.size for block in blocks) == gen.size - np.sum(
+            charges[:, None] != charges
+        )
+        for q, block in zip(every, blocks):
+            positions = np.flatnonzero(charges == q)
+            reference = gen[np.ix_(positions, positions)]
+            assert block.shape == reference.shape
+            assert np.max(np.abs(block - reference)) <= 244 * EPS * scale
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 def test_sector_steady_state_matches_dense_reference(paper_params, n_max):
-    """The ladder's steady state, solved by excitation-number sector, is
-    the dense-SVD state within 1e-12 in trace distance, with every entry
-    between sectors exactly zero, and the union of the sectors' singular
-    values is the dense spectrum within 1e-13 of the largest; at the
-    default point, without phonons, at g = 0 and at gamma_flip = kappa."""
+    """The ladder's steady state, solved on its charge blocks, is the
+    dense-SVD state of the whole generator within 1e-12 in trace distance,
+    with every entry between sectors exactly zero, and the union of the
+    blocks' singular values, each q > 0 block's counted twice for itself
+    and its conjugate -q block, is the dense spectrum within 1e-13 of the
+    largest; at the default point, without phonons, at g = 0 and at
+    gamma_flip = kappa."""
     for params in (
         paper_params,
-        replace(paper_params, phonon_alpha1=0.0, phonon_alpha2=0.0),
+        replace(paper_params, **_NO_PHONONS),
         replace(paper_params, g=0.0),
         replace(paper_params, gamma_flip=paper_params.kappa),
     ):
         gen, basis = ladder_liouvillian(params, n_max)
         rho, _, _ = full_ladder_steady_state(params, n_max)
         assert lv.trace_distance(rho, dense_steady_state(gen)) <= 1e-12
-        charges = lv._charges(basis.excitations, basis.dim)
+        charges = lv._charges(basis.excitations)
         assert np.all(lv.vec(rho)[charges != 0] == 0.0)
-        _, union = lv._null_vectors(gen[None], charges)
+        h, channels, _ = oracle._ladder_operators(params, n_max)
+        blocks = oracle._ladder_blocks(h, channels, basis, range(n_max + 2))
+        _, union = oracle._ladder_null_vectors(basis, *(block[None] for block in blocks))
         dense = np.linalg.svd(gen, compute_uv=False)
+        assert union.shape == (1, dense.size)
         assert np.max(np.abs(union[0] - dense)) <= 1e-13 * dense[0]
 
 
-def test_sector_solve_refuses_an_entry_between_sectors(paper_params):
-    """A generator with one nonzero entry between sectors raises
-    DomainError for that point alone; the rest of the stack is solved
-    bitwise as each generator alone."""
-    rng = np.random.default_rng(7)
-    points = [paper_params] + [random_valid_params(rng) for _ in range(4)]
-    gens = np.array([ladder_liouvillian(params, 2)[0] for params in points])
-    basis = LadderBasis(2)
-    excitations = basis.excitations
-    charges = lv._charges(excitations, basis.dim)
-    row, col = np.argwhere(charges[:, None] != charges[None, :])[0]
-    leaky = gens.copy()
-    leaky[3, row, col] = 1e-3
-    with pytest.raises(stack.Failed) as failed:
-        lv.steady_state(leaky, excitations)
-    assert list(failed.value.errors) == [3]
-    assert isinstance(failed.value.errors[3], DomainError)
-    with pytest.raises(DomainError, match="couples excitation sectors"):
-        lv.steady_state(leaky[3], excitations)
-    rest = lv.steady_state(np.delete(leaky, 3, axis=0), excitations)
-    for rho, gen in zip(rest, np.delete(gens, 3, axis=0)):
-        assert same_bits(rho, lv.steady_state(gen, excitations))
+def test_sector_solve_refuses_an_entry_between_sectors(paper_params, monkeypatch):
+    """An operator that would couple two charge sectors is refused, naming
+    it, before any block is built: a Hamiltonian entry between two
+    excitation numbers, or a jump whose entries shift N by two amounts; so
+    is full_ladder_steady_state given such an operator."""
+    h, channels, basis = oracle._ladder_operators(paper_params, 2)
+    # |g1,0> holds N = 1, |g1,1> N = 2.
+    row, col = basis.index("g1", 0), basis.index("g1", 1)
+    leaky = h.copy()
+    leaky[row, col] = leaky[col, row] = 1e-3
+    with pytest.raises(
+        DomainError, match=r"^Hamiltonian shifts the excitation number by each of \[-1, 0, 1\]$"
+    ):
+        oracle._ladder_blocks(leaky, channels, basis, [0])
+    # a + a^dag: the cavity jump then shifts N by -1 and by +1.
+    kappa = channels["kappa"]
+    mixed = {
+        **channels,
+        "kappa": lv.CollapseChannel(kappa.operator + kappa.operator.T, kappa.rate),
+    }
+    with pytest.raises(
+        DomainError, match=r"^jump kappa shifts the excitation number by each of \[-1, 1\]$"
+    ):
+        oracle._ladder_blocks(h, mixed, basis, [0])
+    for operators in ((leaky, channels, basis), (h, mixed, basis)):
+        monkeypatch.setattr(oracle, "_ladder_operators", lambda *_, found=operators: found)
+        with pytest.raises(DomainError, match="excitation number"):
+            full_ladder_steady_state(paper_params, 2)
+
+
+def test_ladder_refuses_overflowing_rates(paper_params):
+    """A rate that overflows a float is refused as bad input, and so is a
+    generator whose rates overflow only in their sum: its blocks would
+    hold non-finite entries, which no SVD is given."""
+    with pytest.raises(DomainError, match="^collapse rate must be nonnegative, got inf$"):
+        full_ladder_steady_state(replace(paper_params, kappa=1e308))
+    with pytest.raises(DomainError, match="^generator has a non-finite entry"):
+        full_ladder_steady_state(replace(paper_params, gamma1=2e307, gamma2=2e307))
 
 
 def test_ladder_without_dissipation_has_no_unique_state(paper_params):
