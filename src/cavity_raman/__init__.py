@@ -38,11 +38,9 @@ from .fit import (
 )
 from .liouvillian import (
     CollapseChannel,
-    build_liouvillian,
     cavity_annihilation,
     lindblad_dissipator,
     phonon_channels,
-    steady_state,
     trace_distance,
 )
 from .model import (

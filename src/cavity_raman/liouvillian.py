@@ -5,10 +5,10 @@ order="F"), so a sandwich A rho B is the Kronecker product B.T (x) A acting
 on vec(rho).  Superoperators are in 1/ns: rates and Hamiltonians enter in
 GHz and are scaled by 2pi on the way in.
 
-Two builders share one list of jump channels and one set of failure rules:
-:func:`build_liouvillian`, the whole (16, 16) generator, and
-:func:`charge_blocks`, only its two blocks that the ratio pipeline reads,
-assembled from rank-one jumps.  The whole generator is their oracle.
+One builder, :func:`charge_blocks`, assembles the generator's two blocks
+that every solve reads, from rank-one jumps, and :func:`block_steady_state`
+solves them; the whole (16, 16) generator is never formed.  The
+superoperators of single channels serve the oracles.
 """
 from __future__ import annotations
 
@@ -52,25 +52,17 @@ STATE_BLOCK, MODE_BLOCK = (np.flatnonzero(_charges(EXCITATIONS) == q) for q in (
 
 @dataclass(frozen=True)
 class CollapseChannel:
-    """One Lindblad jump operator with its angular rate in 1/ns.
-
-    A stack of channels holds operators of shape (..., n, n) and one rate
-    per leading index, an array of the leading shape.
-    """
+    """One Lindblad jump operator with its angular rate in 1/ns."""
 
     operator: np.ndarray
-    rate: float | np.ndarray
+    rate: float
 
     def __post_init__(self):
         op = np.asarray(self.operator, dtype=complex)
-        if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
+        if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise DomainError(f"collapse operator must be square, got shape {op.shape}")
-        rates = np.ravel(self.rate)
-        refused = ~(np.isfinite(rates) & (rates >= 0.0))
-        if refused.any():
-            raise DomainError(
-                f"collapse rate must be nonnegative, got {float(rates[np.argmax(refused)])}"
-            )
+        if not (math.isfinite(self.rate) and self.rate >= 0.0):
+            raise DomainError(f"collapse rate must be nonnegative, got {float(self.rate)}")
         object.__setattr__(self, "operator", op)
 
 
@@ -99,25 +91,13 @@ def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def lindblad_dissipator(channel: CollapseChannel) -> np.ndarray:
-    """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2), over the
-    leading axes of a stacked channel."""
+    """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2)."""
     op = channel.operator
-    eye = np.eye(op.shape[-1], dtype=complex)
-    op_dag = np.swapaxes(op.conj(), -1, -2)
-    opdop = op_dag @ op
-    # In place where the products allow it: a 48-point stack's terms are
-    # 200 kB each.
-    dissipator = _sandwich(op, op_dag)
-    dissipator -= _halved(_sandwich(opdop, eye))
-    dissipator -= _halved(_sandwich(eye, opdop))
-    rate = np.asarray(channel.rate, dtype=complex)[..., None, None]
-    fits = np.broadcast_shapes(rate.shape, dissipator.shape) == dissipator.shape
-    return np.multiply(rate, dissipator, out=dissipator if fits else None)
-
-
-def _halved(term: np.ndarray) -> np.ndarray:
-    term *= 0.5
-    return term
+    eye = np.eye(op.shape[0], dtype=complex)
+    opdop = op.conj().T @ op
+    return channel.rate * (
+        _sandwich(op, op.conj().T) - 0.5 * _sandwich(opdop, eye) - 0.5 * _sandwich(eye, opdop)
+    )
 
 
 def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
@@ -132,14 +112,9 @@ def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
 
 
 def cavity_annihilation() -> np.ndarray:
-    """Photon annihilation restricted to the truncated basis."""
-    return transition(G2_1, G2_0)
-
-
-def transition(upper: int, lower: int) -> np.ndarray:
-    """Jump operator |lower><upper| on the truncated basis."""
+    """Photon annihilation |g2,0><g2,1|, restricted to the truncated basis."""
     op = np.zeros((DIM, DIM), dtype=complex)
-    op[lower, upper] = 1.0
+    op[G2_0, G2_1] = 1.0
     return op
 
 
@@ -211,10 +186,10 @@ _FIXED_CHANNELS = (
 
 
 def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """The eight jump channels of every point, the prologue of both
-    builders: rates (K, 8) in 1/ns, and each jump L = |u><v| as its vectors
-    u and v, (K, 8, 4) each.  The four fixed channels come first, in
-    ``_FIXED_CHANNELS`` order, then the phonon channels, in
+    """The eight jump channels of every point, the prologue of
+    :func:`charge_blocks`: rates (K, 8) in 1/ns, and each jump L = |u><v|
+    as its vectors u and v, (K, 8, 4) each.  The four fixed channels come
+    first, in ``_FIXED_CHANNELS`` order, then the phonon channels, in
     :func:`phonon_channels` order.  Also returns the positions of the
     points with phonons; the others get no phonon term, as alone, so they
     never meet the phonon channels' errors (a non-positive laser detuning,
@@ -257,39 +232,6 @@ def _refuse_non_finite(*blocks: np.ndarray) -> None:
     })
 
 
-def build_liouvillian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
-    """Full generator of the master equation on the truncated basis, 1/ns.
-
-    Given one operating point, returns its (16, 16) generator or raises.
-    Given a sequence of K, builds all K in one pass and returns the
-    (K, 16, 16) stack, or raises stack.Failed for the points that fail.
-    Each generator is bitwise the one its point gets alone.
-    """
-    if isinstance(params, ModelParams):
-        return stack.alone(_build, params)
-    return _build(params)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # refused at the end
-def _build(points: Sequence[ModelParams]) -> np.ndarray:
-    rates, u, v, phonon = _channels(points)
-    # The phonon terms are summed on their own, from 0, and added last: the
-    # last bits of every generator depend on this order.  They are summed
-    # first, so that at most three stack-sized arrays are alive at a time.
-    total = 0
-    for j in range(4, 8) if phonon else ():
-        ops = u[phonon, j, :, None] * v[phonon, j, None, :].conj()
-        total += lindblad_dissipator(CollapseChannel(ops, rates[phonon, j]))
-
-    gens = hamiltonian_superoperator(model.build_hamiltonian(points))
-    for j, (upper, lower, _) in enumerate(_FIXED_CHANNELS):
-        gens += lindblad_dissipator(CollapseChannel(transition(upper, lower), rates[:, j]))
-    if phonon:
-        gens[phonon] += total
-    _refuse_non_finite(gens)
-    return gens
-
-
 def charge_blocks(
     params: ModelParams | Sequence[ModelParams],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,12 +243,12 @@ def charge_blocks(
     (Dalibard, Castin and Molmer, PRL 68, 580 (1992)) the entry of row
     |i><j| and column |k><l| is
     G[i,k] d[j,l] + d[i,k] G*[j,l] + sum_c rate_c u_i u_j* v_k* v_l.
-    The blocks equal the slices of :func:`build_liouvillian` up to
-    rounding, and fail as it does.  Given one operating point, returns its
-    (10, 10) and (3, 3) blocks or raises; given a sequence of K, the
-    (K, 10, 10) and (K, 3, 3) stacks, or raises stack.Failed for the
-    points that fail.  Each point's blocks are bitwise the ones it gets
-    alone.
+    The blocks equal the slices of the whole generator, the sum of the
+    channels' dissipators, up to rounding.  Given one operating point,
+    returns its (10, 10) and (3, 3) blocks or raises; given a sequence of
+    K, the (K, 10, 10) and (K, 3, 3) stacks, or raises stack.Failed for
+    the points that fail.  Each point's blocks are bitwise the ones it
+    gets alone.
     """
     if isinstance(params, ModelParams):
         return stack.alone(_charge_blocks, params)
@@ -332,30 +274,9 @@ def _charge_blocks(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarra
     return tuple(blocks)
 
 
-#: Kernel test of steady_state: the second-smallest singular value must
-#: exceed this fraction of the largest.
+#: Kernel test of the steady state: the second-smallest singular value
+#: must exceed this fraction of the largest.
 KERNEL_RTOL = 1e-10
-
-
-def steady_state(gen: np.ndarray) -> np.ndarray:
-    """Unique trace-one null vector of the generator.
-
-    Raises NonUniqueSteadyState when the second-smallest singular value is
-    below KERNEL_RTOL times the largest, i.e. when the kernel is degenerate
-    at working precision.  Given a (K, n, n) stack of generators, makes one
-    stacked SVD and returns the (K, m, m) states, or raises stack.Failed
-    for the generators that fail.
-    """
-    gen = np.asarray(gen, dtype=complex)
-    size = gen.shape[-1]
-    if math.isqrt(size) ** 2 != size:
-        raise DomainError(f"vector of length {size} is not a stacked square matrix")
-
-    def solve(gens: np.ndarray) -> np.ndarray:
-        # One sector: the whole generator.
-        return _kernel_test(*_sector_null_vectors(gens, [], np.arange(size), size))
-
-    return stack.alone(solve, gen) if gen.ndim == 2 else solve(gen)
 
 
 def block_steady_state(state_block: np.ndarray, mode_block: np.ndarray) -> np.ndarray:
@@ -367,9 +288,13 @@ def block_steady_state(state_block: np.ndarray, mode_block: np.ndarray) -> np.nd
     Given (K, 10, 10) and (K, 3, 3) stacks, returns the (K, 4, 4) states
     or raises stack.Failed for the generators that fail.
     """
+
+    def solve(states: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        return _kernel_test(*_block_null_vectors(states, modes))
+
     if np.ndim(state_block) == 2:
-        return stack.alone(block_steady_state, state_block, mode_block)
-    return _kernel_test(*_block_null_vectors(state_block, mode_block))
+        return stack.alone(solve, state_block, mode_block)
+    return solve(state_block, mode_block)
 
 
 def _block_null_vectors(state_block: np.ndarray, mode_block: np.ndarray):

@@ -3,7 +3,9 @@
 Nothing here reuses the truncated four-state machinery beyond the generic
 superoperator algebra, the phonon channels and the package's one kernel
 test, so agreement between these routines and the fast paths is a real
-consistency statement, not a tautology.
+consistency statement, not a tautology.  Only :func:`truncation_error`
+solves the four-state model, on its charge blocks as the pipeline does,
+and refines that state once to compare it with the ladder.
 """
 from __future__ import annotations
 
@@ -178,9 +180,34 @@ def truncation_error(params: ModelParams, n_max: int = 3) -> float:
     the distance is omega_eff * gamma_flip / (kappa * (kappa + gamma_flip))
     with omega_eff = omega_drive * g / delta_laser, so it never exceeds
     omega_eff / kappa.
+
+    The four-state state is the pipeline's, refined once against its
+    q = 0 block, so that the distance is truncation and not rounding.
     """
     ladder = full_ladder_steady_state(params, n_max)
-    return truncation_distance(lv.steady_state(lv.build_liouvillian(params)), ladder)
+    state, modes = lv.charge_blocks(params)
+    return truncation_distance(_refined(state, lv.block_steady_state(state, modes)), ladder)
+
+
+def _refined(state_block: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """A steady state ``rho`` of the q = 0 block ``state_block`` after one
+    step of refinement with the block's SVD, x -= V' S'^-1 U'^H (L x) over
+    every singular triplet but the last, made hermitian and of trace one.
+
+    The SVD's null vector carries rounding up to eps sigma_max /
+    sigma_(n-1), which a slow Raman transfer makes large (2.7e-10 with no
+    spin flip and no phonons), though a change of the block's entries by
+    one ulp moves the kernel far less; one step removes that rounding.
+    ``rho`` passed the kernel test, so no sigma but the last vanishes.
+    """
+    u, svals, vh = np.linalg.svd(state_block)
+    x = lv.vec(rho)
+    null = x[lv.STATE_BLOCK]
+    correction = (u[:, :-1].conj().T @ (state_block @ null)) / svals[:-1]
+    x[lv.STATE_BLOCK] = null - vh[:-1].conj().T @ correction
+    rho = x.reshape(rho.shape, order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
 
 
 def truncation_distance(
@@ -214,10 +241,13 @@ def ladder_distance(
 
 
 def _check_grid(t_grid) -> np.ndarray:
-    """The grid as floats: at least two points, nonnegative, strictly increasing."""
+    """The grid as floats: at least two points, finite, nonnegative,
+    strictly increasing."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise DomainError("time grid must hold at least two points")
+    if not np.all(np.isfinite(t_grid)):
+        raise DomainError("time grid must be finite")
     if t_grid[0] < 0.0 or np.min(np.diff(t_grid)) <= 0.0:
         raise DomainError("time grid must be nonnegative and strictly increasing")
     return t_grid
@@ -314,8 +344,21 @@ def propagate(gen: np.ndarray, start: np.ndarray, t_grid: np.ndarray) -> np.ndar
     then one matrix-vector product per step.  That is exact on any
     increasing grid, uniform or not; a linspace grid has a handful of
     distinct steps.  No eigendecomposition anywhere.
+
+    Raises DomainError where rounding leaves nothing of the state: scaling
+    and squaring loses about eps |gen t|_1 of it, and the steps add up to
+    the grid's end, so a grid whose end makes eps |gen|_1 t_end exceed 1
+    is refused before any product overflows, as is a generator whose
+    1-norm is not finite.
     """
     t_grid = _check_grid(t_grid)
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        loss = np.finfo(float).eps * np.abs(gen).sum(axis=-2).max() * t_grid[-1]
+    if not loss <= 1.0:
+        raise DomainError(
+            f"expm(L t) cannot be resolved up to t = {t_grid[-1]:.3e} ns: its "
+            f"rounding bound eps |L t|_1 = {loss:.1e} exceeds 1"
+        )
     steps, which = np.unique(np.diff(t_grid), return_inverse=True)
     times = np.concatenate(([t_grid[0]], steps))
     first, *propagators = _expm(gen * times[:, None, None])

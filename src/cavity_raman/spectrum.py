@@ -4,9 +4,9 @@ The field correlation <a^dag(tau) a(0)> evolves under the same generator as
 the density matrix, so its Laplace transform is a sum of three complex
 Lorentzians, one per eigenvalue of the generator's 3 x 3 block that holds
 a rho_ss.  Everything here works with that exact mode decomposition; no
-time grid is involved.  The spectra and the line table solve a point on
-its two charge blocks (``liouvillian.charge_blocks``), never forming the
-whole generator.
+time grid is involved.  Every consumer, the spectra, the line table and
+``validate``, solves a point on its two charge blocks
+(``liouvillian.charge_blocks``), never forming the whole generator.
 """
 from __future__ import annotations
 
@@ -29,10 +29,6 @@ STABILITY_TOL = 1e-10
 #: Samples per block in mixture_intensity: its complex temporaries hold
 #: 65,536 samples of one mode, about 1 MB each, whatever the grid size.
 MIXTURE_BLOCK = 65536
-
-#: Vec indices of |g2,0><j|, j in COHERENT_BLOCK: the generator's block of
-#: charge q = -1, which holds vec(a rho_ss).
-_CHARGE_BLOCK = lv.MODE_BLOCK
 
 
 @dataclass(frozen=True)
@@ -80,22 +76,12 @@ class Spectrum:
         object.__setattr__(self, "intensity", intensity)
 
 
-def generator_modes(
-    gen: np.ndarray, rho_ss: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
-    """Eigenvalues and spectral residues of the field correlation function
-    of a built generator ``gen`` and its steady state ``rho_ss``: the
-    :func:`block_modes` of its q = -1 block (``_CHARGE_BLOCK``).  Takes a
-    (16, 16) generator and a (4, 4) state, or stacks of K of each."""
-    return block_modes(gen[..., _CHARGE_BLOCK[:, None], _CHARGE_BLOCK], rho_ss)
-
-
 def block_modes(
     block: np.ndarray, rho_ss: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """Eigenvalues and spectral residues of the field correlation function
-    of a generator's q = -1 block ``block`` (3 x 3, at ``_CHARGE_BLOCK``)
-    and its steady state ``rho_ss``.
+    of a generator's q = -1 block ``block`` (3 x 3, at
+    ``liouvillian.MODE_BLOCK``) and its steady state ``rho_ss``.
 
     Returns ``(lambdas, residues, photon_number)`` where
     <a^dag(tau) a> = sum_j residues[j] * exp(lambdas[j] tau), lambdas in

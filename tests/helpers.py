@@ -1,10 +1,11 @@
 """Shared test utilities: random operating points, plain ``np.kron``
-superoperators, the whole photon-ladder generator and an index-loop
-reference for it, a dense-SVD steady state, finite-horizon transforms for
-the time-domain spectrum check, short-horizon RK45 and per-time ``expm``
-references for the exactly propagated oracles, and per-point loop
-references for the stacked line classification, windows, spectrum sums
-and peak read-back.
+superoperators, the whole four-state generator, its one-sector steady
+state and its correlation modes (the charge blocks' oracle), the whole
+photon-ladder generator and an index-loop reference for it, a dense-SVD
+steady state, finite-horizon transforms for the time-domain spectrum
+check, short-horizon RK45 and per-time ``expm`` references for the
+exactly propagated oracles, and per-point loop references for the
+stacked line classification, windows, spectrum sums and peak read-back.
 """
 import math
 from dataclasses import astuple, is_dataclass
@@ -23,7 +24,7 @@ from cavity_raman import (
     n_thermal,
 )
 from cavity_raman import liouvillian as lv
-from cavity_raman import oracle, stack
+from cavity_raman import model, oracle, stack
 from cavity_raman.liouvillian import KERNEL_RTOL, block_steady_state, charge_blocks
 from cavity_raman.spectrum import block_modes
 
@@ -55,6 +56,79 @@ def random_valid_params(rng: np.random.Generator) -> ModelParams:
     )
 
 
+def stacked_dissipator(ops, rates) -> np.ndarray:
+    """``liouvillian.lindblad_dissipator`` over the leading axes of a stack
+    of jumps ``ops`` (..., n, n) with their ``rates``, an array of the
+    leading shape, in the same products and order of sums: each slice is
+    bitwise its channel's dissipator alone."""
+    ops = np.asarray(ops, dtype=complex)
+    eye = np.eye(ops.shape[-1], dtype=complex)
+    ops_dag = np.swapaxes(ops.conj(), -1, -2)
+    opdop = ops_dag @ ops
+    dissipator = (
+        lv._sandwich(ops, ops_dag) - 0.5 * lv._sandwich(opdop, eye) - 0.5 * lv._sandwich(eye, opdop)
+    )
+    return np.asarray(rates, dtype=complex)[..., None, None] * dissipator
+
+
+def build_liouvillian(params) -> np.ndarray:
+    """The whole four-state generator, 1/ns: the oracle of
+    ``liouvillian.charge_blocks``, built on its own from the shared
+    channel prologue ``liouvillian._channels`` and superoperators.
+
+    Given one operating point, returns its (16, 16) generator or raises.
+    Given a sequence of K, builds all K in one pass and returns the
+    (K, 16, 16) stack, or raises stack.Failed for the points that fail.
+    Each generator is bitwise the one its point gets alone, and bitwise
+    :func:`kron_liouvillian`.
+    """
+    if isinstance(params, ModelParams):
+        return stack.alone(_build, params)
+    return _build(params)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # refused at the end
+def _build(points) -> np.ndarray:
+    rates, u, v, phonon = lv._channels(points)
+    # The phonon terms are summed on their own, from 0, and added last: the
+    # last bits of every generator depend on this order.
+    total = 0
+    for j in range(4, 8) if phonon else ():
+        ops = u[phonon, j, :, None] * v[phonon, j, None, :].conj()
+        total += stacked_dissipator(ops, rates[phonon, j])
+
+    gens = lv.hamiltonian_superoperator(model.build_hamiltonian(points))
+    for j, (upper, lower, _) in enumerate(lv._FIXED_CHANNELS):
+        op = np.zeros((4, 4), dtype=complex)
+        op[lower, upper] = 1.0
+        gens += stacked_dissipator(op, rates[:, j])
+    if phonon:
+        gens[phonon] += total
+    lv._refuse_non_finite(gens)
+    return gens
+
+
+def steady_state(gen) -> np.ndarray:
+    """Unique trace-one null vector of a whole generator, solved as one
+    sector by the package's kernel test: the (n, n) state of one
+    generator, or the (K, n, n) states of a stack or stack.Failed for the
+    generators that fail."""
+    gen = np.asarray(gen, dtype=complex)
+    size = gen.shape[-1]
+
+    def solve(gens):
+        return lv._kernel_test(*lv._sector_null_vectors(gens, [], np.arange(size), size))
+
+    return stack.alone(solve, gen) if gen.ndim == 2 else solve(gen)
+
+
+def generator_modes(gen, rho_ss):
+    """``spectrum.block_modes`` of a whole generator's q = -1 block, at
+    ``liouvillian.MODE_BLOCK``: a (16, 16) generator and a (4, 4) state,
+    or stacks of K of each."""
+    return block_modes(gen[..., lv.MODE_BLOCK[:, None], lv.MODE_BLOCK], rho_ss)
+
+
 def kron_lindblad_dissipator(channel) -> np.ndarray:
     """``liouvillian.lindblad_dissipator`` written with ``np.kron``, in the
     same products and the same order of sums, so the two agree bitwise."""
@@ -77,7 +151,7 @@ def kron_hamiltonian_superoperator(h) -> np.ndarray:
 
 def kron_liouvillian(params) -> np.ndarray:
     """The four-state generator of one operating point, built as
-    ``liouvillian.build_liouvillian`` builds it, in the same products and
+    :func:`build_liouvillian` builds it, in the same products and
     the same order of sums, but alone and with ``np.kron``: its own
     Hamiltonian, a 2-D ``eigh`` for the dressed states and per-channel
     dissipators.  Only ``model.n_thermal`` is shared."""
@@ -206,7 +280,7 @@ def loop_ladder_liouvillian(params, n_max) -> np.ndarray:
 
 
 def dense_steady_state(gen) -> np.ndarray:
-    """``liouvillian.steady_state`` as one full SVD of each whole generator,
+    """:func:`steady_state` as one full SVD of each whole generator,
     with no sectors: the (n, n) state of one generator, or the (K, n, n)
     states of a stack or stack.Failed for the generators that fail."""
     gen = np.asarray(gen, dtype=complex)

@@ -15,10 +15,12 @@ from cavity_raman import fit as fit_mod
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
 from cavity_raman import rates as rates_mod
-from cavity_raman import spectrum as spectrum_mod
 from cavity_raman.spectrum import mixture_intensity
 from helpers import (
+    build_liouvillian,
+    generator_modes,
     random_valid_params,
+    steady_state,
     windowed_mode_sum,
     windowed_transform,
 )
@@ -75,7 +77,7 @@ def test_criterion_04_closed_form_rates_match_dynamics():
     target = rates_mod.raman_rate_cavity(
         params.omega_drive, params.g, params.delta_laser, params.kappa
     )
-    gen = lv.build_liouvillian(params)
+    gen = build_liouvillian(params)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     grid = np.linspace(0.0, 0.5 / target, 120)
@@ -231,11 +233,11 @@ def test_criterion_11_structural_invariants_random_sweep():
     dt, n_steps = 1.0 / 1024.0, 8192
     for _ in range(50):
         params = random_valid_params(rng)
-        gen = lv.build_liouvillian(params)
+        gen = build_liouvillian(params)
         probe = lv.vec(np.eye(4)).conj()
         assert np.max(np.abs(probe @ gen)) <= 1e-10 * np.max(np.abs(gen))
 
-        rho_ss = lv.steady_state(gen)
+        rho_ss = steady_state(gen)
         assert np.max(np.abs(rho_ss - rho_ss.conj().T)) < 1e-12
         assert np.trace(rho_ss).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho_ss)) > -1e-10
@@ -246,7 +248,7 @@ def test_criterion_11_structural_invariants_random_sweep():
             assert down.rate > 0.0
             assert up.rate / down.rate == pytest.approx(boltzmann, rel=1e-12)
 
-        lambdas, residues, nbar = spectrum_mod.generator_modes(gen, rho_ss)
+        lambdas, residues, nbar = generator_modes(gen, rho_ss)
         assert abs(np.sum(residues) - nbar) <= 1e-10
 
         nu = np.linspace(

@@ -407,21 +407,21 @@ def test_sweep_raises_first_failure_after_vanishing_point(capsys):
 
 
 def test_validate_solves_each_generator_once(capsys, monkeypatch):
-    """validate builds the four-state generator and solves its steady state
-    once, and each photon ladder once: n_max = 3 serves both the
-    truncation and the convergence check, and each ladder is one block
-    solve, never a whole-generator steady state."""
+    """validate assembles the four-state generator's charge blocks and
+    solves their steady state once, and each photon ladder once: n_max = 3
+    serves both the truncation and the convergence check, and each ladder
+    is one block solve."""
     built, steady, ladders, block_solves = [], [0], [], []
-    build, solve = lv.build_liouvillian, lv.steady_state
+    assemble, solve = lv.charge_blocks, lv.block_steady_state
     ladder, block_solve = oracle.full_ladder_steady_state, oracle._ladder_null_vectors
 
-    def counting_build(params):
+    def counting_blocks(params):
         built.append(params)
-        return build(params)
+        return assemble(params)
 
-    def counting_steady(gen):
+    def counting_steady(state, modes):
         steady[0] += 1
-        return solve(gen)
+        return solve(state, modes)
 
     def counting_ladder(params, n_max=3):
         ladders.append(n_max)
@@ -431,18 +431,41 @@ def test_validate_solves_each_generator_once(capsys, monkeypatch):
         block_solves.append(basis.n_max)
         return block_solve(basis, *blocks)
 
-    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
-    monkeypatch.setattr(lv, "steady_state", counting_steady)
+    monkeypatch.setattr(lv, "charge_blocks", counting_blocks)
+    monkeypatch.setattr(lv, "block_steady_state", counting_steady)
     monkeypatch.setattr(oracle, "full_ladder_steady_state", counting_ladder)
     monkeypatch.setattr(oracle, "_ladder_null_vectors", counting_block_solve)
     code, _, _ = run_cli(capsys, ["validate"])
     assert code == 0
-    # The second build is the cavity-only generator of the rate check.
-    assert built[0] == ModelParams() and len(built) == 2
+    # The second assembly is the cavity-only generator of the rate check.
+    assert len(built) == 2 and built[0] == ModelParams()
+    assert built[1] == replace(
+        ModelParams(),
+        gamma1=0.0,
+        gamma2=0.0,
+        gamma_flip=0.0,
+        phonon_alpha1=0.0,
+        phonon_alpha2=0.0,
+    )
     assert ladders == [3, 4]
     assert block_solves == [3, 4]
     # The four-state steady state only.
     assert steady[0] == 1
+
+
+@pytest.mark.parametrize("kappa", ["1e20", "1e300", "2e307"])
+def test_validate_refuses_a_cavity_rate_too_small_to_resolve(capsys, kappa):
+    """A cavity so lossy that its Raman rate cannot be resolved against
+    the generator fails the cavity-rate check with a DomainError naming
+    the rate, before the propagation's squarings, its steps or its time
+    grid overflow a float, and validate ends with its verdict."""
+    code, out, err = run_cli(capsys, ["validate", "--kappa", kappa])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-1] == "validation FAILED"
+    (check,) = [line for line in lines if "cavity_rate_consistency" in line]
+    assert check.startswith("FAIL cavity_rate_consistency: DomainError: cavity Raman rate ")
+    assert "is too small to resolve" in check
 
 
 def test_fit_failure_exits_4(capsys, tmp_path):
@@ -505,21 +528,16 @@ def test_unwritable_out_exits_2(capsys, tmp_path, target, errno_code):
 
 def test_unwritable_out_is_refused_before_the_work(capsys, monkeypatch, tmp_path):
     """An --out in a directory that does not exist exits 2 with the
-    write-time message before any generator or charge block is built, and
+    write-time message before any charge block is built, and
     a command that fails in its work leaves an existing --out file as it
     was."""
     built = []
-    build, blocks = lv.build_liouvillian, lv.charge_blocks
-
-    def counting_build(params):
-        built.append(params)
-        return build(params)
+    blocks = lv.charge_blocks
 
     def counting_blocks(params):
         built.append(params)
         return blocks(params)
 
-    monkeypatch.setattr(lv, "build_liouvillian", counting_build)
     monkeypatch.setattr(lv, "charge_blocks", counting_blocks)
     path = "/nonexistent-dir/x"
     for command in (["validate"], ["sweep-detuning", "--sweep-count", "81"]):

@@ -909,9 +909,9 @@ def test_refit_repeats_no_jacobian(monkeypatch, paper_params):
 def test_predict_rs_sees_phonon_law_only_through_density():
     """At detuning d the pipeline sees (alpha, n) only through alpha * d**n.
 
-    build_liouvillian evaluates the spectral density at the laser detuning,
-    so (alpha, n) and (alpha * d**n, 0) build the same generator bit for
-    bit; the phonon refit solves every trial in that one variable.
+    The phonon channels evaluate the spectral density at the laser
+    detuning, so (alpha, n) and (alpha * d**n, 0) build the same generator
+    bit for bit; the phonon refit solves every trial in that one variable.
     """
     rng = np.random.default_rng(606)
     checked = 0
@@ -1277,3 +1277,25 @@ def test_refit_recovers_benchmark_table(paper_params):
     result = fit_phonon_exponent(points, paper_params)
     assert result.prefactor == pytest.approx(0.7999999999936683, rel=1e-8)
     assert result.exponent == pytest.approx(0.4000000000017811, rel=1e-8)
+
+
+def test_pipeline_answers_across_the_tuning_plane():
+    """Over the paper's tuning plane, laser and cavity detunings each on 21
+    points from 1 to 105 GHz with the other parameters at the default
+    point, solved in one call of each pipeline: every point inside the
+    adiabatic regime the model claims solves, and no point is refused as
+    DomainError, the class of bad input, since every point is valid
+    input."""
+    grid = np.linspace(1.0, 105.0, 21).tolist()
+    points = [
+        replace(ModelParams(), delta_laser=laser, delta_cavity=cavity)
+        for laser in grid
+        for cavity in grid
+    ]
+    assert any(point.adiabatic_valid for point in points)
+    assert not all(point.adiabatic_valid for point in points)
+    for outcomes in (predict_rs(points), fit_emission_lines(points)):
+        for point, outcome in zip(points, outcomes):
+            assert not isinstance(outcome, DomainError), (point, outcome)
+            if point.adiabatic_valid:
+                assert not isinstance(outcome, Exception), (point, outcome)

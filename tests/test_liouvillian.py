@@ -17,16 +17,15 @@ from cavity_raman import (
     ModelParams,
     NonUniqueSteadyState,
     build_hamiltonian,
-    build_liouvillian,
     dressed_states,
     lindblad_dissipator,
     n_thermal,
     phonon_channels,
-    steady_state,
     trace_distance,
 )
 from cavity_raman.liouvillian import cavity_annihilation, vec
 from cavity_raman.model import G1_0, G2_0, G2_1
+from helpers import build_liouvillian, generator_modes, steady_state
 from reference_values import PHOTON_NUMBER_REF, STEADY_POPULATIONS_REF
 
 TWO_PI = 2.0 * math.pi
@@ -64,7 +63,8 @@ def test_dissipator_trace_preserving_on_random_channels():
 @pytest.mark.parametrize("dim", [4, 12])
 def test_superoperators_match_kron_reference_bitwise(dim):
     """Each superoperator equals its np.kron form bit for bit, alone and as
-    one slice of a stack of 20."""
+    one slice of a stack of 20 (the stacked dissipator is the whole
+    generator's, in the helpers)."""
     rng = np.random.default_rng(17 + dim)
     channels = []
     for _ in range(20):
@@ -78,21 +78,22 @@ def test_superoperators_match_kron_reference_bitwise(dim):
             lv.hamiltonian_superoperator(op), helpers.kron_hamiltonian_superoperator(op)
         )
     ops = np.array([channel.operator for channel in channels])
-    stacked = CollapseChannel(ops, np.array([channel.rate for channel in channels]))
+    rates = np.array([channel.rate for channel in channels])
     for dis, ham, channel in zip(
-        lindblad_dissipator(stacked), lv.hamiltonian_superoperator(ops), channels
+        helpers.stacked_dissipator(ops, rates), lv.hamiltonian_superoperator(ops), channels
     ):
         assert helpers.same_bits(dis, helpers.kron_lindblad_dissipator(channel))
         assert helpers.same_bits(ham, helpers.kron_hamiltonian_superoperator(channel.operator))
 
 
 def test_collapse_channel_refuses_bad_rates():
-    """A negative or non-finite rate is refused, in a stack by the first one."""
+    """A negative or non-finite rate is refused; a channel is one square
+    operator, so a stack of them is refused too."""
     for rate in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match=f"nonnegative, got {rate}$"):
             CollapseChannel(np.eye(4), rate)
-    with pytest.raises(DomainError, match="got -2.5$"):
-        CollapseChannel(np.stack([np.eye(4)] * 3), np.array([1.0, -2.5, -3.0]))
+    with pytest.raises(DomainError, match=r"must be square, got shape \(3, 4, 4\)$"):
+        CollapseChannel(np.stack([np.eye(4)] * 3), 1.0)
 
 
 def test_generators_match_kron_reference_bitwise():
@@ -185,6 +186,24 @@ def test_propagate_reaches_steady_state(paper_params):
     # Ten reshuffling times gets close but not all the way; pin the scale.
     pops_short = np.diag(_evolve(gen, rho0, 10.0 / paper_params.gamma_flip)).real
     assert np.max(np.abs(pops_short - target)) < 1e-5
+
+
+def test_propagate_refuses_a_horizon_rounding_cannot_resolve(paper_params):
+    """Past eps |L|_1 t = 1 scaling and squaring leaves nothing of the
+    state, and an infinite grid has no steps: both are DomainErrors, raised
+    before any product overflows.  Inside the bound, at eps |L|_1 t = 1/2,
+    the trace is off by no more than that bound."""
+    gen = build_liouvillian(paper_params)
+    start = vec(np.diag([1.0 + 0j, 0.0, 0.0, 0.0]))
+    resolved = 0.5 / (np.finfo(float).eps * np.max(np.sum(np.abs(gen), axis=0)))
+    states = oracle.propagate(gen, start, [0.0, resolved])
+    assert abs(np.sum(states[-1][::5]) - 1.0) <= 0.5
+    with pytest.raises(DomainError, match="rounding bound eps .* exceeds 1$"):
+        oracle.propagate(gen, start, [0.0, 4.0 * resolved])
+    with pytest.raises(DomainError, match=r"up to t = 1\.000e\+300 ns: .* exceeds 1$"):
+        oracle.propagate(gen, start, [0.0, 1e300])
+    with pytest.raises(DomainError, match="^time grid must be finite$"):
+        oracle.propagate(gen, start, [0.0, np.inf])
 
 
 def test_propagate_preserves_density_matrix_structure():
@@ -311,7 +330,7 @@ def _whole_route(params):
     (16, 16) generator: the oracle of the charge-block route."""
     gen = build_liouvillian(params)
     rho = steady_state(gen)
-    return gen, rho, spectrum_mod.generator_modes(gen, rho)
+    return gen, rho, generator_modes(gen, rho)
 
 
 def _block_route(params):
@@ -331,11 +350,11 @@ def _outcome(route, params):
 
 def test_charge_blocks_match_the_whole_generator(paper_params):
     """The charge-block route (blocks from rank-one jumps, the 10 x 10
-    steady state, the 3 x 3 modes) agrees with the whole generator's
-    (build_liouvillian, the 16 x 16 SVD and generator_modes on its slice)
-    within rounding bounds stated from the computation, on random points,
-    kT = 0, phonon_n < 0 and no phonons, and every point of the failure grid
-    fails with the same exception on both routes.
+    steady state, the 3 x 3 modes) agrees with the whole generator's (the
+    helpers' build_liouvillian, the 16 x 16 SVD and generator_modes on its
+    slice) within rounding bounds stated from the computation, on random
+    points, kT = 0, phonon_n < 0 and no phonons, and every point of the
+    failure grid fails with the same exception on both routes.
 
     Bounds, with s = 2 pi max|H| + the sum of the eight rates (about
     max|L|, so about sigma_max), kappa(V) the condition number of the

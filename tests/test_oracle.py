@@ -10,6 +10,7 @@ from cavity_raman import oracle
 from cavity_raman import rates as rates_mod
 from helpers import (
     bare_lambda_generator,
+    build_liouvillian,
     dense_steady_state,
     expm_bare_populations,
     ladder_liouvillian,
@@ -293,7 +294,7 @@ def test_expm_matches_scipy_on_four_state_generators(paper_params, point):
             paper_params, gamma1=0.0, gamma2=0.0, gamma_flip=0.0,
             phonon_alpha1=0.0, phonon_alpha2=0.0,
         )
-    gen = lv.build_liouvillian(paper_params)
+    gen = build_liouvillian(paper_params)
     steps = gen * np.array([1.0 / 1024.0, 0.1, 1.0, 5.0])[:, None, None]
     _assert_expm_matches_scipy([oracle._expm(step) for step in steps], steps)
     _assert_expm_matches_scipy(oracle._expm(steps), steps)
@@ -348,7 +349,7 @@ def test_bare_emitter_steps_match_per_time_expm(case, paper_params):
         rates = (omega, delta, gamma, gamma)
         grid = np.linspace(t_start, t_start + 3.0 / target, 200)
     if case == "four_state":
-        gen = lv.build_liouvillian(paper_params)
+        gen = build_liouvillian(paper_params)
         start = lv.vec(np.diag([1.0 + 0j, 0.0, 0.0, 0.0]))
         found = oracle.propagate(gen, start, grid)
         expected = np.array([oracle._expm(gen * t) @ start for t in grid])

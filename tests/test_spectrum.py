@@ -18,16 +18,15 @@ from cavity_raman import (
     UnstableLiouvillian,
     apply_filter,
     build_hamiltonian,
-    build_liouvillian,
     emission_spectrum,
     fit_emission_lines,
-    steady_state,
 )
 from cavity_raman import cli, oracle, stack
 from cavity_raman import liouvillian as lv
 from cavity_raman import spectrum as spectrum_mod
 from cavity_raman.model import COHERENT_BLOCK, G2_0
 from cavity_raman.spectrum import mixture_intensity
+from helpers import build_liouvillian, generator_modes, steady_state
 from reference_values import PHOTON_NUMBER_REF
 
 TWO_PI = 2.0 * math.pi
@@ -57,9 +56,8 @@ def test_residues_sum_to_photon_number(paper_params):
 
 
 def test_generator_modes_match_correlation_modes(paper_params):
-    """The correlation modes in a point's line-table row are
-    generator_modes of its own 2-D generator and steady state, bit for
-    bit."""
+    """The correlation modes in a point's line-table row are the modes of
+    its own charge blocks, solved alone, bit for bit."""
     table = spectrum_mod.line_table([paper_params])
     lambdas, residues, nbar = helpers.point_modes(paper_params)
     assert helpers.same_bits(table.lambdas[0], lambdas)
@@ -77,13 +75,13 @@ def test_unstable_generator_fails_only_its_point(paper_params):
     unstable = healthy.copy()
     unstable[1] = -unstable[1]
     with pytest.raises(stack.Failed) as failed:
-        spectrum_mod.generator_modes(unstable, states)
+        generator_modes(unstable, states)
     assert list(failed.value.errors) == [1]
     error = failed.value.errors[1]
     assert isinstance(error, UnstableLiouvillian)
     assert str(error) == "relaxing eigenvalue with real part 1.712e+02 1/ns >= 1e-10"
-    lambdas, residues, photons = spectrum_mod.generator_modes(healthy, states)
-    alone = spectrum_mod.generator_modes(unstable[0], states[0])
+    lambdas, residues, photons = generator_modes(healthy, states)
+    alone = generator_modes(unstable[0], states[0])
     assert helpers.same_bits(alone[0], lambdas[0])
     assert helpers.same_bits(alone[1], residues[0])
     assert alone[2] == photons[0]
@@ -132,7 +130,7 @@ def test_generator_splits_into_charge_blocks_with_three_modes():
     a_op = lv.cavity_annihilation()
     gens = build_liouvillian(points)
     assert gens.shape == (len(points), 16, 16)
-    stacked_lambdas, stacked_residues, _ = spectrum_mod.generator_modes(gens, steady_state(gens))
+    stacked_lambdas, stacked_residues, _ = generator_modes(gens, steady_state(gens))
     for params, gen, block_lambdas, block_residues in zip(
         points, gens, stacked_lambdas, stacked_residues
     ):
