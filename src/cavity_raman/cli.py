@@ -38,9 +38,7 @@ from .errors import (
     UnstableLiouvillian,
     VanishingSpontaneous,
 )
-from .model import DIM, G1_0, G2_0, ModelParams
-
-_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
+from .model import DIM, FIELDS, G1_0, G2_0, ModelParams
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _convert(key: str, value: str) -> float | int:
-    kind = float if key in _PARAM_KEYS else _RUN_KINDS.get(key)
+    kind = float if key in FIELDS else _RUN_KINDS.get(key)
     if kind is None:
         raise ConfigError(f"unknown configuration key {key!r}")
     try:
@@ -142,11 +140,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             values[key] = _convert(key, raw)
-    for key in (*_PARAM_KEYS, *_RUN_KINDS):
+    for key in (*FIELDS, *_RUN_KINDS):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    params = ModelParams(**{k: values.pop(k) for k in list(values) if k in _PARAM_KEYS})
+    params = ModelParams(**{k: values.pop(k) for k in list(values) if k in FIELDS})
     return RunConfig(params=params, **values)
 
 
@@ -162,7 +160,7 @@ def _write_csv(
     """:func:`_emit` a table: every parameter and ``extra`` as sorted
     ``# key = value`` lines, the ``# columns:`` line, then ``rows``, an
     iterable of rows, each cell of a float or int as :func:`_fmt` writes it."""
-    entries = {key: getattr(config.params, key) for key in _PARAM_KEYS} | extra
+    entries = {key: getattr(config.params, key) for key in FIELDS} | extra
     lines = [f"# cavity-raman {command}"]
     lines.extend(f"# {key} = {_fmt(entries[key])}" for key in sorted(entries))
     lines.append("# columns: " + ",".join(names))
@@ -561,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a key = value configuration file")
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    for key in (*_PARAM_KEYS, *_RUN_KINDS):
+    for key in (*FIELDS, *_RUN_KINDS):
         flags = [f"--{key.replace('_', '-')}"]
         if "_" in key:
             flags.append(f"--{key}")

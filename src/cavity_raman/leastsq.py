@@ -84,6 +84,8 @@ def minimize(
     ``x0`` holds one start per row, shape (K, P).  ``residual(rows, x)``
     and ``jacobian(rows, x)`` evaluate the problems numbered ``rows`` at
     ``x``, one row each, with shapes (len(rows), M) and (len(rows), M, P).
+    ``rows`` is always an ascending subset of ``arange(K)`` without
+    repeats, so a callback given K rows is given the whole stack in order.
     Each problem keeps its own damping, accept/reject decision and stop
     test, and the stacked products and solves are bitwise equal to their
     2-D calls, so a problem takes the same path in any stack as alone.

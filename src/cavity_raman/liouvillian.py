@@ -66,16 +66,19 @@ class CollapseChannel:
         object.__setattr__(self, "operator", op)
 
 
-def _rate_error(rate: float) -> DomainError | None:
-    """The DomainError of a builder's channel rate in 1/ns, or None.  Every
-    rate comes from finite, nonnegative parameters, so the only one refused
-    is a rate that overflowed a float on its way in."""
-    if math.isfinite(rate):
-        return None
-    return DomainError(
-        f"collapse rate overflows a float (got {rate} 1/ns): a rate in GHz times "
-        "2 pi, or a phonon rate, is too large"
-    )
+def _rate_errors(rates: np.ndarray) -> dict[int, DomainError]:
+    """The DomainError of each row of ``rates`` (K, n), channel rates in
+    1/ns, that holds a non-finite rate, naming the first.  Every rate comes
+    from finite, nonnegative parameters, so it overflowed a float on its
+    way in."""
+    bad = ~np.isfinite(rates)
+    return {
+        k: DomainError(
+            f"collapse rate overflows a float (got {float(rates[k, bad[k]][0])} 1/ns): "
+            "a rate in GHz times 2 pi, or a phonon rate, is too large"
+        )
+        for k in np.flatnonzero(bad.any(axis=1)).tolist()
+    }
 
 
 def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -137,42 +140,53 @@ def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
 
 def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every point's phonon jumps |u><v| as their vectors u and v, (K, 4, 4)
-    each, and their rates (K, 4), in :func:`phonon_channels` order."""
+    each, and their rates (K, 4), in :func:`phonon_channels` order.  Raises
+    stack.Failed for the points with a non-positive laser detuning, then
+    for those whose dressed states fail, then for those whose rates
+    overflow: where a power overflows or a quotient divides by zero, a
+    DomainError naming the parameters, and otherwise the first rate that
+    is not finite."""
+    g, omega, split, kT, alpha1, alpha2, exponent = model.columns(
+        points, "g", "omega_drive", "delta_laser", "kT", "phonon_alpha1", "phonon_alpha2",
+        "phonon_n",
+    )
     stack.fail({
-        k: DomainError(f"phonon channels need a positive laser detuning, got {point.delta_laser}")
-        for k, point in enumerate(points)
-        if point.delta_laser <= 0.0
+        k: DomainError(
+            f"phonon channels need a positive laser detuning, got {points[k].delta_laser}"
+        )
+        for k in np.flatnonzero(split <= 0.0).tolist()
     })
     vectors, _ = model.dressed_states(points)
-    rates = [_phonon_rates(point) for point in points]
-    stack.fail(rates)
-    # The (u, v) pairs (plus, minus), (minus, plus), (plus, dark), (dark, plus).
-    return vectors[:, [2, 1, 2, 0]], vectors[:, [1, 2, 0, 2]], np.array(rates)
-
-
-def _phonon_rates(params: ModelParams) -> list[float] | DomainError:
-    """Rates of the four phonon channels of one point, or the DomainError
-    of the first that overflows, or of a power or quotient that overflows
-    a float."""
-    split = params.delta_laser
-    occupation = 0.0 if params.kT == 0.0 else model.n_thermal(split, params.kT)
-    try:
+    # n_thermal's math.expm1 per point: np.expm1 rounds some splittings differently.
+    occupation = np.array([
+        0.0 if temperature == 0.0 else model.n_thermal(delta, temperature)
+        for delta, temperature in zip(split.tolist(), kT.tolist())
+    ])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # float_power rounds as Python's ** does, squares included.
+        squares = np.float_power([g, omega / 2.0, split], 2.0)
+        power = np.float_power(split, exponent)
         # Perturbative weight of the phonon coupling on the dressed branches.
-        prefactor = (params.g**2 + (params.omega_drive / 2.0) ** 2) / params.delta_laser**2
-        power = split**params.phonon_n
-    except ArithmeticError:
-        return DomainError(
-            "phonon rates overflow a float at "
-            f"g = {params.g:.6g}, omega_drive = {params.omega_drive:.6g}, "
-            f"delta_laser = {params.delta_laser:.6g}, "
-            f"phonon_alpha1 = {params.phonon_alpha1:.6g}, "
-            f"phonon_alpha2 = {params.phonon_alpha2:.6g}, phonon_n = {params.phonon_n:.6g}"
-        )
+        prefactor = (squares[0] + squares[1]) / squares[2]
+        bare = TWO_PI * prefactor * (np.array([alpha1, alpha2]) * power)
+        # Up then down for each branch: rate * n and rate * (1 + n).
+        scales = np.array([occupation, 1.0 + occupation]).T
+        rates = (bare.T[:, :, None] * scales[:, None]).reshape(-1, 4)
     # Tested before the occupation scales them: inf * 0 at kT = 0 is NaN.
-    alphas = (params.phonon_alpha1, params.phonon_alpha2)
-    bare = [TWO_PI * prefactor * (alpha * power) for alpha in alphas]
-    rates = [scaled for rate in bare for scaled in (rate * occupation, rate * (1.0 + occupation))]
-    return next(filter(None, map(_rate_error, bare + rates)), rates)
+    errors = _rate_errors(np.concatenate([bare.T, rates], axis=1))
+    # A power that overflows, or a square that underflows to a zero divisor.
+    overflow = np.isinf(squares).any(axis=0) | (squares[2] == 0.0) | np.isinf(power)
+    stack.fail(errors | {
+        k: DomainError(
+            "phonon rates overflow a float at "
+            f"g = {g[k]:.6g}, omega_drive = {omega[k]:.6g}, delta_laser = {split[k]:.6g}, "
+            f"phonon_alpha1 = {alpha1[k]:.6g}, phonon_alpha2 = {alpha2[k]:.6g}, "
+            f"phonon_n = {exponent[k]:.6g}"
+        )
+        for k in np.flatnonzero(overflow).tolist()
+    })
+    # The (u, v) pairs (plus, minus), (minus, plus), (plus, dark), (dark, plus).
+    return vectors[:, [2, 1, 2, 0]], vectors[:, [1, 2, 0, 2]], rates
 
 
 # Cavity decay, spontaneous emission, and ground-state reshuffling: the
@@ -196,20 +210,17 @@ def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np
     coinciding dressed frequencies).  Raises stack.Failed for the points
     whose rates overflow or whose phonon channels fail, in that order."""
     count = len(points)
-    rates = np.zeros((count, 8))
-    rates[:, :4] = np.reshape(
-        [[TWO_PI * getattr(point, name) for *_, name in _FIXED_CHANNELS] for point in points],
-        (-1, 4),
+    values = model.columns(
+        points, *(name for *_, name in _FIXED_CHANNELS), "phonon_alpha1", "phonon_alpha2"
     )
-    stack.fail([next(filter(None, map(_rate_error, row)), None) for row in rates.tolist()])
+    rates = np.zeros((count, 8))
+    with np.errstate(over="ignore"):  # refused next
+        rates[:, :4] = TWO_PI * values[:4].T
+    stack.fail(_rate_errors(rates[:, :4]))
     u, v = np.zeros((2, count, 8, DIM), dtype=complex)
     for j, (upper, lower, _) in enumerate(_FIXED_CHANNELS):
         u[:, j, lower] = v[:, j, upper] = 1.0
-    phonon = [
-        k
-        for k, point in enumerate(points)
-        if point.phonon_alpha1 > 0.0 or point.phonon_alpha2 > 0.0
-    ]
+    phonon = np.flatnonzero((values[4:] > 0.0).any(axis=0)).tolist()
     if phonon:
         try:
             u[phonon, 4:], v[phonon, 4:], rates[phonon, 4:] = _phonon_terms(

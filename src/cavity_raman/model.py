@@ -8,6 +8,7 @@ kappa GHz empties the cavity as exp(-2*pi*kappa*t).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -86,13 +87,15 @@ class ModelParams:
     phonon_n: float = 0.31
 
     def __post_init__(self):
-        for name in fields(self):
-            value = getattr(self, name.name)
+        # Every field is checked and made a float before any rate's sign.
+        for name in FIELDS:
+            value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise DomainError(f"{name.name} must be a real number, got {value!r}")
+                raise DomainError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
-                raise DomainError(f"{name.name} must be finite, got {value!r}")
-            object.__setattr__(self, name.name, float(value))
+                raise DomainError(f"{name} must be finite, got {value!r}")
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         for name in _RATE_FIELDS:
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -106,6 +109,10 @@ class ModelParams:
     def truncation_valid(self) -> bool:
         """True when ground-state reshuffling is slow against cavity decay."""
         return self.gamma_flip < self.kappa / 10.0
+
+
+#: The fields of ModelParams, in order.
+FIELDS = tuple(field.name for field in fields(ModelParams))
 
 
 def n_thermal(delta: float, kT: float) -> float:
@@ -123,6 +130,13 @@ def n_thermal(delta: float, kT: float) -> float:
         return 1.0 / math.expm1(delta / kT)
     except OverflowError:
         return 0.0
+
+
+def columns(points: Sequence[ModelParams], *names: str) -> np.ndarray:
+    """The fields ``names`` of every point as an array (len(names), K), one
+    row per field, read in one pass over the points."""
+    read = operator.attrgetter(*names)
+    return np.array([read(point) for point in points], dtype=float).reshape(-1, len(names)).T
 
 
 def build_hamiltonian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:

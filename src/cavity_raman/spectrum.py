@@ -19,7 +19,7 @@ import numpy as np
 from . import liouvillian as lv
 from . import stack
 from .errors import DegenerateSpectrum, DomainError, UnstableLiouvillian
-from .model import COHERENT_BLOCK, G2_1, ModelParams
+from .model import COHERENT_BLOCK, G2_1, ModelParams, columns
 
 TWO_PI = 2.0 * math.pi
 
@@ -246,8 +246,7 @@ def line_table(points: Sequence[ModelParams]) -> LineTable:
     two narrow lines, then the roles' collapse onto one line.
     """
     lambdas, residues, photons = _solved_modes(points)
-    kappa = np.array([p.kappa for p in points])
-    delta_laser = np.array([p.delta_laser for p in points])
+    kappa, delta_laser = columns(points, "kappa", "delta_laser")
     areas = TWO_PI * kappa[:, None] * residues.real
     kept = np.abs(areas) > 1e-13 * np.maximum(np.max(np.abs(areas), axis=1, keepdims=True), 1e-300)
     # argsort keeps ties in mode order on three entries, as it did on the

@@ -19,7 +19,7 @@ from cavity_raman import fit as fit_mod
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
 from cavity_raman import rates as rates_mod
-from cavity_raman.errors import ConfigError, FitError, UnstableLiouvillian
+from cavity_raman import stack
 
 # Same frozen pipeline value the fit suite pins for predict_rs at the
 # default operating point; the sweep row must reproduce it bit for bit
@@ -373,6 +373,34 @@ def test_each_operating_point_is_solved_once(capsys, monkeypatch, paper_params):
     code, _, _ = run_cli(capsys, ["sweep-detuning", "--sweep-count", "3"])
     assert code == 0
     assert [params.delta_laser for params in built] == [15.0, 55.0, 95.0]
+
+
+def test_a_sweep_request_is_one_stack(capsys, monkeypatch, tmp_path):
+    """A sweep of up to stack.POINTS = 128 points assembles its charge
+    blocks once, as one stack; a 200-point sweep in stacks of 128 and 72
+    points, and it writes the CSV, byte for byte, that stacks of 48
+    write."""
+    built = []
+    build = lv.charge_blocks
+
+    def counting_build(points):
+        built.append(len(points))
+        return build(points)
+
+    monkeypatch.setattr(lv, "charge_blocks", counting_build)
+    code, _, err = run_cli(capsys, ["sweep-detuning", "--sweep-count", "81"])
+    assert code == 0, err
+    assert built == [81]
+    built.clear()
+    tables = []
+    for points in (128, 48):
+        monkeypatch.setattr(stack, "POINTS", points)
+        path = tmp_path / f"stacks-of-{points}.csv"
+        assert cli.main(["sweep-detuning", "--sweep-count", "200", "--out", str(path)]) == 0
+        tables.append(path.read_bytes())
+    assert built == [128, 72, 48, 48, 48, 48, 8]
+    assert len(data_rows(tables[0].decode())) == 200
+    assert tables[0] == tables[1]
 
 
 def test_sweep_raises_first_failure_after_vanishing_point(capsys):

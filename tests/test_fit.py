@@ -18,7 +18,6 @@ from cavity_raman import (
     ModelParams,
     NoConvergence,
     PeakFit,
-    PhononFit,
     RsPoint,
     VanishingSpontaneous,
     dressed_states,

@@ -312,6 +312,61 @@ def test_phonon_dressed_splittings(paper_params):
         assert abs(split / paper_params.delta_laser - 1.0) < 0.05
 
 
+def test_stacked_channel_rates_match_the_per_point_oracle(paper_params):
+    """One stack of random valid points, some with phonons off, some at
+    kT = 0 and some with a negative phonon_n, gets from lv._channels the
+    fixed rates 2 pi (kappa, gamma1, gamma2, gamma_flip) and the phonon
+    rates of helpers.kron_phonon_channels, Python floats point by point,
+    bit for bit.  In a second stack, a power that overflows, a product
+    that overflows at kT = 0 and a square that underflows to a zero
+    divisor each fail with their own class and message, in one
+    stack.Failed, and the others keep the rates of a stack of one."""
+    # 96 points with phonons: np.power or np.expm1 in place of Python's
+    # ** and math.expm1 would round some of them differently.
+    rng = np.random.default_rng(97)
+    drawn = [helpers.random_valid_params(rng) for _ in range(128)]
+    points = (
+        drawn[:32]
+        + [replace(p, phonon_alpha1=0.0, phonon_alpha2=0.0) for p in drawn[32:64]]
+        + [replace(p, kT=0.0) for p in drawn[64:96]]
+        + [replace(p, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[96:]]
+    )
+    rates, _, _, phonon = lv._channels(points)
+    assert phonon == list(range(32)) + list(range(64, 128))
+    for params, row in zip(points, rates):
+        fixed = [TWO_PI * params.kappa, TWO_PI * params.gamma1, TWO_PI * params.gamma2,
+                 TWO_PI * params.gamma_flip]
+        phonons = [rate for _, rate in helpers.kron_phonon_channels(params)] or [0.0] * 4
+        assert helpers.same_bits(row, np.array(fixed + phonons))
+
+    overflow = "phonon rates overflow a float at g = 0.8, omega_drive = 2.58, delta_laser = "
+    failing = {
+        1: (replace(paper_params, phonon_n=300.0),
+            overflow + "55, phonon_alpha1 = 1, phonon_alpha2 = 1, phonon_n = 300"),
+        3: (replace(paper_params, phonon_alpha1=1e308, kT=0.0),
+            "collapse rate overflows a float (got inf 1/ns): a rate in GHz times 2 pi, "
+            "or a phonon rate, is too large"),
+        4: (replace(paper_params, delta_laser=1e-200, delta_cavity=1e-200),
+            overflow + "1e-200, phonon_alpha1 = 1, phonon_alpha2 = 1, phonon_n = 0.31"),
+    }
+    mixed = [points[0], points[32], points[64], points[96]]
+    for k, (point, _) in sorted(failing.items()):
+        mixed.insert(k, point)
+    with pytest.raises(stack.Failed) as failed:
+        lv._channels(mixed)
+    assert list(failed.value.errors) == sorted(failing)
+    for k, (point, message) in failing.items():
+        error = failed.value.errors[k]
+        assert type(error) is DomainError and str(error) == message
+        with pytest.raises(stack.Failed) as alone:
+            lv._channels([point])
+        assert helpers.same_outcome(alone.value.errors[0], error)
+    kept = [point for k, point in enumerate(mixed) if k not in failing]
+    for point, *outputs in zip(kept, *lv._channels(kept)[:3]):
+        for got, expected in zip(outputs, lv._channels([point])[:3]):
+            assert helpers.same_bits(got, expected[0])
+
+
 def test_trace_distance_extremes():
     rho_a = np.zeros((4, 4), dtype=complex)
     rho_a[0, 0] = 1.0

@@ -138,20 +138,45 @@ def test_n_thermal_domain():
         n_thermal(55.0, 0.0)
 
 
+def _refusal(**fields) -> str:
+    with pytest.raises(DomainError) as raised:
+        ModelParams(**fields)
+    return str(raised.value)
+
+
 def test_params_reject_negative_rates():
-    with pytest.raises(DomainError):
-        ModelParams(kappa=-1.0)
-    with pytest.raises(DomainError):
-        ModelParams(gamma_flip=-0.1)
+    """Every rate field refuses a negative value by name; with two, the
+    first in field order.  The signs are read after every field is checked
+    to be a finite number, and an int is read as its float."""
+    rates = ("g", "kappa", "omega_drive", "gamma1", "gamma2", "gamma_flip", "kT",
+             "phonon_alpha1", "phonon_alpha2")
+    for name in rates:
+        assert _refusal(**{name: -0.5}) == f"{name} must be nonnegative, got -0.5"
+    assert _refusal(gamma_flip=-0.1, kappa=-1) == "kappa must be nonnegative, got -1.0"
+    assert _refusal(kappa=-1.0, kT=math.nan) == "kT must be finite, got nan"
 
 
 def test_params_reject_nonfinite_and_bool():
-    with pytest.raises(DomainError):
-        ModelParams(g=math.nan)
-    with pytest.raises(DomainError):
-        ModelParams(kT=math.inf)
-    with pytest.raises(DomainError):
-        ModelParams(g=True)
+    """A field that is not a finite real number is refused by name, with
+    the value's repr; with two, the first in field order.  An int and a
+    numpy float64 are stored as a float."""
+    refused = [
+        (True, "must be a real number, got True"),
+        ("1.0", "must be a real number, got '1.0'"),
+        (None, "must be a real number, got None"),
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+        (-math.inf, "must be finite, got -inf"),
+    ]
+    for name in ("g", "delta_laser", "kT", "phonon_n"):
+        for value, message in refused:
+            assert _refusal(**{name: value}) == f"{name} {message}"
+    assert _refusal(phonon_n=math.nan, g=True) == "g must be a real number, got True"
+    assert _refusal(kT=None, kappa=math.inf) == "kappa must be finite, got inf"
+    params = ModelParams(g=1, kappa=np.float64(53.7), delta_laser=-30, phonon_n=np.float64(0.5))
+    stored = (params.g, params.kappa, params.delta_laser, params.phonon_n)
+    assert [type(value) for value in stored] == [float] * 4
+    assert stored == (1.0, 53.7, -30.0, 0.5)
 
 
 def test_params_allow_signed_detunings_and_exponent():

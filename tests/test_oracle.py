@@ -4,7 +4,7 @@ import pytest
 from dataclasses import replace
 from scipy.linalg import expm as scipy_expm
 
-from cavity_raman import DomainError, ModelParams, NonUniqueSteadyState
+from cavity_raman import DomainError, NonUniqueSteadyState
 from cavity_raman import liouvillian as lv
 from cavity_raman import oracle
 from cavity_raman import rates as rates_mod

@@ -12,7 +12,6 @@ from cavity_raman import (
     DegenerateSpectrum,
     DomainError,
     FilterWindow,
-    ModelParams,
     NonUniqueSteadyState,
     Spectrum,
     UnstableLiouvillian,
