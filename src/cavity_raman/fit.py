@@ -78,11 +78,18 @@ class LorentzianFit:
 
 
 def _lorentzian_model(freqs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Lorentzian sum plus baseline on each row of ``freqs``, with the
-    parameters in the same row of ``x``."""
-    total = np.repeat(x[:, -1:], freqs.shape[1], axis=1)
+    """Baseline plus amplitude / (u^2 + 1), u = (f - center) / (fwhm / 2), for
+    each peak (at least one), with the parameters of row k of ``x`` on row k
+    of ``freqs``: bitwise the baseline plus each lorentzian_profile in turn."""
+    # + 0.0: no sum below is -0.0, so a -0.0 line adds as lorentzian_profile's 0.0.
+    total = x[:, -1:] + 0.0
     for k in range(0, x.shape[1] - 1, 3):
-        total += lorentzian_profile(freqs, x[:, k, None], x[:, k + 1, None], x[:, k + 2, None])
+        line = freqs - x[:, k + 1, None]
+        line /= x[:, k + 2, None] / 2.0
+        line *= line
+        line += 1.0
+        np.divide(x[:, k, None], line, out=line)
+        total = np.add(line, total, out=line)
     return total
 
 
@@ -149,6 +156,8 @@ def fit_lorentzian(
     DegeneratePeaks when two fitted centers collapse within a tenth of the
     narrower width.
     """
+    if isinstance(n_peaks, bool) or not isinstance(n_peaks, (int, np.integer)) or n_peaks < 1:
+        raise DomainError(f"n_peaks must be a positive integer, got {n_peaks!r}")
     freqs, intensity = _check_samples(
         freqs, intensity, "freqs and intensity", 4 * n_peaks + 1, f"for {n_peaks} peaks"
     )
@@ -180,8 +189,6 @@ def _fit_lorentzians(
     Returns each row's fit, or the FitError that row raised; a failing row
     leaves the others as they would be alone.
     """
-    n_peaks = (x0.shape[1] - 1) // 3
-
     def residual(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         rows = slice(None) if rows.size == len(x0) else rows  # views, not copies
         r = _lorentzian_model(freqs[rows], x)
@@ -231,7 +238,7 @@ def _fit_lorentzians(
     # shows.  Two centers within a tenth of the narrower width coincide;
     # min(a, b) is b only where b < a, as Python's min.
     table = np.take_along_axis(table, np.argsort(center, axis=1)[..., None], 1)
-    first, second = np.nonzero(np.arange(n_peaks)[:, None] < np.arange(n_peaks))
+    first, second = np.triu_indices(center.shape[1], 1)
     centers, widths = table[..., 0], table[..., 1]
     narrower = np.where(widths[:, second] < widths[:, first], widths[:, second], widths[:, first])
     close = np.abs(centers[:, first] - centers[:, second]) < 0.1 * narrower
@@ -596,27 +603,26 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
     detuning, so at detuning d the generator sees the pair only through
     s = alpha * d**n.  Every trial solves at phonon_alpha1 = phonon_alpha2 = s
     and phonon_n = 0, the same generator bit for bit, and no (d, s) is solved
-    twice in one call.  The reference sweep, each secant round, each
-    residual and each Jacobian send their unsolved (d, s) points to
-    predict_rs as one batch, fitted as one stack.  The fit runs in
-    (log alpha, n).  Its start: from a reference sweep at s = 1, a secant
-    per detuning finds the ln s that meets each ratio, all secants stepped
-    together, and a regression of those roots on ln d, weighted by
+    twice in one call.  The reference sweep, each secant round and each LM
+    residual, with the Jacobian keys at its point, send their unsolved
+    (d, s) points to predict_rs as one batch, fitted as one stack.  The fit
+    runs in (log alpha, n).  Its start: from a reference sweep at s = 1, a
+    secant per detuning finds the ln s that meets each ratio, all secants
+    stepped together, and a regression of those roots on ln d, weighted by
     |d ratio / d ln s| over the ratio error.  If a secant trial fails, the
     first failure in detuning order decides, as if the secants ran one at a
     time: a VanishingSpontaneous gives the unweighted log-log regression of
     the reference sweep instead, any other is raised.  Damped least squares
     refines the start with one central difference in ln s per detuning,
     times ln d for the exponent column, and stops at steps below 1e-9 in
-    (log alpha, n), where the ratios' ~1e-10 noise sets in; its first
-    residual and Jacobian are solved as one batch.  A VanishingSpontaneous
-    trial is a penalty row of the LM, and one left at the LM's solution is
-    raised, the first in detuning order.  A trial density
-    that overflows a float raises DomainError, and so do ratio errors that
-    are zero at some detunings but not all; with every error zero the fit
-    is unweighted.  Reported errors transform back to (exponent, prefactor)
-    with the full covariance; a covariance condition number above 1e8
-    raises IllConditioned.
+    (log alpha, n), where the ratios' ~1e-10 noise sets in.  A
+    VanishingSpontaneous trial is a penalty row of the LM, and one left at
+    the LM's solution is raised, the first in detuning order.  A trial
+    density that overflows a float raises DomainError, and so do ratio
+    errors that are zero at some detunings but not all; with every error
+    zero the fit is unweighted.  Reported errors transform back to
+    (exponent, prefactor) with the full covariance; a covariance condition
+    number above 1e8 raises IllConditioned.
     """
     deltas = np.array([point.delta for point in points], dtype=float)
     if deltas.size < 3 or np.unique(deltas).size < 3:
@@ -734,27 +740,20 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
     # Step 1e-4 in ln s: the ~1e-10 pipeline noise moves the slope ~1e-6.
     up = math.exp(1e-4)
 
-    def differences(x: np.ndarray) -> list[tuple[float, float]]:
-        """The keys of the Jacobian at x: each detuning's density up and down."""
-        return [(d, t) for d, s in zip(detunings, densities(x)) for t in (s * up, s / up)]
-
     def residual(x: np.ndarray) -> np.ndarray:
+        # The LM takes its Jacobian only where it took a residual: the
+        # Jacobian's keys, each density up and down, join the residual's batch.
         trials = densities(x)
-        solve(list(zip(detunings, trials)))
+        shifted = [(d, t) for d, s in zip(detunings, trials) for t in (s * up, s / up)]
+        solve(list(zip(detunings, trials)) + shifted)
         return np.array([row(i, s) for i, s in enumerate(trials)])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        trials = densities(x)
-        solve(differences(x))
-        column = np.array(
-            [row(i, s * up) - row(i, s / up) for i, s in enumerate(trials)]
-        ) / 2e-4
+        rises = [row(i, s * up) - row(i, s / up) for i, s in enumerate(densities(x))]
+        column = np.array(rises) / 2e-4
         return np.column_stack([column, column * log_deltas])
 
     x0 = np.asarray(start, dtype=float)[None]
-    # The LM evaluates the residual and then the Jacobian at its start:
-    # their keys are solved as one batch.
-    solve(list(zip(detunings, densities(x0[0]))) + differences(x0[0]))
     solution = leastsq.minimize(
         leastsq.single(residual), leastsq.single(jacobian), x0, step_floor=_REFIT_STEP_FLOOR
     )

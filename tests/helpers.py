@@ -21,6 +21,7 @@ from cavity_raman import (
     DomainError,
     ModelParams,
     NonUniqueSteadyState,
+    lorentzian_profile,
     n_thermal,
 )
 from cavity_raman import liouvillian as lv
@@ -543,6 +544,15 @@ def loop_windows(params, table, k):
             start = (2.0 * abs(area) / (math.pi * width), shifted, abs(width))
             windows.append((axis, values, np.array(start + (float(np.min(values)),))))
     return windows
+
+
+def summed_profiles(freqs, x):
+    """The stacked Lorentzian model as first written: each row's baseline
+    repeated along the row, plus each peak's lorentzian_profile in turn."""
+    total = np.repeat(x[:, -1:], freqs.shape[1], axis=1)
+    for k in range(0, x.shape[1] - 1, 3):
+        total += lorentzian_profile(freqs, x[:, k, None], x[:, k + 1, None], x[:, k + 2, None])
+    return total
 
 
 def loop_peaks(x, sigma, cov, n_peaks):

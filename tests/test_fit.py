@@ -510,6 +510,56 @@ def test_peak_read_back_matches_per_peak_loop(monkeypatch, n_peaks):
     assert compared >= 8 and degenerate >= (n_peaks > 1)
 
 
+@pytest.mark.parametrize("n_peaks", [1, 2, 3])
+def test_lorentzian_model_matches_summed_profiles(monkeypatch, n_peaks):
+    """The stacked model equals the baseline plus each peak's
+    lorentzian_profile (helpers.summed_profiles) bit for bit, signed zeros
+    included: over amplitudes of both signs, widths of either sign from
+    1e-3 to 1e3, and a -0.0 amplitude and baseline.  So do the residuals
+    that _fit_lorentzians hands the LM, on a subset of its rows and on all
+    of them, weighted and unweighted."""
+    rng = np.random.default_rng(71 + n_peaks)
+    count = 24
+    freqs = np.sort(rng.uniform(-60.0, 60.0, (count, 57)), axis=1)
+    amplitudes = rng.uniform(-5.0, 5.0, (count, n_peaks))
+    centers = rng.uniform(-50.0, 50.0, (count, n_peaks))
+    widths = 10.0 ** rng.uniform(-3.0, 3.0, (count, n_peaks))
+    widths *= rng.choice([-1.0, 1.0], widths.shape)
+    baselines = rng.uniform(-1.0, 1.0, count)
+    # Signed zeros: row 0 puts -0.0 lines over a -0.0 baseline, which sum to
+    # 0.0 through lorentzian_profile's + 0.0; row 1 has a -0.0 line alone,
+    # row 2 a -0.0 baseline alone.
+    amplitudes[0], baselines[0] = -0.0, -0.0
+    amplitudes[1, 0] = -0.0
+    baselines[2] = -0.0
+    peaks = np.stack([amplitudes, centers, widths], axis=-1).reshape(count, -1)
+    x = np.column_stack([peaks, baselines])
+    expected = helpers.summed_profiles(freqs, x)
+    assert not np.signbit(expected[0]).any()
+    assert helpers.same_bits(fit_mod._lorentzian_model(freqs, x), expected)
+    some = np.array([0, 2, 5, 11, 23])
+    assert helpers.same_bits(fit_mod._lorentzian_model(freqs[some], x[some]), expected[some])
+
+    intensity = expected + rng.normal(0.0, 0.01, expected.shape)
+    intensity[0] = 0.0
+    sqrt_w = rng.uniform(0.5, 2.0, expected.shape)
+    residuals, minimize = [], leastsq.minimize
+
+    def capturing(residual, jacobian, x0, *args, **kwargs):
+        residuals.append(residual)
+        return minimize(residual, jacobian, x0, *args, **kwargs)
+
+    monkeypatch.setattr(leastsq, "minimize", capturing)
+    for weights in (None, sqrt_w):
+        fit_mod._fit_lorentzians(freqs, intensity, weights, x)
+        for rows in (some, np.arange(count)):
+            want = helpers.summed_profiles(freqs[rows], x[rows])
+            want -= intensity[rows]
+            if weights is not None:
+                want *= weights[rows]
+            assert helpers.same_bits(residuals[-1](rows, x[rows]), want)
+
+
 def test_area_errors_square_as_the_per_peak_loop(monkeypatch):
     """The per-peak loop squared float64 scalars, which calls C pow; numpy
     squares an array by x * x, which with some C libraries differs from pow
@@ -601,6 +651,11 @@ def test_lorentzian_input_validation():
         fit_lorentzian(freqs, clean, n_peaks=1, errors=np.zeros(freqs.size))
     with pytest.raises(DomainError, match="their squares overflow"):
         fit_lorentzian(freqs, 1e300 * clean, n_peaks=1)
+    # A fit needs at least one peak, counted by an integer that is not a bool.
+    for n_peaks in (0, -1, True, False, 1.5, 1.0, "1", None):
+        with pytest.raises(DomainError, match="^n_peaks must be a positive integer, got "):
+            fit_lorentzian(freqs, clean, n_peaks=n_peaks)
+    assert fit_lorentzian(freqs, clean, n_peaks=np.int64(1)) == fit_lorentzian(freqs, clean)
 
 
 def test_degenerate_peaks_detected():
@@ -977,18 +1032,18 @@ def test_refit_solves_no_operating_point_twice(
 
 
 def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
-    """The secant start lands on the exact table's (ln alpha, n), the LM's
-    first residual and Jacobian are solved as one pipeline call of three
-    points per detuning before it starts, each later Jacobian solves two
-    points per detuning in one call, each residual at most one call, and
-    the exponent column is the density column times ln d.
+    """The secant start lands on the exact table's (ln alpha, n), each LM
+    residual solves its point and the Jacobian there as one pipeline call
+    of three points per detuning, each Jacobian finds its points solved
+    and makes no call, and the exponent column is the density column times
+    ln d.
 
     On this five-detuning table the refit took 375 pipeline solves with the
     log-log start and a two-column Jacobian; it now takes 59.
     """
     points = _five_detuning_table(paper_params)
     log_deltas = np.log([point.delta for point in points])
-    batches, starts, jacobians, residuals, opening = [], [], [], [], []
+    batches, starts, jacobians, residuals = [], [], [], []
     predict = fit_mod.predict_rs
     lm_minimize = leastsq.minimize
 
@@ -1013,7 +1068,6 @@ def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
             return jac
 
         starts.append(np.array(x0[0]))
-        opening.append(batches[-1])
         return lm_minimize(recorded_residual, recorded_jacobian, x0, *args, **kwargs)
 
     monkeypatch.setattr(fit_mod, "predict_rs", counting_predict)
@@ -1025,13 +1079,12 @@ def test_refit_secant_start_and_one_column_jacobian(monkeypatch, paper_params):
     (start,) = starts
     assert abs(start[0] - math.log(0.8)) <= 1e-8
     assert abs(start[1] - 0.4) <= 1e-8
-    assert opening == [3 * len(points)]
-    assert jacobians and jacobians[0][0] == []
-    for k, (sizes, jac) in enumerate(jacobians):
-        assert sizes == ([2 * len(points)] if k else [])
+    assert jacobians
+    for sizes, jac in jacobians:
+        assert sizes == []
         assert np.array_equal(jac[:, 1], jac[:, 0] * log_deltas)
     assert residuals
-    assert all(len(sizes) <= 1 and sum(sizes) <= len(points) for sizes in residuals)
+    assert all(sizes == [3 * len(points)] for sizes in residuals)
     assert sum(batches) < 250
 
 
@@ -1113,10 +1166,10 @@ def test_refit_penalizes_lm_trials_that_vanish(monkeypatch, paper_params):
     design = np.column_stack([np.ones_like(log_deltas), log_deltas])
     leading, *_ = np.linalg.lstsq(design, np.log(np.array(reference) / ratios), rcond=None)
     np.testing.assert_allclose(starts[0], leading, rtol=1e-12)
-    # Solved in the secant, then in the batch of the LM's start, the last
-    # before the LM began.
+    # Solved in the secant, then in the LM's first residual, the first
+    # batch after the LM began.
     assert solves[0] < opening[0]
-    assert opening[0] in solves
+    assert opening[0] + 1 in solves
 
 
 def _sequential_start(points, params):
@@ -1155,10 +1208,9 @@ def _sequential_start(points, params):
 
 def _record_secant_rounds(monkeypatch, fail_at=None):
     """Record the detunings of each secant round (every predict_rs call after
-    the reference sweep and before the LM, but the last, which solves the
-    LM's first residual and Jacobian) and the LM start.  ``fail_at`` maps a
-    round number (1 for the first) to the detuning whose trial fails in
-    that round and the exception it fails with."""
+    the reference sweep and before the LM) and the LM start.  ``fail_at``
+    maps a round number (1 for the first) to the detuning whose trial fails
+    in that round and the exception it fails with."""
     rounds, reference, starts = [], [], []
     predict = fit_mod.predict_rs
     lm_minimize = leastsq.minimize
@@ -1178,7 +1230,6 @@ def _record_secant_rounds(monkeypatch, fail_at=None):
     def recording_lm(residual, jacobian, x0, *args, **kwargs):
         if np.shape(x0)[1] == 2:
             starts.append(np.array(x0[0]))
-            rounds.pop()
         return lm_minimize(residual, jacobian, x0, *args, **kwargs)
 
     monkeypatch.setattr(fit_mod, "predict_rs", recording_predict)
@@ -1250,10 +1301,11 @@ def _nine_detuning_table(params):
 
 
 def test_refit_solves_the_lm_start_as_one_batch(monkeypatch, paper_params):
-    """The nine-detuning table's refit sends the LM's first residual and
-    Jacobian, 27 keys, to predict_rs as one batch before the LM starts: 11
-    batches in all, one fewer than when the LM solved them apart.  The
-    count depends on rounding, through the secant rounds and LM steps."""
+    """The nine-detuning table's refit sends each LM residual and the
+    Jacobian at its point, 27 keys, to predict_rs as one batch: the LM's
+    start and its one accepted step, 10 batches in all, one fewer than when
+    each accepted step's Jacobian was solved apart.  The count depends on
+    rounding, through the secant rounds and LM steps."""
     points = _nine_detuning_table(paper_params)
     batches = []
     predict = fit_mod.predict_rs
@@ -1264,8 +1316,39 @@ def test_refit_solves_the_lm_start_as_one_batch(monkeypatch, paper_params):
 
     monkeypatch.setattr(fit_mod, "predict_rs", counting_predict)
     fit_phonon_exponent(points, paper_params)
-    assert batches[0] == len(points) and batches.count(3 * len(points)) == 1
-    assert len(batches) == 11
+    assert batches[0] == len(points) and batches.count(3 * len(points)) == 2
+    assert len(batches) == 10
+
+
+@pytest.mark.parametrize("table", ["nine", "five-unweighted"])
+def test_refit_is_independent_of_its_batching(monkeypatch, paper_params, table):
+    """Each point solves bitwise the same in any stack, so a refit that
+    solves every (detuning, density) key alone returns the batched refit's
+    PhononFit to the bit, covariance included.  The nine-detuning table's
+    LM accepts its one step; the unweighted five-detuning table's LM
+    rejects its last, so the Jacobian keys solved with that trial, two per
+    detuning, are never read."""
+    if table == "nine":
+        points = _nine_detuning_table(paper_params)
+    else:
+        points = [replace(point, ratio_err=0.0) for point in _five_detuning_table(paper_params)]
+    stops, lm_minimize = [], leastsq.minimize
+
+    def recording_lm(residual, jacobian, x0, *args, **kwargs):
+        solution = lm_minimize(residual, jacobian, x0, *args, **kwargs)
+        if np.shape(x0)[1] == 2:
+            stops.extend(solution.stops)
+        return solution
+
+    monkeypatch.setattr(leastsq, "minimize", recording_lm)
+    batched = fit_phonon_exponent(points, paper_params)
+    stop = leastsq.STOP_STALLED if table == "five-unweighted" else leastsq.STOP_SMALL_STEP
+    assert stops == [stop]
+    predict = fit_mod.predict_rs
+    monkeypatch.setattr(
+        fit_mod, "predict_rs", lambda trials: [predict([trial])[0] for trial in trials]
+    )
+    assert helpers.same_outcome(fit_phonon_exponent(points, paper_params), batched)
 
 
 def test_refit_recovers_benchmark_table(paper_params):
