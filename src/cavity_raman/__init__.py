@@ -39,7 +39,6 @@ from .fit import (
 from .liouvillian import (
     CollapseChannel,
     cavity_annihilation,
-    lindblad_dissipator,
     phonon_channels,
     trace_distance,
 )

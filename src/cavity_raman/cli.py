@@ -446,6 +446,11 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         if omega_eff == 0.0:
             return True, "no drive, nothing to compare"
         period = 1.0 / (2.0 * abs(omega_eff))
+        if math.isinf(period):
+            raise DomainError(
+                f"effective Rabi frequency Omega_eff = {omega_eff:.3e} GHz is too small to "
+                "resolve: its Rabi period overflows a float"
+            )
         grid = np.linspace(0.0, 1.2 * period, 400)
         exact, effective, excited = oracle.adiabatic_populations(
             params.omega_drive, params.g, params.delta_laser, grid
@@ -493,6 +498,14 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         )
         if target == 0.0:
             return True, "no drive, nothing to compare"
+        # The fit's Jacobian divides by the decay time squared, and its
+        # normal equations hold the rate squared times the samples: refuse a
+        # rate whose square comes within 1e8 of overflowing.
+        if target > 1e-4 * math.sqrt(sys.float_info.max):
+            raise DomainError(
+                f"cavity Raman rate {target:.3e} 1/ns is too large to resolve: the "
+                "exponential fit's normal equations would overflow a float"
+            )
         # The populations evolve in the q = 0 block alone.
         state, _ = lv.charge_blocks(stripped)
         rho0 = np.zeros((4, 4), dtype=complex)

@@ -1,14 +1,15 @@
-"""Lindblad dissipators, the vectorized Liouvillian and its charge blocks.
+"""The vectorized Lindblad generator, assembled by charge blocks.
 
 Density matrices are vectorized by stacking columns, vec = rho.reshape(-1,
 order="F"), so a sandwich A rho B is the Kronecker product B.T (x) A acting
 on vec(rho).  Superoperators are in 1/ns: rates and Hamiltonians enter in
 GHz and are scaled by 2pi on the way in.
 
-One builder, :func:`charge_blocks`, assembles the generator's two blocks
-that every solve reads, from rank-one jumps, and :func:`block_steady_state`
-solves them; the whole (16, 16) generator is never formed.  The
-superoperators of single channels serve the oracles.
+One assembler, :func:`generator_blocks`, builds the blocks of any
+generator on the vec positions of its charge sectors from a Hamiltonian
+and dense jumps: the four-state model's two blocks (:func:`charge_blocks`,
+solved by :func:`block_steady_state`), the photon ladder's and the bare
+emitter's.
 """
 from __future__ import annotations
 
@@ -81,39 +82,6 @@ def _rate_errors(rates: np.ndarray) -> dict[int, DomainError]:
     }
 
 
-def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> left rho right, over any leading axes; C
-    order makes the reshape free."""
-    outer = np.multiply(
-        np.swapaxes(right, -1, -2)[..., :, None, :, None],
-        left[..., None, :, None, :],
-        order="C",
-    )
-    n = left.shape[-1]
-    return outer.reshape(outer.shape[:-4] + (n * n, n * n))
-
-
-def lindblad_dissipator(channel: CollapseChannel) -> np.ndarray:
-    """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2)."""
-    op = channel.operator
-    eye = np.eye(op.shape[0], dtype=complex)
-    opdop = op.conj().T @ op
-    return channel.rate * (
-        _sandwich(op, op.conj().T) - 0.5 * _sandwich(opdop, eye) - 0.5 * _sandwich(eye, opdop)
-    )
-
-
-def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
-    """Coherent generator -i 2pi [H, .] for a Hamiltonian given in GHz, over
-    any leading axes."""
-    h = np.asarray(h, dtype=complex)
-    eye = np.eye(h.shape[-1], dtype=complex)
-    generator = _sandwich(h, eye)
-    generator -= _sandwich(eye, h)
-    generator *= -1j * TWO_PI
-    return generator
-
-
 def cavity_annihilation() -> np.ndarray:
     """Photon annihilation |g2,0><g2,1|, restricted to the truncated basis."""
     op = np.zeros((DIM, DIM), dtype=complex)
@@ -131,21 +99,17 @@ def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
     leading-order choice.  Returned in the order up, down (minus branch),
     up, down (dark branch).
     """
-    kets, bras, rates = stack.alone(_phonon_terms, params)
-    return [
-        CollapseChannel(np.outer(u, v.conj()), float(rate))
-        for u, v, rate in zip(kets, bras, rates)
-    ]
+    rates, jumps = stack.alone(_phonon_terms, params)
+    return [CollapseChannel(jump, float(rate)) for jump, rate in zip(jumps, rates)]
 
 
-def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every point's phonon jumps |u><v| as their vectors u and v, (K, 4, 4)
-    each, and their rates (K, 4), in :func:`phonon_channels` order.  Raises
-    stack.Failed for the points with a non-positive laser detuning, then
-    for those whose dressed states fail, then for those whose rates
-    overflow: where a power overflows or a quotient divides by zero, a
-    DomainError naming the parameters, and otherwise the first rate that
-    is not finite."""
+def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's phonon rates (K, 4) and jumps (K, 4, 4, 4), in
+    :func:`phonon_channels` order.  Raises stack.Failed for the points
+    with a non-positive laser detuning, then for those whose dressed states
+    fail, then for those whose rates overflow: where a power overflows or a
+    quotient divides by zero, a DomainError naming the parameters, and
+    otherwise the first rate that is not finite."""
     g, omega, split, kT, alpha1, alpha2, exponent = model.columns(
         points, "g", "omega_drive", "delta_laser", "kT", "phonon_alpha1", "phonon_alpha2",
         "phonon_n",
@@ -185,8 +149,9 @@ def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray
         )
         for k in np.flatnonzero(overflow).tolist()
     })
-    # The (u, v) pairs (plus, minus), (minus, plus), (plus, dark), (dark, plus).
-    return vectors[:, [2, 1, 2, 0]], vectors[:, [1, 2, 0, 2]], rates
+    # Jumps |u><v| of (u, v) = (plus, minus), (minus, plus), (plus, dark), (dark, plus).
+    kets, bras = vectors[:, [2, 1, 2, 0]], vectors[:, [1, 2, 0, 2]]
+    return rates, kets[..., :, None] * bras[..., None, :].conj()
 
 
 # Cavity decay, spontaneous emission, and ground-state reshuffling: the
@@ -199,16 +164,16 @@ _FIXED_CHANNELS = (
 )
 
 
-def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     """The eight jump channels of every point, the prologue of
-    :func:`charge_blocks`: rates (K, 8) in 1/ns, and each jump L = |u><v|
-    as its vectors u and v, (K, 8, 4) each.  The four fixed channels come
-    first, in ``_FIXED_CHANNELS`` order, then the phonon channels, in
-    :func:`phonon_channels` order.  Also returns the positions of the
-    points with phonons; the others get no phonon term, as alone, so they
-    never meet the phonon channels' errors (a non-positive laser detuning,
-    coinciding dressed frequencies).  Raises stack.Failed for the points
-    whose rates overflow or whose phonon channels fail, in that order."""
+    :func:`charge_blocks`: rates (K, 8) in 1/ns and jumps (K, 8, 4, 4).
+    The four fixed channels come first, in ``_FIXED_CHANNELS`` order, then
+    the phonon channels, in :func:`phonon_channels` order.  A point
+    without phonons gets zero phonon jumps and rates, as alone, so it
+    never meets the phonon channels' errors (a non-positive laser
+    detuning, coinciding dressed frequencies).  Raises stack.Failed for
+    the points whose rates overflow or whose phonon channels fail, in that
+    order."""
     count = len(points)
     values = model.columns(
         points, *(name for *_, name in _FIXED_CHANNELS), "phonon_alpha1", "phonon_alpha2"
@@ -217,18 +182,16 @@ def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray, np
     with np.errstate(over="ignore"):  # refused next
         rates[:, :4] = TWO_PI * values[:4].T
     stack.fail(_rate_errors(rates[:, :4]))
-    u, v = np.zeros((2, count, 8, DIM), dtype=complex)
+    jumps = np.zeros((count, 8, DIM, DIM), dtype=complex)
     for j, (upper, lower, _) in enumerate(_FIXED_CHANNELS):
-        u[:, j, lower] = v[:, j, upper] = 1.0
+        jumps[:, j, lower, upper] = 1.0
     phonon = np.flatnonzero((values[4:] > 0.0).any(axis=0)).tolist()
     if phonon:
         try:
-            u[phonon, 4:], v[phonon, 4:], rates[phonon, 4:] = _phonon_terms(
-                [points[k] for k in phonon]
-            )
+            rates[phonon, 4:], jumps[phonon, 4:] = _phonon_terms([points[k] for k in phonon])
         except stack.Failed as failed:
             stack.fail({phonon[j]: error for j, error in failed.errors.items()})
-    return rates, u, v, phonon
+    return rates, jumps
 
 
 def _refuse_non_finite(*blocks: np.ndarray) -> None:
@@ -243,19 +206,49 @@ def _refuse_non_finite(*blocks: np.ndarray) -> None:
     })
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused at the end
+def generator_blocks(
+    h: np.ndarray, rates: np.ndarray, jumps: np.ndarray, sectors: Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """The blocks of a stack of K Lindblad generators, 1/ns, one (K, m, m)
+    block for each array of m vec positions in ``sectors``: its rows and
+    columns.  Of the whole generator only the jumps' part is formed, as
+    one (n^2, n^2) sum of the channels' sandwiches per generator.
+
+    The generators are given by their Hamiltonians ``h`` (K, n, n) in GHz
+    and their jumps ``jumps`` (K, C, n, n) at ``rates`` (K, C) in 1/ns.
+    With the effective non-Hermitian Hamiltonian
+    G = -2 pi i H - (1/2) sum_c rate_c L_c^dag L_c (Dalibard, Castin and
+    Molmer, PRL 68, 580 (1992)), the entry of row |i><j| and column |k><l|
+    is G[i,k] d[j,l] + d[i,k] G*[j,l] + sum_c rate_c L_c[i,k] L_c*[j,l].
+    Raises stack.Failed for the generators with a non-finite entry in any
+    block.  Each generator's blocks are bitwise the ones it gets alone.
+    """
+    count, channels, n = jumps.shape[:3]
+    # sum_c rate_c L_c[i,k] L_c*[j,l] at row i n + k and column j n + l:
+    # one (n^2, C) @ (C, n^2) product sums the channels' sandwiches.
+    flat = jumps.reshape(count, channels, n * n)
+    sandwiches = np.swapaxes(rates[:, :, None] * flat, 1, 2) @ flat.conj()
+    # Their trace over i = j is sum_c rate_c (L_c^dag L_c)[l,k].
+    decay = np.trace(sandwiches.reshape((count,) + (n,) * 4), axis1=1, axis2=3)
+    g = -1j * TWO_PI * h - 0.5 * np.swapaxes(decay, 1, 2)
+    blocks = []
+    for positions in sectors:
+        i, j = positions % n, positions // n
+        block = np.where(j[:, None] == j, g[:, i[:, None], i], 0.0)
+        block += np.where(i[:, None] == i, g[:, j[:, None], j].conj(), 0.0)
+        block += sandwiches[:, i[:, None] * n + i, j[:, None] * n + j]
+        blocks.append(block)
+    _refuse_non_finite(*blocks)
+    return tuple(blocks)
+
+
 def charge_blocks(
     params: ModelParams | Sequence[ModelParams],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The generator's q = 0 block at ``STATE_BLOCK`` and its q = -1 block
-    at ``MODE_BLOCK``, 1/ns, without the whole generator.
-
-    Every jump is rank one, L = |u><v|, so with the effective
-    non-Hermitian Hamiltonian G = -2 pi i H - (1/2) sum_c rate_c L_c^dag L_c
-    (Dalibard, Castin and Molmer, PRL 68, 580 (1992)) the entry of row
-    |i><j| and column |k><l| is
-    G[i,k] d[j,l] + d[i,k] G*[j,l] + sum_c rate_c u_i u_j* v_k* v_l.
-    The blocks equal the slices of the whole generator, the sum of the
-    channels' dissipators, up to rounding.  Given one operating point,
+    at ``MODE_BLOCK``, 1/ns, by :func:`generator_blocks` of the model
+    Hamiltonian and the eight jump channels.  Given one operating point,
     returns its (10, 10) and (3, 3) blocks or raises; given a sequence of
     K, the (K, 10, 10) and (K, 3, 3) stacks, or raises stack.Failed for
     the points that fail.  Each point's blocks are bitwise the ones it
@@ -266,23 +259,11 @@ def charge_blocks(
     return _charge_blocks(params)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # refused at the end
 def _charge_blocks(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
-    rates, u, v, _ = _channels(points)
-    # L^dag L = <u|u> |v><v|.
-    decay = (rates * np.sum(np.abs(u) ** 2, axis=-1))[:, None, :] * np.swapaxes(v, 1, 2)
-    g = -1j * TWO_PI * model.build_hamiltonian(points) - 0.5 * (decay @ v.conj())
-    blocks = []
-    for positions in (STATE_BLOCK, MODE_BLOCK):
-        i, j = positions % DIM, positions // DIM
-        block = np.where(j[:, None] == j, g[:, i[:, None], i], 0.0)
-        block += np.where(i[:, None] == i, g[:, j[:, None], j].conj(), 0.0)
-        # One (n, 8) @ (8, n) product sums the eight jumps' sandwiches.
-        left = rates[:, None, :] * np.swapaxes(u[:, :, i] * u[:, :, j].conj(), 1, 2)
-        block += left @ (v[:, :, i].conj() * v[:, :, j])
-        blocks.append(block)
-    _refuse_non_finite(*blocks)
-    return tuple(blocks)
+    rates, jumps = _channels(points)
+    return generator_blocks(
+        model.build_hamiltonian(points), rates, jumps, (STATE_BLOCK, MODE_BLOCK)
+    )
 
 
 #: Kernel test of the steady state: the second-smallest singular value
@@ -301,17 +282,11 @@ def block_steady_state(state_block: np.ndarray, mode_block: np.ndarray) -> np.nd
     """
 
     def solve(states: np.ndarray, modes: np.ndarray) -> np.ndarray:
-        return _kernel_test(*_block_null_vectors(states, modes))
+        return _kernel_test(*_sector_null_vectors(states, [modes], STATE_BLOCK, DIM * DIM))
 
     if np.ndim(state_block) == 2:
         return stack.alone(solve, state_block, mode_block)
     return solve(state_block, mode_block)
-
-
-def _block_null_vectors(state_block: np.ndarray, mode_block: np.ndarray):
-    """:func:`_sector_null_vectors` of generators given by their charge
-    blocks: the q = -1 block stands for itself and its conjugate."""
-    return _sector_null_vectors(state_block, [mode_block], STATE_BLOCK, DIM * DIM)
 
 
 def _kernel_test(vectors: np.ndarray, svals: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Independent cross-checks: full photon ladder and exact time propagation.
 
-Nothing here reuses the truncated four-state machinery beyond the generic
-superoperator algebra, the phonon channels and the package's one kernel
-test, so agreement between these routines and the fast paths is a real
-consistency statement, not a tautology.  Only :func:`truncation_error`
-solves the four-state model, on its charge blocks as the pipeline does,
-and refines that state once to compare it with the ladder.
+Nothing here reuses the truncated four-state machinery beyond the block
+assembler (held against whole np.kron generators in the tests), the
+phonon channels and the package's one kernel test, so agreement between
+these routines and the fast paths is a real consistency statement, not a
+tautology.  Only :func:`truncation_error` solves the four-state model, on
+its charge blocks as the pipeline does, and refines that state once to
+compare it with the ladder.
 """
 from __future__ import annotations
 
@@ -72,16 +73,24 @@ def _ladder_operators(
     """Hamiltonian (GHz), named jump channels and basis of the untruncated
     photon ladder: emitter (x) photon products, but for the thermal jumps,
     which live between dressed states of the single-excitation manifold and
-    are embedded at the four matching ladder positions."""
+    are embedded at the four matching ladder positions.  A Hamiltonian
+    entry that overflows a float raises DomainError naming the parameters."""
     basis = LadderBasis(n_max)
     eye = np.eye(n_max + 1)
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
     drive = np.kron(_emitter("e", "g1"), eye)
     coupling = np.kron(_emitter("e", "g2"), a)
-    h = (params.delta_laser - params.delta_cavity) * np.kron(
-        np.eye(len(LEVELS)), np.diag(np.arange(n_max + 1.0))
-    )
-    h += params.delta_laser * np.kron(_emitter("e", "e"), eye)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused next
+        h = (params.delta_laser - params.delta_cavity) * np.kron(
+            np.eye(len(LEVELS)), np.diag(np.arange(n_max + 1.0))
+        )
+        h += params.delta_laser * np.kron(_emitter("e", "e"), eye)
+    if not np.isfinite(h).all():
+        raise DomainError(
+            f"the photon ladder's Hamiltonian overflows a float at delta_laser = "
+            f"{params.delta_laser:.6g}, delta_cavity = {params.delta_cavity:.6g} GHz, "
+            f"n_max = {n_max}"
+        )
     h += params.omega_drive / 2.0 * (drive + drive.T)
     h += params.g * (coupling + coupling.T)
     channels = {
@@ -102,18 +111,16 @@ def _ladder_operators(
     return h, channels, basis
 
 
-@np.errstate(over="ignore", invalid="ignore")  # refused by the block solve
 def _ladder_blocks(
     h: np.ndarray, channels: dict[str, lv.CollapseChannel], basis: LadderBasis, charges
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """The ladder generator's block at each charge q = N_i - N_j of
-    ``charges``, 1/ns, from its Hamiltonian ``h`` (GHz) and ``channels``:
-    the entry of row |i><j| and column |k><l| is G[i,k] d[j,l] +
-    d[i,k] G*[j,l] + sum_c rate_c L_c[i,k] L_c*[j,l], with
-    G = -2 pi i H - (1/2) sum_c rate_c L_c^dag L_c.  The generator keeps q
-    (Buca and Prosen, New J. Phys. 14, 073007 (2012)) when H keeps N and
-    each jump shifts N by one amount; an operator that does not raises
-    DomainError naming it."""
+    ``charges``, 1/ns, from its Hamiltonian ``h`` (GHz) and ``channels``,
+    as a stack of one: ``liouvillian.generator_blocks``, which raises
+    stack.Failed for a non-finite entry.  The generator keeps q (Buca and
+    Prosen, New J. Phys. 14, 073007 (2012)) when H keeps N and each jump
+    shifts N by one amount; an operator that does not raises DomainError
+    naming it."""
     counts = basis.excitations
     shifts = counts[:, None] - counts[None, :]
     named = {"Hamiltonian": h, **{f"jump {k}": c.operator for k, c in channels.items()}}
@@ -124,24 +131,9 @@ def _ladder_blocks(
             raise DomainError(f"{name} shifts the excitation number by each of {moves}")
     rates = np.array([channel.rate for channel in channels.values()])
     ops = np.array([channel.operator for channel in channels.values()])
-    g = -1j * TWO_PI * h - 0.5 * np.tensordot(rates, np.swapaxes(ops.conj(), 1, 2) @ ops, 1)
-    blocks, vec_charges = [], lv._charges(counts)
-    for q in charges:
-        positions = np.flatnonzero(vec_charges == q)
-        i, j = positions % basis.dim, positions // basis.dim
-        block = np.where(j[:, None] == j, g[i[:, None], i], 0.0)
-        block += np.where(i[:, None] == i, g[j[:, None], j].conj(), 0.0)
-        block += np.tensordot(rates, ops[:, i[:, None], i] * ops[:, j[:, None], j].conj(), 1)
-        blocks.append(block)
-    return blocks
-
-
-def _ladder_null_vectors(basis: LadderBasis, zero: np.ndarray, *others: np.ndarray):
-    """The block solve: ``lv._sector_null_vectors`` of stacked ladders by
-    their q = 0 and q > 0 blocks; stack.Failed for a non-finite entry."""
-    lv._refuse_non_finite(zero, *others)
-    positions = np.flatnonzero(lv._charges(basis.excitations) == 0)
-    return lv._sector_null_vectors(zero, others, positions, basis.dim**2)
+    vec_charges = lv._charges(counts)
+    sectors = [np.flatnonzero(vec_charges == q) for q in charges]
+    return lv.generator_blocks(h[None], rates[None], ops[None], sectors)
 
 
 def full_ladder_steady_state(
@@ -155,8 +147,14 @@ def full_ladder_steady_state(
     together with |g1,1> and |e,1>.
     """
     h, channels, basis = _ladder_operators(params, n_max)
-    blocks = _ladder_blocks(h, channels, basis, range(basis.n_max + 2))
-    rho = stack.alone(lambda *b: lv._kernel_test(*_ladder_null_vectors(basis, *b)), *blocks)
+    positions = np.flatnonzero(lv._charges(basis.excitations) == 0)
+
+    def solve():
+        # Each q > 0 block stands for itself and its conjugate -q block.
+        zero, *others = _ladder_blocks(h, channels, basis, range(basis.n_max + 2))
+        return lv._kernel_test(*lv._sector_null_vectors(zero, others, positions, basis.dim**2))
+
+    rho = stack.alone(solve)
     kept = set(_kept_positions(basis))
     excess = float(sum(rho[j, j].real for j in range(basis.dim) if j not in kept))
     return rho, basis, excess
@@ -328,11 +326,15 @@ def bare_lambda_evolve(
 
     drive = _emitter("e", "g1")
     h = delta * _emitter("e", "e") + omega / 2.0 * (drive + drive.T)
-    gen = lv.hamiltonian_superoperator(h)
-    for op, rate in ((_emitter("g2", "e"), gamma), (_emitter("g1", "e"), gamma_tot - gamma)):
-        gen += lv.lindblad_dissipator(lv.CollapseChannel(op, TWO_PI * rate))
-    # The populations of the column-stacked 3 x 3 state sit at 0, 4 and 8.
-    return propagate(gen, lv.vec(_emitter("g1", "g1")), t_grid)[:, ::4].real
+    jumps = np.array([_emitter("g2", "e"), _emitter("g1", "e")])
+    rates = TWO_PI * np.array([gamma, gamma_tot - gamma])
+    # The populations evolve in the q = 0 block of excitations g1, g2, e =
+    # 1, 0, 1: vec positions 0, 2, 4, 6 and 8, the populations at 0, 4, 8.
+    positions = np.flatnonzero(lv._charges(np.array([1, 0, 1])) == 0)
+    (gen,) = stack.alone(
+        lambda: lv.generator_blocks(h[None], rates[None], jumps[None], [positions])
+    )
+    return propagate(gen, lv.vec(_emitter("g1", "g1"))[positions], t_grid)[:, ::2].real
 
 
 def propagate(gen: np.ndarray, start: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
@@ -370,10 +372,17 @@ def propagate(gen: np.ndarray, start: np.ndarray, t_grid: np.ndarray) -> np.ndar
 
 
 def _evolve_from_first(h: np.ndarray, sign: float, t_grid: np.ndarray) -> np.ndarray:
-    """Amplitudes exp(sign * i h t) e0 for real symmetric ``h``, one row per time."""
+    """Amplitudes exp(sign * i h t) e0 for real symmetric ``h``, one row per
+    time; DomainError where a phase E t overflows a float."""
     energies, vecs = np.linalg.eigh(h)
-    phases = np.exp(sign * 1j * np.outer(t_grid, energies))
-    return (phases * vecs[0]) @ vecs.T
+    with np.errstate(over="ignore"):  # refused next
+        angles = np.outer(t_grid, energies)
+    if not np.isfinite(angles).all():
+        raise DomainError(
+            f"phases E t overflow a float: eigenfrequency {np.max(np.abs(energies)):.3e} "
+            f"rad/ns up to t = {t_grid[-1]:.3e} ns"
+        )
+    return (np.exp(sign * 1j * angles) * vecs[0]) @ vecs.T
 
 
 def adiabatic_populations(

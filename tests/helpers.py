@@ -57,31 +57,16 @@ def random_valid_params(rng: np.random.Generator) -> ModelParams:
     )
 
 
-def stacked_dissipator(ops, rates) -> np.ndarray:
-    """``liouvillian.lindblad_dissipator`` over the leading axes of a stack
-    of jumps ``ops`` (..., n, n) with their ``rates``, an array of the
-    leading shape, in the same products and order of sums: each slice is
-    bitwise its channel's dissipator alone."""
-    ops = np.asarray(ops, dtype=complex)
-    eye = np.eye(ops.shape[-1], dtype=complex)
-    ops_dag = np.swapaxes(ops.conj(), -1, -2)
-    opdop = ops_dag @ ops
-    dissipator = (
-        lv._sandwich(ops, ops_dag) - 0.5 * lv._sandwich(opdop, eye) - 0.5 * lv._sandwich(eye, opdop)
-    )
-    return np.asarray(rates, dtype=complex)[..., None, None] * dissipator
-
-
 def build_liouvillian(params) -> np.ndarray:
     """The whole four-state generator, 1/ns: the oracle of
-    ``liouvillian.charge_blocks``, built on its own from the shared
-    channel prologue ``liouvillian._channels`` and superoperators.
+    ``liouvillian.charge_blocks``, built from the shared channel prologue
+    ``liouvillian._channels`` and the model Hamiltonian as a sum of the
+    ``np.kron`` superoperators below, point by point.
 
     Given one operating point, returns its (16, 16) generator or raises.
-    Given a sequence of K, builds all K in one pass and returns the
-    (K, 16, 16) stack, or raises stack.Failed for the points that fail.
-    Each generator is bitwise the one its point gets alone, and bitwise
-    :func:`kron_liouvillian`.
+    Given a sequence of K, returns the (K, 16, 16) stack, or raises
+    stack.Failed for the points that fail.  Each generator is bitwise the
+    one its point gets alone, and bitwise :func:`kron_liouvillian`.
     """
     if isinstance(params, ModelParams):
         return stack.alone(_build, params)
@@ -90,21 +75,22 @@ def build_liouvillian(params) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # refused at the end
 def _build(points) -> np.ndarray:
-    rates, u, v, phonon = lv._channels(points)
-    # The phonon terms are summed on their own, from 0, and added last: the
-    # last bits of every generator depend on this order.
-    total = 0
-    for j in range(4, 8) if phonon else ():
-        ops = u[phonon, j, :, None] * v[phonon, j, None, :].conj()
-        total += stacked_dissipator(ops, rates[phonon, j])
-
-    gens = lv.hamiltonian_superoperator(model.build_hamiltonian(points))
-    for j, (upper, lower, _) in enumerate(lv._FIXED_CHANNELS):
-        op = np.zeros((4, 4), dtype=complex)
-        op[lower, upper] = 1.0
-        gens += stacked_dissipator(op, rates[:, j])
-    if phonon:
-        gens[phonon] += total
+    rates, jumps = lv._channels(points)
+    gens = []
+    for params, h, row, ops in zip(points, model.build_hamiltonian(points), rates, jumps):
+        dissipators = [
+            kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=rate))
+            for op, rate in zip(ops, row)
+        ]
+        gen = kron_hamiltonian_superoperator(h)
+        for dissipator in dissipators[:4]:
+            gen += dissipator
+        # The phonon terms are summed on their own, from 0, and added last,
+        # as kron_liouvillian sums them: the last bits depend on this order.
+        if params.phonon_alpha1 != 0.0 or params.phonon_alpha2 != 0.0:
+            gen += sum(dissipators[4:])
+        gens.append(gen)
+    gens = np.array(gens).reshape(-1, 16, 16)
     lv._refuse_non_finite(gens)
     return gens
 
@@ -131,8 +117,8 @@ def generator_modes(gen, rho_ss):
 
 
 def kron_lindblad_dissipator(channel) -> np.ndarray:
-    """``liouvillian.lindblad_dissipator`` written with ``np.kron``, in the
-    same products and the same order of sums, so the two agree bitwise."""
+    """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2) of a
+    channel with ``operator`` O and ``rate``, written with ``np.kron``."""
     op = channel.operator
     eye = np.eye(op.shape[0], dtype=complex)
     opdop = op.conj().T @ op
@@ -144,7 +130,8 @@ def kron_lindblad_dissipator(channel) -> np.ndarray:
 
 
 def kron_hamiltonian_superoperator(h) -> np.ndarray:
-    """``liouvillian.hamiltonian_superoperator`` written with ``np.kron``."""
+    """Coherent generator -i 2pi [H, .] of a Hamiltonian in GHz, written
+    with ``np.kron``."""
     h = np.asarray(h, dtype=complex)
     eye = np.eye(h.shape[0], dtype=complex)
     return -1j * TWO_PI * (np.kron(eye, h) - np.kron(h.T, eye))
@@ -223,12 +210,13 @@ def ladder_liouvillian(params, n_max=3):
     """The whole photon-ladder generator of one point, (dim^2, dim^2) in
     1/ns, and its ``oracle.LadderBasis``: the oracle's ladder Hamiltonian
     and jumps summed as whole superoperators, the Hamiltonian's first, then
-    each jump's dissipator in channel order.  The oracle of the ladder's
-    charge blocks, and bitwise :func:`loop_ladder_liouvillian`."""
+    each jump's dissipator in channel order, with the ``np.kron``
+    superoperators above.  The oracle of the ladder's charge blocks, and
+    bitwise :func:`loop_ladder_liouvillian`."""
     h, channels, basis = oracle._ladder_operators(params, n_max)
-    gen = lv.hamiltonian_superoperator(h)
+    gen = kron_hamiltonian_superoperator(h)
     for channel in channels.values():
-        gen += lv.lindblad_dissipator(channel)
+        gen += kron_lindblad_dissipator(channel)
     return gen, basis
 
 

@@ -438,10 +438,10 @@ def test_validate_solves_each_generator_once(capsys, monkeypatch):
     """validate assembles the four-state generator's charge blocks and
     solves their steady state once, and each photon ladder once: n_max = 3
     serves both the truncation and the convergence check, and each ladder
-    is one block solve."""
+    is one block solve (one lv._sector_null_vectors call on its size)."""
     built, steady, ladders, block_solves = [], [0], [], []
     assemble, solve = lv.charge_blocks, lv.block_steady_state
-    ladder, block_solve = oracle.full_ladder_steady_state, oracle._ladder_null_vectors
+    ladder, block_solve = oracle.full_ladder_steady_state, lv._sector_null_vectors
 
     def counting_blocks(params):
         built.append(params)
@@ -455,14 +455,14 @@ def test_validate_solves_each_generator_once(capsys, monkeypatch):
         ladders.append(n_max)
         return ladder(params, n_max)
 
-    def counting_block_solve(basis, *blocks):
-        block_solves.append(basis.n_max)
-        return block_solve(basis, *blocks)
+    def counting_block_solve(zero, others, positions, size):
+        block_solves.append(size)
+        return block_solve(zero, others, positions, size)
 
     monkeypatch.setattr(lv, "charge_blocks", counting_blocks)
     monkeypatch.setattr(lv, "block_steady_state", counting_steady)
     monkeypatch.setattr(oracle, "full_ladder_steady_state", counting_ladder)
-    monkeypatch.setattr(oracle, "_ladder_null_vectors", counting_block_solve)
+    monkeypatch.setattr(lv, "_sector_null_vectors", counting_block_solve)
     code, _, _ = run_cli(capsys, ["validate"])
     assert code == 0
     # The second assembly is the cavity-only generator of the rate check.
@@ -476,7 +476,8 @@ def test_validate_solves_each_generator_once(capsys, monkeypatch):
         phonon_alpha2=0.0,
     )
     assert ladders == [3, 4]
-    assert block_solves == [3, 4]
+    # The four-state steady state's block solve, then one for each ladder.
+    assert block_solves == [16, oracle.LadderBasis(3).dim ** 2, oracle.LadderBasis(4).dim ** 2]
     # The four-state steady state only.
     assert steady[0] == 1
 
@@ -494,6 +495,36 @@ def test_validate_refuses_a_cavity_rate_too_small_to_resolve(capsys, kappa):
     (check,) = [line for line in lines if "cavity_rate_consistency" in line]
     assert check.startswith("FAIL cavity_rate_consistency: DomainError: cavity Raman rate ")
     assert "is too small to resolve" in check
+
+
+_UNRESOLVABLE = [
+    (f"--{flag}={value}", "truncation_error", "the photon ladder's Hamiltonian overflows a float")
+    for flag in ("delta-laser", "delta-cavity")
+    for value in ("1e308", "-1e308")
+] + [
+    (f"--{flag}={value}", "adiabatic_elimination", "its Rabi period overflows a float")
+    for flag in ("g", "omega")
+    for value in ("1e-308", "1e-320")
+] + [("--kappa=1e-308", "cavity_rate_consistency", "too large to resolve")]
+
+
+@pytest.mark.parametrize(
+    "argument, check, reason", _UNRESOLVABLE, ids=[case[0][2:] for case in _UNRESOLVABLE]
+)
+def test_validate_fails_an_unresolvable_check_without_a_warning(capsys, argument, check, reason):
+    """A parameter at which a validate check would overflow a float (the
+    ladder's (delta_laser - delta_cavity) n, the adiabatic check's Rabi
+    period, the cavity-rate fit's squared decay time) fails that check
+    with a DomainError naming the quantity, raises no numeric warning, and
+    validate ends with its verdict."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["validate", argument])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-1] == "validation FAILED"
+    (line,) = [line for line in lines if line.startswith(f"FAIL {check}: ")]
+    assert line.startswith(f"FAIL {check}: DomainError: ") and reason in line
 
 
 def test_fit_failure_exits_4(capsys, tmp_path):

@@ -18,7 +18,6 @@ from cavity_raman import (
     NonUniqueSteadyState,
     build_hamiltonian,
     dressed_states,
-    lindblad_dissipator,
     n_thermal,
     phonon_channels,
     trace_distance,
@@ -41,9 +40,17 @@ def _index(row, col):
     return row + 4 * col
 
 
+def _whole_generators(h, rates, jumps):
+    """lv.generator_blocks on one sector of every vec position: the whole
+    (K, n^2, n^2) generators."""
+    n = jumps.shape[-1]
+    return lv.generator_blocks(h, rates, jumps, [np.arange(n * n)])[0]
+
+
 def test_cavity_dissipator_population_elements():
-    channel = CollapseChannel(cavity_annihilation(), TWO_PI * 53.7)
-    dis = lindblad_dissipator(channel)
+    dis = _whole_generators(
+        np.zeros((1, 4, 4)), np.array([[TWO_PI * 53.7]]), cavity_annihilation()[None, None]
+    )[0]
     drain = _index(G2_1, G2_1)
     fill = _index(G2_0, G2_0)
     assert dis[drain, drain] == pytest.approx(-TWO_PI * 53.7, rel=1e-15)
@@ -51,39 +58,47 @@ def test_cavity_dissipator_population_elements():
 
 
 def test_dissipator_trace_preserving_on_random_channels():
+    """100 random dense jumps, each the one channel of its generator in
+    one stack: the trace functional annihilates every dissipator."""
     rng = np.random.default_rng(3)
     probe = vec(np.eye(4)).conj()
-    for _ in range(100):
-        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        dis = lindblad_dissipator(CollapseChannel(op, rng.uniform(0.1, 10.0)))
+    ops = rng.normal(size=(100, 1, 4, 4)) + 1j * rng.normal(size=(100, 1, 4, 4))
+    for dis in _whole_generators(np.zeros((100, 4, 4)), rng.uniform(0.1, 10.0, (100, 1)), ops):
         worst = np.max(np.abs(probe @ dis))
         assert worst <= 1e-12 * np.max(np.abs(dis))
 
 
 @pytest.mark.parametrize("dim", [4, 12])
-def test_superoperators_match_kron_reference_bitwise(dim):
-    """Each superoperator equals its np.kron form bit for bit, alone and as
-    one slice of a stack of 20 (the stacked dissipator is the whole
-    generator's, in the helpers)."""
+def test_generator_blocks_match_kron_reference(dim):
+    """The assembler, given every vec position as one sector, builds the
+    whole generator of a random Hamiltonian and three random dense jumps:
+    within rounding of its np.kron sum, and each generator of a stack of
+    20 bitwise the one it gets alone.
+
+    Bound, with s = 2 pi max|H| + sum_c rate_c max_k (L_c^dag L_c)[k,k]:
+    an entry sums N = 2 + 3 (2 dim + 1) products (the Hamiltonian's two,
+    and each jump's sandwich and the dim products of its decay on either
+    side), whose moduli add up to at most 2 s (Cauchy-Schwarz, as in
+    test_ladder_blocks_match_index_loop_generator).  Each product carries
+    at most four roundings and the sum N - 1, so each route is within
+    (N + 3) eps * 2 s of the exact entry, and the routes 4 (N + 3) eps s."""
     rng = np.random.default_rng(17 + dim)
-    channels = []
-    for _ in range(20):
-        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        channel = CollapseChannel(op, rng.uniform(0.1, 10.0))
-        channels.append(channel)
-        assert helpers.same_bits(
-            lindblad_dissipator(channel), helpers.kron_lindblad_dissipator(channel)
-        )
-        assert helpers.same_bits(
-            lv.hamiltonian_superoperator(op), helpers.kron_hamiltonian_superoperator(op)
-        )
-    ops = np.array([channel.operator for channel in channels])
-    rates = np.array([channel.rate for channel in channels])
-    for dis, ham, channel in zip(
-        helpers.stacked_dissipator(ops, rates), lv.hamiltonian_superoperator(ops), channels
-    ):
-        assert helpers.same_bits(dis, helpers.kron_lindblad_dissipator(channel))
-        assert helpers.same_bits(ham, helpers.kron_hamiltonian_superoperator(channel.operator))
+    shape = (20, 3, dim, dim)
+    ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rates = rng.uniform(0.1, 10.0, (20, 3))
+    h = rng.normal(size=(20, dim, dim)) + 1j * rng.normal(size=(20, dim, dim))
+    h = h + np.swapaxes(h.conj(), 1, 2)
+    gens = _whole_generators(h, rates, ops)
+    bound = 4 * (2 + 3 * (2 * dim + 1) + 3) * EPS
+    for k, gen in enumerate(gens):
+        reference = helpers.kron_hamiltonian_superoperator(h[k])
+        for op, rate in zip(ops[k], rates[k]):
+            reference += helpers.kron_lindblad_dissipator(CollapseChannel(op, rate))
+        decays = np.linalg.norm(ops[k], axis=1) ** 2
+        scale = TWO_PI * np.max(np.abs(h[k])) + np.sum(rates[k] * np.max(decays, axis=1))
+        assert np.max(np.abs(gen - reference)) <= bound * scale
+        alone = _whole_generators(h[k : k + 1], rates[k : k + 1], ops[k : k + 1])
+        assert helpers.same_bits(gen, alone[0])
 
 
 def test_collapse_channel_refuses_bad_rates():
@@ -316,8 +331,9 @@ def test_stacked_channel_rates_match_the_per_point_oracle(paper_params):
     """One stack of random valid points, some with phonons off, some at
     kT = 0 and some with a negative phonon_n, gets from lv._channels the
     fixed rates 2 pi (kappa, gamma1, gamma2, gamma_flip) and the phonon
-    rates of helpers.kron_phonon_channels, Python floats point by point,
-    bit for bit.  In a second stack, a power that overflows, a product
+    rates and jumps of helpers.kron_phonon_channels, Python floats point
+    by point, bit for bit; a point without phonons gets zero phonon rates
+    and jumps.  In a second stack, a power that overflows, a product
     that overflows at kT = 0 and a square that underflows to a zero
     divisor each fail with their own class and message, in one
     stack.Failed, and the others keep the rates of a stack of one."""
@@ -331,13 +347,15 @@ def test_stacked_channel_rates_match_the_per_point_oracle(paper_params):
         + [replace(p, kT=0.0) for p in drawn[64:96]]
         + [replace(p, phonon_n=-rng.uniform(0.1, 2.0)) for p in drawn[96:]]
     )
-    rates, _, _, phonon = lv._channels(points)
-    assert phonon == list(range(32)) + list(range(64, 128))
-    for params, row in zip(points, rates):
+    rates, jumps = lv._channels(points)
+    for params, row, ops in zip(points, rates, jumps):
         fixed = [TWO_PI * params.kappa, TWO_PI * params.gamma1, TWO_PI * params.gamma2,
                  TWO_PI * params.gamma_flip]
-        phonons = [rate for _, rate in helpers.kron_phonon_channels(params)] or [0.0] * 4
+        channels = helpers.kron_phonon_channels(params)
+        phonons = [rate for _, rate in channels] or [0.0] * 4
         assert helpers.same_bits(row, np.array(fixed + phonons))
+        expected = [op for op, _ in channels] or np.zeros((4, 4, 4), dtype=complex)
+        assert helpers.same_bits(ops[4:], np.array(expected))
 
     overflow = "phonon rates overflow a float at g = 0.8, omega_drive = 2.58, delta_laser = "
     failing = {
@@ -362,8 +380,8 @@ def test_stacked_channel_rates_match_the_per_point_oracle(paper_params):
             lv._channels([point])
         assert helpers.same_outcome(alone.value.errors[0], error)
     kept = [point for k, point in enumerate(mixed) if k not in failing]
-    for point, *outputs in zip(kept, *lv._channels(kept)[:3]):
-        for got, expected in zip(outputs, lv._channels([point])[:3]):
+    for point, *outputs in zip(kept, *lv._channels(kept)):
+        for got, expected in zip(outputs, lv._channels([point])):
             assert helpers.same_bits(got, expected[0])
 
 
@@ -404,7 +422,7 @@ def _outcome(route, params):
 
 
 def test_charge_blocks_match_the_whole_generator(paper_params):
-    """The charge-block route (blocks from rank-one jumps, the 10 x 10
+    """The charge-block route (blocks from dense jumps, the 10 x 10
     steady state, the 3 x 3 modes) agrees with the whole generator's (the
     helpers' build_liouvillian, the 16 x 16 SVD and generator_modes on its
     slice) within rounding bounds stated from the computation, on random
@@ -417,9 +435,11 @@ def test_charge_blocks_match_the_whole_generator(paper_params):
     singular-value gap of the whole generator:
     - blocks: on each route an entry sums at most 26 terms (the
       Hamiltonian's two, the eight channels' halved decays twice and their
-      eight sandwiches), whose moduli add up to at most 2 s; a sum of n
-      terms rounds by at most n eps of that, so the routes differ by at
-      most 2 * 26 * 2 eps s = 104 eps s;
+      eight sandwiches; a phonon jump's decay term, L^dag L of a rank-one
+      jump, sums three products of one phase, so it rounds within a few
+      eps of its own modulus), whose moduli add up to at most 2 s; a sum
+      of n terms rounds by at most n eps of that, so the routes differ by
+      at most 2 * 26 * 2 eps s = 104 eps s;
     - the two SVDs then see generators within about 104 eps sigma_max of
       each other and add backward errors of a few eps sigma_max, 128 eps
       sigma_max in all: the singular values move by at most that (Weyl),
@@ -453,7 +473,7 @@ def test_charge_blocks_match_the_whole_generator(paper_params):
         state, modes, block_rho, (block_lambdas, block_residues, block_photons) = (
             _block_route(params)
         )
-        rates = lv._channels([params])[0]
+        rates = lv._channels([params])[0][0]
         scale = TWO_PI * np.max(np.abs(build_hamiltonian(params))) + np.sum(rates)
         for block, positions in ((state, lv.STATE_BLOCK), (modes, lv.MODE_BLOCK)):
             assert np.max(np.abs(block - gen[np.ix_(positions, positions)])) <= 104 * EPS * scale
@@ -461,7 +481,7 @@ def test_charge_blocks_match_the_whole_generator(paper_params):
         gap = svals[0] / svals[-2]
         # The kernel test reads the blocks' singular values, the q = -1
         # block's twice: they are the whole generator's.
-        _, union = lv._block_null_vectors(state[None], modes[None])
+        _, union = lv._sector_null_vectors(state[None], [modes[None]], lv.STATE_BLOCK, 16)
         assert np.max(np.abs(union[0] - svals)) <= 128 * EPS * svals[0]
         assert np.max(np.abs(block_rho - rho)) <= 128 * EPS * gap
         condition = np.linalg.cond(np.linalg.eig(modes)[1])

@@ -120,7 +120,7 @@ def test_ladder_blocks_match_index_loop_generator(paper_params, n_max):
             channel.rate * np.max(np.linalg.norm(channel.operator, axis=0) ** 2)
             for channel in channels.values()
         )
-        blocks = oracle._ladder_blocks(h, channels, basis, every)
+        blocks = [block[0] for block in oracle._ladder_blocks(h, channels, basis, every)]
         assert sum(block.size for block in blocks) == gen.size - np.sum(
             charges[:, None] != charges
         )
@@ -152,8 +152,9 @@ def test_sector_steady_state_matches_dense_reference(paper_params, n_max):
         charges = lv._charges(basis.excitations)
         assert np.all(lv.vec(rho)[charges != 0] == 0.0)
         h, channels, _ = oracle._ladder_operators(params, n_max)
-        blocks = oracle._ladder_blocks(h, channels, basis, range(n_max + 2))
-        _, union = oracle._ladder_null_vectors(basis, *(block[None] for block in blocks))
+        zero, *others = oracle._ladder_blocks(h, channels, basis, range(n_max + 2))
+        positions = np.flatnonzero(charges == 0)
+        _, union = lv._sector_null_vectors(zero, others, positions, basis.dim**2)
         dense = np.linalg.svd(gen, compute_uv=False)
         assert union.shape == (1, dense.size)
         assert np.max(np.abs(union[0] - dense)) <= 1e-13 * dense[0]
@@ -407,6 +408,13 @@ def test_adiabatic_static_without_drive():
 def test_adiabatic_rejects_zero_detuning():
     with pytest.raises(DomainError):
         adiabatic_populations(0.4, 0.2, 0.0, np.linspace(0.0, 1.0, 11))
+
+
+def test_adiabatic_refuses_phases_that_overflow():
+    """A grid so long that a phase E t overflows a float is refused as bad
+    input, with no numeric warning."""
+    with pytest.raises(DomainError, match="^phases E t overflow a float"):
+        adiabatic_populations(0.4, 0.2, 40.0, np.array([0.0, 1e307]))
 
 
 def test_exact_oracles_match_rk45_reference():
