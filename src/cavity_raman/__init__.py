@@ -36,12 +36,7 @@ from .fit import (
     predict_rs,
     rs_ratio,
 )
-from .liouvillian import (
-    CollapseChannel,
-    cavity_annihilation,
-    phonon_channels,
-    trace_distance,
-)
+from .liouvillian import phonon_channels, trace_distance
 from .model import (
     DIM,
     E_0,

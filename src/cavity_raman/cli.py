@@ -432,20 +432,24 @@ def _validation_checks(config: RunConfig) -> list[dict]:
 
     def truncation_distance():
         solved = ladder(3)
-        distance = oracle.truncation_distance(steady(), solved)
+        distance = oracle.truncation_distance(blocks()[0], steady(), solved)
         return distance < 1e-3, f"trace distance {distance:.3e} (tolerance 1e-3)"
 
     def ladder_convergence():
         distance = oracle.ladder_distance(ladder(3), ladder(4))
         return distance < 1e-9, f"n_max 3 vs 4 trace distance {distance:.3e}"
 
+    # Only a drive that is off is no drive: one whose closed-form rate
+    # underflows to zero is too small to resolve.
+    undriven = params.omega_drive == 0.0 or params.g == 0.0
+
     def adiabatic_numeric():
+        if undriven:
+            return True, "no drive, nothing to compare"
         omega_eff = rates_mod.effective_rabi(
             params.omega_drive, params.g, params.delta_laser
         )
-        if omega_eff == 0.0:
-            return True, "no drive, nothing to compare"
-        period = 1.0 / (2.0 * abs(omega_eff))
+        period = 1.0 / (2.0 * abs(omega_eff)) if omega_eff != 0.0 else math.inf
         if math.isinf(period):
             raise DomainError(
                 f"effective Rabi frequency Omega_eff = {omega_eff:.3e} GHz is too small to "
@@ -483,6 +487,8 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         return decay_rate(grid, pops[:, 1], target, 0.02)
 
     def cavity_rate_consistency():
+        if undriven:
+            return True, "no drive, nothing to compare"
         # Cavity decay is the only open channel here so the transfer is a
         # clean single exponential at the closed-form rate.
         stripped = replace(
@@ -497,7 +503,7 @@ def _validation_checks(config: RunConfig) -> list[dict]:
             params.omega_drive, params.g, params.delta_laser, params.kappa
         )
         if target == 0.0:
-            return True, "no drive, nothing to compare"
+            raise DomainError("cavity Raman rate 0 1/ns is too small to resolve: it underflows")
         # The fit's Jacobian divides by the decay time squared, and its
         # normal equations hold the rate squared times the samples: refuse a
         # rate whose square comes within 1e8 of overflowing.

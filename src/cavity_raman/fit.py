@@ -32,11 +32,13 @@ from .model import ModelParams
 # the number of spectrum samples in each.
 _LINE_WINDOW = 4.0
 _LINE_POINTS = 97
-# Step floor of the phonon refit's LM in (log alpha, n).  Its ratios carry
-# about 1e-10 relative noise from the two line fits, and steps of that size
-# only chase it.  A step of 1e-9 moves each ln s = log alpha + n ln d by at
-# most 1e-9 * (1 + ln d), under 6e-9 up to d = 150 GHz: below the 1e-8 at
-# which the secant start stops, and ten times the noise.
+# Step floor of the phonon refit's LM in (log alpha, n).  On the detuning
+# diagonal its ratios carry about 1e-10 relative noise from the two line
+# fits, and steps of that size only chase it.  A step of 1e-9 moves each
+# ln s = log alpha + n ln d by at most 1e-9 * (1 + ln d), under 6e-9 up to
+# d = 150 GHz: below the 1e-8 at which the secant start stops, and ten
+# times the diagonal's noise.  Off it the noise is larger (5e-10 at (d, s)
+# = (35, 10), 3.6e-9 to 6.8e-9 at s = 50): steps there chase it too.
 _REFIT_STEP_FLOOR = 1e-9
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,22 +50,6 @@ EXCITATIONS = np.array([1, 0, 1, 1])
 STATE_BLOCK, MODE_BLOCK = (np.flatnonzero(_charges(EXCITATIONS) == q) for q in (0, -1))
 
 
-@dataclass(frozen=True)
-class CollapseChannel:
-    """One Lindblad jump operator with its angular rate in 1/ns."""
-
-    operator: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        op = np.asarray(self.operator, dtype=complex)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise DomainError(f"collapse operator must be square, got shape {op.shape}")
-        if not (math.isfinite(self.rate) and self.rate >= 0.0):
-            raise DomainError(f"collapse rate must be nonnegative, got {float(self.rate)}")
-        object.__setattr__(self, "operator", op)
-
-
 def _rate_errors(rates: np.ndarray) -> dict[int, DomainError]:
     """The DomainError of each row of ``rates`` (K, n), channel rates in
     1/ns, that holds a non-finite rate, naming the first.  Every rate comes
@@ -82,15 +65,9 @@ def _rate_errors(rates: np.ndarray) -> dict[int, DomainError]:
     }
 
 
-def cavity_annihilation() -> np.ndarray:
-    """Photon annihilation |g2,0><g2,1|, restricted to the truncated basis."""
-    op = np.zeros((DIM, DIM), dtype=complex)
-    op[G2_0, G2_1] = 1.0
-    return op
-
-
-def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
-    """Thermal jump operators between the dressed branches.
+def phonon_channels(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Thermal jump operators between the dressed branches: their rates
+    (4,) in 1/ns and jumps (4, 4, 4) on the truncated basis.
 
     The two channels connect plus <-> minus and plus <-> dark; downward
     rates carry (1 + n) and upward rates n, with n the Bose occupation at
@@ -99,8 +76,7 @@ def phonon_channels(params: ModelParams) -> list[CollapseChannel]:
     leading-order choice.  Returned in the order up, down (minus branch),
     up, down (dark branch).
     """
-    rates, jumps = stack.alone(_phonon_terms, params)
-    return [CollapseChannel(jump, float(rate)) for jump, rate in zip(jumps, rates)]
+    return stack.alone(_phonon_terms, params)
 
 
 def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
@@ -194,14 +170,19 @@ def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     return rates, jumps
 
 
-def _refuse_non_finite(*blocks: np.ndarray) -> None:
+def _refuse_non_finite(coherent: np.ndarray, *blocks: np.ndarray) -> None:
     """Raise stack.Failed for the generators with a non-finite entry in any
     of ``blocks``, stacks of their (n, n) blocks: rates that are finite
     alone can overflow in their sum, and such a generator is refused before
-    any LAPACK routine sees it."""
+    any LAPACK routine sees it.  The error names the Hamiltonian where the
+    coherent term ``coherent`` (K, n, n), -2 pi i H, is not finite."""
     finite = np.logical_and.reduce([np.isfinite(block).all(axis=(1, 2)) for block in blocks])
     stack.fail({
-        k: DomainError("generator has a non-finite entry: its rates overflow a float")
+        k: DomainError(
+            "generator has a non-finite entry: "
+            + ("its rates overflow a float" if np.isfinite(coherent[k]).all()
+               else "its Hamiltonian times 2 pi overflows a float")
+        )
         for k in np.flatnonzero(~finite).tolist()
     })
 
@@ -222,7 +203,8 @@ def generator_blocks(
     Molmer, PRL 68, 580 (1992)), the entry of row |i><j| and column |k><l|
     is G[i,k] d[j,l] + d[i,k] G*[j,l] + sum_c rate_c L_c[i,k] L_c*[j,l].
     Raises stack.Failed for the generators with a non-finite entry in any
-    block.  Each generator's blocks are bitwise the ones it gets alone.
+    block, naming the Hamiltonian where 2 pi H overflows and the rates
+    otherwise.  Each generator's blocks are bitwise the ones it gets alone.
     """
     count, channels, n = jumps.shape[:3]
     # sum_c rate_c L_c[i,k] L_c*[j,l] at row i n + k and column j n + l:
@@ -231,7 +213,8 @@ def generator_blocks(
     sandwiches = np.swapaxes(rates[:, :, None] * flat, 1, 2) @ flat.conj()
     # Their trace over i = j is sum_c rate_c (L_c^dag L_c)[l,k].
     decay = np.trace(sandwiches.reshape((count,) + (n,) * 4), axis1=1, axis2=3)
-    g = -1j * TWO_PI * h - 0.5 * np.swapaxes(decay, 1, 2)
+    coherent = -1j * TWO_PI * h
+    g = coherent - 0.5 * np.swapaxes(decay, 1, 2)
     blocks = []
     for positions in sectors:
         i, j = positions % n, positions // n
@@ -239,7 +222,7 @@ def generator_blocks(
         block += np.where(i[:, None] == i, g[:, j[:, None], j].conj(), 0.0)
         block += sandwiches[:, i[:, None] * n + i, j[:, None] * n + j]
         blocks.append(block)
-    _refuse_non_finite(*blocks)
+    _refuse_non_finite(coherent, *blocks)
     return tuple(blocks)
 
 

@@ -2,11 +2,13 @@
 
 Nothing here reuses the truncated four-state machinery beyond the block
 assembler (held against whole np.kron generators in the tests), the
-phonon channels and the package's one kernel test, so agreement between
-these routines and the fast paths is a real consistency statement, not a
-tautology.  Only :func:`truncation_error` solves the four-state model, on
-its charge blocks as the pipeline does, and refines that state once to
-compare it with the ladder.
+phonon channels, the rate refusal and the package's one kernel test, so
+agreement between these routines and the fast paths is a real
+consistency statement, not a tautology.  The ladder's jumps are one dense
+(C, dim, dim) array at (C,) rates, as the four-state model's are.  Only
+:func:`truncation_error` solves the four-state model, on its charge
+blocks as the pipeline does; :func:`truncation_distance`, which
+``validate`` shares, refines that state once to compare it with the ladder.
 """
 from __future__ import annotations
 
@@ -69,12 +71,14 @@ def _emitter(row: str, col: str) -> np.ndarray:
 
 def _ladder_operators(
     params: ModelParams, n_max: int
-) -> tuple[np.ndarray, dict[str, lv.CollapseChannel], LadderBasis]:
-    """Hamiltonian (GHz), named jump channels and basis of the untruncated
-    photon ladder: emitter (x) photon products, but for the thermal jumps,
-    which live between dressed states of the single-excitation manifold and
-    are embedded at the four matching ladder positions.  A Hamiltonian
-    entry that overflows a float raises DomainError naming the parameters."""
+) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray, LadderBasis]:
+    """Hamiltonian (GHz), channel names, rates (C,) in 1/ns, dense jumps
+    (C, dim, dim) and basis of the untruncated photon ladder: emitter (x)
+    photon products, but for the thermal jumps, which live between dressed
+    states of the single-excitation manifold and are embedded at the four
+    matching ladder positions.  A Hamiltonian entry that overflows a float
+    raises DomainError naming the parameters, and so does a rate, as the
+    four-state channels refuse it."""
     basis = LadderBasis(n_max)
     eye = np.eye(n_max + 1)
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
@@ -93,47 +97,47 @@ def _ladder_operators(
         )
     h += params.omega_drive / 2.0 * (drive + drive.T)
     h += params.g * (coupling + coupling.T)
-    channels = {
-        name: lv.CollapseChannel(op, TWO_PI * getattr(params, name))
-        for op, name in (
-            (np.kron(np.eye(len(LEVELS)), a), "kappa"),
-            (np.kron(_emitter("g1", "e"), eye), "gamma1"),
-            (np.kron(_emitter("g2", "e"), eye), "gamma2"),
-            (np.kron(_emitter("g1", "g2"), eye), "gamma_flip"),
-        )
-    }
+    names = ("kappa", "gamma1", "gamma2", "gamma_flip")
+    with np.errstate(over="ignore"):  # refused next
+        rates = TWO_PI * np.array([getattr(params, name) for name in names])
+    if errors := lv._rate_errors(rates[None]):
+        raise errors[0]
+    # a, then |g1><e|, |g2><e| and |g1><g2| on every photon number.
+    jumps = np.array([np.kron(np.eye(len(LEVELS)), a)] + [
+        np.kron(_emitter(*pair), eye) for pair in (("g1", "e"), ("g2", "e"), ("g1", "g2"))
+    ], dtype=complex)
     if params.phonon_alpha1 > 0.0 or params.phonon_alpha2 > 0.0:
-        kept = np.ix_(_kept_positions(basis), _kept_positions(basis))
-        for k, channel in enumerate(lv.phonon_channels(params)):
-            op = np.zeros((basis.dim, basis.dim), dtype=complex)
-            op[kept] = channel.operator
-            channels[f"phonon {k}"] = lv.CollapseChannel(op, channel.rate)
-    return h, channels, basis
+        phonon_rates, phonon_jumps = lv.phonon_channels(params)
+        kept = _kept_positions(basis)
+        embedded = np.zeros((4, basis.dim, basis.dim), dtype=complex)
+        embedded[np.ix_(range(4), kept, kept)] = phonon_jumps
+        names += ("phonon 0", "phonon 1", "phonon 2", "phonon 3")
+        rates, jumps = np.append(rates, phonon_rates), np.concatenate([jumps, embedded])
+    return h, names, rates, jumps, basis
 
 
 def _ladder_blocks(
-    h: np.ndarray, channels: dict[str, lv.CollapseChannel], basis: LadderBasis, charges
+    h: np.ndarray, names: tuple, rates: np.ndarray, jumps: np.ndarray, basis: LadderBasis, charges
 ) -> tuple[np.ndarray, ...]:
     """The ladder generator's block at each charge q = N_i - N_j of
-    ``charges``, 1/ns, from its Hamiltonian ``h`` (GHz) and ``channels``,
-    as a stack of one: ``liouvillian.generator_blocks``, which raises
+    ``charges``, 1/ns, from its Hamiltonian ``h`` (GHz) and the ``jumps``
+    named ``names`` at ``rates``, as :func:`_ladder_operators` returns
+    them, as a stack of one: ``liouvillian.generator_blocks``, which raises
     stack.Failed for a non-finite entry.  The generator keeps q (Buca and
     Prosen, New J. Phys. 14, 073007 (2012)) when H keeps N and each jump
     shifts N by one amount; an operator that does not raises DomainError
     naming it."""
     counts = basis.excitations
     shifts = counts[:, None] - counts[None, :]
-    named = {"Hamiltonian": h, **{f"jump {k}": c.operator for k, c in channels.items()}}
+    named = {"Hamiltonian": h, **{f"jump {name}": op for name, op in zip(names, jumps)}}
     for name, op in named.items():
         # One amount each; for the hermitian H, whose entries pair d with -d, 0.
         moves = sorted(set(shifts[op != 0.0].tolist()))
         if len(moves) > 1:
             raise DomainError(f"{name} shifts the excitation number by each of {moves}")
-    rates = np.array([channel.rate for channel in channels.values()])
-    ops = np.array([channel.operator for channel in channels.values()])
     vec_charges = lv._charges(counts)
     sectors = [np.flatnonzero(vec_charges == q) for q in charges]
-    return lv.generator_blocks(h[None], rates[None], ops[None], sectors)
+    return lv.generator_blocks(h[None], rates[None], jumps[None], sectors)
 
 
 def full_ladder_steady_state(
@@ -146,12 +150,12 @@ def full_ladder_steady_state(
     sums the populations the four-state model discards: every n >= 2 state
     together with |g1,1> and |e,1>.
     """
-    h, channels, basis = _ladder_operators(params, n_max)
+    h, names, rates, jumps, basis = _ladder_operators(params, n_max)
     positions = np.flatnonzero(lv._charges(basis.excitations) == 0)
 
     def solve():
         # Each q > 0 block stands for itself and its conjugate -q block.
-        zero, *others = _ladder_blocks(h, channels, basis, range(basis.n_max + 2))
+        zero, *others = _ladder_blocks(h, names, rates, jumps, basis, range(basis.n_max + 2))
         return lv._kernel_test(*lv._sector_null_vectors(zero, others, positions, basis.dim**2))
 
     rho = stack.alone(solve)
@@ -179,12 +183,12 @@ def truncation_error(params: ModelParams, n_max: int = 3) -> float:
     with omega_eff = omega_drive * g / delta_laser, so it never exceeds
     omega_eff / kappa.
 
-    The four-state state is the pipeline's, refined once against its
-    q = 0 block, so that the distance is truncation and not rounding.
+    The four-state state is the pipeline's, refined by
+    :func:`truncation_distance`.
     """
     ladder = full_ladder_steady_state(params, n_max)
     state, modes = lv.charge_blocks(params)
-    return truncation_distance(_refined(state, lv.block_steady_state(state, modes)), ladder)
+    return truncation_distance(state, lv.block_steady_state(state, modes), ladder)
 
 
 def _refined(state_block: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -209,12 +213,16 @@ def _refined(state_block: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def truncation_distance(
-    rho4: np.ndarray, ladder: tuple[np.ndarray, LadderBasis, float]
+    state_block: np.ndarray, rho4: np.ndarray, ladder: tuple[np.ndarray, LadderBasis, float]
 ) -> float:
-    """:func:`truncation_error` of a four-state steady state and a solved
-    ladder, as :func:`full_ladder_steady_state` returns it."""
+    """:func:`truncation_error` of a four-state steady state ``rho4``, solved
+    on the q = 0 block ``state_block``, and a solved ladder, as
+    :func:`full_ladder_steady_state` returns it.  ``rho4`` is refined once
+    against its block first, so that the distance is truncation and not
+    rounding."""
     rho_full, basis, _ = ladder
-    return lv.trace_distance(rho4, _restricted(rho_full, _kept_positions(basis)))
+    refined = _refined(state_block, rho4)
+    return lv.trace_distance(refined, _restricted(rho_full, _kept_positions(basis)))
 
 
 def ladder_convergence(params: ModelParams, n_max: int = 3) -> float:

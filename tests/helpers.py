@@ -9,7 +9,6 @@ stacked line classification, windows, spectrum sums and peak read-back.
 """
 import math
 from dataclasses import astuple, is_dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -76,12 +75,10 @@ def build_liouvillian(params) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # refused at the end
 def _build(points) -> np.ndarray:
     rates, jumps = lv._channels(points)
+    hamiltonians = model.build_hamiltonian(points)
     gens = []
-    for params, h, row, ops in zip(points, model.build_hamiltonian(points), rates, jumps):
-        dissipators = [
-            kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=rate))
-            for op, rate in zip(ops, row)
-        ]
+    for params, h, row, ops in zip(points, hamiltonians, rates, jumps):
+        dissipators = [kron_lindblad_dissipator(op, rate) for op, rate in zip(ops, row)]
         gen = kron_hamiltonian_superoperator(h)
         for dissipator in dissipators[:4]:
             gen += dissipator
@@ -91,7 +88,7 @@ def _build(points) -> np.ndarray:
             gen += sum(dissipators[4:])
         gens.append(gen)
     gens = np.array(gens).reshape(-1, 16, 16)
-    lv._refuse_non_finite(gens)
+    lv._refuse_non_finite(-1j * TWO_PI * hamiltonians, gens)
     return gens
 
 
@@ -116,13 +113,20 @@ def generator_modes(gen, rho_ss):
     return block_modes(gen[..., lv.MODE_BLOCK[:, None], lv.MODE_BLOCK], rho_ss)
 
 
-def kron_lindblad_dissipator(channel) -> np.ndarray:
-    """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2) of a
-    channel with ``operator`` O and ``rate``, written with ``np.kron``."""
-    op = channel.operator
+def cavity_annihilation() -> np.ndarray:
+    """Photon annihilation |g2,0><g2,1| on the truncated basis."""
+    op = np.zeros((model.DIM, model.DIM), dtype=complex)
+    op[model.G2_0, model.G2_1] = 1.0
+    return op
+
+
+def kron_lindblad_dissipator(op, rate) -> np.ndarray:
+    """Vectorized dissipator rate * (O . O^dag - {O^dag O, .} / 2) of the
+    jump ``op`` O at ``rate``, written with ``np.kron``."""
+    op = np.asarray(op, dtype=complex)
     eye = np.eye(op.shape[0], dtype=complex)
     opdop = op.conj().T @ op
-    return channel.rate * (
+    return rate * (
         np.kron(op.conj(), op)
         - 0.5 * np.kron(eye, opdop)
         - 0.5 * np.kron(opdop.T, eye)
@@ -158,13 +162,10 @@ def kron_liouvillian(params) -> np.ndarray:
     ):
         op = np.zeros((4, 4), dtype=complex)
         op[lower, upper] = 1.0
-        gen += kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=TWO_PI * rate))
+        gen += kron_lindblad_dissipator(op, TWO_PI * rate)
     channels = kron_phonon_channels(params)
     if channels:
-        gen += sum(
-            kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=rate))
-            for op, rate in channels
-        )
+        gen += sum(kron_lindblad_dissipator(op, rate) for op, rate in channels)
     return gen
 
 
@@ -213,10 +214,10 @@ def ladder_liouvillian(params, n_max=3):
     each jump's dissipator in channel order, with the ``np.kron``
     superoperators above.  The oracle of the ladder's charge blocks, and
     bitwise :func:`loop_ladder_liouvillian`."""
-    h, channels, basis = oracle._ladder_operators(params, n_max)
+    h, _, rates, jumps, basis = oracle._ladder_operators(params, n_max)
     gen = kron_hamiltonian_superoperator(h)
-    for channel in channels.values():
-        gen += kron_lindblad_dissipator(channel)
+    for op, rate in zip(jumps, rates):
+        gen += kron_lindblad_dissipator(op, rate)
     return gen, basis
 
 
@@ -257,14 +258,14 @@ def loop_ladder_liouvillian(params, n_max) -> np.ndarray:
         (decay2, params.gamma2),
         (flip, params.gamma_flip),
     ):
-        gen += kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=TWO_PI * rate))
+        gen += kron_lindblad_dissipator(op, TWO_PI * rate)
     kept = (at(g1, 0), at(g2, 0), at(g2, 1), at(e, 0))
     for op4, rate in kron_phonon_channels(params):
         op = np.zeros((dim, dim), dtype=complex)
         for row4, row in enumerate(kept):
             for col4, col in enumerate(kept):
                 op[row, col] = op4[row4, col4]
-        gen += kron_lindblad_dissipator(SimpleNamespace(operator=op, rate=rate))
+        gen += kron_lindblad_dissipator(op, rate)
     return gen
 
 

@@ -527,6 +527,81 @@ def test_validate_fails_an_unresolvable_check_without_a_warning(capsys, argument
     assert line.startswith(f"FAIL {check}: DomainError: ") and reason in line
 
 
+@pytest.mark.parametrize("value", ["1e308", "-1e308"])
+def test_validate_names_an_overflowing_hamiltonian(capsys, value):
+    """At a cavity detuning whose 2 pi (delta_laser - delta_cavity)
+    overflows, the four checks that assemble the four-state generator fail
+    naming its Hamiltonian, not its rates, and the ladder checks name the
+    ladder's Hamiltonian."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["validate", f"--delta-cavity={value}"])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    failed = {line.split()[1].rstrip(":"): line for line in lines if line.startswith("FAIL ")}
+    four_state = ["trace_preservation", "steady_state_physical", "spectrum_sum_rule",
+                  "cavity_rate_consistency"]
+    assert sorted(failed) == sorted(four_state + ["truncation_error", "ladder_convergence"])
+    for name in four_state:
+        assert failed[name] == (
+            f"FAIL {name}: DomainError: generator has a non-finite entry: its Hamiltonian "
+            "times 2 pi overflows a float"
+        )
+    for name in ("truncation_error", "ladder_convergence"):
+        assert "the photon ladder's Hamiltonian overflows a float" in failed[name]
+
+
+_UNDERFLOWING_DRIVE = {
+    "g=1e-200": (["--g", "1e-200"], ["cavity_rate_consistency"]),
+    "omega=1e-170": (["--omega", "1e-170"], ["cavity_rate_consistency"]),
+    "g=1e-300,omega=1e-30": (
+        ["--g", "1e-300", "--omega", "1e-30"],
+        ["adiabatic_elimination", "cavity_rate_consistency"],
+    ),
+}
+
+
+def test_validate_passes_no_drive_only_when_the_drive_is_off(capsys):
+    """A zero coupling passes both drive checks as "no drive".  A drive
+    that is on, but whose cavity Raman rate or Omega_eff underflows to
+    zero, fails that check with a DomainError as too small to resolve,
+    with no numeric warning, and validate ends with its verdict."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["validate", "--g", "0"])
+        assert (code, err) == (0, "")
+        for name in ("adiabatic_elimination", "cavity_rate_consistency"):
+            assert f"PASS {name}: no drive, nothing to compare" in out.splitlines()
+        for case, (flags, failing) in _UNDERFLOWING_DRIVE.items():
+            code, out, err = run_cli(capsys, ["validate", *flags])
+            assert (code, err) == (1, ""), case
+            lines = out.splitlines()
+            assert lines[-1] == "validation FAILED", case
+            assert not any("no drive" in line for line in lines), case
+            for name in failing:
+                (line,) = [line for line in lines if line.startswith(f"FAIL {name}: ")]
+                assert line.startswith(f"FAIL {name}: DomainError: "), case
+                assert "is too small to resolve" in line, case
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{}, {"gamma_flip": 0.0, "phonon_alpha1": 0.0, "phonon_alpha2": 0.0}],
+    ids=["default", "no_flip_no_phonons"],
+)
+def test_validate_truncation_detail_is_the_oracle_distance(capsys, changes):
+    """validate's truncation_error detail prints oracle.truncation_error of
+    its point: the four-state state refined once, through the same code.
+    Without spin flip and phonons the refinement shows: the unrefined
+    state lies 1.457e-10 from the ladder, the refined one 2.988e-13."""
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in changes.items()]
+    code, out, _ = run_cli(capsys, ["validate", "--json", *flags])
+    assert code == 0
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "truncation_error"]
+    distance = oracle.truncation_error(replace(ModelParams(), **changes))
+    assert check["detail"] == f"trace distance {distance:.3e} (tolerance 1e-3)"
+
+
 def test_fit_failure_exits_4(capsys, tmp_path):
     grid = np.linspace(0.0, 5.0, 41)
     path = tmp_path / "growth.csv"
@@ -781,6 +856,13 @@ def test_fit_phonon_error_bars_mixed_with_zeros_exit_2(capsys, tmp_path):
          "or a phonon rate, is too large\n"),
         (["sweep-detuning", "--sweep-count", "3", "--gamma1", "2e307", "--gamma2", "2e307"],
          None, "error: generator has a non-finite entry: its rates overflow a float\n"),
+        # 2 pi (delta_laser - delta_cavity) overflows, not a rate.
+        (["spectrum", "--grid-points", "16", "--delta-cavity=-1e308"], None,
+         "error: generator has a non-finite entry: its Hamiltonian times 2 pi overflows a "
+         "float\n"),
+        (["sweep-cavity", "--sweep-count", "3", "--sweep-start=-1e308", "--sweep-stop=-1e308"],
+         None, "error: generator has a non-finite entry: its Hamiltonian times 2 pi overflows "
+         "a float\n"),
     ],
     ids=["phonon_n_power", "g_squared", "tiny_detuning", "generator_sum", "lorentzian_errors",
          "exponential_errors", "lorentzian_weighted_squares", "exponential_weighted_squares",
@@ -788,7 +870,8 @@ def test_fit_phonon_error_bars_mixed_with_zeros_exit_2(capsys, tmp_path):
          "lorentzian_unweighted_squares", "exponential_unweighted_squares", "rates_g",
          "rates_omega", "rates_small_detuning", "rates_denormal_detuning", "rates_large_detuning",
          "rates_kappa", "rates_enhancement", "rates_quality_factor", "collapse_rate",
-         "phonon_rate", "phonon_rate_cold", "generator_sum_sweep"],
+         "phonon_rate", "phonon_rate_cold", "generator_sum_sweep", "hamiltonian_spectrum",
+         "hamiltonian_sweep"],
 )
 def test_overflowing_input_exits_2(capsys, tmp_path, argv, rows, message):
     """Inputs that overflow a float on the way to a solve, a fit weight or a

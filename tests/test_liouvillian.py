@@ -12,7 +12,6 @@ from cavity_raman import oracle, stack
 from cavity_raman import spectrum as spectrum_mod
 from cavity_raman import (
     CavityRamanError,
-    CollapseChannel,
     DomainError,
     ModelParams,
     NonUniqueSteadyState,
@@ -22,7 +21,7 @@ from cavity_raman import (
     phonon_channels,
     trace_distance,
 )
-from cavity_raman.liouvillian import cavity_annihilation, vec
+from cavity_raman.liouvillian import vec
 from cavity_raman.model import G1_0, G2_0, G2_1
 from helpers import build_liouvillian, generator_modes, steady_state
 from reference_values import PHOTON_NUMBER_REF, STEADY_POPULATIONS_REF
@@ -49,7 +48,7 @@ def _whole_generators(h, rates, jumps):
 
 def test_cavity_dissipator_population_elements():
     dis = _whole_generators(
-        np.zeros((1, 4, 4)), np.array([[TWO_PI * 53.7]]), cavity_annihilation()[None, None]
+        np.zeros((1, 4, 4)), np.array([[TWO_PI * 53.7]]), helpers.cavity_annihilation()[None, None]
     )[0]
     drain = _index(G2_1, G2_1)
     fill = _index(G2_0, G2_0)
@@ -93,22 +92,12 @@ def test_generator_blocks_match_kron_reference(dim):
     for k, gen in enumerate(gens):
         reference = helpers.kron_hamiltonian_superoperator(h[k])
         for op, rate in zip(ops[k], rates[k]):
-            reference += helpers.kron_lindblad_dissipator(CollapseChannel(op, rate))
+            reference += helpers.kron_lindblad_dissipator(op, rate)
         decays = np.linalg.norm(ops[k], axis=1) ** 2
         scale = TWO_PI * np.max(np.abs(h[k])) + np.sum(rates[k] * np.max(decays, axis=1))
         assert np.max(np.abs(gen - reference)) <= bound * scale
         alone = _whole_generators(h[k : k + 1], rates[k : k + 1], ops[k : k + 1])
         assert helpers.same_bits(gen, alone[0])
-
-
-def test_collapse_channel_refuses_bad_rates():
-    """A negative or non-finite rate is refused; a channel is one square
-    operator, so a stack of them is refused too."""
-    for rate in (-1.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match=f"nonnegative, got {rate}$"):
-            CollapseChannel(np.eye(4), rate)
-    with pytest.raises(DomainError, match=r"must be square, got shape \(3, 4, 4\)$"):
-        CollapseChannel(np.stack([np.eye(4)] * 3), 1.0)
 
 
 def test_generators_match_kron_reference_bitwise():
@@ -292,29 +281,30 @@ def test_raman_funnel_monotone_without_reshuffling(paper_params):
 
 
 def test_phonon_channels_zero_temperature_and_zero_coupling(paper_params):
-    cold = phonon_channels(replace(paper_params, kT=0.0))
+    cold, jumps = phonon_channels(replace(paper_params, kT=0.0))
+    assert cold.shape == (4,) and jumps.shape == (4, 4, 4)
     # Upward channels first in each pair; both must be switched off, and
     # spontaneous phonon emission keeps both downward ones.
-    assert cold[0].rate == 0.0
-    assert cold[2].rate == 0.0
-    assert cold[1].rate > 0.0
-    assert cold[3].rate > 0.0
-    assert cold[1].rate == pytest.approx(0.016576, abs=5e-7)
-    silent = phonon_channels(
+    assert cold[0] == 0.0
+    assert cold[2] == 0.0
+    assert cold[1] > 0.0
+    assert cold[3] > 0.0
+    assert cold[1] == pytest.approx(0.016576, abs=5e-7)
+    silent, _ = phonon_channels(
         replace(paper_params, phonon_alpha1=0.0, phonon_alpha2=0.0)
     )
-    assert all(channel.rate == 0.0 for channel in silent)
+    assert np.all(silent == 0.0)
 
 
 def test_phonon_detailed_balance(paper_params):
-    channels = phonon_channels(paper_params)
+    rates, _ = phonon_channels(paper_params)
     occupation = n_thermal(paper_params.delta_laser, paper_params.kT)
     boltzmann = math.exp(-paper_params.delta_laser / paper_params.kT)
-    for up, down in (channels[0:2], channels[2:4]):
-        ratio = up.rate / down.rate
+    for up, down in (rates[0:2], rates[2:4]):
+        ratio = up / down
         assert ratio == pytest.approx(occupation / (1.0 + occupation), rel=1e-12)
         assert ratio == pytest.approx(boltzmann, rel=1e-12)
-    assert channels[0].rate / channels[1].rate == pytest.approx(0.5155, abs=1e-4)
+    assert rates[0] / rates[1] == pytest.approx(0.5155, abs=1e-4)
 
 
 def test_phonon_dressed_splittings(paper_params):

@@ -112,15 +112,14 @@ def test_ladder_blocks_match_index_loop_generator(paper_params, n_max):
     ]
     every = range(-(n_max + 1), n_max + 2)
     for params in cases:
-        h, channels, basis = oracle._ladder_operators(params, n_max)
+        operators = oracle._ladder_operators(params, n_max)
+        h, _, rates, jumps, basis = operators
         gen = loop_ladder_liouvillian(params, n_max)
         charges = lv._charges(basis.excitations)
         assert np.all(gen[charges[:, None] != charges] == 0.0)
-        scale = TWO_PI * np.max(np.abs(h)) + sum(
-            channel.rate * np.max(np.linalg.norm(channel.operator, axis=0) ** 2)
-            for channel in channels.values()
-        )
-        blocks = [block[0] for block in oracle._ladder_blocks(h, channels, basis, every)]
+        decays = np.max(np.linalg.norm(jumps, axis=1) ** 2, axis=1)
+        scale = TWO_PI * np.max(np.abs(h)) + np.sum(rates * decays)
+        blocks = [block[0] for block in oracle._ladder_blocks(*operators, every)]
         assert sum(block.size for block in blocks) == gen.size - np.sum(
             charges[:, None] != charges
         )
@@ -151,8 +150,8 @@ def test_sector_steady_state_matches_dense_reference(paper_params, n_max):
         assert lv.trace_distance(rho, dense_steady_state(gen)) <= 1e-12
         charges = lv._charges(basis.excitations)
         assert np.all(lv.vec(rho)[charges != 0] == 0.0)
-        h, channels, _ = oracle._ladder_operators(params, n_max)
-        zero, *others = oracle._ladder_blocks(h, channels, basis, range(n_max + 2))
+        operators = oracle._ladder_operators(params, n_max)
+        zero, *others = oracle._ladder_blocks(*operators, range(n_max + 2))
         positions = np.flatnonzero(charges == 0)
         _, union = lv._sector_null_vectors(zero, others, positions, basis.dim**2)
         dense = np.linalg.svd(gen, compute_uv=False)
@@ -165,7 +164,7 @@ def test_sector_solve_refuses_an_entry_between_sectors(paper_params, monkeypatch
     it, before any block is built: a Hamiltonian entry between two
     excitation numbers, or a jump whose entries shift N by two amounts; so
     is full_ladder_steady_state given such an operator."""
-    h, channels, basis = oracle._ladder_operators(paper_params, 2)
+    h, names, rates, jumps, basis = oracle._ladder_operators(paper_params, 2)
     # |g1,0> holds N = 1, |g1,1> N = 2.
     row, col = basis.index("g1", 0), basis.index("g1", 1)
     leaky = h.copy()
@@ -173,30 +172,35 @@ def test_sector_solve_refuses_an_entry_between_sectors(paper_params, monkeypatch
     with pytest.raises(
         DomainError, match=r"^Hamiltonian shifts the excitation number by each of \[-1, 0, 1\]$"
     ):
-        oracle._ladder_blocks(leaky, channels, basis, [0])
+        oracle._ladder_blocks(leaky, names, rates, jumps, basis, [0])
     # a + a^dag: the cavity jump then shifts N by -1 and by +1.
-    kappa = channels["kappa"]
-    mixed = {
-        **channels,
-        "kappa": lv.CollapseChannel(kappa.operator + kappa.operator.T, kappa.rate),
-    }
+    assert names[0] == "kappa"
+    mixed = jumps.copy()
+    mixed[0] += jumps[0].T
     with pytest.raises(
         DomainError, match=r"^jump kappa shifts the excitation number by each of \[-1, 1\]$"
     ):
-        oracle._ladder_blocks(h, mixed, basis, [0])
-    for operators in ((leaky, channels, basis), (h, mixed, basis)):
+        oracle._ladder_blocks(h, names, rates, mixed, basis, [0])
+    for operators in ((leaky, names, rates, jumps, basis), (h, names, rates, mixed, basis)):
         monkeypatch.setattr(oracle, "_ladder_operators", lambda *_, found=operators: found)
         with pytest.raises(DomainError, match="excitation number"):
             full_ladder_steady_state(paper_params, 2)
 
 
 def test_ladder_refuses_overflowing_rates(paper_params):
-    """A rate that overflows a float is refused as bad input, and so is a
-    generator whose rates overflow only in their sum: its blocks would
-    hold non-finite entries, which no SVD is given."""
-    with pytest.raises(DomainError, match="^collapse rate must be nonnegative, got inf$"):
+    """A rate that overflows a float is refused as bad input, as the
+    four-state channels refuse it, and so is a generator whose rates
+    overflow only in their sum: its blocks would hold non-finite entries,
+    which no SVD is given."""
+    with pytest.raises(
+        DomainError,
+        match=r"^collapse rate overflows a float \(got inf 1/ns\): a rate in GHz times 2 pi, "
+        "or a phonon rate, is too large$",
+    ):
         full_ladder_steady_state(replace(paper_params, kappa=1e308))
-    with pytest.raises(DomainError, match="^generator has a non-finite entry"):
+    with pytest.raises(
+        DomainError, match="^generator has a non-finite entry: its rates overflow a float$"
+    ):
         full_ladder_steady_state(replace(paper_params, gamma1=2e307, gamma2=2e307))
 
 

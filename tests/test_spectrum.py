@@ -126,7 +126,7 @@ def test_generator_splits_into_charge_blocks_with_three_modes():
     # Charge of each vec index i + 4 j, |i><j|.
     charge = np.array([(i == G2_0) - (j == G2_0) for j in range(4) for i in range(4)])
     between = charge[:, None] != charge[None, :]
-    a_op = lv.cavity_annihilation()
+    a_op = helpers.cavity_annihilation()
     gens = build_liouvillian(points)
     assert gens.shape == (len(points), 16, 16)
     stacked_lambdas, stacked_residues, _ = generator_modes(gens, steady_state(gens))
@@ -182,7 +182,7 @@ def test_correlation_routes_agree(paper_params):
     taus = np.linspace(0.0, 0.5, 33)
     # Stepping the propagator avoids the eigendecomposition, so the two
     # routes are independent.
-    a_op = lv.cavity_annihilation()
+    a_op = helpers.cavity_annihilation()
     states = oracle.propagate(gen, lv.vec(a_op @ rho_ss), taus)
     direct = states @ lv.vec(a_op).conj()
     from_modes = np.array([np.sum(residues * np.exp(lambdas * t)) for t in taus])
