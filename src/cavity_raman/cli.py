@@ -27,6 +27,7 @@ from . import liouvillian as lv
 from . import oracle
 from . import rates as rates_mod
 from . import spectrum as spectrum_mod
+from . import stack
 from .errors import (
     CavityRamanError,
     ConfigError,
@@ -404,8 +405,8 @@ def _validation_checks(config: RunConfig) -> list[dict]:
     # solve that raises is retried by the next check, which fails the same.
     # The generator is solved on its charge blocks, as every sweep, fit and
     # spectrum solves it.
-    blocks = functools.cache(lambda: lv.charge_blocks(params))
-    steady = functools.cache(lambda: lv.block_steady_state(*blocks()))
+    blocks = functools.cache(lambda: stack.alone(lv.charge_blocks, params))
+    steady = functools.cache(lambda: stack.alone(lv.block_steady_state, *blocks()))
     ladder = functools.cache(lambda n_max: oracle.full_ladder_steady_state(params, n_max))
 
     def trace_preservation():
@@ -426,7 +427,7 @@ def _validation_checks(config: RunConfig) -> list[dict]:
         return ok, f"min eigenvalue {lowest:.3e}, trace {trace:.12f}"
 
     def sum_rule():
-        lambdas, residues, photons = spectrum_mod.block_modes(blocks()[1], steady())
+        lambdas, residues, photons = stack.alone(spectrum_mod.block_modes, blocks()[1], steady())
         gap = abs(complex(np.sum(residues)) - photons)
         return gap <= 1e-10, f"|sum residues - <n>| = {gap:.3e}"
 
@@ -513,7 +514,7 @@ def _validation_checks(config: RunConfig) -> list[dict]:
                 "exponential fit's normal equations would overflow a float"
             )
         # The populations evolve in the q = 0 block alone.
-        state, _ = lv.charge_blocks(stripped)
+        state, _ = stack.alone(lv.charge_blocks, stripped)
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[G1_0, G1_0] = 1.0
         with np.errstate(invalid="ignore"):  # propagate refuses an infinite grid

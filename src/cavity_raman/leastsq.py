@@ -197,10 +197,13 @@ def covariance(gram: np.ndarray, cost: np.ndarray, size: int, n_params: int) -> 
     """Parameter covariances scaled by the reduced chi square, one per row
     of the stacked Gram matrices and costs of ``size`` residuals each.  A
     singular Gram matrix takes its pseudo-inverse; the others are inverted
-    as one stack."""
+    as one stack.  So does one whose inverse is not finite: a column that
+    underflows leaves a subnormal on the diagonal, which LAPACK inverts to
+    inf without raising, and inf times a zero cost is NaN."""
     dof = max(size - n_params, 1)
     (inverse,), errors = stack.linalg(np.linalg.inv, gram)
+    finite = np.isfinite(inverse).all(axis=(1, 2)).tolist()
     for k, error in enumerate(errors):
-        if error is not None:
+        if error is not None or not finite[k]:
             inverse[k] = np.linalg.pinv(gram[k])
     return inverse * (cost / dof)[:, None, None]

@@ -9,7 +9,11 @@ One assembler, :func:`generator_blocks`, builds the blocks of any
 generator on the vec positions of its charge sectors from a Hamiltonian
 and dense jumps: the four-state model's two blocks (:func:`charge_blocks`,
 solved by :func:`block_steady_state`), the photon ladder's and the bare
-emitter's.
+emitter's.  The four-state model's channel prologue, the rates of its
+eight channels, their refusal and the phonon jumps, serves its blocks and
+the photon ladder alike.  Every stage takes stacks: a sequence of K
+operating points, or arrays whose leading axis numbers K problems;
+``stack.alone`` solves one.
 """
 from __future__ import annotations
 
@@ -65,9 +69,10 @@ def _rate_errors(rates: np.ndarray) -> dict[int, DomainError]:
     }
 
 
-def phonon_channels(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Thermal jump operators between the dressed branches: their rates
-    (4,) in 1/ns and jumps (4, 4, 4) on the truncated basis.
+def phonon_channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
+    """Thermal jump operators between the dressed branches of K operating
+    points: their rates (K, 4) in 1/ns and jumps (K, 4, 4, 4) on the
+    truncated basis.
 
     The two channels connect plus <-> minus and plus <-> dark; downward
     rates carry (1 + n) and upward rates n, with n the Bose occupation at
@@ -75,17 +80,13 @@ def phonon_channels(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     evaluated with both splittings set to the laser detuning, the
     leading-order choice.  Returned in the order up, down (minus branch),
     up, down (dark branch).
+
+    Raises stack.Failed for the points with a non-positive laser detuning,
+    then for those whose dressed states fail, then for those whose rates
+    overflow: where a power overflows or a quotient divides by zero, a
+    DomainError naming the parameters, and otherwise the first rate that
+    is not finite.
     """
-    return stack.alone(_phonon_terms, params)
-
-
-def _phonon_terms(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Every point's phonon rates (K, 4) and jumps (K, 4, 4, 4), in
-    :func:`phonon_channels` order.  Raises stack.Failed for the points
-    with a non-positive laser detuning, then for those whose dressed states
-    fail, then for those whose rates overflow: where a power overflows or a
-    quotient divides by zero, a DomainError naming the parameters, and
-    otherwise the first rate that is not finite."""
     g, omega, split, kT, alpha1, alpha2, exponent = model.columns(
         points, "g", "omega_drive", "delta_laser", "kT", "phonon_alpha1", "phonon_alpha2",
         "phonon_n",
@@ -142,7 +143,8 @@ _FIXED_CHANNELS = (
 
 def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     """The eight jump channels of every point, the prologue of
-    :func:`charge_blocks`: rates (K, 8) in 1/ns and jumps (K, 8, 4, 4).
+    :func:`charge_blocks` and of the photon ladder, which reads its rates
+    and phonon jumps here: rates (K, 8) in 1/ns and jumps (K, 8, 4, 4).
     The four fixed channels come first, in ``_FIXED_CHANNELS`` order, then
     the phonon channels, in :func:`phonon_channels` order.  A point
     without phonons gets zero phonon jumps and rates, as alone, so it
@@ -164,7 +166,7 @@ def _channels(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     phonon = np.flatnonzero((values[4:] > 0.0).any(axis=0)).tolist()
     if phonon:
         try:
-            rates[phonon, 4:], jumps[phonon, 4:] = _phonon_terms([points[k] for k in phonon])
+            rates[phonon, 4:], jumps[phonon, 4:] = phonon_channels([points[k] for k in phonon])
         except stack.Failed as failed:
             stack.fail({phonon[j]: error for j, error in failed.errors.items()})
     return rates, jumps
@@ -226,23 +228,13 @@ def generator_blocks(
     return tuple(blocks)
 
 
-def charge_blocks(
-    params: ModelParams | Sequence[ModelParams],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The generator's q = 0 block at ``STATE_BLOCK`` and its q = -1 block
-    at ``MODE_BLOCK``, 1/ns, by :func:`generator_blocks` of the model
-    Hamiltonian and the eight jump channels.  Given one operating point,
-    returns its (10, 10) and (3, 3) blocks or raises; given a sequence of
-    K, the (K, 10, 10) and (K, 3, 3) stacks, or raises stack.Failed for
-    the points that fail.  Each point's blocks are bitwise the ones it
-    gets alone.
+def charge_blocks(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's q = 0 blocks (K, 10, 10) at ``STATE_BLOCK`` and its
+    q = -1 blocks (K, 3, 3) at ``MODE_BLOCK`` of K operating points, 1/ns,
+    by :func:`generator_blocks` of the model Hamiltonian and the eight
+    jump channels; raises stack.Failed for the points that fail.  Each
+    point's blocks are bitwise the ones it gets alone.
     """
-    if isinstance(params, ModelParams):
-        return stack.alone(_charge_blocks, params)
-    return _charge_blocks(params)
-
-
-def _charge_blocks(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     rates, jumps = _channels(points)
     return generator_blocks(
         model.build_hamiltonian(points), rates, jumps, (STATE_BLOCK, MODE_BLOCK)
@@ -255,21 +247,15 @@ KERNEL_RTOL = 1e-10
 
 
 def block_steady_state(state_block: np.ndarray, mode_block: np.ndarray) -> np.ndarray:
-    """Unique trace-one steady state (4, 4) of the generator whose
-    :func:`charge_blocks` are ``state_block`` and ``mode_block``, solved on
-    the blocks alone.  Its kernel test reads the union of the q = 0 block's
-    singular values and the q = -1 block's, counted twice: the q = +1
-    block is the conjugate of the q = -1 block, so it has the same ones.
-    Given (K, 10, 10) and (K, 3, 3) stacks, returns the (K, 4, 4) states
-    or raises stack.Failed for the generators that fail.
+    """Unique trace-one steady states (K, 4, 4) of the generators whose
+    :func:`charge_blocks` are the stacks ``state_block`` (K, 10, 10) and
+    ``mode_block`` (K, 3, 3), solved on the blocks alone; raises
+    stack.Failed for the generators that fail.  Its kernel test reads the
+    union of the q = 0 block's singular values and the q = -1 block's,
+    counted twice: the q = +1 block is the conjugate of the q = -1 block,
+    so it has the same ones.
     """
-
-    def solve(states: np.ndarray, modes: np.ndarray) -> np.ndarray:
-        return _kernel_test(*_sector_null_vectors(states, [modes], STATE_BLOCK, DIM * DIM))
-
-    if np.ndim(state_block) == 2:
-        return stack.alone(solve, state_block, mode_block)
-    return solve(state_block, mode_block)
+    return _kernel_test(*_sector_null_vectors(state_block, [mode_block], STATE_BLOCK, DIM * DIM))
 
 
 def _kernel_test(vectors: np.ndarray, svals: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ Every frequency crossing a module boundary is an ordinary frequency in GHz
 (nu = omega / 2pi); times are in ns.  Dynamical code multiplies by 2pi
 internally wherever angular frequencies are required, so decay at rate
 kappa GHz empties the cavity as exp(-2*pi*kappa*t).
+
+The Hamiltonian and the dressed states are stages of a stacked solve:
+they take a sequence of K operating points and return arrays whose
+leading axis numbers them; ``stack.alone`` solves one point.
 """
 from __future__ import annotations
 
@@ -139,10 +143,9 @@ def columns(points: Sequence[ModelParams], *names: str) -> np.ndarray:
     return np.array([read(point) for point in points], dtype=float).reshape(-1, len(names)).T
 
 
-def build_hamiltonian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
-    """Rotating-frame Hamiltonian on the truncated basis, entries in GHz:
-    shape (4, 4) for one operating point, (K, 4, 4) for a sequence of K."""
-    points = [params] if isinstance(params, ModelParams) else params
+def build_hamiltonian(points: Sequence[ModelParams]) -> np.ndarray:
+    """Rotating-frame Hamiltonians (K, 4, 4) of K operating points on the
+    truncated basis, entries in GHz."""
     entries = np.array(
         [(p.delta_laser, p.delta_laser - p.delta_cavity, p.omega_drive / 2.0, p.g) for p in points]
     ).reshape(-1, 4)
@@ -151,32 +154,23 @@ def build_hamiltonian(params: ModelParams | Sequence[ModelParams]) -> np.ndarray
     h[:, G2_1, G2_1] = entries[:, 1]
     h[:, E_0, G1_0] = h[:, G1_0, E_0] = entries[:, 2]
     h[:, E_0, G2_1] = h[:, G2_1, E_0] = entries[:, 3]
-    return h[0] if isinstance(params, ModelParams) else h
+    return h
 
 
-def dressed_states(
-    params: ModelParams | Sequence[ModelParams],
-) -> tuple[np.ndarray, np.ndarray]:
+def dressed_states(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenstates of the driven three-state block and their frequencies.
 
     Branch labels follow excited-state content: ``plus`` carries the
     largest |e,0> weight, ``dark`` the smallest, and ``minus`` the rest.
-    Returns the vectors in the full four-state basis, with an exactly zero
-    |g2,0> component, and their frequencies in GHz in the drive frame,
-    both in label order dark, minus, plus: shapes (3, 4) and (3,) for one
-    operating point, (K, 3, 4) and (K, 3) for a sequence of K.
+    Returns the vectors of K operating points in the full four-state
+    basis, with an exactly zero |g2,0> component, and their frequencies in
+    GHz in the drive frame, both in label order dark, minus, plus: shapes
+    (K, 3, 4) and (K, 3), diagonalized in one stacked ``eigh``.
 
-    Valid at any coupling.  One point raises DomainError at zero laser
-    detuning and DegenerateSpectrum when two dressed frequencies coincide;
-    a sequence diagonalizes its blocks in one stacked ``eigh`` and raises
-    stack.Failed for the points that fail.
+    Valid at any coupling.  Raises stack.Failed for the points that fail:
+    DomainError at zero laser detuning, DegenerateSpectrum when two dressed
+    frequencies coincide.
     """
-    if isinstance(params, ModelParams):
-        return stack.alone(_dressed_states, params)
-    return _dressed_states(params)
-
-
-def _dressed_states(points: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
     block = np.array(COHERENT_BLOCK)
     h = build_hamiltonian(points)
     (vals, vecs), errors = stack.linalg(np.linalg.eigh, h[:, block[:, None], block].real)

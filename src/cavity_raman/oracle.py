@@ -2,9 +2,9 @@
 
 Nothing here reuses the truncated four-state machinery beyond the block
 assembler (held against whole np.kron generators in the tests), the
-phonon channels, the rate refusal and the package's one kernel test, so
-agreement between these routines and the fast paths is a real
-consistency statement, not a tautology.  The ladder's jumps are one dense
+channel prologue (the rates, their refusal and the phonon jumps) and the
+package's one kernel test, so agreement between these routines and the
+fast paths is a real consistency statement, not a tautology.  The ladder's jumps are one dense
 (C, dim, dim) array at (C,) rates, as the four-state model's are.  Only
 :func:`truncation_error` solves the four-state model, on its charge
 blocks as the pipeline does; :func:`truncation_distance`, which
@@ -76,9 +76,11 @@ def _ladder_operators(
     (C, dim, dim) and basis of the untruncated photon ladder: emitter (x)
     photon products, but for the thermal jumps, which live between dressed
     states of the single-excitation manifold and are embedded at the four
-    matching ladder positions.  A Hamiltonian entry that overflows a float
-    raises DomainError naming the parameters, and so does a rate, as the
-    four-state channels refuse it."""
+    matching ladder positions.  C is 4, or 8 with the phonon channels when
+    a phonon prefactor is positive.  A Hamiltonian entry that overflows a
+    float raises DomainError naming the parameters; the rates and the
+    phonon jumps are the four-state model's channel prologue, which
+    refuses what it refuses."""
     basis = LadderBasis(n_max)
     eye = np.eye(n_max + 1)
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
@@ -97,23 +99,18 @@ def _ladder_operators(
         )
     h += params.omega_drive / 2.0 * (drive + drive.T)
     h += params.g * (coupling + coupling.T)
+    rates, model_jumps = stack.alone(lv._channels, params)
     names = ("kappa", "gamma1", "gamma2", "gamma_flip")
-    with np.errstate(over="ignore"):  # refused next
-        rates = TWO_PI * np.array([getattr(params, name) for name in names])
-    if errors := lv._rate_errors(rates[None]):
-        raise errors[0]
-    # a, then |g1><e|, |g2><e| and |g1><g2| on every photon number.
-    jumps = np.array([np.kron(np.eye(len(LEVELS)), a)] + [
-        np.kron(_emitter(*pair), eye) for pair in (("g1", "e"), ("g2", "e"), ("g1", "g2"))
-    ], dtype=complex)
     if params.phonon_alpha1 > 0.0 or params.phonon_alpha2 > 0.0:
-        phonon_rates, phonon_jumps = lv.phonon_channels(params)
-        kept = _kept_positions(basis)
-        embedded = np.zeros((4, basis.dim, basis.dim), dtype=complex)
-        embedded[np.ix_(range(4), kept, kept)] = phonon_jumps
         names += ("phonon 0", "phonon 1", "phonon 2", "phonon 3")
-        rates, jumps = np.append(rates, phonon_rates), np.concatenate([jumps, embedded])
-    return h, names, rates, jumps, basis
+    jumps = np.zeros((len(names), basis.dim, basis.dim), dtype=complex)
+    # a, then |g1><e|, |g2><e| and |g1><g2| on every photon number.
+    jumps[0] = np.kron(np.eye(len(LEVELS)), a)
+    for j, pair in enumerate((("g1", "e"), ("g2", "e"), ("g1", "g2")), start=1):
+        jumps[j] = np.kron(_emitter(*pair), eye)
+    kept = _kept_positions(basis)
+    jumps[np.ix_(range(4, len(names)), kept, kept)] = model_jumps[4 : len(names)]
+    return h, names, rates[: len(names)], jumps, basis
 
 
 def _ladder_blocks(
@@ -187,8 +184,8 @@ def truncation_error(params: ModelParams, n_max: int = 3) -> float:
     :func:`truncation_distance`.
     """
     ladder = full_ladder_steady_state(params, n_max)
-    state, modes = lv.charge_blocks(params)
-    return truncation_distance(state, lv.block_steady_state(state, modes), ladder)
+    state, modes = stack.alone(lv.charge_blocks, params)
+    return truncation_distance(state, stack.alone(lv.block_steady_state, state, modes), ladder)
 
 
 def _refined(state_block: np.ndarray, rho: np.ndarray) -> np.ndarray:

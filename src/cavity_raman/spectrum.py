@@ -78,26 +78,21 @@ class Spectrum:
 
 def block_modes(
     block: np.ndarray, rho_ss: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues and spectral residues of the field correlation function
-    of a generator's q = -1 block ``block`` (3 x 3, at
-    ``liouvillian.MODE_BLOCK``) and its steady state ``rho_ss``.
+    of a stack of generators' q = -1 blocks ``block`` (K, 3, 3), at
+    ``liouvillian.MODE_BLOCK``, and their steady states ``rho_ss``
+    (K, 4, 4), in one ``eig`` and one ``solve``.
 
-    Returns ``(lambdas, residues, photon_number)`` where
-    <a^dag(tau) a> = sum_j residues[j] * exp(lambdas[j] tau), lambdas in
-    1/ns.  The three modes are those of the block; none is stationary.
-    The residues sum to the steady photon number by construction (the
-    final linear solve enforces it), which the spectrum normalization
-    relies on.  An eigenvalue with real part of at least ``STABILITY_TOL``
-    raises UnstableLiouvillian.
-
-    Given stacks, (K, 3, 3) blocks and (K, 4, 4) states, makes one ``eig``
-    and one ``solve`` and returns arrays of shapes (K, 3) and (K,), or
-    raises stack.Failed for the points that fail.
+    Returns ``(lambdas, residues, photon_number)``, of shapes (K, 3),
+    (K, 3) and (K,), where <a^dag(tau) a> = sum_j residues[j] *
+    exp(lambdas[j] tau), lambdas in 1/ns.  The three modes are those of
+    the block; none is stationary.  The residues sum to the steady photon
+    number by construction (the final linear solve enforces it), which the
+    spectrum normalization relies on.  Raises stack.Failed for the points
+    that fail: UnstableLiouvillian where an eigenvalue's real part is at
+    least ``STABILITY_TOL``.
     """
-    if np.ndim(block) == 2:
-        lambdas, residues, photons = stack.alone(block_modes, block, rho_ss)
-        return lambdas, residues, float(photons)
     (lambdas, rvecs), errors = stack.linalg(np.linalg.eig, block)
     stack.fail(errors)
     worst = np.max(lambdas.real, axis=1)

@@ -2,8 +2,10 @@
 
 A stacked call takes a sequence of operating points, or arrays holding one
 problem per leading index, and gives each problem what it gets alone: its
-result, or the exception it raises alone.  A single-point call is the
-stack of one.  The stacked LAPACK calls used here (``eigh``, ``svd``,
+result, or the exception it raises alone.  Every stage takes stacks
+only; :func:`alone` solves one point or problem as the stack of one, and
+:func:`per_point` gives the two pipeline entry points their choice of one
+point or a sequence.  The stacked LAPACK calls used here (``eigh``, ``svd``,
 ``eig``, ``solve``, ``inv``) loop over the leading axis with the routine of
 the 2-D call, so each problem's result is bitwise its 2-D result.
 

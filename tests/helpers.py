@@ -110,7 +110,10 @@ def generator_modes(gen, rho_ss):
     """``spectrum.block_modes`` of a whole generator's q = -1 block, at
     ``liouvillian.MODE_BLOCK``: a (16, 16) generator and a (4, 4) state,
     or stacks of K of each."""
-    return block_modes(gen[..., lv.MODE_BLOCK[:, None], lv.MODE_BLOCK], rho_ss)
+    block = gen[..., lv.MODE_BLOCK[:, None], lv.MODE_BLOCK]
+    if block.ndim == 2:
+        return stack.alone(block_modes, block, rho_ss)
+    return block_modes(block, rho_ss)
 
 
 def cavity_annihilation() -> np.ndarray:
@@ -300,8 +303,8 @@ def point_modes(params):
     """(lambdas, residues, photon_number) of one point's correlation modes,
     solved alone on its charge blocks, as ``spectrum.line_table`` solves
     them."""
-    state, modes = charge_blocks(params)
-    return block_modes(modes, block_steady_state(state, modes))
+    state, modes = stack.alone(charge_blocks, params)
+    return stack.alone(block_modes, modes, stack.alone(block_steady_state, state, modes))
 
 
 def same_bits(a, b) -> bool:

@@ -359,9 +359,9 @@ def test_each_operating_point_is_solved_once(capsys, monkeypatch, paper_params):
     built = []
     build = lv.charge_blocks
 
-    def counting_build(params):
-        built.extend([params] if isinstance(params, ModelParams) else params)
-        return build(params)
+    def counting_build(points):
+        built.extend(points)
+        return build(points)
 
     monkeypatch.setattr(lv, "charge_blocks", counting_build)
     fit_mod.predict_rs(paper_params)
@@ -466,15 +466,15 @@ def test_validate_solves_each_generator_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, ["validate"])
     assert code == 0
     # The second assembly is the cavity-only generator of the rate check.
-    assert len(built) == 2 and built[0] == ModelParams()
-    assert built[1] == replace(
+    assert len(built) == 2 and built[0] == [ModelParams()]
+    assert built[1] == [replace(
         ModelParams(),
         gamma1=0.0,
         gamma2=0.0,
         gamma_flip=0.0,
         phonon_alpha1=0.0,
         phonon_alpha2=0.0,
-    )
+    )]
     assert ladders == [3, 4]
     # The four-state steady state's block solve, then one for each ladder.
     assert block_solves == [16, oracle.LadderBasis(3).dim ** 2, oracle.LadderBasis(4).dim ** 2]
@@ -498,25 +498,36 @@ def test_validate_refuses_a_cavity_rate_too_small_to_resolve(capsys, kappa):
 
 
 _UNRESOLVABLE = [
-    (f"--{flag}={value}", "truncation_error", "the photon ladder's Hamiltonian overflows a float")
+    (f"--{flag}={value}", "truncation_error", "DomainError: ",
+     "the photon ladder's Hamiltonian overflows a float")
     for flag in ("delta-laser", "delta-cavity")
     for value in ("1e308", "-1e308")
 ] + [
-    (f"--{flag}={value}", "adiabatic_elimination", "its Rabi period overflows a float")
+    (f"--{flag}={value}", "adiabatic_elimination", "DomainError: ",
+     "its Rabi period overflows a float")
     for flag in ("g", "omega")
     for value in ("1e-308", "1e-320")
-] + [("--kappa=1e-308", "cavity_rate_consistency", "too large to resolve")]
+] + [("--kappa=1e-308", "cavity_rate_consistency", "DomainError: ", "too large to resolve")] + [
+    (argument, "cavity_rate_consistency", "fitted ", "vs closed form")
+    for argument in ("--kappa=1e-33", "--kappa=1e-40", "--kappa=3e-48", "--g=1e30",
+                     "--delta-laser=-1e-25")
+]
 
 
 @pytest.mark.parametrize(
-    "argument, check, reason", _UNRESOLVABLE, ids=[case[0][2:] for case in _UNRESOLVABLE]
+    "argument, check, kind, reason", _UNRESOLVABLE, ids=[case[0][2:] for case in _UNRESOLVABLE]
 )
-def test_validate_fails_an_unresolvable_check_without_a_warning(capsys, argument, check, reason):
+def test_validate_fails_an_unresolvable_check_without_a_warning(
+    capsys, argument, check, kind, reason
+):
     """A parameter at which a validate check would overflow a float (the
     ladder's (delta_laser - delta_cavity) n, the adiabatic check's Rabi
     period, the cavity-rate fit's squared decay time) fails that check
     with a DomainError naming the quantity, raises no numeric warning, and
-    validate ends with its verdict."""
+    validate ends with its verdict.  So does a cavity-rate fit whose decay
+    time underflows its exponential, leaving a zero on the diagonal of its
+    Gram matrix at zero cost: it fails its closed form, with a finite
+    covariance."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, ["validate", argument])
@@ -524,7 +535,7 @@ def test_validate_fails_an_unresolvable_check_without_a_warning(capsys, argument
     lines = out.splitlines()
     assert lines[-1] == "validation FAILED"
     (line,) = [line for line in lines if line.startswith(f"FAIL {check}: ")]
-    assert line.startswith(f"FAIL {check}: DomainError: ") and reason in line
+    assert line.startswith(f"FAIL {check}: {kind}") and reason in line
 
 
 @pytest.mark.parametrize("value", ["1e308", "-1e308"])

@@ -1,6 +1,7 @@
 """Least-squares fitters: round trips, Monte-Carlo recovery, ratio labeling."""
 import math
 import re
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -182,6 +183,24 @@ def test_covariance_takes_pinv_only_for_a_singular_gram():
         assert helpers.same_bits(cov[k], inverse * (cost[k] / 6))
 
 
+def test_covariance_takes_pinv_for_a_gram_whose_inverse_is_not_finite():
+    """A Gram matrix whose diagonal holds a subnormal zero, as a column
+    that underflows leaves it, inverts to inf without a LinAlgError; at
+    zero cost it takes its pseudo-inverse instead, so the covariance is
+    finite and no numeric warning is raised, and a healthy Gram matrix
+    beside it keeps its inverse."""
+    gram = np.array([np.diag([2.0, 2.8e-310, 3.0]), np.diag([2.0, 4.0, 3.0])])
+    cost = np.array([0.0, 1.0])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.inv(gram[0])).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cov = leastsq.covariance(gram, cost, 9, 3)
+    assert np.isfinite(cov).all()
+    assert helpers.same_bits(cov[0], np.zeros((3, 3)))
+    assert helpers.same_bits(cov[1], np.linalg.inv(gram[1]) * (1.0 / 6))
+
+
 @pytest.mark.parametrize("stack_points", [None, 5])
 def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
     """One stacked pipeline call over random valid operating points gives
@@ -271,7 +290,7 @@ def test_stacked_dressed_states_fail_as_each_point_alone(monkeypatch, paper_para
     alone = []
     for params in points:
         try:
-            alone.append(dressed_states(params))
+            alone.append(stack.alone(dressed_states, params))
         except CavityRamanError as exc:
             alone.append(exc)
     failing = [k for k, outcome in enumerate(alone) if isinstance(outcome, Exception)]

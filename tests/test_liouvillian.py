@@ -281,7 +281,7 @@ def test_raman_funnel_monotone_without_reshuffling(paper_params):
 
 
 def test_phonon_channels_zero_temperature_and_zero_coupling(paper_params):
-    cold, jumps = phonon_channels(replace(paper_params, kT=0.0))
+    cold, jumps = stack.alone(phonon_channels, replace(paper_params, kT=0.0))
     assert cold.shape == (4,) and jumps.shape == (4, 4, 4)
     # Upward channels first in each pair; both must be switched off, and
     # spontaneous phonon emission keeps both downward ones.
@@ -290,14 +290,15 @@ def test_phonon_channels_zero_temperature_and_zero_coupling(paper_params):
     assert cold[1] > 0.0
     assert cold[3] > 0.0
     assert cold[1] == pytest.approx(0.016576, abs=5e-7)
-    silent, _ = phonon_channels(
+    silent, _ = stack.alone(
+        phonon_channels,
         replace(paper_params, phonon_alpha1=0.0, phonon_alpha2=0.0)
     )
     assert np.all(silent == 0.0)
 
 
 def test_phonon_detailed_balance(paper_params):
-    rates, _ = phonon_channels(paper_params)
+    rates, _ = stack.alone(phonon_channels, paper_params)
     occupation = n_thermal(paper_params.delta_laser, paper_params.kT)
     boltzmann = math.exp(-paper_params.delta_laser / paper_params.kT)
     for up, down in (rates[0:2], rates[2:4]):
@@ -310,7 +311,7 @@ def test_phonon_detailed_balance(paper_params):
 def test_phonon_dressed_splittings(paper_params):
     # The channels evaluate the bath at the laser detuning; the exact
     # dressed splittings it stands in for sit within 5% of it.
-    _, (omega_dark, omega_minus, omega_plus) = dressed_states(paper_params)
+    _, (omega_dark, omega_minus, omega_plus) = stack.alone(dressed_states, paper_params)
     for lower in (omega_minus, omega_dark):
         split = omega_plus - lower
         assert split != paper_params.delta_laser
@@ -399,9 +400,9 @@ def _whole_route(params):
 def _block_route(params):
     """Charge blocks, steady state and modes of a point, as line_table
     solves them."""
-    state, modes = lv.charge_blocks(params)
-    rho = lv.block_steady_state(state, modes)
-    return state, modes, rho, spectrum_mod.block_modes(modes, rho)
+    state, modes = stack.alone(lv.charge_blocks, params)
+    rho = stack.alone(lv.block_steady_state, state, modes)
+    return state, modes, rho, stack.alone(spectrum_mod.block_modes, modes, rho)
 
 
 def _outcome(route, params):
@@ -464,7 +465,7 @@ def test_charge_blocks_match_the_whole_generator(paper_params):
             _block_route(params)
         )
         rates = lv._channels([params])[0][0]
-        scale = TWO_PI * np.max(np.abs(build_hamiltonian(params))) + np.sum(rates)
+        scale = TWO_PI * np.max(np.abs(stack.alone(build_hamiltonian, params))) + np.sum(rates)
         for block, positions in ((state, lv.STATE_BLOCK), (modes, lv.MODE_BLOCK)):
             assert np.max(np.abs(block - gen[np.ix_(positions, positions)])) <= 104 * EPS * scale
         svals = np.linalg.svd(gen, compute_uv=False)

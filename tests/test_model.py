@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+from cavity_raman import stack
 from cavity_raman import (
     DegenerateSpectrum,
     DomainError,
@@ -20,12 +21,12 @@ from reference_values import N_THERMAL_55_83, OMEGA_MINUS_REF, OMEGA_PLUS_REF
 
 def test_hamiltonian_uncoupled_is_diagonal():
     params = ModelParams(g=0.0, omega_drive=0.0, delta_laser=55.0, delta_cavity=40.0)
-    h = build_hamiltonian(params)
+    h = stack.alone(build_hamiltonian, params)
     assert np.allclose(h, np.diag([0.0, 0.0, 15.0, 55.0]))
 
 
 def test_hamiltonian_default_entries(paper_params):
-    h = build_hamiltonian(paper_params)
+    h = stack.alone(build_hamiltonian, paper_params)
     assert h[3, 0] == pytest.approx(1.29)
     assert h[3, 2] == pytest.approx(0.80)
     assert h[3, 3] == pytest.approx(55.0)
@@ -33,7 +34,7 @@ def test_hamiltonian_default_entries(paper_params):
 
 
 def test_hamiltonian_largest_eigenvalue(paper_params):
-    vals = np.linalg.eigvalsh(build_hamiltonian(paper_params))
+    vals = np.linalg.eigvalsh(stack.alone(build_hamiltonian, paper_params))
     assert vals[-1] == pytest.approx(OMEGA_PLUS_REF, abs=1e-10)
 
 
@@ -43,7 +44,7 @@ def test_hamiltonian_eigenvalues_satisfy_cubic():
         drawn = helpers.random_valid_params(rng)
         # The cubic only factors this cleanly with the detunings matched.
         params = replace(drawn, delta_cavity=drawn.delta_laser)
-        h = build_hamiltonian(params)
+        h = stack.alone(build_hamiltonian, params)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
         coupling_sq = (params.omega_drive / 2.0) ** 2 + params.g**2
         delta = params.delta_laser
@@ -53,7 +54,7 @@ def test_hamiltonian_eigenvalues_satisfy_cubic():
 
 
 def test_dressed_frequencies_and_weights(paper_params):
-    (_, _, plus), (omega_dark, omega_minus, omega_plus) = dressed_states(paper_params)
+    (_, _, plus), (omega_dark, omega_minus, omega_plus) = stack.alone(dressed_states, paper_params)
     assert omega_plus == pytest.approx(OMEGA_PLUS_REF, abs=1e-10)
     assert omega_minus == pytest.approx(OMEGA_MINUS_REF, abs=1e-10)
     assert abs(omega_dark) < 1e-10
@@ -64,7 +65,7 @@ def test_dressed_frequencies_and_weights(paper_params):
 def test_dressed_states_orthonormal_with_empty_g2_slot():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        (dark, minus, plus), _ = dressed_states(helpers.random_valid_params(rng))
+        (dark, minus, plus), _ = stack.alone(dressed_states, helpers.random_valid_params(rng))
         basis = np.column_stack([plus, minus, dark])
         gram = basis.conj().T @ basis
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
@@ -72,7 +73,7 @@ def test_dressed_states_orthonormal_with_empty_g2_slot():
 
 
 def test_dressed_dark_state_without_drive():
-    (dark, _, _), (omega_dark, _, _) = dressed_states(ModelParams(omega_drive=0.0))
+    (dark, _, _), (omega_dark, _, _) = stack.alone(dressed_states, ModelParams(omega_drive=0.0))
     expected = np.zeros(4)
     expected[0] = 1.0
     assert np.allclose(dark, expected, atol=1e-12)
@@ -81,7 +82,7 @@ def test_dressed_dark_state_without_drive():
 
 def test_dressed_degenerate_block_raises():
     with pytest.raises(DegenerateSpectrum):
-        dressed_states(ModelParams(g=0.0, omega_drive=0.0))
+        stack.alone(dressed_states, ModelParams(g=0.0, omega_drive=0.0))
 
 
 def test_dressed_perturbative_matches_exact_at_large_detuning():
@@ -93,7 +94,7 @@ def test_dressed_perturbative_matches_exact_at_large_detuning():
         params = ModelParams(
             omega_drive=omega, g=g, delta_laser=delta, delta_cavity=delta
         )
-        _, (_, omega_minus, omega_plus) = dressed_states(params)
+        _, (_, omega_minus, omega_plus) = stack.alone(dressed_states, params)
         # Leading-order light shift of the large-detuning expansion.
         shift = ((omega / 2.0) ** 2 + g**2) / delta
         bound = 5.0 * ((omega / 2.0) ** 2 + g**2) / delta**2

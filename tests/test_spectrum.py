@@ -523,9 +523,10 @@ def test_stacked_lapack_failure_retries_each_point(monkeypatch, case):
     bad = points[5]
     # The steady state is solved on the q = 0 charge block, the modes on the
     # q = -1 block, |g2,0><j| for j in COHERENT_BLOCK.
-    state, block = lv.charge_blocks(bad)
+    state, block = stack.alone(lv.charge_blocks, bad)
+    h = stack.alone(build_hamiltonian, bad)
     routine, poison = {
-        "eigh": ("eigh", build_hamiltonian(bad)[np.ix_(COHERENT_BLOCK, COHERENT_BLOCK)].real),
+        "eigh": ("eigh", h[np.ix_(COHERENT_BLOCK, COHERENT_BLOCK)].real),
         "svd": ("svd", state),
         "svd_modes": ("svd", block),
         "eig": ("eig", block),
