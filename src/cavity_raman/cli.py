@@ -563,7 +563,9 @@ _COMMANDS = {
     "rates": ("closed-form rate summary", cmd_rates),
     "spectrum": ("steady-state emission spectrum", cmd_spectrum),
     "sweep-detuning": ("ratio vs shared detuning", functools.partial(_cmd_sweep, _detuning_rows)),
-    "sweep-cavity": ("ratio vs cavity detuning", functools.partial(_cmd_sweep, _cavity_rows)),
+    "sweep-cavity": (
+        "line intensities vs cavity detuning", functools.partial(_cmd_sweep, _cavity_rows)
+    ),
     "fit": (
         "fit a data file",
         cmd_fit,

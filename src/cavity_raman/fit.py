@@ -175,10 +175,7 @@ def fit_lorentzian(
     if any(fwhm == 0.0 for _, _, fwhm in guesses):
         raise DomainError("initial fwhm must be nonzero")
     x0 = np.array([v for a, c, fwhm in guesses for v in (a, c, abs(fwhm))] + [base0])
-    (fit,) = _fit_lorentzians(freqs[None], intensity[None], sqrt_w[None], x0[None])
-    if isinstance(fit, FitError):
-        raise fit
-    return fit
+    return stack.alone(_fit_lorentzians, freqs, intensity, sqrt_w, x0)
 
 
 def _fit_lorentzians(
@@ -489,7 +486,8 @@ def _line_plans(
     ``fitted`` marks the windows without one; their axes, spectrum samples
     and starts follow in that order.  Errors wait in the plan, so a caller
     meets them in its own order.  A point whose spectrum normalization or
-    window frequency overflows raises stack.Failed.
+    window frequency overflows fails in mixture_intensity, which raises
+    stack.Failed.
     """
     delta = table.delta_laser[:, None]
     # A non-finite center or width is refused below, from its axis.  As NaN
@@ -510,20 +508,7 @@ def _line_plans(
     # stand-in axis 0 instead, so that no NaN reaches the spectrum.
     finite_axes = np.isfinite(axes).all(axis=-1)
     nu = np.where(finite_axes[..., None], axes, 0.0) + delta[..., None]
-    modes = (table.lambdas, table.residues, table.kappa)
-    try:
-        samples = spectrum_mod.mixture_intensity(nu, *modes)
-    except DomainError:
-        # A kappa too large to normalize, or a window frequency too large
-        # for 2 pi nu: each point raises as it does alone.
-        errors = {}
-        for k in range(len(nu)):
-            try:
-                spectrum_mod.mixture_intensity(nu[k], *(m[k] for m in modes))
-            except DomainError as exc:
-                errors[k] = exc
-        stack.fail(errors)
-        raise
+    samples = spectrum_mod.mixture_intensity(nu, table.lambdas, table.residues, table.kappa)
     finite = finite_axes & np.isfinite(samples).all(axis=-1)
     fitted = finite & (widths != 0.0)
     plan = np.full(fitted.shape, None, dtype=object)
@@ -621,8 +606,9 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
     VanishingSpontaneous trial is a penalty row of the LM, and one left at
     the LM's solution is raised, the first in detuning order.  A trial
     density that overflows a float raises DomainError, and so do ratio
-    errors that are zero at some detunings but not all; with every error
-    zero the fit is unweighted.  Reported errors transform back to
+    errors that are zero at some detunings but not all, or so small that
+    the weighted squares overflow; with every error zero the fit is
+    unweighted.  Reported errors transform back to
     (exponent, prefactor) with the full covariance; a covariance condition
     number above 1e8 raises IllConditioned.
     """
@@ -643,12 +629,7 @@ def fit_phonon_exponent(points: Sequence[RsPoint], params: ModelParams) -> Phono
             f"ratio error is zero at detuning {float(deltas[np.argmax(zero)])!r} but not at "
             "every detuning: give every ratio a positive error, or none"
         )
-    with np.errstate(over="ignore"):  # checked below
-        sqrt_w = np.ones_like(ratios) if zero.all() else 1.0 / errs
-    if not np.all(np.isfinite(sqrt_w)):
-        raise DomainError(
-            f"ratio error {float(np.min(errs))!r} is too small to weight: its inverse overflows"
-        )
+    sqrt_w = _weights(None if zero.all() else errs, ratios)
     detunings, log_deltas = deltas.tolist(), np.log(deltas)
     solved: dict[tuple[float, float], float | Exception] = {}
 

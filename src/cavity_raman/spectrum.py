@@ -126,47 +126,53 @@ def mixture_intensity(
     nu_rot: np.ndarray,
     lambdas: np.ndarray,
     residues: np.ndarray,
-    kappa: float | np.ndarray,
+    kappa: np.ndarray,
 ) -> np.ndarray:
-    """Evaluate the Lorentzian mode mixture on a rotating-frame axis.
+    """The Lorentzian mode mixture of a stack of K points, row k of the
+    rotating-frame axes ``nu_rot`` (K, ...) evaluated with point k's modes,
+    row k of ``lambdas`` and ``residues`` (K, M), and cavity rate
+    ``kappa[k]``.
 
     Normalized so the integral over frequency equals the steady cavity
-    output flux 2pi * kappa * <a^dag a> in 1/ns.  ``nu_rot`` may have any
-    shape; the result has the same one (at least 1-d).  Given the modes of
-    K points, (K, 3) ``lambdas`` and ``residues`` and K ``kappa``, the
-    leading axis of ``nu_rot`` is K and row k is evaluated with the modes
-    of point k.  The modes' terms are added in turn, ``MIXTURE_BLOCK``
-    samples of a row at a time, so memory stays bounded on any grid; each
-    sample's sum is the same in any block or row.  Raises DomainError when
-    the normalization (2pi)^2 kappa, or 2pi nu of a finite frequency,
-    overflows a float.
+    output flux 2pi * kappa * <a^dag a> in 1/ns.  The result has the shape
+    of ``nu_rot``.  The modes' terms are added in turn, ``MIXTURE_BLOCK``
+    samples of every row at a time, so memory stays bounded on any grid;
+    each sample's sum is the same in any block or row.  Raises stack.Failed
+    for the rows that fail, with DomainError: where the normalization
+    (2pi)^2 kappa overflows a float, else at the row's first finite
+    frequency, in sample order, where 2pi nu does.
     """
-    lambdas, residues = np.asarray(lambdas), np.asarray(residues)
-    with np.errstate(over="ignore"):  # checked below
-        norm = TWO_PI**2 * np.asarray(kappa, dtype=float)[..., None]
-    if not np.all(np.isfinite(norm)):
-        raise DomainError(
-            f"kappa {float(np.max(np.abs(kappa)))!r} GHz is too large: the spectrum "
-            "normalization (2 pi)^2 kappa overflows a float"
-        )
-    nu_rot = np.atleast_1d(np.asarray(nu_rot, dtype=float))
-    rows = lambdas.shape[:-1]
-    flat = nu_rot.reshape(rows + (math.prod(nu_rot.shape[len(rows) :]),))
+    nu_rot, kappa = np.asarray(nu_rot, dtype=float), np.asarray(kappa, dtype=float)
+    with np.errstate(over="ignore"):  # refused below
+        norm = TWO_PI**2 * kappa[:, None]
+    flat = nu_rot.reshape(len(nu_rot), math.prod(nu_rot.shape[1:]))
     values = np.empty(flat.shape)
-    for start in range(0, flat.shape[-1], MIXTURE_BLOCK):
-        block = np.s_[..., start : start + MIXTURE_BLOCK]
-        with np.errstate(over="ignore"):  # checked below
+    first = np.full(len(flat), np.nan)  # each row's first overflowing frequency
+    for start in range(0, flat.shape[1], MIXTURE_BLOCK):
+        block = np.s_[:, start : start + MIXTURE_BLOCK]
+        with np.errstate(over="ignore"):  # refused below
             phase = 1j * TWO_PI * flat[block]
         overflow = np.isinf(phase.imag) & np.isfinite(flat[block])
-        if overflow.any():
-            raise DomainError(
-                f"rotating-frame frequency {float(flat[block][overflow][0])!r} GHz is too "
-                "large: 2 pi nu overflows a float"
-            )
+        rows = overflow.any(axis=1)
+        if rows.any():
+            fresh = np.flatnonzero(rows & np.isnan(first))
+            first[fresh] = flat[fresh, start + np.argmax(overflow[fresh], axis=1)]
+            phase[overflow] = 0.0  # a stand-in: the row is refused below
         total = np.zeros(phase.shape)
-        for j in range(lambdas.shape[-1]):
-            total += (residues[..., j, None] / (phase - lambdas[..., j, None])).real
+        for j in range(lambdas.shape[1]):
+            total += (residues[:, j, None] / (phase - lambdas[:, j, None])).real
         values[block] = total / math.pi
+    bad_norm = ~np.isfinite(norm[:, 0])
+    stack.fail({
+        k: DomainError(
+            f"kappa {float(abs(kappa[k]))!r} GHz is too large: the spectrum "
+            "normalization (2 pi)^2 kappa overflows a float"
+            if bad_norm[k] else
+            f"rotating-frame frequency {float(first[k])!r} GHz is too large: "
+            "2 pi nu overflows a float"
+        )
+        for k in np.flatnonzero(bad_norm | ~np.isnan(first)).tolist()
+    })
     return (norm * values).reshape(nu_rot.shape)
 
 
@@ -177,10 +183,12 @@ def emission_spectrum(params: ModelParams, freqs_lab: np.ndarray) -> Spectrum:
     sits delta_cavity from the bare cavity line, so the spectrum is
     evaluated at freqs_lab + delta_cavity; its axis is those offsets minus
     delta_cavity, which may differ from ``freqs_lab`` in the last bit.
+    The point's modes and its spectrum are each a stack of one
+    (``stack.alone``), so a point that fails raises its own exception.
     """
     lambdas, residues, _ = stack.alone(_solved_modes, params)
     nu_rot = np.asarray(freqs_lab, dtype=float) + params.delta_cavity
-    intensity = mixture_intensity(nu_rot, lambdas, residues, params.kappa)
+    intensity = stack.alone(mixture_intensity, nu_rot, lambdas, residues, params.kappa)
     return Spectrum(freqs=nu_rot - params.delta_cavity, intensity=intensity)
 
 

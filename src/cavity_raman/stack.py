@@ -3,17 +3,21 @@
 A stacked call takes a sequence of operating points, or arrays holding one
 problem per leading index, and gives each problem what it gets alone: its
 result, or the exception it raises alone.  Every stage takes stacks
-only; :func:`alone` solves one point or problem as the stack of one, and
-:func:`per_point` gives the two pipeline entry points their choice of one
-point or a sequence.  The stacked LAPACK calls used here (``eigh``, ``svd``,
-``eig``, ``solve``, ``inv``) loop over the leading axis with the routine of
-the 2-D call, so each problem's result is bitwise its 2-D result.
+only, the spectrum sampling ``spectrum.mixture_intensity`` and the line
+fits included; :func:`alone` solves one point or problem as the stack of
+one, and :func:`per_point` gives the two pipeline entry points their
+choice of one point or a sequence.  The stacked LAPACK calls used here
+(``eigh``, ``svd``, ``eig``, ``solve``, ``inv``) loop over the leading
+axis with the routine of the 2-D call, so each problem's result is
+bitwise its 2-D result.
 
 A stage of a stacked solve computes on every point it is given, and
 raises :class:`Failed` through :func:`fail` for the points that fail in
-it.  :func:`per_point` keeps their exceptions and solves the rest again
+it, or returns each point's outcome, its exception where it fails.
+:func:`per_point` keeps their exceptions and solves the rest again
 without them, so each point meets its first error in the order of a call
-of its own, and the others get bitwise what they get alone.
+of its own, and the others get bitwise what they get alone; :func:`alone`
+raises the one point's exception either way.
 """
 from __future__ import annotations
 
@@ -57,16 +61,17 @@ def unwrap(outcome):
 
 
 def alone(solve: Callable, *items):
-    """The stacked ``solve`` of one problem, each of ``items`` (a point, or
-    an array holding the problem) made a stack of one: the problem's slice
-    of each output, or its exception raised."""
+    """The stacked ``solve`` of one problem, each of ``items`` (a point, an
+    array holding the problem, or a number) made a stack of one: the
+    problem's slice of each output, or its exception raised, whether a
+    Failed names it or ``solve`` returns it as the problem's outcome."""
     try:
         outputs = solve(*(item[None] if isinstance(item, np.ndarray) else [item] for item in items))
     except Failed as failed:
-        error = failed.errors[0]
-    else:
-        return tuple(output[0] for output in outputs) if isinstance(outputs, tuple) else outputs[0]
-    raise error
+        outputs = [failed.errors[0]]
+    if isinstance(outputs, tuple):
+        return tuple(output[0] for output in outputs)
+    return unwrap(outputs[0])
 
 
 def per_point(solve: Callable) -> Callable:

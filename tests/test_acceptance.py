@@ -255,7 +255,7 @@ def test_criterion_11_structural_invariants_random_sweep():
         nu = np.linspace(
             -3.0 * params.kappa, params.delta_laser + 3.0 * params.kappa, 401
         )
-        reference = mixture_intensity(nu, lambdas, residues, params.kappa)
+        reference = stack.alone(mixture_intensity, nu, lambdas, residues, params.kappa)
         assert float(np.min(reference)) >= -1e-12
 
         # Time-domain route: no eigendecomposition, one expm then steps.

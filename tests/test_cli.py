@@ -244,6 +244,82 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert "grid_points" in err
 
 
+def _refusal(name, argv, message, files=(), marks=()):
+    return pytest.param(dict(files), argv, message, id=name, marks=marks)
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        _refusal("no_equals", ["rates", "--config", "run.cfg"],
+                 "line 1: expected 'key = value', got 'g 0.9'", {"run.cfg": "g 0.9\n"}),
+        _refusal("no_key", ["rates", "--config", "run.cfg"],
+                 "line 1: missing key before '='", {"run.cfg": " = 3\n"}),
+        _refusal("duplicate_key", ["rates", "--config", "run.cfg"],
+                 "line 2: duplicate key 'g'", {"run.cfg": "g = 0.9\ng = 1\n"}),
+        _refusal("not_a_number", ["rates", "--config", "run.cfg"],
+                 "key 'g' needs a number, got 'x'", {"run.cfg": "g = x\n"}),
+        _refusal("not_an_integer", ["rates", "--config", "run.cfg"],
+                 "key 'sweep_count' needs an integer, got '2.5'",
+                 {"run.cfg": "sweep_count = 2.5\n"}),
+        _refusal("comment_and_blank_lines", ["rates", "--config", "run.cfg"],
+                 None, {"run.cfg": "# a comment\n\n"}),
+        _refusal("empty_grid", ["spectrum", "--grid-min", "5", "--grid-max", "5"],
+                 "grid_min 5.0 must lie below grid_max 5.0"),
+        _refusal("no_sweep_points", ["rates", "--sweep-count", "0"],
+                 "sweep_count must be positive, got 0"),
+        _refusal("reversed_sweep", ["sweep-detuning", "--sweep-start", "50", "--sweep-stop", "40"],
+                 "sweep_start 50.0 must not exceed sweep_stop 40.0"),
+        _refusal("zero_filter_width", ["spectrum", "--filter-center", "0", "--filter-width", "0"],
+                 "filter_width must be positive, got 0.0"),
+        _refusal("four_columns", ["fit", "lorentzian1", "rows.csv"],
+                 "line 1: expected 2 to 3 columns, found 4", {"rows.csv": "1,2,3,4\n"}),
+        _refusal("non_numeric", ["fit", "lorentzian1", "rows.csv"],
+                 "line 1: non-numeric entry in '1,a'", {"rows.csv": "1,a\n"}),
+        _refusal("no_data_rows", ["fit", "lorentzian1", "rows.csv"],
+                 "no data rows in rows.csv", {"rows.csv": "# only a comment\n"}),
+        _refusal("full_device", ["rates", "--out", "/dev/full"],
+                 "cannot write /dev/full: No space left on device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ],
+)
+def test_refused_input_exits_2_with_its_message(
+    capsys, monkeypatch, tmp_path, files, argv, message
+):
+    """Config file lines, run settings, data files and output files that
+    cannot be used exit 2 with one line naming the fault, and print nothing
+    else; comment and blank lines of a config file are skipped."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, argv)
+    if message is None:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_plain_rates_are_the_json_payload(capsys):
+    """Without --json, rates prints the JSON payload's six values as
+    ``key = value`` lines, each reading back to the same float."""
+    code, text, _ = run_cli(capsys, ["rates"])
+    assert code == 0
+    _, out, _ = run_cli(capsys, ["rates", "--json"])
+    lines = [line.split(" = ") for line in text.splitlines()]
+    assert all(len(pair) == 2 for pair in lines) and len(lines) == 6
+    assert {key: float(value) for key, value in lines} == json.loads(out)
+
+
+def test_help_says_what_each_sweep_writes(capsys):
+    """sweep-cavity writes the two lines' intensities, not their ratio."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "sweep-cavity line intensities vs cavity detuning" in out
+    assert "sweep-detuning ratio vs shared detuning" in out
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("seed", "0"), ("sweep_variable", "delta"), ("rs_mode", "area"), ("delta_g", "544")],
@@ -651,16 +727,20 @@ def test_unreadable_data_file_exits_2(capsys, tmp_path, kind):
         ("missing_directory", errno.ENOENT),
         ("directory", errno.EISDIR),
         ("trailing_separator", errno.EISDIR),
+        ("not_a_directory", errno.ENOTDIR),
     ],
 )
 def test_unwritable_out_exits_2(capsys, tmp_path, target, errno_code):
     """An --out path in a directory that does not exist, naming a
-    directory, or ending in a separator exits 2 naming the path with the
-    message the write itself gives, and writes nothing to stdout."""
+    directory, ending in a separator or under a file exits 2 naming the
+    path with the message the write itself gives, and writes nothing to
+    stdout."""
+    (tmp_path / "file").write_text("")
     path = {
         "missing_directory": tmp_path / "absent" / "rates.txt",
         "directory": tmp_path,
         "trailing_separator": f"{tmp_path / 'absent'}{os.sep}",
+        "not_a_directory": tmp_path / "file" / "rates.txt",
     }[target]
     with pytest.raises(OSError) as written:
         open(path, "w", encoding="utf-8")
@@ -790,7 +870,38 @@ def test_fit_phonon_error_bars_without_finite_weight_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, ["fit", "phonon-n", str(path)])
     assert code == 2
     assert out == ""
-    assert err == "error: ratio error 1e-320 is too small to weight: its inverse overflows\n"
+    assert err == "error: error bar 1e-320 is too small to weight: its inverse overflows\n"
+
+
+@pytest.mark.parametrize("error, code", [("1e-153", 0), ("1e-154", 2), ("1e-300", 2)])
+def test_fit_phonon_error_bars_whose_weighted_squares_overflow_exit_2(
+    capsys, tmp_path, error, code
+):
+    """Ratio errors whose weighted squares overflow a float, as the LM's
+    Gram matrix would, are refused at exit 2 with no numeric warning; the
+    table with errors just above that refits."""
+    deltas = np.linspace(15.0, 95.0, 9)
+    trials = [
+        replace(ModelParams(), delta_laser=d, delta_cavity=d,
+                phonon_alpha1=0.8, phonon_alpha2=0.8, phonon_n=0.4)
+        for d in deltas
+    ]
+    path = tmp_path / "ratios.csv"
+    path.write_text("".join(
+        f"{d:.17g},{point.ratio:.17g},{error}\n"
+        for d, (point, _) in zip(deltas, fit_mod.predict_rs(trials))
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(capsys, ["fit", "phonon-n", str(path)])
+    if code == 0:
+        assert (got, err) == (0, "")
+        assert json.loads(out)["n"] == pytest.approx(0.4, abs=1e-6)
+    else:
+        assert (got, out) == (2, "")
+        assert err == (
+            f"error: error bar {error} is too small to weight: the weighted squares overflow\n"
+        )
 
 
 def test_fit_phonon_error_bars_mixed_with_zeros_exit_2(capsys, tmp_path):

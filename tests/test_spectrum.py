@@ -295,7 +295,7 @@ def test_emission_spectrum_equals_shifted_rotating(paper_params):
         spectrum = emission_spectrum(paper_params, grid)
         lambdas, residues, _ = helpers.point_modes(paper_params)
         rotating = grid + paper_params.delta_cavity
-        expected = mixture_intensity(rotating, lambdas, residues, paper_params.kappa)
+        expected = stack.alone(mixture_intensity, rotating, lambdas, residues, paper_params.kappa)
         assert helpers.same_bits(spectrum.intensity, expected)
 
 
@@ -335,7 +335,8 @@ def test_filter_frame_and_reuse_guards(paper_params):
 
 
 def test_mixture_intensity_zero_modes():
-    values = mixture_intensity(
+    values = stack.alone(
+        mixture_intensity,
         np.linspace(-5.0, 5.0, 7),
         np.array([-1.0 + 0.0j]),
         np.array([0.0 + 0.0j]),
@@ -349,13 +350,13 @@ def test_mixture_intensity_blocks_are_bitwise_one_call(monkeypatch, paper_params
     blocks of 7 points equals the same axis in one block, in its shape."""
     lambdas, residues, _ = helpers.point_modes(paper_params)
     nu = np.linspace(-120.0, 40.0, 150).reshape(3, 50)
-    whole = mixture_intensity(nu, lambdas, residues, paper_params.kappa)
+    whole = stack.alone(mixture_intensity, nu, lambdas, residues, paper_params.kappa)
     monkeypatch.setattr(spectrum_mod, "MIXTURE_BLOCK", 7)
-    blocked = mixture_intensity(nu, lambdas, residues, paper_params.kappa)
+    blocked = stack.alone(mixture_intensity, nu, lambdas, residues, paper_params.kappa)
     assert blocked.shape == nu.shape
     np.testing.assert_array_equal(blocked, whole)
     np.testing.assert_array_equal(
-        blocked[1], mixture_intensity(nu[1], lambdas, residues, paper_params.kappa)
+        blocked[1], stack.alone(mixture_intensity, nu[1], lambdas, residues, paper_params.kappa)
     )
 
 
@@ -364,12 +365,52 @@ def test_mixture_intensity_refuses_overflowing_normalization(paper_params):
     with no warning, instead of NaN intensities."""
     lambdas, residues, _ = helpers.point_modes(paper_params)
     with pytest.raises(DomainError, match="normalization"):
-        mixture_intensity(np.linspace(-5.0, 5.0, 7), lambdas, residues, 1e307)
-    with pytest.raises(DomainError, match="normalization"):
+        stack.alone(mixture_intensity, np.linspace(-5.0, 5.0, 7), lambdas, residues, 1e307)
+    with pytest.raises(stack.Failed) as failed:
         mixture_intensity(
             np.zeros((2, 3)), np.stack([lambdas] * 2), np.stack([residues] * 2),
             np.array([53.7, 1e307]),
         )
+    assert list(failed.value.errors) == [1]
+    assert "normalization" in str(failed.value.errors[1])
+
+
+def test_mixture_intensity_fails_each_overflowing_row_as_alone(monkeypatch, paper_params):
+    """A stack's rows whose normalization or 2 pi nu overflows fail in one
+    stack.Failed, each with the DomainError it raises alone: the
+    normalization first, then the row's first overflowing frequency in
+    sample order, in whichever block it lies.  A healthy row gets bitwise
+    what it gets alone, in a stack whose other rows are healed, and
+    nothing warns."""
+    monkeypatch.setattr(spectrum_mod, "MIXTURE_BLOCK", 7)
+    modes = [helpers.point_modes(replace(paper_params, delta_laser=d, delta_cavity=d))
+             for d in (15.0, 55.0, 95.0)]
+    lambdas, residues = (np.stack([mode[j] for mode in modes]) for j in (0, 1))
+    kappa = np.array([1e307, 53.7, 53.7])
+    nu = np.linspace(-120.0, 40.0, 60).reshape(3, 20)
+    nu[0, 3] = 1e308
+    nu[2, [9, 12, 16]] = [3e307, 1e308, 6e307]
+    rows = (nu, lambdas, residues, kappa)
+    with pytest.raises(stack.Failed) as failed:
+        mixture_intensity(*rows)
+    assert sorted(failed.value.errors) == [0, 2]
+    for k, error in failed.value.errors.items():
+        with pytest.raises(DomainError) as raised:
+            stack.alone(mixture_intensity, *(row[k] for row in rows))
+        assert type(error) is DomainError and str(error) == str(raised.value)
+    assert str(failed.value.errors[0]) == (
+        "kappa 1e+307 GHz is too large: the spectrum normalization (2 pi)^2 kappa "
+        "overflows a float"
+    )
+    assert str(failed.value.errors[2]) == (
+        "rotating-frame frequency 3e+307 GHz is too large: 2 pi nu overflows a float"
+    )
+    alone = stack.alone(mixture_intensity, *(row[1] for row in rows))
+    healed = mixture_intensity(np.where(nu > 1e300, 0.0, nu), lambdas, residues, np.full(3, 53.7))
+    assert helpers.same_bits(healed[1], alone)
+    assert helpers.same_bits(
+        alone, helpers.loop_mixture_intensity(nu[1], lambdas[1], residues[1], kappa[1])
+    )
 
 
 def test_spectrum_validation():
@@ -505,9 +546,8 @@ def test_mixture_intensity_matches_per_mode_sum(paper_params):
     for k in range(8):
         expected = helpers.loop_mixture_intensity(nu[k], lambdas[k], residues[k], kappa[k])
         assert helpers.same_bits(rows[k], expected)
-        assert helpers.same_bits(
-            mixture_intensity(nu[k], lambdas[k], residues[k], kappa[k]), expected
-        )
+        alone = stack.alone(mixture_intensity, nu[k], lambdas[k], residues[k], kappa[k])
+        assert helpers.same_bits(alone, expected)
 
 
 @pytest.mark.parametrize("case", ["eigh", "svd", "svd_modes", "eig", "solve"])
