@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -321,7 +321,8 @@ def fit_exponential(
 ) -> ExponentialFit:
     """Fit amplitude * exp(-t/tau) + baseline to a time trace.
 
-    A nonpositive fitted tau raises NonDecaying; growing saturation
+    A fitted tau that is nonpositive, or so long that exp(-span / tau) is 1
+    over the span of the times, raises NonDecaying; growing saturation
     traces are handled by a negative amplitude, not a negative tau.
     """
     times, values = _check_samples(
@@ -358,7 +359,8 @@ def fit_exponential(
         decay = np.exp(exponent)
         jac = np.empty((times.size, 3))
         jac[:, 0] = decay
-        jac[:, 1] = x[0] * decay * times / x[1] ** 2
+        with np.errstate(over="ignore"):  # a tau too long to decay, refused below
+            jac[:, 1] = x[0] * decay * times / x[1] ** 2
         jac[:, 2] = 1.0
         return jac * sqrt_w[:, None]
 
@@ -368,6 +370,11 @@ def fit_exponential(
     x = solution.x[0]
     if x[1] <= 0.0:
         raise NonDecaying(f"fitted time constant {x[1]:.6g} ns is not a decay")
+    span = times[-1] - times[0]
+    if math.exp(-span / x[1]) == 1.0:
+        raise NonDecaying(
+            f"fitted time constant {x[1]:.6g} ns shows no decay over the {span:.6g} ns of data"
+        )
     cov = leastsq.covariance(solution.gram, solution.cost, times.size, 3)[0]
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
     unweighted = model(x) - values
@@ -462,7 +469,7 @@ def fit_emission_lines(points: list[ModelParams]) -> list[LinePair | Exception]:
     cover each other's peak.  Centers land on an axis shifted so the Raman
     line sits near -delta_laser and the spontaneous line near zero.
 
-    Returns the (Raman, spontaneous) fits.  Takes one point or a sequence
+    Returns each point's (Raman, spontaneous) fits or exception, in order
     (see :func:`stack.per_point`); a stack's points are classified and all
     its windows sampled and fitted in one stacked LM call, each fit bit for
     bit the one it gets alone.
@@ -533,17 +540,16 @@ def _window_axes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return axes
 
 
-@stack.per_point
-def predict_rs(points: list[ModelParams]) -> list[tuple[RsPoint, LinePair] | Exception]:
-    """Full ratio pipeline at one operating point, or at each of a sequence.
+def predict_rs(points: Iterable[ModelParams]) -> list[tuple[RsPoint, LinePair] | Exception]:
+    """Full ratio pipeline at each of an iterable of operating points.
 
     Fits the Raman and spontaneous lines via fit_emission_lines, labels the
-    pair, and forms the intensity ratio.  Returns the labelled point
-    together with the two underlying fits, Raman first.  Takes one point or
-    a sequence (see :func:`stack.per_point`); a sequence gets one outcome
-    per point, VanishingSpontaneous included, so a caller can raise the
-    first failure in its own order.
+    pair, and forms the intensity ratio.  Returns one outcome per point:
+    the labelled point together with the two underlying fits, Raman first,
+    or its exception, VanishingSpontaneous included, so a caller can raise
+    the first failure in its own order.  ``stack.alone`` solves one point.
     """
+    points = list(points)
     outcomes = []
     for trial, fits in zip(points, fit_emission_lines(points)):
         if not isinstance(fits, Exception):

@@ -183,11 +183,15 @@ def emission_spectrum(params: ModelParams, freqs_lab: np.ndarray) -> Spectrum:
     sits delta_cavity from the bare cavity line, so the spectrum is
     evaluated at freqs_lab + delta_cavity; its axis is those offsets minus
     delta_cavity, which may differ from ``freqs_lab`` in the last bit.
-    The point's modes and its spectrum are each a stack of one
+    A non-finite axis raises DomainError before the point is solved.  The
+    point's modes and its spectrum are each a stack of one
     (``stack.alone``), so a point that fails raises its own exception.
     """
+    freqs_lab = np.asarray(freqs_lab, dtype=float)
+    if not np.isfinite(freqs_lab).all():
+        raise DomainError("frequency axis must be finite")
     lambdas, residues, _ = stack.alone(_solved_modes, params)
-    nu_rot = np.asarray(freqs_lab, dtype=float) + params.delta_cavity
+    nu_rot = freqs_lab + params.delta_cavity
     intensity = stack.alone(mixture_intensity, nu_rot, lambdas, residues, params.kappa)
     return Spectrum(freqs=nu_rot - params.delta_cavity, intensity=intensity)
 

@@ -2,11 +2,11 @@
 
 A stacked call takes a sequence of operating points, or arrays holding one
 problem per leading index, and gives each problem what it gets alone: its
-result, or the exception it raises alone.  Every stage takes stacks
-only, the spectrum sampling ``spectrum.mixture_intensity`` and the line
-fits included; :func:`alone` solves one point or problem as the stack of
-one, and :func:`per_point` gives the two pipeline entry points their
-choice of one point or a sequence.  The stacked LAPACK calls used here
+result, or the exception it raises alone.  Every stage takes stacks only,
+the pipeline entry points ``fit.predict_rs`` and ``fit.fit_emission_lines``,
+the spectrum sampling ``spectrum.mixture_intensity`` and the line fits
+included; :func:`alone`, the one single-point adapter, solves one point or
+problem as the stack of one.  The stacked LAPACK calls used here
 (``eigh``, ``svd``, ``eig``, ``solve``, ``inv``) loop over the leading
 axis with the routine of the 2-D call, so each problem's result is
 bitwise its 2-D result.
@@ -53,13 +53,6 @@ def fail(outcomes: Sequence | dict) -> None:
         raise Failed(failed)
 
 
-def unwrap(outcome):
-    """``outcome``, or raise it when it is an exception."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def alone(solve: Callable, *items):
     """The stacked ``solve`` of one problem, each of ``items`` (a point, an
     array holding the problem, or a number) made a stack of one: the
@@ -71,43 +64,37 @@ def alone(solve: Callable, *items):
         outputs = [failed.errors[0]]
     if isinstance(outputs, tuple):
         return tuple(output[0] for output in outputs)
-    return unwrap(outputs[0])
+    if isinstance(outputs[0], Exception):
+        raise outputs[0]
+    return outputs[0]
 
 
 def per_point(solve: Callable) -> Callable:
-    """The public function of ``solve``, a function of a list of at most
-    ``POINTS`` operating points (and any further arguments) that returns
-    their results, or raises Failed.
+    """``solve``, a function of a list of at most ``POINTS`` operating
+    points that returns their results or raises Failed, as a function of
+    any iterable of points (``fit.fit_emission_lines``): it solves
+    ``POINTS`` points at a time and returns each point's outcome in order,
+    its result or the exception that a Failed named it with."""
 
-    Given one ``ModelParams``, the public function returns that point's
-    result or raises its exception.  Given a sequence, it solves ``POINTS``
-    points at a time and returns every point's outcome in order: its
-    result, or the exception that a Failed named it with.
-    """
-    # Imported here: model imports this module at its top.
-    from .model import ModelParams
-
-    def outcomes(points: list, args, kwargs) -> list:
+    def outcomes(points: list) -> list:
         # Solved again without the points each Failed names, until none fails.
         errors: dict[int, Exception] = {}
         while True:
             live = [k for k in range(len(points)) if k not in errors]
             try:
-                results = iter(solve([points[k] for k in live], *args, **kwargs) if live else ())
+                results = iter(solve([points[k] for k in live]) if live else ())
             except Failed as failed:
                 errors.update({live[j]: error for j, error in failed.errors.items()})
             else:
                 return [errors[k] if k in errors else next(results) for k in range(len(points))]
 
     @functools.wraps(solve)
-    def public(params, *args, **kwargs):
-        if isinstance(params, ModelParams):
-            return unwrap(outcomes([params], args, kwargs)[0])
-        points = list(params)
+    def public(points) -> list:
+        points = list(points)
         return [
             outcome
             for start in range(0, len(points), POINTS)
-            for outcome in outcomes(points[start : start + POINTS], args, kwargs)
+            for outcome in outcomes(points[start : start + POINTS])
         ]
 
     return public

@@ -147,12 +147,12 @@ def test_criterion_06_truncation_breakdown_threshold(paper_params):
 def test_criterion_07_line_positions_track_detuning():
     """Fitted Raman line at -detuning, spontaneous line at zero, lab axis."""
     base = ModelParams()
-    _, (raman_fit, spont_fit) = fit_mod.predict_rs(base)
+    _, (raman_fit, spont_fit) = stack.alone(fit_mod.predict_rs, base)
     assert raman_fit.peaks[0].center == pytest.approx(-55.0, abs=2.0)
     assert spont_fit.peaks[0].center == pytest.approx(0.0, abs=3.0)
     for delta in np.arange(15.0, 96.0, 10.0):
         trial = replace(base, delta_laser=float(delta), delta_cavity=float(delta))
-        _, (raman_fit, _) = fit_mod.predict_rs(trial)
+        _, (raman_fit, _) = stack.alone(fit_mod.predict_rs, trial)
         assert raman_fit.peaks[0].center == pytest.approx(-float(delta), abs=2.0)
 
 
@@ -167,7 +167,7 @@ def _ratio_of_ratios(alpha: float) -> float:
             phonon_alpha1=alpha,
             phonon_alpha2=alpha,
         )
-        point, _ = fit_mod.predict_rs(trial)
+        point, _ = stack.alone(fit_mod.predict_rs, trial)
         ratios.append(point.ratio)
     return ratios[0] / ratios[1]
 
@@ -189,9 +189,9 @@ def test_criterion_08_ratio_growth_and_coupling_invariance():
 def test_criterion_09_cavity_enhancement_contrast():
     """Raman line at least 10x stronger with the cavity on the line."""
     base = ModelParams()
-    matched, _ = fit_mod.fit_emission_lines(base)
-    detuned, _ = fit_mod.fit_emission_lines(
-        replace(base, delta_cavity=base.delta_cavity + 100.0)
+    matched, _ = stack.alone(fit_mod.fit_emission_lines, base)
+    detuned, _ = stack.alone(
+        fit_mod.fit_emission_lines, replace(base, delta_cavity=base.delta_cavity + 100.0)
     )
     assert matched.peaks[0].area >= 10.0 * detuned.peaks[0].area
 
@@ -217,7 +217,7 @@ def test_criterion_10_phonon_exponent_round_trip():
                 phonon_alpha2=alpha,
                 phonon_n=exponent,
             )
-            point, _ = fit_mod.predict_rs(trial)
+            point, _ = stack.alone(fit_mod.predict_rs, trial)
             points.append(point)
         result = fit_mod.fit_phonon_exponent(points, base)
         assert result.exponent == pytest.approx(exponent, abs=tol)

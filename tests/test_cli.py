@@ -278,6 +278,9 @@ def _refusal(name, argv, message, files=(), marks=()):
                  "line 1: non-numeric entry in '1,a'", {"rows.csv": "1,a\n"}),
         _refusal("no_data_rows", ["fit", "lorentzian1", "rows.csv"],
                  "no data rows in rows.csv", {"rows.csv": "# only a comment\n"}),
+        _refusal("negative_ratio_error", ["fit", "phonon-n", "rows.csv"],
+                 "ratio_err must be nonnegative, got -0.001",
+                 {"rows.csv": "15,0.04,-0.001\n55,0.1,0.002\n95,0.2,0.002\n"}),
         _refusal("full_device", ["rates", "--out", "/dev/full"],
                  "cannot write /dev/full: No space left on device",
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
@@ -440,10 +443,10 @@ def test_each_operating_point_is_solved_once(capsys, monkeypatch, paper_params):
         return build(points)
 
     monkeypatch.setattr(lv, "charge_blocks", counting_build)
-    fit_mod.predict_rs(paper_params)
+    stack.alone(fit_mod.predict_rs, paper_params)
     assert built == [paper_params]
     built.clear()
-    fit_mod.fit_emission_lines(paper_params)
+    stack.alone(fit_mod.fit_emission_lines, paper_params)
     assert built == [paper_params]
     built.clear()
     code, _, _ = run_cli(capsys, ["sweep-detuning", "--sweep-count", "3"])
@@ -506,7 +509,7 @@ def test_sweep_raises_first_failure_after_vanishing_point(capsys):
     assert out == ""
     first = replace(ModelParams(), phonon_alpha2=3.0, delta_laser=6.0, delta_cavity=6.0)
     with pytest.raises(AmbiguousAssignment) as raised:
-        fit_mod.predict_rs(first)
+        stack.alone(fit_mod.predict_rs, first)
     assert err == f"error: {raised.value}\n"
 
 
@@ -700,6 +703,34 @@ def test_fit_failure_exits_4(capsys, tmp_path):
     assert "convergence" in err
 
 
+@pytest.mark.parametrize(
+    "kind, rows, code, message",
+    [
+        # Detunings of 1 to 9 GHz: the refit's reference sweep finds no two
+        # sub-cavity-width lines to fit.
+        ("phonon-n", "1,0.04\n5,0.1\n9,0.2\n", 3,
+         "expected two sub-cavity-width lines, found 0"),
+        ("exponential",
+         "".join(f"{t},{v}\n" for t, v in enumerate([0.74, 2.52, 0.2, 0.82, 0.45, 2.8, -0.37, 0.98])),
+         4, "fitted time constant -3.18891 ns is not a decay"),
+        # Flat noise: the fitted tau overflows its square in the Jacobian,
+        # and exp(-span / tau) rounds to 1.
+        ("exponential", "0.542,-0.818\n3.459,0.149\n5.286,0.136\n6.309,-0.669\n7.678,-0.199\n",
+         4, "fitted time constant 6.3912e+159 ns shows no decay over the 7.136 ns of data"),
+    ],
+    ids=["phonon_n_no_lines", "exponential_growth", "exponential_flat"],
+)
+def test_unusable_fit_data_exits_with_its_code_and_message(
+    capsys, tmp_path, kind, rows, code, message
+):
+    """Data whose fit has no answer exits with the fit's code, 3 for an
+    unusable operating point and 4 for a failed fit, with one line naming
+    the fault and no warning on the way (the suite makes one an error)."""
+    path = tmp_path / "rows.csv"
+    path.write_text(rows)
+    assert run_cli(capsys, ["fit", kind, str(path)]) == (code, "", f"error: {message}\n")
+
+
 def test_non_finite_fit_input_exits_2(capsys, tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("0,1.0\n1,0.5\n2,nan\n3,0.12\n4,0.06\n")
@@ -826,7 +857,7 @@ def test_fit_phonon_cli_recovers_exponent(capsys, tmp_path):
             ModelParams(), delta_laser=delta, delta_cavity=delta,
             phonon_alpha1=1.0, phonon_alpha2=1.0, phonon_n=0.31,
         )
-        point, _ = fit_mod.predict_rs(trial)
+        point, _ = stack.alone(fit_mod.predict_rs, trial)
         rows.append(f"{delta:.17g},{point.ratio:.17g}\n")
     path = tmp_path / "ratios.csv"
     path.write_text("".join(rows))
@@ -1165,7 +1196,7 @@ def test_no_command_imports_scipy(tmp_path):
             ModelParams(), delta_laser=delta, delta_cavity=delta,
             phonon_alpha1=1.0, phonon_alpha2=1.0, phonon_n=0.31,
         )
-        ratios.append((delta, fit_mod.predict_rs(trial)[0].ratio))
+        ratios.append((delta, stack.alone(fit_mod.predict_rs, trial)[0].ratio))
     files = {
         "lorentzian1": zip(freqs, one_line),
         "lorentzian2": zip(freqs, two_lines),

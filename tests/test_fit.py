@@ -331,8 +331,8 @@ def test_stacked_dressed_states_fail_as_each_point_alone(monkeypatch, paper_para
     ids=["fit_emission_lines", "predict_rs"],
 )
 def test_point_taking_solves_keep_the_per_point_contract(monkeypatch, paper_params, solve):
-    """Every function decorated by stack.per_point gives a point what a
-    stack of one gives it: one point returns its result or raises its
+    """Both pipeline entry points give a point what a stack of one gives
+    it: one point through stack.alone returns its result or raises its
     exception; a list, a tuple or a generator of points, and a sequence cut
     into stacks of two, return each point's result or exception in order;
     an empty sequence returns [].  Among the points, some fail in the
@@ -344,10 +344,10 @@ def test_point_taking_solves_keep_the_per_point_contract(monkeypatch, paper_para
     for params, expected in zip(points, alone):
         if isinstance(expected, Exception):
             with pytest.raises(type(expected)) as raised:
-                solve(params)
+                stack.alone(solve, params)
             assert helpers.same_outcome(raised.value, expected)
         else:
-            assert helpers.same_outcome(solve(params), expected)
+            assert helpers.same_outcome(stack.alone(solve, params), expected)
     for form in (list, tuple, iter):
         assert helpers.same_outcome(solve(form(points)), alone)
         assert solve(form([])) == []
@@ -425,7 +425,7 @@ def _assert_window_refused(monkeypatch, params, column, value, message):
     alone, with no warning on the way (the suite makes one an error); the
     other point of the stack keeps bitwise the fits it gets alone."""
     other = replace(params, delta_laser=35.0, delta_cavity=35.0)
-    expected = fit_emission_lines(other)
+    expected = stack.alone(fit_emission_lines, other)
     line_table = fit_mod.spectrum_mod.line_table
 
     def patched_raman_line(points):
@@ -438,7 +438,7 @@ def _assert_window_refused(monkeypatch, params, column, value, message):
     refused, kept = fit_emission_lines([params, other])
     assert type(refused) is DomainError and str(refused) == message
     with pytest.raises(DomainError, match=f"^{message}$"):
-        fit_emission_lines(params)
+        stack.alone(fit_emission_lines, params)
     assert helpers.same_outcome(kept, expected)
 
 
@@ -782,7 +782,7 @@ def test_rs_ratio_refuses_a_nonpositive_raman_area_as_a_fit_failure():
         with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
             rs_ratio((_peak(-55.0, area), spont), delta=55.0)
     with pytest.raises(FitError, match="^Raman peak area -") as raised:
-        predict_rs(replace(ModelParams(), delta_laser=3.0, delta_cavity=27.0))
+        stack.alone(predict_rs, replace(ModelParams(), delta_laser=3.0, delta_cavity=27.0))
     assert type(raised.value) is FitError
 
 
@@ -797,7 +797,7 @@ def test_rs_ratio_input_validation():
 
 
 def test_predict_rs_regression(paper_params):
-    area_point, (raman_fit, spont_fit) = predict_rs(paper_params)
+    area_point, (raman_fit, spont_fit) = stack.alone(predict_rs, paper_params)
     assert area_point.ratio == pytest.approx(PREDICT_RS_AREA_REF, rel=1e-7)
     # Window fits place the pair on the shifted axis: transfer line near
     # -delta, spontaneous near zero.
@@ -848,7 +848,7 @@ def _pipeline_ratio(params, detuning, alpha):
         phonon_alpha1=alpha,
         phonon_alpha2=alpha,
     )
-    point, _ = predict_rs(trial)
+    point, _ = stack.alone(predict_rs, trial)
     return point.ratio
 
 
@@ -930,7 +930,8 @@ def test_refit_repeats_no_jacobian(monkeypatch, paper_params):
     """
     deltas = (15.0, 35.0, 55.0, 75.0, 95.0)
     points = [
-        predict_rs(
+        stack.alone(
+            predict_rs,
             replace(
                 paper_params,
                 delta_laser=d,
@@ -938,7 +939,7 @@ def test_refit_repeats_no_jacobian(monkeypatch, paper_params):
                 phonon_alpha1=0.8,
                 phonon_alpha2=0.8,
                 phonon_n=0.4,
-            )
+            ),
         )[0]
         for d in deltas
     ]
@@ -999,10 +1000,10 @@ def test_predict_rs_sees_phonon_law_only_through_density():
             phonon_n=0.0,
         )
         try:
-            expected = predict_rs(params)
+            expected = stack.alone(predict_rs, params)
         except CavityRamanError:
             continue
-        assert predict_rs(density) == expected
+        assert stack.alone(predict_rs, density) == expected
         checked += 1
         if checked == 20:
             break
@@ -1012,7 +1013,8 @@ def test_predict_rs_sees_phonon_law_only_through_density():
 def _five_detuning_table(params, alpha=0.8, exponent=0.4):
     """Exact ratio table of the power law (alpha, n) at five detunings."""
     return [
-        predict_rs(
+        stack.alone(
+            predict_rs,
             replace(
                 params,
                 delta_laser=d,
@@ -1020,7 +1022,7 @@ def _five_detuning_table(params, alpha=0.8, exponent=0.4):
                 phonon_alpha1=alpha,
                 phonon_alpha2=alpha,
                 phonon_n=exponent,
-            )
+            ),
         )[0]
         for d in (15.0, 35.0, 55.0, 75.0, 95.0)
     ]
@@ -1202,7 +1204,7 @@ def _sequential_start(points, params):
     def ratio_at(d, s):
         trial = replace(params, delta_laser=d, delta_cavity=d,
                         phonon_alpha1=s, phonon_alpha2=s, phonon_n=0.0)
-        return predict_rs(trial)[0].ratio
+        return stack.alone(predict_rs, trial)[0].ratio
 
     roots = []
     for d, data in zip(deltas.tolist(), ratios):
@@ -1311,9 +1313,10 @@ def _nine_detuning_table(params):
     """Exact ratio table of the power law (0.8, 0.4) at nine detunings from
     15 to 95 GHz, the table of the benchmark's first refit."""
     return [
-        predict_rs(
+        stack.alone(
+            predict_rs,
             replace(params, delta_laser=d, delta_cavity=d,
-                    phonon_alpha1=0.8, phonon_alpha2=0.8, phonon_n=0.4)
+                    phonon_alpha1=0.8, phonon_alpha2=0.8, phonon_n=0.4),
         )[0]
         for d in np.linspace(15.0, 95.0, 9).tolist()
     ]

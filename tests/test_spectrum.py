@@ -2,6 +2,7 @@
 line table of a solved stack."""
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +287,21 @@ def test_frame_shift_moves_axis(capsys, paper_params):
     payload = json.loads(capsys.readouterr().out)
     assert payload["frame"] == "lab"
     assert payload["nu_lab_GHz"] == spectrum.freqs.tolist()
+
+
+@pytest.mark.parametrize(
+    "axis", [[0.0, math.inf], [0.0, math.nan], [-math.inf, 0.0]], ids=["inf", "nan", "minus_inf"]
+)
+def test_emission_spectrum_refuses_a_non_finite_axis(monkeypatch, paper_params, axis):
+    """A frequency axis with a non-finite entry is refused before the point
+    is solved, with no numeric warning on the way."""
+    built = []
+    monkeypatch.setattr(lv, "charge_blocks", lambda points: built.append(points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^frequency axis must be finite$"):
+            emission_spectrum(paper_params, np.array(axis))
+    assert built == []
 
 
 def test_emission_spectrum_equals_shifted_rotating(paper_params):
