@@ -206,13 +206,12 @@ def _fit_lorentzians(
     solution = leastsq.minimize(residual, jacobian, x0)
     fits: list[LorentzianFit | FitError] = [solution.error(k) for k in range(len(x0))]
     converged = [k for k, error in enumerate(fits) if error is None]
-    done = slice(None) if len(converged) == len(fits) else converged
-    x = solution.x[done]
+    x = solution.x[converged]
     cov = leastsq.covariance(
-        solution.gram[done], solution.cost[done], freqs.shape[1], x0.shape[1]
+        solution.gram[converged], solution.cost[converged], freqs.shape[1], x0.shape[1]
     )
     sigmas = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
-    unweighted = _lorentzian_model(freqs[done], x) - intensity[done]
+    unweighted = _lorentzian_model(freqs[converged], x) - intensity[converged]
     rms = np.sqrt(np.mean(unweighted**2, axis=1))
 
     # Every row's peaks at once, in PeakFit field order, sorted by center.
@@ -262,7 +261,9 @@ def _fit_lorentzians(
 def _check_samples(
     x: np.ndarray, y: np.ndarray, names: str, min_size: int, purpose: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matching finite 1-d float arrays holding at least ``min_size`` samples."""
+    """Matching finite 1-d float arrays holding at least ``min_size`` samples,
+    on an axis ``x`` whose squares sum and whose nonzero span squares with no
+    overflow or underflow: the fits' normal equations square both."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -271,6 +272,12 @@ def _check_samples(
         raise DomainError(f"need at least {min_size} samples {purpose}, got {x.size}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("data must be finite")
+    with np.errstate(over="ignore"):  # checked below
+        squares, span = np.sum(np.square(x)), float(np.max(x) - np.min(x))
+    if not np.isfinite(squares):
+        raise DomainError("the axis is too large to fit: its squares overflow")
+    if 0.0 < span and span * span < np.finfo(float).tiny:
+        raise DomainError(f"the axis spans {span!r}, too little to fit: its square underflows")
     return x, y
 
 

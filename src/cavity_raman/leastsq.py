@@ -66,10 +66,12 @@ def _normal_equations(
     x: np.ndarray,
     r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient J^T r and Gram matrix J^T J of the problems ``rows`` at ``x``."""
-    jac = np.asarray(jacobian(rows, x), dtype=float)
-    jts = jac.transpose(0, 2, 1)
-    return (jts @ r[:, :, None])[:, :, 0], jts @ jac
+    """Gradient J^T r and Gram matrix J^T J of the problems ``rows`` at ``x``;
+    an entry that overflows is inf, whose step's trial is then rejected."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = np.asarray(jacobian(rows, x), dtype=float)
+        jts = jac.transpose(0, 2, 1)
+        return (jts @ r[:, :, None])[:, :, 0], jts @ jac
 
 
 def minimize(
@@ -84,11 +86,13 @@ def minimize(
     ``x0`` holds one start per row, shape (K, P).  ``residual(rows, x)``
     and ``jacobian(rows, x)`` evaluate the problems numbered ``rows`` at
     ``x``, one row each, with shapes (len(rows), M) and (len(rows), M, P).
-    ``rows`` is always an ascending subset of ``arange(K)`` without
+    ``rows`` is a nonempty ascending subset of ``arange(K)`` without
     repeats, so a callback given K rows is given the whole stack in order.
-    Each problem keeps its own damping, accept/reject decision and stop
-    test, and the stacked products and solves are bitwise equal to their
-    2-D calls, so a problem takes the same path in any stack as alone.
+    Each iteration makes one trial for each running problem whose damped
+    system solves and accepts it where it lowers the cost; each problem
+    keeps its own damping, decision and stop test, and the stacked products
+    and solves are bitwise equal to their 2-D calls, so a problem takes the
+    same path in any stack as alone.
     Convergence is a relative gradient test plus a floor on the step
     relative to max(|x|, 1), 1e-13 unless ``step_floor`` says otherwise; a
     caller whose residuals carry noise passes a floor at that noise.  The
@@ -142,43 +146,30 @@ def minimize(
         scaled[:, diagonal, diagonal] = scale
         system = gram + damping[:, None, None] * scaled
         (step,), errors = stack.linalg(np.linalg.solve, system, -grad[:, :, None])
-        step, solved = step[:, :, 0], None
-        if any(errors):
-            solved = np.array([error is None for error in errors])
-            step[~solved] = 0.0
+        step = step[:, :, 0]
+        # A singular problem makes no trial and counts as rejected.
+        solved = np.array([error is None for error in errors])
+        step[~solved] = 0.0
 
         trial = x + step
-        with np.errstate(over="ignore", invalid="ignore"):
-            if solved is None:
-                r_trial = np.asarray(residual(ids, trial), dtype=float)
-                cost_trial = _squares(r_trial)
-            else:
-                # A singular problem makes no trial and counts as rejected.
-                r_trial = np.zeros((ids.size, r.shape[1]))
-                cost_trial = np.full(ids.size, np.nan)
-                if solved.any():
-                    r_trial[solved] = residual(ids[solved], trial[solved])
-                    cost_trial[solved] = _squares(r_trial[solved])
+        cost_trial = np.full(ids.size, np.nan)
+        if solved.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_trial = np.asarray(residual(ids[solved], trial[solved]), dtype=float)
+                cost_trial[solved] = _squares(r_trial)
         small_step = (np.abs(step) / np.maximum(np.abs(x), 1.0)).max(axis=1) < step_floor
-        if solved is not None:
-            small_step &= solved
+        small_step &= solved
         better = np.isfinite(cost_trial) & (cost_trial < cost)
-        if better.all():
-            x, cost = trial, cost_trial
-            damping = np.maximum(damping / _DAMPING_STEP, 1e-14)
-            grad, gram = _normal_equations(jacobian, ids, x, r_trial)
-        elif not better.any():
-            damping = np.minimum(damping * _DAMPING_STEP, 1e12)
-        else:
-            x = np.where(better[:, None], trial, x)
-            cost = np.where(better, cost_trial, cost)
-            damping = np.where(
-                better,
-                np.maximum(damping / _DAMPING_STEP, 1e-14),
-                np.minimum(damping * _DAMPING_STEP, 1e12),
-            )
+        x = np.where(better[:, None], trial, x)
+        cost = np.where(better, cost_trial, cost)
+        damping = np.where(
+            better,
+            np.maximum(damping / _DAMPING_STEP, 1e-14),
+            np.minimum(damping * _DAMPING_STEP, 1e12),
+        )
+        if better.any():  # so solved.any(), and r_trial holds the solved rows
             grad[better], gram[better] = _normal_equations(
-                jacobian, ids[better], x[better], r_trial[better]
+                jacobian, ids[better], x[better], r_trial[better[solved]]
             )
         if small_step.any():
             # At the step floor: converged if accepted, stalled if rejected.

@@ -24,6 +24,8 @@ from .model import ModelParams
 TWO_PI = 2.0 * math.pi
 
 LEVELS = ("g1", "g2", "e")
+# The ladder's jump channels: the four-state model's, whose rates it takes, in their order.
+CHANNELS = tuple(name for *_, name in lv._FIXED_CHANNELS) + tuple(f"phonon {k}" for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,16 @@ def _emitter(row: str, col: str) -> np.ndarray:
 
 def _ladder_operators(
     params: ModelParams, n_max: int
-) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray, LadderBasis]:
-    """Hamiltonian (GHz), channel names, rates (C,) in 1/ns, dense jumps
-    (C, dim, dim) and basis of the untruncated photon ladder: emitter (x)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, LadderBasis]:
+    """Hamiltonian (GHz), rates (8,) in 1/ns, dense jumps (8, dim, dim) of
+    the ``CHANNELS`` and basis of the untruncated photon ladder: emitter (x)
     photon products, but for the thermal jumps, which live between dressed
     states of the single-excitation manifold and are embedded at the four
-    matching ladder positions.  C is 4, or 8 with the phonon channels when
-    a phonon prefactor is positive.  A Hamiltonian entry that overflows a
-    float raises DomainError naming the parameters; the rates and the
-    phonon jumps are the four-state model's channel prologue, which
-    refuses what it refuses."""
+    matching ladder positions.  A point without phonons has zero phonon
+    jumps and rates, as in the four-state model.  A Hamiltonian entry that
+    overflows a float raises DomainError naming the parameters; the rates
+    and the phonon jumps are the four-state model's channel prologue,
+    which refuses what it refuses."""
     basis = LadderBasis(n_max)
     eye = np.eye(n_max + 1)
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), 1)
@@ -100,25 +102,22 @@ def _ladder_operators(
     h += params.omega_drive / 2.0 * (drive + drive.T)
     h += params.g * (coupling + coupling.T)
     rates, model_jumps = stack.alone(lv._channels, params)
-    names = ("kappa", "gamma1", "gamma2", "gamma_flip")
-    if params.phonon_alpha1 > 0.0 or params.phonon_alpha2 > 0.0:
-        names += ("phonon 0", "phonon 1", "phonon 2", "phonon 3")
-    jumps = np.zeros((len(names), basis.dim, basis.dim), dtype=complex)
+    jumps = np.zeros((len(CHANNELS), basis.dim, basis.dim), dtype=complex)
     # a, then |g1><e|, |g2><e| and |g1><g2| on every photon number.
     jumps[0] = np.kron(np.eye(len(LEVELS)), a)
     for j, pair in enumerate((("g1", "e"), ("g2", "e"), ("g1", "g2")), start=1):
         jumps[j] = np.kron(_emitter(*pair), eye)
     kept = _kept_positions(basis)
-    jumps[np.ix_(range(4, len(names)), kept, kept)] = model_jumps[4 : len(names)]
-    return h, names, rates[: len(names)], jumps, basis
+    jumps[np.ix_(range(4, len(CHANNELS)), kept, kept)] = model_jumps[4:]
+    return h, rates, jumps, basis
 
 
 def _ladder_blocks(
-    h: np.ndarray, names: tuple, rates: np.ndarray, jumps: np.ndarray, basis: LadderBasis, charges
+    h: np.ndarray, rates: np.ndarray, jumps: np.ndarray, basis: LadderBasis, charges
 ) -> tuple[np.ndarray, ...]:
     """The ladder generator's block at each charge q = N_i - N_j of
     ``charges``, 1/ns, from its Hamiltonian ``h`` (GHz) and the ``jumps``
-    named ``names`` at ``rates``, as :func:`_ladder_operators` returns
+    of the ``CHANNELS`` at ``rates``, as :func:`_ladder_operators` returns
     them, as a stack of one: ``liouvillian.generator_blocks``, which raises
     stack.Failed for a non-finite entry.  The generator keeps q (Buca and
     Prosen, New J. Phys. 14, 073007 (2012)) when H keeps N and each jump
@@ -126,7 +125,7 @@ def _ladder_blocks(
     naming it."""
     counts = basis.excitations
     shifts = counts[:, None] - counts[None, :]
-    named = {"Hamiltonian": h, **{f"jump {name}": op for name, op in zip(names, jumps)}}
+    named = {"Hamiltonian": h, **{f"jump {name}": op for name, op in zip(CHANNELS, jumps)}}
     for name, op in named.items():
         # One amount each; for the hermitian H, whose entries pair d with -d, 0.
         moves = sorted(set(shifts[op != 0.0].tolist()))
@@ -147,12 +146,12 @@ def full_ladder_steady_state(
     sums the populations the four-state model discards: every n >= 2 state
     together with |g1,1> and |e,1>.
     """
-    h, names, rates, jumps, basis = _ladder_operators(params, n_max)
+    h, rates, jumps, basis = _ladder_operators(params, n_max)
     positions = np.flatnonzero(lv._charges(basis.excitations) == 0)
 
     def solve():
         # Each q > 0 block stands for itself and its conjugate -q block.
-        zero, *others = _ladder_blocks(h, names, rates, jumps, basis, range(basis.n_max + 2))
+        zero, *others = _ladder_blocks(h, rates, jumps, basis, range(basis.n_max + 2))
         return lv._kernel_test(*lv._sector_null_vectors(zero, others, positions, basis.dim**2))
 
     rho = stack.alone(solve)

@@ -4,15 +4,18 @@ state and its correlation modes (the charge blocks' oracle), the whole
 photon-ladder generator and an index-loop reference for it, a dense-SVD
 steady state, finite-horizon transforms for the time-domain spectrum
 check, short-horizon RK45 and per-time ``expm`` references for the
-exactly propagated oracles, and per-point loop references for the
-stacked line classification, windows, spectrum sums and peak read-back.
+exactly propagated oracles, per-point loop references for the stacked
+line classification, windows, spectrum sums and peak read-back, and
+MINPACK's Levenberg-Marquardt fits of the line windows (the stacked LM's
+oracle).
 """
 import math
-from dataclasses import astuple, is_dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import least_squares
 
 from cavity_raman import (
     DegeneratePeaks,
@@ -25,6 +28,8 @@ from cavity_raman import (
 )
 from cavity_raman import liouvillian as lv
 from cavity_raman import model, oracle, stack
+from cavity_raman import spectrum as spectrum_mod
+from cavity_raman.fit import _line_plans
 from cavity_raman.liouvillian import KERNEL_RTOL, block_steady_state, charge_blocks
 from cavity_raman.spectrum import block_modes
 
@@ -217,7 +222,7 @@ def ladder_liouvillian(params, n_max=3):
     each jump's dissipator in channel order, with the ``np.kron``
     superoperators above.  The oracle of the ladder's charge blocks, and
     bitwise :func:`loop_ladder_liouvillian`."""
-    h, _, rates, jumps, basis = oracle._ladder_operators(params, n_max)
+    h, rates, jumps, basis = oracle._ladder_operators(params, n_max)
     gen = kron_hamiltonian_superoperator(h)
     for op, rate in zip(jumps, rates):
         gen += kron_lindblad_dissipator(op, rate)
@@ -570,3 +575,74 @@ def loop_peaks(x, sigma, cov, n_peaks):
             if abs(peaks[i][0] - peaks[j][0]) < 0.1 * min(peaks[i][1], peaks[j][1]):
                 return DegeneratePeaks(f"fitted centers {peaks[i][0]} and {peaks[j][0]} coincide")
     return tuple(peaks)
+
+
+EPS = np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class MinpackFit:
+    """MINPACK's solution ``x`` of one least-squares problem, its cost
+    r @ r, its Jacobian ``jac`` there and the ``slack``: how far above the
+    minimum's cost the package's LM may stop.  Its gradient test,
+    |g_i| max(|x_i|, 1) <= 1e-8 cost, leaves a cost excess of at most
+    g^T (J^T J)^-1 g; a step it rejects or accepts under its step floor
+    leaves one the residual's rounding hides, sum_k d_k (2 |r_k| + d_k)
+    with d_k = 8 eps (|y_k| + |model_k|), for the eight roundings of the
+    model and its difference from the data.  A point whose cost exceeds
+    the minimum's by at most the slack lies in dx^T J^T J dx <= slack, so
+    each parameter within ``radius``, sqrt(slack (J^T J)^-1_ii), of x."""
+
+    x: np.ndarray
+    cost: float
+    jac: np.ndarray
+    slack: float
+
+    @property
+    def inverse_gram(self) -> np.ndarray:
+        return np.linalg.inv(self.jac.T @ self.jac)
+
+    @property
+    def radius(self) -> np.ndarray:
+        return np.sqrt(self.slack * np.diag(self.inverse_gram))
+
+
+def minpack_fit(model_fn, jacobian, values, x0) -> MinpackFit:
+    """``scipy.optimize.least_squares(method="lm")``, MINPACK's lmder, on
+    the residual model_fn(x) - values from ``x0``, with its tolerances at
+    machine precision, as a :class:`MinpackFit`."""
+    result = least_squares(
+        lambda x: model_fn(x) - values, x0, jac=jacobian, method="lm",
+        xtol=EPS, ftol=EPS, gtol=EPS, max_nfev=10_000,
+    )
+    assert result.status > 0, result.message
+    x = result.x
+    r = model_fn(x) - values
+    jac = jacobian(x)
+    gradient = 1e-8 * (r @ r) / np.maximum(np.abs(x), 1.0)
+    d = 8.0 * EPS * (np.abs(values) + np.abs(model_fn(x)))
+    slack = gradient @ np.abs(np.linalg.inv(jac.T @ jac)) @ gradient + d @ (2.0 * np.abs(r) + d)
+    return MinpackFit(x, float(r @ r), jac, float(slack))
+
+
+def minpack_line_windows(points) -> list[MinpackFit]:
+    """:func:`minpack_fit` of every window that ``fit._line_plans`` hands
+    to the LM for a stack of points, in its order, from the same start: an
+    amplitude / (1 + u^2) + baseline line, u = (nu - center) / (fwhm / 2),
+    on (amplitude, center, fwhm, baseline), with its analytic Jacobian."""
+    _, _, axes, samples, starts = _line_plans(spectrum_mod.line_table(points))
+    fits = []
+    for nu, values, x0 in zip(axes, samples, starts):
+
+        def line(x, nu=nu):
+            u = (nu - x[1]) / (x[2] / 2.0)
+            return x[0] / (1.0 + u * u) + x[3]
+
+        def line_jacobian(x, nu=nu):
+            u = (nu - x[1]) / (x[2] / 2.0)
+            d = 1.0 + u * u
+            slope = x[0] / (x[2] * d * d)
+            return np.stack([1.0 / d, 4.0 * u * slope, 2.0 * u * u * slope, np.ones_like(nu)], 1)
+
+        fits.append(minpack_fit(line, line_jacobian, values, x0))
+    return fits

@@ -739,6 +739,46 @@ def test_non_finite_fit_input_exits_2(capsys, tmp_path):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("kind", ["lorentzian1", "lorentzian2", "exponential"])
+def test_fit_at_any_axis_scale_exits_cleanly(capsys, tmp_path, kind):
+    """Clean data whose axis is scaled by 10^k, k = -320 ... 300 in steps
+    of 10, fits with no warning and no traceback.  Within |k| <= 150 the
+    fitted center (the first line's) or decay time is the unscaled fit's
+    times 10^k.  Beyond, the axis's squares overflow or the square of its
+    span underflows, and the data are refused at exit 2: unrefused, the
+    Lorentzian fits at k = 170 ... 300 return a 17% narrow line with zero
+    center errors, their center and width columns underflowing in the
+    Gram matrix, and the decays warn or crash in their start."""
+    if kind == "exponential":
+        axis = np.linspace(0.0, 8.0, 30)
+        values = 2.0 * np.exp(-axis / 1.7) + 0.3
+    else:
+        axis = np.linspace(-40.0, 40.0, 161)
+        values = fit_mod.lorentzian_profile(axis, 2.3, -12.0, 6.0, baseline=0.1)
+        values += fit_mod.lorentzian_profile(axis, 0.9, 15.0, 4.0)
+
+    def fitted(k):
+        path = tmp_path / f"scaled{k}.csv"
+        path.write_text("".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(axis * float(f"1e{k}"), values)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["fit", kind, str(path)])
+        if code != 0:
+            return code, err
+        payload = json.loads(out)
+        return code, payload["tau"] if kind == "exponential" else payload["peaks"][0]["center"]
+
+    unscaled = fitted(0)[1]
+    for k in range(-320, 301, 10):
+        code, result = fitted(k)
+        if abs(k) <= 150:
+            assert code == 0, (k, result)
+            assert result == pytest.approx(unscaled * float(f"1e{k}"), rel=1e-6), k
+        else:
+            assert code == 2, (k, result)
+            assert result.startswith("error: the axis "), (k, result)
+
+
 @pytest.mark.parametrize("kind", ["lorentzian1", "exponential"])
 def test_unreadable_data_file_exits_2(capsys, tmp_path, kind):
     """A data file that is absent or not UTF-8 text exits 2 naming it."""

@@ -201,6 +201,93 @@ def test_covariance_takes_pinv_for_a_gram_whose_inverse_is_not_finite():
     assert helpers.same_bits(cov[1], np.linalg.inv(gram[1]) * (1.0 / 6))
 
 
+def _recording_lm(monkeypatch) -> list:
+    """Patch leastsq.minimize to record each call's start and solution."""
+    calls, lm_minimize = [], leastsq.minimize
+
+    def recording(residual, jacobian, x0, *args, **kwargs):
+        solution = lm_minimize(residual, jacobian, x0, *args, **kwargs)
+        calls.append((x0, solution))
+        return solution
+
+    monkeypatch.setattr(leastsq, "minimize", recording)
+    return calls
+
+
+def test_line_fits_agree_with_minpack(monkeypatch):
+    """Every line window of the 81-point detuning diagonal, and of
+    d in {15, 35, 55, 75, 95} x s in {1, 3, 10, 20, 50} GHz on it with
+    phonon_alpha1 = phonon_alpha2 = s and phonon_n = 0, is fitted by the
+    pipeline where MINPACK's LM fits it from the same start: each center
+    and FWHM within its radius (helpers.MinpackFit), each area within the
+    product of the amplitude's and the FWHM's, and each final cost within
+    the slack, all set by the window's conditioning."""
+    calls = _recording_lm(monkeypatch)
+    points = [replace(ModelParams(), delta_laser=d, delta_cavity=d) for d in np.linspace(15, 95, 81)]
+    points += [
+        replace(ModelParams(), delta_laser=d, delta_cavity=d, phonon_alpha1=s, phonon_alpha2=s,
+                phonon_n=0.0)
+        for d in (15.0, 35.0, 55.0, 75.0, 95.0) for s in (1.0, 3.0, 10.0, 20.0, 50.0)
+    ]
+    outcomes = fit_emission_lines(points)
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    fits = [fit for pair in outcomes for fit in pair]
+    costs = np.concatenate([solution.cost for _, solution in calls])
+    references = helpers.minpack_line_windows(points)
+    assert len(fits) == len(costs) == len(references) == 212
+    for fit, cost, reference in zip(fits, costs, references):
+        (peak,) = fit.peaks
+        amplitude, center, fwhm, _ = reference.x
+        amp_radius, center_radius, fwhm_radius, _ = reference.radius
+        assert abs(peak.center - center) <= center_radius
+        assert abs(peak.fwhm - abs(fwhm)) <= fwhm_radius
+        area = amplitude * abs(fwhm) * math.pi / 2.0
+        area_radius = (abs(amplitude) + amp_radius) * (abs(fwhm) + fwhm_radius) * math.pi / 2.0
+        assert abs(peak.area - area) <= area_radius - abs(area) + 4.0 * helpers.EPS * abs(area)
+        assert abs(cost - reference.cost) <= reference.slack
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01], ids=["clean", "noisy"])
+def test_exponential_fit_agrees_with_minpack(monkeypatch, noise):
+    """fit_exponential of a clean and a noisy decay ends where MINPACK's
+    LM does from the same start, each parameter within its radius and the
+    cost within the slack (helpers.MinpackFit), and leastsq.covariance is
+    (J^T J)^-1 cost / dof from MINPACK's Jacobian at its solution, within
+    what the two costs, the two points' Gram matrices (to first order,
+    C dH C) and the two inversions' rounding (P cond eps each) allow."""
+    calls = _recording_lm(monkeypatch)
+    times = np.linspace(0.0, 8.0, 81)
+    values = 3.0 * np.exp(-times / 1.74) + 0.2
+    values += noise * np.random.default_rng(11).standard_normal(times.size)
+    fit = fit_exponential(times, values)
+    ((x0, solution),) = calls
+
+    def decay(x):
+        return x[0] * np.exp(-times / x[1]) + x[2]
+
+    def decay_jacobian(x):
+        fall = np.exp(-times / x[1])
+        return np.stack([fall, x[0] * fall * times / x[1] ** 2, np.ones_like(times)], 1)
+
+    reference = helpers.minpack_fit(decay, decay_jacobian, values, x0[0])
+    fitted = np.array([fit.amplitude, fit.tau, fit.baseline])
+    assert np.all(np.abs(fitted - reference.x) <= reference.radius)
+    assert abs(solution.cost[0] - reference.cost) <= reference.slack
+
+    dof = times.size - 3
+    inverse = reference.inverse_gram
+    cov = leastsq.covariance(solution.gram, solution.cost, times.size, 3)[0]
+    at_fit = decay_jacobian(fitted)
+    gram_change = np.abs(at_fit.T @ at_fit - reference.jac.T @ reference.jac)
+    cost = max(solution.cost[0], reference.cost)
+    rounding = 2 * 3 * np.linalg.cond(reference.jac.T @ reference.jac) * helpers.EPS
+    bound = (
+        np.abs(inverse) * (reference.slack + rounding * cost)
+        + cost * np.abs(inverse) @ gram_change @ np.abs(inverse)
+    ) / dof
+    assert np.all(np.abs(cov - inverse * reference.cost / dof) <= bound)
+
+
 @pytest.mark.parametrize("stack_points", [None, 5])
 def test_stacked_line_fits_match_stacks_of_one(monkeypatch, stack_points):
     """One stacked pipeline call over random valid operating points gives

@@ -113,7 +113,7 @@ def test_ladder_blocks_match_index_loop_generator(paper_params, n_max):
     every = range(-(n_max + 1), n_max + 2)
     for params in cases:
         operators = oracle._ladder_operators(params, n_max)
-        h, _, rates, jumps, basis = operators
+        h, rates, jumps, basis = operators
         gen = loop_ladder_liouvillian(params, n_max)
         charges = lv._charges(basis.excitations)
         assert np.all(gen[charges[:, None] != charges] == 0.0)
@@ -164,7 +164,7 @@ def test_sector_solve_refuses_an_entry_between_sectors(paper_params, monkeypatch
     it, before any block is built: a Hamiltonian entry between two
     excitation numbers, or a jump whose entries shift N by two amounts; so
     is full_ladder_steady_state given such an operator."""
-    h, names, rates, jumps, basis = oracle._ladder_operators(paper_params, 2)
+    h, rates, jumps, basis = oracle._ladder_operators(paper_params, 2)
     # |g1,0> holds N = 1, |g1,1> N = 2.
     row, col = basis.index("g1", 0), basis.index("g1", 1)
     leaky = h.copy()
@@ -172,16 +172,16 @@ def test_sector_solve_refuses_an_entry_between_sectors(paper_params, monkeypatch
     with pytest.raises(
         DomainError, match=r"^Hamiltonian shifts the excitation number by each of \[-1, 0, 1\]$"
     ):
-        oracle._ladder_blocks(leaky, names, rates, jumps, basis, [0])
+        oracle._ladder_blocks(leaky, rates, jumps, basis, [0])
     # a + a^dag: the cavity jump then shifts N by -1 and by +1.
-    assert names[0] == "kappa"
+    assert oracle.CHANNELS[0] == "kappa"
     mixed = jumps.copy()
     mixed[0] += jumps[0].T
     with pytest.raises(
         DomainError, match=r"^jump kappa shifts the excitation number by each of \[-1, 1\]$"
     ):
-        oracle._ladder_blocks(h, names, rates, mixed, basis, [0])
-    for operators in ((leaky, names, rates, jumps, basis), (h, names, rates, mixed, basis)):
+        oracle._ladder_blocks(h, rates, mixed, basis, [0])
+    for operators in ((leaky, rates, jumps, basis), (h, rates, mixed, basis)):
         monkeypatch.setattr(oracle, "_ladder_operators", lambda *_, found=operators: found)
         with pytest.raises(DomainError, match="excitation number"):
             full_ladder_steady_state(paper_params, 2)
