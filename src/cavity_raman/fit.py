@@ -263,7 +263,8 @@ def _check_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matching finite 1-d float arrays holding at least ``min_size`` samples,
     on an axis ``x`` whose squares sum and whose nonzero span squares with no
-    overflow or underflow: the fits' normal equations square both."""
+    overflow or underflow: the fits' normal equations square both.  Values
+    ``y`` that do not vary hold no line and no decay, and are refused."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -272,6 +273,8 @@ def _check_samples(
         raise DomainError(f"need at least {min_size} samples {purpose}, got {x.size}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("data must be finite")
+    if np.all(y == y[0]):
+        raise DomainError(f"the data do not vary: every value is {float(y[0])!r}")
     with np.errstate(over="ignore"):  # checked below
         squares, span = np.sum(np.square(x)), float(np.max(x) - np.min(x))
     if not np.isfinite(squares):
@@ -344,7 +347,7 @@ def fit_exponential(
     base0 = float(np.mean(values[-tail:]))
     amp0 = float(values[0] - base0)
     if amp0 == 0.0:
-        amp0 = float(np.max(values) - np.min(values)) or 1.0
+        amp0 = float(np.max(values) - np.min(values))
     shifted = (values - base0) / amp0
     usable = shifted > 0.05
     if np.count_nonzero(usable) >= 2:
@@ -366,8 +369,7 @@ def fit_exponential(
         decay = np.exp(exponent)
         jac = np.empty((times.size, 3))
         jac[:, 0] = decay
-        with np.errstate(over="ignore"):  # a tau too long to decay, refused below
-            jac[:, 1] = x[0] * decay * times / x[1] ** 2
+        jac[:, 1] = x[0] * decay * times / x[1] ** 2  # overflows under the LM's errstate
         jac[:, 2] = 1.0
         return jac * sqrt_w[:, None]
 
@@ -417,9 +419,8 @@ def rs_ratio(peaks: Sequence[PeakFit], delta: float) -> RsPoint:
 
     Expects centers on an axis where the Raman line sits near -delta and
     the spontaneous line near zero.  Labels are chosen by total assignment
-    cost; a cost margin under 1 GHz raises AmbiguousAssignment, except for
-    exactly coincident centers, where the labels are arbitrary and the
-    ratio is reported as 1.  A spontaneous peak weaker than three of its
+    cost; a cost margin under 1 GHz raises AmbiguousAssignment, as
+    coincident centers do.  A spontaneous peak weaker than three of its
     standard errors raises VanishingSpontaneous with the offending point
     attached; after it, a Raman peak of no positive area raises FitError.
     """
@@ -427,10 +428,6 @@ def rs_ratio(peaks: Sequence[PeakFit], delta: float) -> RsPoint:
         raise DomainError(f"need exactly two peaks, got {len(peaks)}")
 
     first, second = peaks
-    if abs(first.center - second.center) < 1e-9:
-        err = math.hypot(*(p.area_err / max(abs(p.area), 1e-300) for p in peaks))
-        return RsPoint(delta=delta, ratio=1.0, ratio_err=err)
-
     cost_direct = abs(first.center + delta) + abs(second.center)
     cost_swapped = abs(second.center + delta) + abs(first.center)
     if abs(cost_direct - cost_swapped) < 1.0:

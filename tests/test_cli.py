@@ -576,9 +576,10 @@ def test_validate_refuses_a_cavity_rate_too_small_to_resolve(capsys, kappa):
     assert "is too small to resolve" in check
 
 
+# Both ladder checks fail with the four-state checks' error.
+_AS_FOUR_STATE = "the error of trace_preservation"
 _UNRESOLVABLE = [
-    (f"--{flag}={value}", "truncation_error", "DomainError: ",
-     "the photon ladder's Hamiltonian overflows a float")
+    (f"--{flag}={value}", "truncation_error", "", _AS_FOUR_STATE)
     for flag in ("delta-laser", "delta-cavity")
     for value in ("1e308", "-1e308")
 ] + [
@@ -600,11 +601,13 @@ def test_validate_fails_an_unresolvable_check_without_a_warning(
     capsys, argument, check, kind, reason
 ):
     """A parameter at which a validate check would overflow a float (the
-    ladder's (delta_laser - delta_cavity) n, the adiabatic check's Rabi
-    period, the cavity-rate fit's squared decay time) fails that check
-    with a DomainError naming the quantity, raises no numeric warning, and
-    validate ends with its verdict.  So does a cavity-rate fit whose decay
-    time underflows its exponential, leaving a zero on the diagonal of its
+    adiabatic check's Rabi period, the cavity-rate fit's squared decay
+    time) fails that check with a DomainError naming the quantity, raises
+    no numeric warning, and validate ends with its verdict.  At a laser or
+    cavity detuning of +-1e308 the ladder checks fail with the four-state
+    checks' error: the channel prologue's, or the assembler's for an
+    overflowing Hamiltonian.  So does a cavity-rate fit whose decay time
+    underflows its exponential, leaving a zero on the diagonal of its
     Gram matrix at zero cost: it fails its closed form, with a finite
     covariance."""
     with warnings.catch_warnings():
@@ -613,16 +616,21 @@ def test_validate_fails_an_unresolvable_check_without_a_warning(
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert lines[-1] == "validation FAILED"
-    (line,) = [line for line in lines if line.startswith(f"FAIL {check}: ")]
-    assert line.startswith(f"FAIL {check}: {kind}") and reason in line
+    failed = {line.split()[1].rstrip(":"): line for line in lines if line.startswith("FAIL ")}
+    if reason == _AS_FOUR_STATE:
+        error = failed["trace_preservation"].removeprefix("FAIL trace_preservation: ")
+        for name in ("truncation_error", "ladder_convergence"):
+            assert failed[name] == f"FAIL {name}: {error}"
+    else:
+        assert failed[check].startswith(f"FAIL {check}: {kind}") and reason in failed[check]
 
 
 @pytest.mark.parametrize("value", ["1e308", "-1e308"])
 def test_validate_names_an_overflowing_hamiltonian(capsys, value):
     """At a cavity detuning whose 2 pi (delta_laser - delta_cavity)
-    overflows, the four checks that assemble the four-state generator fail
-    naming its Hamiltonian, not its rates, and the ladder checks name the
-    ladder's Hamiltonian."""
+    overflows, the four checks that assemble the four-state generator and
+    the two ladder checks fail with one message, the assembler's, naming
+    the Hamiltonian, not the rates."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, ["validate", f"--delta-cavity={value}"])
@@ -632,13 +640,34 @@ def test_validate_names_an_overflowing_hamiltonian(capsys, value):
     four_state = ["trace_preservation", "steady_state_physical", "spectrum_sum_rule",
                   "cavity_rate_consistency"]
     assert sorted(failed) == sorted(four_state + ["truncation_error", "ladder_convergence"])
-    for name in four_state:
+    for name in four_state + ["truncation_error", "ladder_convergence"]:
         assert failed[name] == (
             f"FAIL {name}: DomainError: generator has a non-finite entry: its Hamiltonian "
             "times 2 pi overflows a float"
         )
-    for name in ("truncation_error", "ladder_convergence"):
-        assert "the photon ladder's Hamiltonian overflows a float" in failed[name]
+
+
+def test_validate_refuses_an_overflowing_ladder_coupling_without_a_warning(capsys):
+    """A coupling g whose ladder term g sqrt(n) overflows, with phonons off
+    so that the channel prologue passes, fails the ladder checks with the
+    four-state checks' error, the assembler's, and raises no numeric
+    warning: that term was once added outside the errstate that covers
+    the detuning terms, and its "overflow encountered in multiply" ended
+    validate in a traceback under warnings-as-errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, ["validate", "--g=1.5e308", "--phonon-alpha1", "0", "--phonon-alpha2", "0"]
+        )
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-1] == "validation FAILED"
+    error = (
+        "DomainError: generator has a non-finite entry: its Hamiltonian times 2 pi overflows "
+        "a float"
+    )
+    for name in ("trace_preservation", "truncation_error", "ladder_convergence"):
+        assert f"FAIL {name}: {error}" in lines
 
 
 _UNDERFLOWING_DRIVE = {
@@ -737,6 +766,29 @@ def test_non_finite_fit_input_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["fit", "exponential", str(path)])
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "kind, rows, value",
+    [
+        ("lorentzian1", [(float(x), 1.0) for x in range(-20, 21)], "1.0"),
+        ("lorentzian2", [(float(x), -0.0 if x % 2 else 0.0) for x in range(-20, 21)], "0.0"),
+        ("exponential", [(0.1 * t, 2.0) for t in range(20)], "2.0"),
+    ],
+    ids=["lorentzian1", "lorentzian2", "exponential"],
+)
+def test_constant_fit_data_exits_2(capsys, tmp_path, kind, rows, value):
+    """Values that do not vary hold no line and no decay: the fit refuses
+    them at exit 2, naming the value, with no warning.  Unrefused, the 41
+    rows of 1.0 fitted a line of amplitude 1e-300 at the axis edge, -20,
+    with a center error of 0, and the 20 rows of 2.0 a decay time of
+    0.657 ns with an error of 0."""
+    path = tmp_path / "constant.csv"
+    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(capsys, ["fit", kind, str(path)])
+    assert result == (2, "", f"error: the data do not vary: every value is {value}\n")
 
 
 @pytest.mark.parametrize("kind", ["lorentzian1", "lorentzian2", "exponential"])

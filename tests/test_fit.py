@@ -6,6 +6,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 import helpers
 from cavity_raman import (
@@ -825,10 +826,25 @@ def test_exponential_rejects_non_finite_data():
 
 
 def test_rs_ratio_twin_peaks():
+    """Coincident centers have no labels: the margin rule refuses them."""
     twin = _peak(-27.5, 0.8, err=0.01)
-    point = rs_ratio((twin, twin), delta=55.0)
-    assert point.ratio == 1.0
-    assert point.ratio_err > 0.0
+    with pytest.raises(AmbiguousAssignment, match="do not separate"):
+        rs_ratio((twin, twin), delta=55.0)
+
+
+def test_predict_rs_refuses_lines_that_its_margin_cannot_label(paper_params):
+    """With every frequency and rate scaled by 1e-12 (phonons off) the two
+    lines lie within the 1 GHz label margin of each other: predict_rs
+    refuses the point, where a ratio of exactly 1 was once returned for
+    centers within 1e-9 GHz."""
+    scaled = {
+        name: 1e-12 * getattr(paper_params, name)
+        for name in ("g", "kappa", "omega_drive", "delta_laser", "delta_cavity",
+                     "gamma1", "gamma2", "gamma_flip", "kT")
+    }
+    point = replace(paper_params, **scaled, phonon_alpha1=0.0, phonon_alpha2=0.0)
+    with pytest.raises(AmbiguousAssignment, match="do not separate"):
+        stack.alone(predict_rs, point)
 
 
 def test_rs_ratio_labels_by_position():
@@ -1396,14 +1412,15 @@ def test_refit_secant_failures_count_in_detuning_order(
     assert result.prefactor == pytest.approx(0.8, rel=1e-6)
 
 
-def _nine_detuning_table(params):
-    """Exact ratio table of the power law (0.8, 0.4) at nine detunings from
-    15 to 95 GHz, the table of the benchmark's first refit."""
+def _nine_detuning_table(params, alpha=0.8, exponent=0.4):
+    """Exact ratio table of the power law (alpha, n) at nine detunings from
+    15 to 95 GHz: by default the table of the benchmark's first refit, and
+    at (1.4, 0.3) its second."""
     return [
         stack.alone(
             predict_rs,
             replace(params, delta_laser=d, delta_cavity=d,
-                    phonon_alpha1=0.8, phonon_alpha2=0.8, phonon_n=0.4),
+                    phonon_alpha1=alpha, phonon_alpha2=alpha, phonon_n=exponent),
         )[0]
         for d in np.linspace(15.0, 95.0, 9).tolist()
     ]
@@ -1468,6 +1485,106 @@ def test_refit_recovers_benchmark_table(paper_params):
     result = fit_phonon_exponent(points, paper_params)
     assert result.prefactor == pytest.approx(0.7999999999936683, rel=1e-8)
     assert result.exponent == pytest.approx(0.4000000000017811, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha, exponent", [(0.8, 0.4), (1.4, 0.3)])
+def test_refit_agrees_with_minpack(monkeypatch, paper_params, alpha, exponent):
+    """MINPACK's LM (scipy's least_squares, method "lm") on the refit's own
+    weighted residual, (ratio - data) / error with the ratio predict_rs
+    solves at s = alpha d^n and phonon_n = 0, and with the refit's central
+    differences in ln s as its Jacobian, from the refit's LM start, ends
+    where the refit does on both benchmark tables.
+
+    Bound on (log alpha, n): the refit stops on a step dx under its floor
+    f_i = 1e-9 max(|x_i|, 1), accepted or rejected, taken at the damping
+    mu that the LM's rule gives (1e-3, over 10 per accepted and times 10
+    per rejected trial before it).  To first order that step is
+    -(H + mu D)^-1 g, so the point it starts from lies
+    (I + mu H^-1 D) dx from the minimum and the point it reaches
+    mu H^-1 D dx, with H = J^T J and D its diagonal: either is within
+    |I + mu H^-1 D| f of it.  The errors: both LMs' costs are the ratios'
+    noise, far below what a floor-sized offset costs, so the covariance
+    formula is compared at one cost, the refit's, which MINPACK's residual
+    reproduces at the refit's point; exponent_err and prefactor_err / alpha
+    are then those of (J^T J)^-1 cost / dof with MINPACK's Jacobian at its
+    solution, within what the two Gram matrices allow (to first order
+    C dH C) and the inversions' rounding (P cond eps each)."""
+    points = _nine_detuning_table(paper_params, alpha, exponent)
+    runs, lm_minimize = [], leastsq.minimize
+
+    def recording_lm(residual, jacobian, x0, *args, **kwargs):
+        if np.shape(x0)[1] != 2:
+            return lm_minimize(residual, jacobian, x0, *args, **kwargs)
+        costs = []
+
+        def costed(rows, x):
+            r = residual(rows, x)
+            costs.append(float(r[0] @ r[0]))
+            return r
+
+        solution = lm_minimize(costed, jacobian, x0, *args, **kwargs)
+        runs.append((x0[0], costs, solution))
+        return solution
+
+    monkeypatch.setattr(leastsq, "minimize", recording_lm)
+    fit = fit_phonon_exponent(points, paper_params)
+    monkeypatch.undo()
+    ((x0, costs, solution),) = runs
+    assert solution.stops[0] in (leastsq.STOP_SMALL_STEP, leastsq.STOP_STALLED)
+    damping, best = leastsq._DAMPING_START, costs[0]
+    for cost in costs[1:-1]:
+        step = leastsq._DAMPING_STEP
+        damping = damping / step if cost < best else damping * step
+        best = min(best, cost)
+
+    deltas = np.array([point.delta for point in points])
+    ratios = np.array([point.ratio for point in points])
+    weights = 1.0 / np.array([point.ratio_err for point in points])
+    up = math.exp(1e-4)
+    solved = {}
+
+    def evaluate(x):
+        """The refit's residual and Jacobian at x, from one predict_rs batch."""
+        key = tuple(x.tolist())
+        if key not in solved:
+            densities = [math.exp(x[0]) * d ** float(x[1]) for d in deltas.tolist()]
+            keys = list(zip(deltas.tolist(), densities)) + [
+                (d, t) for d, s in zip(deltas.tolist(), densities) for t in (s * up, s / up)
+            ]
+            trials = [replace(paper_params, delta_laser=d, delta_cavity=d, phonon_alpha1=s,
+                              phonon_alpha2=s, phonon_n=0.0) for d, s in keys]
+            got = np.array([outcome[0].ratio for outcome in predict_rs(trials)])
+            column = (got[9::2] - ratios) * weights - (got[10::2] - ratios) * weights
+            column /= 2e-4
+            solved[key] = (
+                (got[:9] - ratios) * weights,
+                np.column_stack([column, column * np.log(deltas)]),
+            )
+        return solved[key]
+
+    result = least_squares(
+        lambda x: evaluate(x)[0], x0, jac=lambda x: evaluate(x)[1], method="lm",
+        xtol=helpers.EPS, ftol=helpers.EPS, gtol=helpers.EPS, max_nfev=200,
+    )
+    assert result.status > 0, result.message
+    jac = evaluate(result.x)[1]
+    gram = jac.T @ jac
+    inverse = np.linalg.inv(gram)
+    floor = 1e-9 * np.maximum(np.abs(solution.x[0]), 1.0)
+    reach = np.abs(np.eye(2) + damping * inverse @ np.diag(np.diag(gram))) @ floor
+    assert np.all(np.abs(solution.x[0] - result.x) <= reach)
+
+    refit_residual = evaluate(solution.x[0])[0]
+    assert refit_residual @ refit_residual == pytest.approx(solution.cost[0], rel=4 * helpers.EPS)
+    dof = deltas.size - 2
+    reference = inverse * solution.cost[0] / dof
+    gram_change = np.abs(solution.gram[0] - gram)
+    rounding = 2 * 2 * np.linalg.cond(gram) * helpers.EPS
+    bound = (
+        np.abs(inverse) * rounding + np.abs(inverse) @ gram_change @ np.abs(inverse)
+    ) * solution.cost[0] / dof
+    variances = np.array([(fit.prefactor_err / fit.prefactor) ** 2, fit.exponent_err**2])
+    assert np.all(np.abs(variances - np.diag(reference)) <= np.diag(bound))
 
 
 def test_pipeline_answers_across_the_tuning_plane():

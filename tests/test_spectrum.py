@@ -607,3 +607,59 @@ def test_stacked_lapack_failure_retries_each_point(monkeypatch, case):
     assert isinstance(error, np.linalg.LinAlgError) and str(error) == f"{routine} refused"
     table = spectrum_mod.line_table(points[:5] + points[6:])
     _assert_each_as_alone(points, failed.value.errors, table)
+
+
+def test_raman_line_sits_at_the_light_shift(paper_params):
+    """On the detuning diagonal d = 15 ... 95 GHz the Raman line's center
+    is the drive's light shift of |g1,0>, -omega^2 / (4 d), the
+    second-order effective Hamiltonian of the ground states (Reiter and
+    Sorensen, PRA 85, 032111 (2012)).  Its damping correction,
+    ((2 g^2 / kappa + (gamma1 + gamma2) / 2) / d)^2 relative, is below 3e-5;
+    the next order of the elimination is set by the ground states'
+    admixture of the excited manifold, (g^2 + (omega / 2)^2) / d^2, which
+    bounds the relative gap (measured: 0.71 to 0.72 of it, 7.30e-3 at
+    d = 15 and 1.85e-4 at d = 95).  The line's FWHM falls towards the
+    spin-flip rate gamma_flip, which sets the Raman coherence's floor: it
+    exceeds gamma_flip at every d, falls with d, and is within 0.1% of it
+    at d = 95 (0.9207 GHz at d = 15, 0.8005 GHz at d = 95)."""
+    detunings = np.array([15.0, 35.0, 55.0, 75.0, 95.0])
+    table = spectrum_mod.line_table(
+        [replace(paper_params, delta_laser=d, delta_cavity=d) for d in detunings.tolist()]
+    )
+    center, fwhm = table.roles[:, 0, 0], table.roles[:, 0, 1]
+    light_shift = -paper_params.omega_drive**2 / (4.0 * detunings)
+    admixture = (paper_params.g**2 + (paper_params.omega_drive / 2.0) ** 2) / detunings**2
+    assert np.all(np.abs(center / light_shift - 1.0) <= admixture)
+    floor = paper_params.gamma_flip
+    assert np.all(fwhm > floor) and np.all(np.diff(fwhm) < 0.0)
+    assert fwhm[-1] - floor < 1e-3 * floor
+
+
+def test_raman_line_follows_the_laser_across_emitters(paper_params):
+    """Five emitters whose optical transitions lie at eps = -10 ... 10 GHz
+    about delta = 55 GHz (laser and cavity detunings shifted together,
+    solved as one stack) emit their spontaneous lines spread by the full
+    20 GHz of inhomogeneity, but their Raman lines at one frequency: the
+    Raman center is the light shift -omega^2 / (4 delta), which moves by at
+    most omega^2 * 20 / (4 * 45^2) = 0.0164 GHz over 45 ... 65 GHz, each
+    center within its next-order gap (g^2 + (omega / 2)^2) / delta^2 of the
+    shift (measured spread: 0.01136 GHz, 1.4% of the Raman FWHM).  So the
+    Raman emission is tunable with the laser far beyond the emitters'
+    spectral inhomogeneity (arXiv:1804.06533).  The
+    spontaneous line sits near delta plus its own shift
+    (g^2 + (omega / 2)^2) / delta, so it spreads by 20 GHz within that
+    shift's change, (g^2 + (omega / 2)^2) * 20 / 45^2 (measured: 19.99 GHz)."""
+    shifts = np.array([-10.0, -5.0, 0.0, 5.0, 10.0])
+    detunings = 55.0 + shifts
+    table = spectrum_mod.line_table(
+        [replace(paper_params, delta_laser=d, delta_cavity=d) for d in detunings.tolist()]
+    )
+    raman, spont = table.roles[:, 0], table.roles[:, 1]
+    span, nearest = np.ptp(shifts), np.min(detunings)
+    coupling = paper_params.g**2 + (paper_params.omega_drive / 2.0) ** 2
+    light_shift = paper_params.omega_drive**2 / 4.0
+    gaps = coupling / detunings**2 * light_shift / detunings
+    assert np.ptp(raman[:, 0]) <= light_shift * span / nearest**2 + 2.0 * np.max(gaps)
+    assert np.ptp(raman[:, 0]) < 0.02 * np.min(raman[:, 1])
+    assert abs(np.ptp(spont[:, 0]) - span) <= coupling * span / nearest**2
+    assert np.ptp(raman[:, 0]) < 1e-3 * np.ptp(spont[:, 0])
